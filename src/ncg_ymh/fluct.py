@@ -96,6 +96,22 @@ def project_onto_span(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def project_higgs(H: np.ndarray, N: int, n: int, basis: np.ndarray) -> np.ndarray:
+    """Project a Hermitian m x m matrix onto Herm(N) (x) span_R(basis).
+
+    The basis slices are Hermitian and real-orthonormal (as returned by
+    `selfadjoint_span_basis`), hence also an orthonormal basis of their
+    complex span W.  Projecting every n x n block of H onto W is the
+    orthogonal projection onto M_N (x) W, which keeps H Hermitian and so
+    lands in Herm(N) (x) span_R(basis).
+    """
+    if basis.size == 0:
+        return np.zeros_like(H)
+    blocks = H.reshape(N, n, N, n)
+    coeffs = np.einsum("kab,iajb->ijk", basis.conj(), blocks)
+    return np.einsum("ijk,kab->iajb", coeffs, basis).reshape(H.shape)
+
+
 def connes_one_form(gt: GaugeTriple, mod: CliffordModule, pairs) -> np.ndarray:
     """omega = sum_j a_j [D, c_j] on V (x) M_N (x) M_n.
 

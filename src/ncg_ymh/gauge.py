@@ -9,8 +9,8 @@ from .action import ActionPolynomial, field_strength, sectors, spectral_action_d
 from .clifford import build_gammas, single
 from .dirac import GaugeTriple
 from .errors import NotRiemannian
-from .fluct import (Fluctuation, assemble_fluctuated, one_form_span,
-                    project_onto_span, selfadjoint_span_basis)
+from .fluct import (Fluctuation, assemble_fluctuated, one_form_span, project_higgs,
+                    selfadjoint_span_basis)
 
 
 @dataclass(frozen=True)
@@ -70,34 +70,8 @@ def higgs_span_leakage(gt: GaugeTriple, phi: np.ndarray, seed: int = 0) -> float
     Diagnostic for the transformed Higgs; zero (up to roundoff) whenever the
     one-form span machinery and the transformation agree.
     """
-    N, n = gt.N, gt.n
-    basis_f = selfadjoint_span_basis(one_form_span(gt.finite.D_F, seed=seed))
-    if basis_f.size == 0:
-        return float(np.linalg.norm(phi))
-    # real-orthonormal Hermitian basis of M_N
-    herm_basis = []
-    for i in range(N):
-        E = np.zeros((N, N), dtype=complex)
-        E[i, i] = 1.0
-        herm_basis.append(E)
-        for j in range(i + 1, N):
-            E = np.zeros((N, N), dtype=complex)
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2)
-            herm_basis.append(E)
-            E = np.zeros((N, N), dtype=complex)
-            E[i, j] = -1j / np.sqrt(2)
-            E[j, i] = 1j / np.sqrt(2)
-            herm_basis.append(E)
-    residual = phi.copy()
-    for H in herm_basis:
-        # n x n block contraction of phi against H
-        Y = np.zeros((n, n), dtype=complex)
-        for a in range(N):
-            for b in range(N):
-                if H[a, b] != 0:
-                    Y += np.conj(H[a, b]) * phi[a * n:(a + 1) * n, b * n:(b + 1) * n]
-        residual -= np.kron(H, Y - project_onto_span(Y, basis_f))
-    return float(np.linalg.norm(phi - residual))
+    basis = selfadjoint_span_basis(one_form_span(gt.finite.D_F, seed=seed))
+    return float(np.linalg.norm(phi - project_higgs(phi, gt.N, gt.n, basis)))
 
 
 def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,

@@ -1,7 +1,7 @@
 """Metropolis chain over the matrix moduli (L_mu, A_mu, phi).
 
 Boltzmann weight exp(-(1/4) Tr f(D_omega)) with the action evaluated through
-the closed-form sectors (fast path).  Proposals are Gaussian increments on a
+the closed-form sectors.  Proposals are Gaussian increments on a
 Hermitian generator mapped into each field's subspace, so every accepted
 state stays exactly on the moduli space:
 
@@ -20,13 +20,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .action import ActionPolynomial
+from .action import (ActionPolynomial, bitracial_traces, covariant_matrices,
+                     sector_breakdown)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, NotSelfAdjoint, UnstableAction
-from .fluct import (Fluctuation, one_form_span, project_onto_span,
-                    selfadjoint_span_basis)
-from .superop import gen_comm
+from .fluct import Fluctuation, one_form_span, project_higgs, selfadjoint_span_basis
 
 _DIVERGENCE = 1e12
 
@@ -111,51 +110,6 @@ def stationarity_check(values, n_batches: int = 20) -> dict:
     }
 
 
-class _ActionEvaluator:
-    """Sector-sum action on raw state arrays, avoiding dataclass rebuilds."""
-
-    def __init__(self, gt: GaugeTriple, poly: ActionPolynomial, higgs_basis):
-        if (gt.sig.p, gt.sig.q) != (0, 4):
-            raise NotRiemannian("the sampler runs in signature (0, 4)")
-        if gt.fuzzy.has_triples:
-            raise NotFlat("the sampler needs a flat template (no X blocks)")
-        self.gt = gt
-        self.poly = poly
-        self.n = gt.n
-        self.m = gt.m
-        self.higgs_basis = higgs_basis
-        self.DF_big = np.kron(np.eye(gt.N), gt.finite.D_F)
-        self.has_higgs = not gt.yang_mills and higgs_basis is not None and higgs_basis.size > 0
-
-    def sectors(self, L, A, phi):
-        a2, a4 = self.poly.a2, self.poly.a4
-        n, m = self.n, self.m
-        d = [gen_comm(np.kron(L[mu], np.eye(n)) + A[mu], -1).rep for mu in range(4)]
-        th = -(d[0] @ d[0] + d[1] @ d[1] + d[2] @ d[2] + d[3] @ d[3])
-        s_th = 0.5 * (a2 * np.trace(th) + a4 * np.trace(th @ th)).real
-
-        acc = 0.0 + 0j
-        for mu in range(4):
-            for nu in range(mu + 1, 4):
-                F = d[mu] @ d[nu] - d[nu] @ d[mu]
-                acc += 2 * np.trace(F @ F)
-        s_ym = (-a4 / 4 * acc).real
-
-        s_h = 0.0
-        s_gh = 0.0
-        if not self.gt.yang_mills:
-            Phi = np.kron(np.eye(m), self.DF_big + phi) + np.kron(phi.T, np.eye(m))
-            P2 = Phi @ Phi
-            s_h = 0.5 * (a2 * np.trace(P2) + a4 * np.trace(P2 @ P2)).real
-            gh = np.trace(P2 @ th)
-            for mu in range(4):
-                c = d[mu] @ Phi - Phi @ d[mu]
-                gh += 0.5 * np.trace(c @ c)
-            s_gh = (a4 * gh).real
-        total = s_ym + s_h + s_gh + s_th
-        return total, s_ym, s_h, s_gh, s_th
-
-
 def _su_project(H: np.ndarray) -> np.ndarray:
     """Hermitian generator -> traceless anti-Hermitian increment."""
     N = H.shape[0]
@@ -175,15 +129,20 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     m = N * n
     if gt_template.N != N or gt_template.n != cfg.n:
         raise ValueError("config and template disagree on (N, n)")
+    if (sig.p, sig.q) != (0, 4):
+        raise NotRiemannian("the sampler runs in signature (0, 4)")
+    if gt_template.fuzzy.has_triples:
+        raise NotFlat("the sampler needs a flat template (no X blocks)")
+    higgs_basis = selfadjoint_span_basis(one_form_span(gt_template.finite.D_F))
+    DF_big = np.kron(np.eye(N), gt_template.finite.D_F)
 
-    higgs_basis = None
-    if not gt_template.yang_mills:
-        higgs_basis = selfadjoint_span_basis(one_form_span(gt_template.finite.D_F))
-    ev = _ActionEvaluator(gt_template, cfg.poly, higgs_basis)
+    def breakdown(L, A, phi):
+        traces = bitracial_traces(covariant_matrices(L, A), DF_big + phi, phi,
+                                  sig.e, sig.eps_dblprime)
+        return sector_breakdown(traces, cfg.poly)
 
     field_names = [f"L{mu}" for mu in range(4)] + [f"A{mu}" for mu in range(4)]
-    sample_higgs = ev.has_higgs
-    if sample_higgs:
+    if higgs_basis.size > 0:
         field_names.append("phi")
     rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
             for k in range(len(field_names))}
@@ -196,7 +155,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         L[mu] -= np.trace(L[mu]) / N * np.eye(N)
     state = ChainState(L=L, A=[np.zeros((m, m), dtype=complex) for _ in range(4)],
                        phi=np.zeros((m, m), dtype=complex))
-    state.current_action = ev.sectors(state.L, state.A, state.phi)[0]
+    state.current_action = breakdown(state.L, state.A, state.phi).total_closed
 
     window_acc = {name: 0 for name in field_names}
     window_tot = {name: 0 for name in field_names}
@@ -219,10 +178,10 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                 cand = (state.L, newA, state.phi)
             else:
                 H = random_hermitian(m, rng)
-                incr = _project_higgs(H, N, n, higgs_basis)
+                incr = project_higgs(H, N, n, higgs_basis)
                 cand = (state.L, state.A, state.phi + steps[name] * incr)
 
-            new_action = ev.sectors(*cand)[0]
+            new_action = breakdown(*cand).total_closed
             delta = new_action - state.current_action
             state.proposal_count += 1
             window_tot[name] += 1
@@ -254,15 +213,15 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             state.proposal_count = 0
 
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            total, s_ym, s_h, s_gh, s_th = ev.sectors(state.L, state.A, state.phi)
+            br = breakdown(state.L, state.A, state.phi)
             rate = state.accept_count / max(1, state.proposal_count)
             hist = None
             if cfg.histogram_bins > 0:
                 edges, counts = eigen_histogram(_assemble_state(gt_template, state),
                                                 cfg.histogram_bins)
                 hist = (tuple(map(float, edges)), tuple(map(int, counts)))
-            records.append(SampleRecord(step=sweep, s_total=total, s_ym=s_ym,
-                                        s_h=s_h, s_gh=s_gh, s_theta=s_th,
+            records.append(SampleRecord(step=sweep, s_total=br.total_closed, s_ym=br.s_ym,
+                                        s_h=br.s_h, s_gh=br.s_gh, s_theta=br.s_theta,
                                         acceptance=rate, histogram=hist))
     info = {
         "step_sizes": {name: steps[name] for name in field_names},
@@ -281,30 +240,6 @@ def _assemble_state(gt_template: GaugeTriple, state: ChainState) -> np.ndarray:
     fz = FuzzyData(N=state.L[0].shape[0], sig=gt_template.sig, K=blocks)
     gt = GaugeTriple(fuzzy=fz, finite=gt_template.finite)
     return assemble_fluctuated(gt, state.fluctuation(), build_gammas(gt.sig))
-
-
-def _project_higgs(H: np.ndarray, N: int, n: int, basis_f) -> np.ndarray:
-    """Project a Hermitian m x m matrix onto Herm(N) (x) [Omega^1_{D_F}]_sa.
-
-    Works blockwise: diagonal n x n blocks are Hermitian and project
-    directly; an off-diagonal block B = h - i g (h, g Hermitian) projects
-    through its two Hermitian coefficients.
-    """
-    if basis_f is None or basis_f.size == 0:
-        return np.zeros_like(H)
-    out = np.zeros_like(H)
-    for i in range(N):
-        blk = H[i * n:(i + 1) * n, i * n:(i + 1) * n]
-        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = \
-            project_onto_span((blk + blk.conj().T) / 2, basis_f)
-        for j in range(i + 1, N):
-            blk = H[i * n:(i + 1) * n, j * n:(j + 1) * n]
-            h_part = project_onto_span((blk + blk.conj().T) / 2, basis_f)
-            g_part = project_onto_span(1j * (blk - blk.conj().T) / 2, basis_f)
-            upper = h_part - 1j * g_part
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = upper
-            out[j * n:(j + 1) * n, i * n:(i + 1) * n] = upper.conj().T
-    return out
 
 
 def eigen_histogram(D: np.ndarray, bins: int):

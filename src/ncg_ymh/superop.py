@@ -8,7 +8,8 @@ matrices acting on column-stacked matrices, with the convention
 
 so left multiplication by K is 1 (x) K and right multiplication is K^T (x) 1.
 This single convention is shared by every closed-form / brute-force
-comparison in the package.
+comparison in the package.  The action itself is evaluated on m x m
+matrices (see `action`); these dense forms are its brute-force oracle.
 """
 from __future__ import annotations
 
@@ -35,11 +36,8 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def transpose_permutation(m: int) -> np.ndarray:
     """Permutation P with P vec(X) = vec(X^T); P^2 = 1."""
-    P = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            P[i + j * m, j + i * m] = 1.0
-    return P
+    # row i + j m picks entry j + i m
+    return np.eye(m * m)[np.arange(m * m).reshape(m, m).T.ravel()]
 
 
 @dataclass(frozen=True)

@@ -206,3 +206,37 @@ def test_gauge_higgs_identity_sides_disagree_by_theta_phi2():
     Phi = fluct.higgs_field(fl, gt).rep
     gap = 2.0 * np.trace(th @ Phi @ Phi).real
     assert abs((lhs - rhs) - gap) <= 1e-9 * max(1.0, abs(gap))
+
+
+def _oracle_traces(gt, fl):
+    """The seven kernel traces from the m^2 x m^2 superoperators."""
+    e = gt.sig.e
+    d = [x.rep for x in fluct.covariant_ops(gt, fl)]
+    th = action.theta(gt, fl).rep
+    Phi = fluct.higgs_field(fl, gt).rep
+    F = action.field_strength(gt, fl).F_super
+    c = [dm @ Phi - Phi @ dm for dm in d]
+    Phi2 = Phi @ Phi
+    return action.BiTraces(
+        theta=np.trace(th).real,
+        theta2=np.trace(th @ th).real,
+        F2=sum(e[mu] * e[nu] * np.trace(F[mu][nu].rep @ F[mu][nu].rep)
+               for mu in range(4) for nu in range(4)).real,
+        Phi2=np.trace(Phi2).real,
+        Phi4=np.trace(Phi2 @ Phi2).real,
+        Phi2_theta=np.trace(Phi2 @ th).real,
+        dPhi2=sum(e[mu] * np.trace(c[mu] @ c[mu]) for mu in range(4)).real,
+    )
+
+
+@pytest.mark.parametrize("with_DF", [True, False])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+def test_bitracial_kernel_matches_superoperators(p, q, N, with_DF):
+    gt = make_triple(p=p, q=q, N=N, seed=30 + N, with_DF=with_DF)
+    fl = fluct.random_fluctuation(gt, seed=40 + N)
+    assert max(abs(np.trace(A)) for A in fl.A) > 1e-3  # Tr A_mu != 0 is exercised
+    got = action._traces(gt, fl)
+    want = _oracle_traces(gt, fl)
+    for name, g, w in zip(action.BiTraces._fields, got, want):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)

@@ -198,3 +198,26 @@ def test_selfadjoint_span_and_projection():
     w = DF @ X - X @ DF
     w = 1j * w  # make it self-adjoint: (i[D,X])* = i[D,X] for X, D Hermitian
     np.testing.assert_allclose(fluct.project_onto_span(w, basis), w, atol=1e-10)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_project_higgs_matches_blockwise_projection(N):
+    # a non-central D_F spans all of M_n, so a proper subspace is taken by
+    # hand: four of the nine real-orthonormal Hermitian basis slices of M_3
+    n = 3
+    DF = dirac.random_hermitian(n, np.random.default_rng(5))
+    basis = fluct.selfadjoint_span_basis(fluct.one_form_span(DF))[:4]
+    H = dirac.random_hermitian(N * n, np.random.default_rng(6))
+    # reference: each n x n block B = h - i g projected through its
+    # Hermitian parts h and g
+    want = np.zeros_like(H)
+    for i in range(N):
+        for j in range(N):
+            blk = H[i * n:(i + 1) * n, j * n:(j + 1) * n]
+            h = fluct.project_onto_span((blk + blk.conj().T) / 2, basis)
+            g = fluct.project_onto_span(1j * (blk - blk.conj().T) / 2, basis)
+            want[i * n:(i + 1) * n, j * n:(j + 1) * n] = h - 1j * g
+    got = fluct.project_higgs(H, N, n, basis)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert np.abs(got - H).max() > 1e-3  # the projection is not the identity
+    np.testing.assert_allclose(fluct.project_higgs(got, N, n, basis), got, atol=1e-12)

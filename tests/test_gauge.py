@@ -85,6 +85,11 @@ def test_transform_preserves_types():
     assert np.abs(out.phi.conj().T - out.phi).max() <= 1e-12
     # transformed Higgs stays inside the one-form span
     assert gauge.higgs_span_leakage(gt, out.phi) <= 1e-9
+    # with central D_F the one-form span is empty, so all of phi leaks
+    central = GaugeTriple(fuzzy=gt.fuzzy, finite=FiniteData(n=gt.n, D_F=np.eye(gt.n)))
+    norm = np.linalg.norm(out.phi)
+    assert norm > 0
+    assert abs(gauge.higgs_span_leakage(central, out.phi) - norm) <= 1e-12 * norm
 
 
 def test_not_riemannian():

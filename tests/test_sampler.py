@@ -59,7 +59,7 @@ def test_state_stays_on_moduli_space():
         assert np.abs(st.A[mu] + st.A[mu].conj().T).max() <= 1e-12
     assert np.abs(st.phi - st.phi.conj().T).max() <= 1e-12
     basis = fluct.selfadjoint_span_basis(fluct.one_form_span(gt.finite.D_F))
-    proj = sampler._project_higgs(st.phi, 2, 2, basis)
+    proj = fluct.project_higgs(st.phi, 2, 2, basis)
     assert np.abs(proj - st.phi).max() <= 1e-10  # phi lies in the Higgs span
 
 
@@ -73,7 +73,7 @@ def test_record_sector_sum():
 
 
 def test_sampler_action_matches_sectors_module():
-    # the fast evaluator agrees with action.sectors on random states
+    # the chain's action agrees with action.sectors on random states
     from ncg_ymh.action import sectors
     gt = higgs_template(seed=4)
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=12, burn_in=0, seed=11)
