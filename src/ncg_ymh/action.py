@@ -280,14 +280,48 @@ def sectors(gt: GaugeTriple, fl: Fluctuation, f: ActionPolynomial,
     return sector_breakdown(tr, f, direct)
 
 
+_CHECK_ENTRIES = 1 << 16
+
+
+def require_self_adjoint(D: np.ndarray):
+    """Raise NotSelfAdjoint unless D is finite and max|D - D*| <= 1e-9 max(1, max|D|).
+
+    Both maxima are taken over blocks of rows, so no temporary of the size
+    of D is formed.  A non-finite entry fails the check.
+    """
+    dev = scale = 0.0
+    step = max(1, _CHECK_ENTRIES // max(1, D.shape[1]))
+    for r in range(0, D.shape[0], step):
+        rows = D[r:r + step]
+        top = np.abs(rows).max()
+        if not np.isfinite(top):
+            raise NotSelfAdjoint("operator has non-finite entries")
+        scale = max(scale, top)
+        dev = max(dev, np.abs(rows - D[:, r:r + step].conj().T).max())
+    if not dev <= 1e-9 * max(1.0, scale):
+        raise NotSelfAdjoint(f"operator deviates from self-adjointness by {dev:.3e}")
+
+
 def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
-    """(1/4) Tr f(D) from the eigenvalues of a self-adjoint D."""
+    """(1/4) Tr f(D) for a self-adjoint D, from traces of powers of D.
+
+    Tr f(D) = (1/2) sum_k a_k Tr D^k.  Only D^1 .. D^h, h = ceil(deg f / 2),
+    are formed; Tr D^k for k >= 2 is the Hilbert-Schmidt product
+    <D^i, D^j> = Tr(D^i D^j) with i + j = k, the powers being self-adjoint.
+    No diagonalisation: the default quartic costs one matrix product.
+    """
     if D.shape[0] != D.shape[1]:
         raise DimensionMismatch(f"operator not square: {D.shape}")
-    dev = np.abs(D - D.conj().T).max()
-    if dev > 1e-9 * max(1.0, np.abs(D).max()):
-        raise NotSelfAdjoint(f"operator deviates from self-adjointness by {dev:.3e}")
-    return 0.25 * f.evaluate_sum(np.linalg.eigvalsh(D))
+    require_self_adjoint(D)
+    powers = [None, D]
+    for _ in range((f.degree + 1) // 2 - 1):
+        powers.append(powers[-1] @ D)
+    total = 0.0
+    for k, a in enumerate(f.coeffs, start=1):
+        if a:
+            tr = np.trace(D) if k == 1 else np.vdot(powers[k // 2], powers[k - k // 2])
+            total += 0.5 * a * float(tr.real)
+    return 0.25 * total
 
 
 def tetrahedral(K, sig=None) -> float:

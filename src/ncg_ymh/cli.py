@@ -59,13 +59,15 @@ def load_matrix(path: str) -> np.ndarray:
     if len(data) != rows * cols:
         raise ConfigError(f"{path}: {len(data)} entries for a {rows}x{cols} matrix")
     flat = np.array([complex(re, im) for re, im in data])
+    if not np.isfinite(flat).all():
+        raise ConfigError(f"{path}: non-finite entries")
     return flat.reshape((rows, cols), order="C")
 
 
 # ------------------------------------------------------------- config layer
 
 def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
-    """Per-purpose stream: counter 0 fuzzy blocks, 1 D_F, 2 fluctuation."""
+    """Per-purpose spawn stream of the root seed; D_F uses counter 1."""
     return np.random.default_rng(np.random.SeedSequence(entropy=root_seed,
                                                         spawn_key=(counter,)))
 
@@ -145,7 +147,10 @@ def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
             else:
                 raise ConfigError(f"unknown block key {key!r} (use mu0..mu3, hat0..hat3)")
             K[I] = load_matrix(path)
-        fz = FuzzyData(N=N, sig=sig, K=K)
+        try:
+            fz = FuzzyData(N=N, sig=sig, K=K)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
         m = N * n
         A = []
@@ -232,7 +237,7 @@ def cmd_spectrum(cfg: dict) -> int:
         D = fluct.assemble_fluctuated(gt, fl, mod)
     else:
         D = dirac.assemble_product_dirac(gt, mod)
-    ev = np.sort(np.linalg.eigvalsh(D))
+    ev = np.linalg.eigvalsh(D)  # ascending
     path = os.path.join(cfg["out"], "spectrum.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

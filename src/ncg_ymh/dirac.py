@@ -1,4 +1,7 @@
-"""Fuzzy and gauge matrix spectral triples: data, Dirac assembly, axioms.
+"""Fuzzy and gauge matrix spectral triples: data, Dirac operators, axioms.
+
+The product and fuzzy Dirac operators are special cases of the one
+assembler, `fluct.assemble_fluctuated`.
 
 The Hilbert space of a fuzzy geometry is V (x) M_N; a gauge triple tensors a
 finite part on M_n, giving V (x) M_N (x) M_n of dimension 4 N^2 n^2.  The
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordModule, MultiIndex, Signature, gamma_product, single, hat
+from .clifford import CliffordModule, MultiIndex, Signature, single, hat
 from .errors import DimensionMismatch
 from .superop import gen_comm, kron, left_mult, transpose_permutation
 
@@ -137,38 +140,15 @@ def _all_indices():
 
 
 def assemble_fuzzy_dirac(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
-    """D_f = sum_I gamma^I (x) {K_I, .}_{e_I} on V (x) M_N."""
-    if fz.sig != mod.signature:
-        raise DimensionMismatch("fuzzy data and Clifford module carry different signatures")
-    dim = 4 * fz.N * fz.N
-    D = np.zeros((dim, dim), dtype=complex)
-    for I in _all_indices():
-        blk = fz.block(I)
-        if not np.abs(blk).max() > 0:
-            continue
-        D += kron(gamma_product(mod, I), gen_comm(blk, I.sign(fz.sig)).rep)
-    return D
+    """D_f = sum_I gamma^I (x) {K_I, .}_{e_I} on V (x) M_N: the case n = 1, D_F = 0."""
+    return assemble_product_dirac(yang_mills_triple(fz, 1), mod)
 
 
 def assemble_product_dirac(gt: GaugeTriple, mod: CliffordModule) -> np.ndarray:
-    """D = D_f (x) 1_F + gamma_f (x) D_F on V (x) M_N (x) M_n.
-
-    D_F acts on the finite Hilbert space M_n by left multiplication.
-    """
-    if gt.sig != mod.signature:
-        raise DimensionMismatch("triple and Clifford module carry different signatures")
-    m = gt.m
-    n = gt.n
-    dim = gt.hilbert_dim
-    D = np.zeros((dim, dim), dtype=complex)
-    for I in _all_indices():
-        blk = gt.fuzzy.block(I)
-        if not np.abs(blk).max() > 0:
-            continue
-        D += kron(gamma_product(mod, I), gen_comm(np.kron(blk, np.eye(n)), I.sign(gt.sig)).rep)
-    if not gt.yang_mills:
-        D += kron(mod.chirality, left_mult(np.kron(np.eye(gt.N), gt.finite.D_F)).rep)
-    return D
+    """D = D_f (x) 1_F + gamma_f (x) D_F on V (x) M_N (x) M_n, D_F acting by left
+    multiplication: `fluct.assemble_fluctuated` at zero fluctuation."""
+    from .fluct import assemble_fluctuated, zero_fluctuation
+    return assemble_fluctuated(gt, zero_fluctuation(gt), mod)
 
 
 def real_structure(mod: CliffordModule, m: int) -> np.ndarray:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .clifford import CliffordModule, gamma_product, single, hat
 from .dirac import (GaugeTriple, assemble_product_dirac, conjugate_by_J,
-                    random_hermitian, real_structure, represent_algebra)
+                    random_hermitian, represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
-from .superop import SuperOp, gen_comm, kron, left_mult, right_mult, unvec, vec
+from .superop import SuperOp, gen_comm, left_mult, right_mult, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -244,19 +244,36 @@ def triple_ops(gt: GaugeTriple, fl: Fluctuation):
 
 def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
                         mod: CliffordModule) -> np.ndarray:
-    """D_omega built directly from the closed-form field content."""
+    """D_omega = sum_I gamma^I (x) (l(L_I) + r(R_I)), written block by block.
+
+    The nine terms are the single-index {K_mu (x) 1 + A_mu, .}_{e_mu}, the
+    triple-index {K_hat mu (x) 1 + S_mu, .}_{e_hat mu} and the Higgs term
+    gamma (x) (l(1 (x) D_F + phi) + eps'' r(phi)).  Block (a, b) of the
+    4 x 4 block structure is l(L_ab) + r(R_ab) with L_ab = sum_I gamma^I_ab
+    L_I (R_ab likewise), so the m^2 x m^2 blocks are filled from m x m
+    matrices: l(L) = 1 (x) L on the diagonal of the outer index pair,
+    r(R) = R^T (x) 1 on that of the inner pair.  No Kronecker product of
+    Hilbert-space size is formed.  The zero fluctuation gives the product
+    Dirac operator, and n = 1 with D_F = 0 the fuzzy one.
+    """
     if gt.sig != mod.signature:
         raise DimensionMismatch("triple and Clifford module carry different signatures")
-    m = gt.m
+    sig, N, n, m = gt.sig, gt.N, gt.n, gt.m
     if fl.A[0].shape != (m, m):
         raise DimensionMismatch(f"fluctuation size {fl.A[0].shape} vs m = {m}")
-    D = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
-    for mu, d in enumerate(covariant_ops(gt, fl)):
-        D += kron(mod.gammas[mu], d.rep)
-    for mu, xs in enumerate(triple_ops(gt, fl)):
-        if np.abs(xs.rep).max() > 0:
-            D += kron(gamma_product(mod, hat(mu)), xs.rep)
-    Phi = higgs_field(fl, gt)
-    if np.abs(Phi.rep).max() > 0:
-        D += kron(mod.chirality, Phi.rep)
-    return D
+    one = np.eye(n)
+    X = [np.kron(gt.fuzzy.block(single(mu)), one) + fl.A[mu] for mu in range(4)]
+    Y = [np.kron(gt.fuzzy.block(hat(mu)), one) + (0 if fl.S is None else fl.S[mu])
+         for mu in range(4)]
+    gammas = np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
+    lefts = np.array([*X, *Y, np.kron(np.eye(N), gt.finite.D_F) + fl.phi])
+    rights = np.array([*(e * x for e, x in zip(sig.e, X)),
+                       *(e * y for e, y in zip(sig.e_hat, Y)), sig.eps_dblprime * fl.phi])
+    L = np.tensordot(gammas, lefts, axes=(0, 0))    # (a, b, i, j)
+    R = np.tensordot(gammas, rights, axes=(0, 0))
+    # D[a, p, i, b, q, j] is the entry at row a m^2 + p m + i, column b m^2 + q m + j
+    D = np.zeros((4, m, m, 4, m, m), dtype=complex)
+    k = np.arange(m)
+    D[:, k, :, :, k, :] += L.transpose(0, 2, 1, 3)   # p = q
+    D[:, :, k, :, :, k] += R.transpose(0, 3, 1, 2)   # i = j, entry R_ab[q, p]
+    return D.reshape(4 * m * m, 4 * m * m)

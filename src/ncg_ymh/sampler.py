@@ -21,10 +21,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .action import (ActionPolynomial, bitracial_traces, covariant_matrices,
-                     sector_breakdown)
+                     require_self_adjoint, sector_breakdown)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
-from .errors import NotFlat, NotRiemannian, NotSelfAdjoint, UnstableAction
+from .errors import NotFlat, NotRiemannian, UnstableAction
 from .fluct import Fluctuation, one_form_span, project_higgs, selfadjoint_span_basis
 
 _DIVERGENCE = 1e12
@@ -244,9 +244,7 @@ def _assemble_state(gt_template: GaugeTriple, state: ChainState) -> np.ndarray:
 
 def eigen_histogram(D: np.ndarray, bins: int):
     """Eigenvalue histogram of a self-adjoint operator over a symmetric range."""
-    dev = np.abs(D - D.conj().T).max()
-    if dev > 1e-9 * max(1.0, np.abs(D).max()):
-        raise NotSelfAdjoint(f"operator deviates from self-adjointness by {dev:.3e}")
+    require_self_adjoint(D)
     ev = np.linalg.eigvalsh(D)
     span = float(np.abs(ev).max())
     if span == 0.0:

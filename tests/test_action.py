@@ -240,3 +240,40 @@ def test_bitracial_kernel_matches_superoperators(p, q, N, with_DF):
     want = _oracle_traces(gt, fl)
     for name, g, w in zip(action.BiTraces._fields, got, want):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("with_DF", [True, False])
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+def test_spectral_action_direct_matches_eigenvalues(p, q, with_DF, degree):
+    gt = make_triple(p=p, q=q, N=2, seed=50 + degree, include_X=True, with_DF=with_DF)
+    fl = fluct.random_fluctuation(gt, seed=60 + degree)
+    D = fluct.assemble_fluctuated(gt, fl, build_module(p, q))
+    f = ActionPolynomial((0.3, -0.7, 0.5, 1.1, -0.2, 0.9)[:degree])
+    ev = np.linalg.eigvalsh(D)
+    want = 0.25 * f.evaluate_sum(ev)
+    # relative to the size of the summed terms: Tr D vanishes identically
+    scale = 0.25 * ActionPolynomial(tuple(map(abs, f.coeffs))).evaluate_sum(np.abs(ev))
+    assert abs(action.spectral_action_direct(D, f) - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_action_direct_rejects_non_finite(bad):
+    f = ActionPolynomial((0.0, 1.0, 0.0, 1.0))
+    for D in (np.full((3, 3), bad), np.diag([1.0, bad, 2.0])):
+        with pytest.raises(NotSelfAdjoint):
+            action.spectral_action_direct(D, f)
+
+
+def test_self_adjoint_check_over_row_blocks(monkeypatch):
+    monkeypatch.setattr(action, "_CHECK_ENTRIES", 8)  # one row per block
+    rng = np.random.default_rng(3)
+    H = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    H = H + H.conj().T
+    action.require_self_adjoint(H)
+    H[6, 0] += 1e-3
+    with pytest.raises(NotSelfAdjoint):
+        action.require_self_adjoint(H)
+    H[6, 0] = np.nan
+    with pytest.raises(NotSelfAdjoint):
+        action.require_self_adjoint(H)

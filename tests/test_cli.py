@@ -226,3 +226,33 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     assert run(["verify", "--config", cfg]) == 0
     monkeypatch.setenv("NCG_YMH_THREADS", "zzz")
     assert run(["verify", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrix_file_is_config_error(tmp_path, capsys, bad):
+    df_path = str(tmp_path / "DF.json")
+    cli.save_matrix(df_path, np.array([[1.0, bad], [bad, 0.0]]))
+    with pytest.raises(cli.ConfigError):
+        cli.load_matrix(df_path)
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": df_path},
+        "out": str(tmp_path),
+    })
+    for command in ("action", "spectrum"):
+        assert run([command, "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+def test_wrong_adjointness_block_file_is_config_error(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    l0_path = str(tmp_path / "L0.json")
+    cli.save_matrix(l0_path, H + H.conj().T)  # (0,4) needs K_0* = -K_0
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2},
+        "fields": {"source": "files", "K": {"mu0": l0_path}},
+        "out": str(tmp_path),
+    })
+    assert run(["action", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

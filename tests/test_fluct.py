@@ -221,3 +221,46 @@ def test_project_higgs_matches_blockwise_projection(N):
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert np.abs(got - H).max() > 1e-3  # the projection is not the identity
     np.testing.assert_allclose(fluct.project_higgs(got, N, n, basis), got, atol=1e-12)
+
+
+def _kron_sum(gt, fl, mod):
+    """The explicit sum of kron(gamma^I, S_I) over the nine Dirac terms."""
+    sig, one = gt.sig, np.eye(gt.n)
+
+    def gen_comm(K, e):
+        return left_mult(K).rep + e * right_mult(K).rep
+
+    D = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
+    for mu in range(4):
+        X = np.kron(gt.fuzzy.block(single(mu)), one) + fl.A[mu]
+        D += np.kron(mod.gammas[mu], gen_comm(X, sig.e[mu]))
+        Y = np.kron(gt.fuzzy.block(hat(mu)), one)
+        if fl.S is not None:
+            Y = Y + fl.S[mu]
+        D += np.kron(mod.gamma_hat(mu), gen_comm(Y, sig.e_hat[mu]))
+    P = np.kron(np.eye(gt.N), gt.finite.D_F) + fl.phi
+    D += np.kron(mod.chirality, left_mult(P).rep + sig.eps_dblprime * right_mult(fl.phi).rep)
+    return D
+
+
+@pytest.mark.parametrize("case,with_DF", [("fluctuated", True), ("fluctuated", False),
+                                          ("product", True), ("product", False),
+                                          ("fuzzy", False)])
+@pytest.mark.parametrize("p,q", ALL_SIGS)
+def test_blockwise_assembler_matches_kron_sum(p, q, case, with_DF):
+    mod = build_module(p, q)
+    n = 1 if case == "fuzzy" else 2
+    gt = make_triple(p, q, N=3, n=n, seed=70, include_X=True, with_DF=with_DF)
+    if case == "fluctuated":
+        fl = fluct.random_fluctuation(gt, seed=71)
+        assert fl.S is not None and gt.fuzzy.has_triples
+        got = fluct.assemble_fluctuated(gt, fl, mod)
+    elif case == "product":
+        fl = fluct.zero_fluctuation(gt)
+        got = dirac.assemble_product_dirac(gt, mod)
+    else:
+        fl = fluct.zero_fluctuation(gt)
+        got = dirac.assemble_fuzzy_dirac(gt.fuzzy, mod)
+    want = _kron_sum(gt, fl, mod)
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

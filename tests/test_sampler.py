@@ -148,3 +148,8 @@ def test_chiral_pairing_symmetric_spectrum():
     D = dirac.assemble_product_dirac(gt, mod)
     ev = np.sort(np.linalg.eigvalsh(D))
     np.testing.assert_allclose(ev, -ev[::-1], atol=1e-10)
+
+
+def test_eigen_histogram_rejects_non_finite():
+    with pytest.raises(NotSelfAdjoint):
+        sampler.eigen_histogram(np.diag([1.0, np.nan, -1.0]), bins=2)
