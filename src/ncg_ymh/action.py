@@ -10,7 +10,11 @@ r(b), and the rules
 
 turn each such trace into a bi-tracial polynomial in m x m matrices.  One
 kernel, `bitracial_traces`, evaluates the seven traces that the sectors and
-the quadratic and quartic trace lemmas are built from.  The m^2 x m^2
+the quadratic and quartic trace lemmas are built from.  Every term is a
+product of entries of one Gram matrix Tr(S_i S_j) over a short stack of
+words S_i, except the commutator squares, which are traced from explicit
+commutators; at the sampler's sizes the cost is the number of numpy calls,
+not the flops, and this form keeps that number small.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength`, the shortcut side of
 `gauge_higgs_identity_sides`, `tetrahedral`) are kept as brute-force
 oracles.  Index raising uses the constant signature eta = diag(e_0..e_3).
@@ -145,6 +149,10 @@ def _tr(a: np.ndarray, b: np.ndarray):
     return np.einsum("...ij,...ji->...", a, b)
 
 
+# rows of the Gram stack S = (1, X_0..X_3, P, phi, P^2, phi^2, Q)
+_X, _P, _PHI, _P2, _PHI2, _Q = slice(1, 5), 5, 6, 7, 8, 9
+
+
 def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> BiTraces:
     """The seven traces over M_m as bi-tracial polynomials in m x m matrices.
 
@@ -152,35 +160,42 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
     e the signs e_mu and eps = eps''.  With d_mu = l(X_mu) + e_mu r(X_mu) and
     Phi = l(P) + eps r(phi), every trace follows from l(a) l(b) = l(ab),
     r(a) r(b) = r(ba), [l, r] = 0 and Tr l(a) r(b) = Tr a Tr b.
+
+    Every term is a product of Gram entries G_ij = Tr(S_i S_j) over the
+    stack S = (1, X_mu, P, phi, P^2, phi^2, Q), Q = sum e_mu X_mu^2: one
+    matrix product forms G, Tr S_i is G_0i, and the sums over mu are read
+    off W = G_{., X} G_{X, .}.  The products Y_a Y_b of Y = (X_mu, P, phi)
+    come from one broadcast matmul.  F^2 and [d, Phi]^2 are traced from the
+    commutators themselves, not from a difference of Gram entries, so that
+    commuting data gives exactly zero.  Entries stay complex until the end:
+    Tr X_mu is imaginary in signature (0, 4).
     """
     m = X.shape[-1]
     e = np.asarray(e, dtype=float)
-    t = np.trace(X, axis1=1, axis2=2)
-    Q = np.tensordot(e, X @ X, axes=1)
-    trQ = np.trace(Q)
-    G = _tr(X[:, None], X[None])
-    XX = X[:, None] @ X[None]
-    C = XX - XX.swapaxes(0, 1)
+    Y = np.concatenate((X, P[None], phi[None]))  # Y_4 = P, Y_5 = phi
+    YY = Y[:, None] @ Y[None]
+    C = YY - YY.swapaxes(0, 1)
+    ec = e @ _tr(C[:4], C[:4])  # sum_mu e_mu Tr [Y_mu, Y_b]^2
+    S = np.concatenate((np.eye(m)[None], Y, YY[[4, 5], [4, 5]],
+                        np.einsum("k,kkij->ij", e, YY[:4, :4])[None]))
+    G = S.reshape(len(S), -1) @ S.swapaxes(1, 2).reshape(len(S), -1).T
+    g, w = G.tolist(), (G[:, _X] @ G[_X]).tolist()
 
-    P2, phi2 = P @ P, phi @ phi
-    trP, trphi, trP2, trphi2 = np.trace(P), np.trace(phi), np.trace(P2), np.trace(phi2)
-    U = X @ P - P @ X
-    V = phi @ X - X @ phi
-
+    trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
     traces = BiTraces(
-        theta=2 * m * trQ + 2 * np.sum(t * t),
-        theta2=2 * m * _tr(Q, Q) + 2 * trQ * trQ + 8 * np.sum(_tr(Q, X) * t)
-        + 4 * np.sum(G * G),
-        F2=2 * m * (e @ _tr(C, C) @ e),
+        theta=2 * m * trQ + 2 * w[0][0],
+        theta2=2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
+        + 4 * sum(w[k][k] for k in range(1, 5)),
+        F2=2 * m * (ec[:4] @ e),
         Phi2=m * (trP2 + trphi2) + 2 * eps * trP * trphi,
-        Phi4=m * (_tr(P2, P2) + _tr(phi2, phi2)) + 6 * trP2 * trphi2
-        + 4 * eps * (_tr(P2, P) * trphi + trP * _tr(phi2, phi)),
-        Phi2_theta=m * (_tr(P2, Q) + _tr(Q, phi2)) + (trP2 + trphi2) * trQ
-        + 2 * eps * (_tr(P, Q) * trphi + trP * _tr(Q, phi))
-        + np.sum(2 * (_tr(P2, X) + _tr(phi2, X)) * t + 4 * eps * _tr(P, X) * _tr(phi, X)),
-        dPhi2=m * (e @ (_tr(U, U) + _tr(V, V))),
+        Phi4=m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
+        + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI]),
+        Phi2_theta=m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
+        + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
+        + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI],
+        dPhi2=m * (ec[4] + ec[5]),
     )
-    return BiTraces(*(float(np.real(v)) for v in traces))
+    return BiTraces(*(float(v.real) for v in traces))
 
 
 def covariant_matrices(K, A) -> np.ndarray:

@@ -64,6 +64,14 @@ def load_matrix(path: str) -> np.ndarray:
     return flat.reshape((rows, cols), order="C")
 
 
+def _load_square(path: str, size: int, what: str) -> np.ndarray:
+    """load_matrix, refusing anything but a size x size matrix."""
+    M = load_matrix(path)
+    if M.shape != (size, size):
+        raise ConfigError(f"{path}: {what} has shape {M.shape}, need ({size}, {size})")
+    return M
+
+
 # ------------------------------------------------------------- config layer
 
 def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
@@ -111,7 +119,7 @@ def _geometry(cfg: dict):
     elif isinstance(d_f, str):
         if not os.path.exists(d_f):
             raise ConfigError(f"D_F file not found: {d_f}")
-        DF = load_matrix(d_f)
+        DF = _load_square(d_f, n, "D_F")
         DF = (DF + DF.conj().T) / 2
     else:
         raise ConfigError("geometry.d_f must be null, 'random' or a file path")
@@ -146,19 +154,20 @@ def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
                 I = clifford.single(int(key[2:]))
             else:
                 raise ConfigError(f"unknown block key {key!r} (use mu0..mu3, hat0..hat3)")
-            K[I] = load_matrix(path)
+            K[I] = _load_square(path, N, f"block {key}")
         try:
             fz = FuzzyData(N=N, sig=sig, K=K)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
         m = N * n
-        A = []
-        for path in fields.get("A", []):
-            A.append(load_matrix(path))
+        paths = fields.get("A", [])
+        if len(paths) > 4:
+            raise ConfigError(f"fields.A lists {len(paths)} files; at most four")
+        A = [_load_square(path, m, f"A{mu}") for mu, path in enumerate(paths)]
         while len(A) < 4:
             A.append(np.zeros((m, m), dtype=complex))
-        phi = load_matrix(fields["phi"]) if fields.get("phi") else \
+        phi = _load_square(fields["phi"], m, "phi") if fields.get("phi") else \
             np.zeros((m, m), dtype=complex)
         return gt, fluct.Fluctuation(A=tuple(A), S=None, phi=phi)
     raise ConfigError(f"unknown fields.source {source!r}")

@@ -134,12 +134,15 @@ def fluctuate(D: np.ndarray, omega: np.ndarray, S: np.ndarray, eps_prime: int,
     """D + omega + eps' J omega J^{-1}, enforcing omega* = omega.
 
     With symmetrize the one-form is replaced by (omega + omega*)/2;
-    otherwise a non-self-adjoint omega is rejected.
+    otherwise a non-self-adjoint omega is rejected.  A one-form with a
+    non-finite entry is always rejected.
     """
+    if not np.isfinite(omega).all():
+        raise NotSelfAdjoint("one-form has non-finite entries")
     dev = np.linalg.norm(omega - omega.conj().T)
     if symmetrize:
         omega = (omega + omega.conj().T) / 2
-    elif dev > 1e-9 * max(1.0, np.linalg.norm(omega)):
+    elif not dev <= 1e-9 * max(1.0, np.linalg.norm(omega)):
         raise NotSelfAdjoint(f"one-form deviates from self-adjointness by {dev:.3e}")
     return D + omega + eps_prime * conjugate_by_J(omega, S)
 

@@ -1,9 +1,11 @@
 """Metropolis chain over the matrix moduli (L_mu, A_mu, phi).
 
 Boltzmann weight exp(-(1/4) Tr f(D_omega)) with the action evaluated through
-the closed-form sectors.  Proposals are Gaussian increments on a
-Hermitian generator mapped into each field's subspace, so every accepted
-state stays exactly on the moduli space:
+the closed-form sectors (`action.bitracial_traces`), once per proposal: the
+chain state keeps the `ActionBreakdown` of its last accepted candidate, and
+records read it instead of evaluating the state again.  Proposals are
+Gaussian increments on a Hermitian generator mapped into each field's
+subspace, so every accepted state stays exactly on the moduli space:
 
     L_mu  in su(N)            (anti-Hermitian, traceless),
     A_mu  anti-Hermitian in M_{Nn},
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .action import (ActionPolynomial, bitracial_traces, covariant_matrices,
-                     require_self_adjoint, sector_breakdown)
+from .action import (ActionBreakdown, ActionPolynomial, bitracial_traces,
+                     covariant_matrices, require_self_adjoint, sector_breakdown)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, UnstableAction
@@ -56,12 +58,18 @@ class SamplerConfig:
 
 @dataclass
 class ChainState:
+    """The chain's fields and the action breakdown evaluated on them."""
+
     L: list
     A: list
     phi: np.ndarray
-    current_action: float = 0.0
+    breakdown: ActionBreakdown
     accept_count: int = 0
     proposal_count: int = 0
+
+    @property
+    def current_action(self) -> float:
+        return self.breakdown.total_closed
 
     def fluctuation(self) -> Fluctuation:
         return Fluctuation(A=tuple(self.A), S=None, phi=self.phi.copy())
@@ -153,9 +161,9 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     L = [np.array(gt_template.fuzzy.block(single(mu)), dtype=complex) for mu in range(4)]
     for mu in range(4):
         L[mu] -= np.trace(L[mu]) / N * np.eye(N)
-    state = ChainState(L=L, A=[np.zeros((m, m), dtype=complex) for _ in range(4)],
-                       phi=np.zeros((m, m), dtype=complex))
-    state.current_action = breakdown(state.L, state.A, state.phi).total_closed
+    A = [np.zeros((m, m), dtype=complex) for _ in range(4)]
+    phi = np.zeros((m, m), dtype=complex)
+    state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(L, A, phi))
 
     window_acc = {name: 0 for name in field_names}
     window_tot = {name: 0 for name in field_names}
@@ -164,31 +172,25 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     for sweep in range(cfg.steps):
         for k, name in enumerate(field_names):
             rng = rngs[k]
-            if name.startswith("L"):
-                mu = int(name[1])
-                H = random_hermitian(N, rng)
-                newL = [x for x in state.L]
-                newL[mu] = state.L[mu] + steps[name] * _su_project(H)
-                cand = (newL, state.A, state.phi)
-            elif name.startswith("A"):
-                mu = int(name[1])
-                H = random_hermitian(m, rng)
-                newA = [x for x in state.A]
-                newA[mu] = state.A[mu] + steps[name] * 1j * H
-                cand = (state.L, newA, state.phi)
+            L, A, phi = state.L, state.A, state.phi
+            if name == "phi":
+                phi = phi + steps[name] * project_higgs(random_hermitian(m, rng), N, n,
+                                                        higgs_basis)
             else:
-                H = random_hermitian(m, rng)
-                incr = project_higgs(H, N, n, higgs_basis)
-                cand = (state.L, state.A, state.phi + steps[name] * incr)
+                mu = int(name[1])
+                if name[0] == "L":
+                    L = list(L)
+                    L[mu] = L[mu] + steps[name] * _su_project(random_hermitian(N, rng))
+                else:
+                    A = list(A)
+                    A[mu] = A[mu] + steps[name] * 1j * random_hermitian(m, rng)
 
-            new_action = breakdown(*cand).total_closed
-            delta = new_action - state.current_action
+            cand = breakdown(L, A, phi)
+            delta = cand.total_closed - state.current_action
             state.proposal_count += 1
             window_tot[name] += 1
             if delta <= 0 or accept_rng.uniform() < np.exp(-min(delta, 700.0)):
-                state.L, state.A, state.phi = [x.copy() for x in cand[0]], \
-                    [x.copy() for x in cand[1]], cand[2].copy()
-                state.current_action = new_action
+                state.L, state.A, state.phi, state.breakdown = L, A, phi, cand
                 state.accept_count += 1
                 window_acc[name] += 1
 
@@ -213,7 +215,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             state.proposal_count = 0
 
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            br = breakdown(state.L, state.A, state.phi)
+            br = state.breakdown
             rate = state.accept_count / max(1, state.proposal_count)
             hist = None
             if cfg.histogram_bins > 0:

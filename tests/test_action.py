@@ -277,3 +277,28 @@ def test_self_adjoint_check_over_row_blocks(monkeypatch):
     H[6, 0] = np.nan
     with pytest.raises(NotSelfAdjoint):
         action.require_self_adjoint(H)
+
+
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+def test_bitracial_kernel_at_benchmark_size(p, q):
+    # N = 4, n = 2: m = 8, the sampler benchmark's matrix size, with D_F on
+    gt = make_triple(p=p, q=q, N=4, seed=70, with_DF=True)
+    fl = fluct.random_fluctuation(gt, seed=80)
+    got = action._traces(gt, fl)
+    want = _oracle_traces(gt, fl)
+    for name, g, w in zip(action.BiTraces._fields, got, want):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
+
+
+def test_bitracial_kernel_commuting_data_exact_zero():
+    # diagonal X_mu (anti-Hermitian), P and phi commute: no round-off survives
+    rng = np.random.default_rng(12)
+    m = 6
+    X = np.array([1j * np.diag(rng.normal(size=m)) for _ in range(4)])
+    phi = np.diag(rng.normal(size=m)).astype(complex)
+    P = np.diag(rng.normal(size=m)) + phi
+    sig = build_signature(0, 4)
+    tr = action.bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime)
+    assert tr.F2 == 0.0
+    assert tr.dPhi2 == 0.0
+    assert tr.theta > 0 and tr.Phi4 > 0

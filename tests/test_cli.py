@@ -256,3 +256,38 @@ def test_wrong_adjointness_block_file_is_config_error(tmp_path, capsys):
     assert run(["action", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["action", "spectrum"])
+@pytest.mark.parametrize("which", ["K", "D_F", "A", "phi"])
+def test_wrong_shape_matrix_file_is_config_error(tmp_path, capsys, command, which):
+    # N = n = 2: K blocks and D_F are 2 x 2, A and phi are 4 x 4; each file is 3 x 3
+    path = str(tmp_path / "bad.json")
+    cli.save_matrix(path, np.zeros((3, 3)))
+    geometry = {"p": 0, "q": 4, "N": 2, "n": 2}
+    fields = {"source": "files"}
+    if which == "D_F":
+        geometry["d_f"] = path
+    elif which == "K":
+        fields["K"] = {"mu0": path}
+    elif which == "A":
+        fields["A"] = [path]
+    else:
+        fields["phi"] = path
+    cfg = write_config(tmp_path, {"geometry": geometry, "fields": fields,
+                                  "out": str(tmp_path)})
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(3, 3)" in err
+
+
+def test_more_than_four_potential_files_is_config_error(tmp_path, capsys):
+    path = str(tmp_path / "A.json")
+    cli.save_matrix(path, np.zeros((4, 4)))
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2},
+        "fields": {"source": "files", "A": [path] * 5},
+        "out": str(tmp_path),
+    })
+    assert run(["action", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

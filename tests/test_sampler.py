@@ -153,3 +153,25 @@ def test_chiral_pairing_symmetric_spectrum():
 def test_eigen_histogram_rejects_non_finite():
     with pytest.raises(NotSelfAdjoint):
         sampler.eigen_histogram(np.diag([1.0, np.nan, -1.0]), bins=2)
+
+
+def test_records_describe_the_state_at_their_sweep():
+    # a chain cut after sweep k ends in the state that sweep k recorded
+    from ncg_ymh.action import sectors
+    gt = higgs_template(seed=6)
+    steps, burn_in = 12, 4
+    opts = dict(N=2, n=2, poly=QUARTIC, burn_in=burn_in, seed=21, autotune=False,
+                step_sizes={"L": 0.1, "A": 0.1, "phi": 0.1})
+    records, info = sampler.run_chain(sampler.SamplerConfig(steps=steps, **opts), gt)
+    assert [r.step for r in records] == list(range(burn_in, steps))
+    assert 0.05 < records[-1].acceptance < 0.8  # rejected candidates are common
+    for r in records:
+        _, cut = sampler.run_chain(sampler.SamplerConfig(steps=r.step + 1, **opts), gt)
+        st = cut["final_state"]
+        fz = dirac.FuzzyData(N=2, sig=gt.sig,
+                             K={dirac.single(mu): st.L[mu] for mu in range(4)})
+        br = sectors(GaugeTriple(fuzzy=fz, finite=gt.finite), st.fluctuation(), QUARTIC)
+        for name in ("s_ym", "s_h", "s_gh", "s_theta"):
+            want = getattr(br, name)
+            assert abs(getattr(r, name) - want) <= 1e-12 * max(abs(want), 1e-300), name
+        assert abs(r.s_total - br.total_closed) <= 1e-12 * abs(br.total_closed)
