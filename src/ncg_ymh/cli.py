@@ -25,8 +25,7 @@ import numpy as np
 from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
-from .errors import (NcgError, NonFourDimensional, NotFlat, NotRiemannian,
-                     UnstableAction)
+from .errors import NcgError, NonFourDimensional, NotRiemannian
 from .sampler import (SamplerConfig, batch_means, eigen_histogram,
                       gaussian_self_test, run_chain, stationarity_check)
 from .verify import run_identity_suite
@@ -64,15 +63,38 @@ def load_matrix(path: str) -> np.ndarray:
     return flat.reshape((rows, cols), order="C")
 
 
-def _load_square(path: str, size: int, what: str) -> np.ndarray:
-    """load_matrix, refusing anything but a size x size matrix."""
+def _load_square(path: str, size: int, what: str, e: int | None = None) -> np.ndarray:
+    """load_matrix, refusing anything but a size x size matrix with M* = e M."""
     M = load_matrix(path)
     if M.shape != (size, size):
         raise ConfigError(f"{path}: {what} has shape {M.shape}, need ({size}, {size})")
+    if e is not None and not dirac.has_adjointness_type(M, e):
+        raise ConfigError(f"{path}: {what} violates its adjointness type (M* = {e:+d} M)")
     return M
 
 
 # ------------------------------------------------------------- config layer
+
+# the keys each config block may carry; any other key is a config error
+_KEYS = {(): {"geometry", "fields", "poly", "sampler", "seed", "out", "signatures",
+              "self_test", "histogram_bins"},
+         ("geometry",): {"p", "q", "N", "n", "d_f"},
+         ("fields",): {"source", "seed", "scale", "include_x", "fluctuation", "K", "A", "phi"},
+         ("sampler",): {"steps", "burn_in", "thin", "step_sizes", "autotune", "self_test_N"},
+         ("sampler", "step_sizes"): {"A", "phi"}}
+
+
+def _check_keys(cfg):
+    for where, allowed in _KEYS.items():
+        block, name = cfg, ".".join(where) or "config"
+        for key in where:
+            block = block.get(key, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        unknown = sorted(set(block) - allowed)
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+
 
 def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
     """Per-purpose spawn stream of the root seed; D_F uses counter 1."""
@@ -87,6 +109,7 @@ def load_config(args) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         with open(args.config) as fh:
             cfg = json.load(fh)
+        _check_keys(cfg)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     if getattr(args, "out", None):
@@ -154,20 +177,15 @@ def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
                 I = clifford.single(int(key[2:]))
             else:
                 raise ConfigError(f"unknown block key {key!r} (use mu0..mu3, hat0..hat3)")
-            K[I] = _load_square(path, N, f"block {key}")
-        try:
-            fz = FuzzyData(N=N, sig=sig, K=K)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
+            K[I] = _load_square(path, N, f"block {key}", I.sign(sig))
+        gt = GaugeTriple(fuzzy=FuzzyData(N=N, sig=sig, K=K), finite=FiniteData(n=n, D_F=DF))
         m = N * n
         paths = fields.get("A", [])
         if len(paths) > 4:
             raise ConfigError(f"fields.A lists {len(paths)} files; at most four")
-        A = [_load_square(path, m, f"A{mu}") for mu, path in enumerate(paths)]
-        while len(A) < 4:
-            A.append(np.zeros((m, m), dtype=complex))
-        phi = _load_square(fields["phi"], m, "phi") if fields.get("phi") else \
+        A = [_load_square(path, m, f"A{mu}", sig.e[mu]) for mu, path in enumerate(paths)]
+        A += [np.zeros((m, m), dtype=complex) for _ in range(4 - len(A))]
+        phi = _load_square(fields["phi"], m, "phi", 1) if fields.get("phi") else \
             np.zeros((m, m), dtype=complex)
         return gt, fluct.Fluctuation(A=tuple(A), S=None, phi=phi)
     raise ConfigError(f"unknown fields.source {source!r}")
@@ -289,6 +307,10 @@ def cmd_sample(cfg: dict) -> int:
     sig, N, n, DF = _geometry(cfg)
     if (sig.p, sig.q) != (0, 4):
         raise NotRiemannian("sampling requires signature (0, 4)")
+    for key in ("A", "phi"):
+        if cfg.get("fields", {}).get(key):
+            raise ConfigError(f"fields.{key}: sample starts from A = 0 and phi = 0 "
+                              "and reads no potential or Higgs file")
     gt, _ = _fields(cfg, sig, N, n, DF)
     sp = cfg.get("sampler", {})
     try:
@@ -297,7 +319,7 @@ def cmd_sample(cfg: dict) -> int:
             steps=int(sp.get("steps", 200)),
             burn_in=int(sp.get("burn_in", 50)),
             thin=int(sp.get("thin", 1)),
-            step_sizes=dict(sp.get("step_sizes", {"L": 0.1, "A": 0.1, "phi": 0.1})),
+            step_sizes=dict(sp.get("step_sizes", {})),
             autotune=bool(sp.get("autotune", True)),
             seed=seed,
         )
@@ -368,7 +390,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NotFlat, NotRiemannian, UnstableAction, NcgError) as exc:
+    except NcgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

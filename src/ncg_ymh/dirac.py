@@ -20,6 +20,11 @@ from .errors import DimensionMismatch
 from .superop import gen_comm, kron, left_mult, transpose_permutation
 
 
+def has_adjointness_type(M: np.ndarray, e: int) -> bool:
+    """M* = e M up to 1e-12 max(1, max|M|); False for any non-finite M."""
+    return bool(np.abs(M.conj().T - e * M).max() <= 1e-12 * max(1.0, np.abs(M).max()))
+
+
 @dataclass(frozen=True)
 class FuzzyData:
     """The K_I blocks of a fuzzy Dirac operator; missing blocks are zero."""
@@ -33,7 +38,7 @@ class FuzzyData:
             if mat.shape != (self.N, self.N):
                 raise DimensionMismatch(f"block {I} has shape {mat.shape}, N = {self.N}")
             e = I.sign(self.sig)
-            if np.abs(mat.conj().T - e * mat).max() > 1e-12 * max(1.0, np.abs(mat).max()):
+            if not has_adjointness_type(mat, e):
                 raise ValueError(f"block {I} violates its adjointness type (e = {e})")
 
     def block(self, I: MultiIndex) -> np.ndarray:
@@ -57,12 +62,17 @@ class FiniteData:
     def __post_init__(self):
         if self.D_F.shape != (self.n, self.n):
             raise DimensionMismatch(f"D_F shape {self.D_F.shape}, n = {self.n}")
-        if np.abs(self.D_F - self.D_F.conj().T).max() > 1e-12 * max(1.0, np.abs(self.D_F).max()):
+        if not has_adjointness_type(self.D_F, 1):
             raise ValueError("D_F must be Hermitian")
 
     @property
     def is_zero(self) -> bool:
         return not np.abs(self.D_F).max() > 0
+
+    @property
+    def is_scalar(self) -> bool:
+        """D_F = c 1; exactly then Omega^1_{D_F} = span{a [D_F, b]} is 0, else all of M_n."""
+        return not np.any(self.D_F - self.D_F[0, 0] * np.eye(self.n))
 
 
 @dataclass(frozen=True)

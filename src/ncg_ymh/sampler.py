@@ -1,20 +1,18 @@
-"""Metropolis chain over the matrix moduli (L_mu, A_mu, phi).
+"""Metropolis chain over the fields the action sees: A_mu in su(m), phi in Herm(m).
 
-Boltzmann weight exp(-(1/4) Tr f(D_omega)) with the action evaluated through
-the closed-form sectors (`action.bitracial_traces`), once per proposal: the
-chain state keeps the `ActionBreakdown` of its last accepted candidate, and
-records read it instead of evaluating the state again.  Proposals are
-Gaussian increments on a Hermitian generator mapped into each field's
-subspace, so every accepted state stays exactly on the moduli space:
+Boltzmann weight exp(-(1/4) Tr f(D_omega)) from the closed-form sectors
+(`action.bitracial_traces`), exact for deg f <= 4 (`SamplerConfig` refuses
+more), once per proposal; records read the state's kept breakdown.
 
-    L_mu  in su(N)            (anti-Hermitian, traceless),
-    A_mu  anti-Hermitian in M_{Nn},
-    phi   self-adjoint in Herm(N) (x) [Omega^1_{D_F}]_sa.
+The action sees (L_mu, A_mu) only through X_mu = L_mu (x) 1 + A_mu, so L_mu
+stays at the template's blocks, made traceless.  Omega^1_{D_F} is a two-sided
+ideal of the simple algebra M_n, so the Higgs space is 0 (D_F scalar: phi is
+dropped) or all of Herm(m).  A proposal adds a step times a Gaussian
+Hermitian generator, made traceless anti-Hermitian for A_mu.
 
-Randomness: one 64-bit root seed; field k (0..3 the L's, 4..7 the A's, 8 the
-Higgs) draws from numpy's SeedSequence(root, spawn_key=(k,)), the
-accept/reject uniforms from spawn_key=(9,).  Identical seeds give
-bit-identical chains on one platform.
+Streams: SeedSequence(seed, spawn_key=(k,)) with k = 4 + mu for A_mu, 8 for
+phi and 9 for the accept/reject uniforms; 0..3 are retired.  Identical seeds
+give bit-identical chains on one platform.
 """
 from __future__ import annotations
 
@@ -27,9 +25,10 @@ from .action import (ActionBreakdown, ActionPolynomial, bitracial_traces,
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, UnstableAction
-from .fluct import Fluctuation, one_form_span, project_higgs, selfadjoint_span_basis
+from .fluct import Fluctuation
 
 _DIVERGENCE = 1e12
+_STEP_SIZES = {"A": 0.08, "phi": 0.1}
 
 
 @dataclass
@@ -40,12 +39,11 @@ class SamplerConfig:
     steps: int
     burn_in: int = 0
     thin: int = 1
-    step_sizes: dict = dc_field(default_factory=lambda: {"L": 0.1, "A": 0.1, "phi": 0.1})
+    step_sizes: dict = dc_field(default_factory=lambda: dict(_STEP_SIZES))
     target_acceptance: tuple = (0.2, 0.6)
     autotune: bool = True
     seed: int = 0
     tune_interval: int = 25
-    histogram_bins: int = 0
 
     def __post_init__(self):
         if not (self.steps >= self.burn_in >= 0):
@@ -54,6 +52,8 @@ class SamplerConfig:
             raise ValueError("thin must be >= 1")
         if not self.poly.confining():
             raise ValueError("polynomial must have positive coefficient at even top degree")
+        if self.poly.degree > 4:
+            raise ValueError(f"poly has degree {self.poly.degree}; the kernel is exact up to 4")
 
 
 @dataclass
@@ -84,7 +84,6 @@ class SampleRecord:
     s_gh: float
     s_theta: float
     acceptance: float
-    histogram: tuple | None = None
 
 
 def batch_means(values, n_batches: int = 20):
@@ -125,72 +124,63 @@ def _su_project(H: np.ndarray) -> np.ndarray:
 
 
 def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
-    """Metropolis over (L, A, phi); returns the list of SampleRecords.
+    """Metropolis over (A, phi); returns the list of SampleRecords and an info dict.
 
-    The template supplies n, D_F and the signature; its L blocks seed the
-    chain's starting point (zero blocks are fine).  Fully deterministic
-    under cfg.seed.
+    The template supplies n, D_F and the signature; its L blocks, made
+    traceless, stay fixed (zero blocks are fine).  Fully deterministic under
+    cfg.seed.
     """
     sig = gt_template.sig
-    n = gt_template.n
     N = cfg.N
-    m = N * n
+    m = N * gt_template.n
     if gt_template.N != N or gt_template.n != cfg.n:
         raise ValueError("config and template disagree on (N, n)")
     if (sig.p, sig.q) != (0, 4):
         raise NotRiemannian("the sampler runs in signature (0, 4)")
     if gt_template.fuzzy.has_triples:
         raise NotFlat("the sampler needs a flat template (no X blocks)")
-    higgs_basis = selfadjoint_span_basis(one_form_span(gt_template.finite.D_F))
     DF_big = np.kron(np.eye(N), gt_template.finite.D_F)
+    L = [np.asarray(gt_template.fuzzy.block(single(mu)), dtype=complex) for mu in range(4)]
+    L = [K - np.trace(K) / N * np.eye(N) for K in L]
+    LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
-    def breakdown(L, A, phi):
-        traces = bitracial_traces(covariant_matrices(L, A), DF_big + phi, phi,
+    def breakdown(A, phi):
+        traces = bitracial_traces(LX + np.asarray(A), DF_big + phi, phi,
                                   sig.e, sig.eps_dblprime)
         return sector_breakdown(traces, cfg.poly)
 
-    field_names = [f"L{mu}" for mu in range(4)] + [f"A{mu}" for mu in range(4)]
-    if higgs_basis.size > 0:
-        field_names.append("phi")
-    rngs = {k: np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
-            for k in range(len(field_names))}
+    spawn_keys = {f"A{mu}": 4 + mu for mu in range(4)}
+    if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
+        spawn_keys["phi"] = 8
+    rngs = {name: np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
+            for name, k in spawn_keys.items()}
     accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
-
-    steps = {name: float(cfg.step_sizes.get(name[0] if name[0] in "LA" else "phi", 0.1))
-             for name in field_names}
-    L = [np.array(gt_template.fuzzy.block(single(mu)), dtype=complex) for mu in range(4)]
-    for mu in range(4):
-        L[mu] -= np.trace(L[mu]) / N * np.eye(N)
+    sizes = {**_STEP_SIZES, **cfg.step_sizes}
+    steps = {name: float(sizes["phi" if name == "phi" else "A"]) for name in rngs}
     A = [np.zeros((m, m), dtype=complex) for _ in range(4)]
     phi = np.zeros((m, m), dtype=complex)
-    state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(L, A, phi))
+    state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(A, phi))
 
-    window_acc = {name: 0 for name in field_names}
-    window_tot = {name: 0 for name in field_names}
+    # each field is proposed once per sweep: a tuning window is tune_interval proposals
+    window_acc = dict.fromkeys(rngs, 0)
     records = []
 
     for sweep in range(cfg.steps):
-        for k, name in enumerate(field_names):
-            rng = rngs[k]
-            L, A, phi = state.L, state.A, state.phi
+        for name, rng in rngs.items():
+            H = random_hermitian(m, rng)
+            A, phi = state.A, state.phi
             if name == "phi":
-                phi = phi + steps[name] * project_higgs(random_hermitian(m, rng), N, n,
-                                                        higgs_basis)
+                phi = phi + steps[name] * H
             else:
                 mu = int(name[1])
-                if name[0] == "L":
-                    L = list(L)
-                    L[mu] = L[mu] + steps[name] * _su_project(random_hermitian(N, rng))
-                else:
-                    A = list(A)
-                    A[mu] = A[mu] + steps[name] * 1j * random_hermitian(m, rng)
+                A = list(A)
+                A[mu] = A[mu] + steps[name] * _su_project(H)
 
-            cand = breakdown(L, A, phi)
+            cand = breakdown(A, phi)
             delta = cand.total_closed - state.current_action
             state.proposal_count += 1
-            window_tot[name] += 1
             if delta <= 0 or accept_rng.uniform() < np.exp(-min(delta, 700.0)):
-                state.L, state.A, state.phi, state.breakdown = L, A, phi, cand
+                state.A, state.phi, state.breakdown = A, phi, cand
                 state.accept_count += 1
                 window_acc[name] += 1
 
@@ -199,49 +189,26 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             raise UnstableAction(f"action {state.current_action:.3e} during burn-in")
         if in_burn and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
             lo, hi = cfg.target_acceptance
-            for name in field_names:
-                if window_tot[name] == 0:
-                    continue
-                rate = window_acc[name] / window_tot[name]
+            for name, accepted in window_acc.items():
+                rate = accepted / cfg.tune_interval
                 if rate > hi:
                     steps[name] *= 1.25
                 elif rate < lo:
                     steps[name] /= 1.25
-                window_acc[name] = 0
-                window_tot[name] = 0
+            window_acc = dict.fromkeys(rngs, 0)
         if sweep + 1 == cfg.burn_in:
             # acceptance statistics restart after burn-in
-            state.accept_count = 0
-            state.proposal_count = 0
+            state.accept_count = state.proposal_count = 0
 
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
             br = state.breakdown
             rate = state.accept_count / max(1, state.proposal_count)
-            hist = None
-            if cfg.histogram_bins > 0:
-                edges, counts = eigen_histogram(_assemble_state(gt_template, state),
-                                                cfg.histogram_bins)
-                hist = (tuple(map(float, edges)), tuple(map(int, counts)))
             records.append(SampleRecord(step=sweep, s_total=br.total_closed, s_ym=br.s_ym,
                                         s_h=br.s_h, s_gh=br.s_gh, s_theta=br.s_theta,
-                                        acceptance=rate, histogram=hist))
-    info = {
-        "step_sizes": {name: steps[name] for name in field_names},
-        "acceptance": state.accept_count / max(1, state.proposal_count),
-        "final_state": state,
-    }
+                                        acceptance=rate))
+    info = {"step_sizes": steps, "final_state": state,
+            "acceptance": state.accept_count / max(1, state.proposal_count)}
     return records, info
-
-
-def _assemble_state(gt_template: GaugeTriple, state: ChainState) -> np.ndarray:
-    """D_omega for the chain's current fields (histogram observable)."""
-    from .clifford import build_gammas
-    from .dirac import FuzzyData
-    from .fluct import assemble_fluctuated
-    blocks = {single(mu): state.L[mu] for mu in range(4)}
-    fz = FuzzyData(N=state.L[0].shape[0], sig=gt_template.sig, K=blocks)
-    gt = GaugeTriple(fuzzy=fz, finite=gt_template.finite)
-    return assemble_fluctuated(gt, state.fluctuation(), build_gammas(gt.sig))
 
 
 def eigen_histogram(D: np.ndarray, bins: int):

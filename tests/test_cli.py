@@ -291,3 +291,72 @@ def test_more_than_four_potential_files_is_config_error(tmp_path, capsys):
     })
     assert run(["action", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("message, cfg", [
+    ("unknown key 'geometri' in config", {"geometri": {"N": 2}}),
+    ("unknown key 'NN' in geometry", {"geometry": {"p": 0, "q": 4, "NN": 3}}),
+    ("unknown key 'sorce' in fields", {"fields": {"sorce": "zero"}}),
+    ("unknown key 'step' in sampler", {"sampler": {"step": 10}}),
+    ("unknown key 'L' in sampler.step_sizes",
+     {"sampler": {"step_sizes": {"L": 0.03, "A": 0.02}}}),
+    ("geometry must be a JSON object", {"geometry": [0, 4]}),
+])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, message, cfg):
+    path = write_config(tmp_path, {**cfg, "out": str(tmp_path)})
+    assert run(["action", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["A", "phi"])
+def test_sample_refuses_potential_and_higgs_files(tmp_path, capsys, key):
+    path = str(tmp_path / "field.json")
+    cli.save_matrix(path, np.zeros((4, 4)))
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
+        "fields": {"source": "files", key: [path] if key == "A" else path},
+        "sampler": {"steps": 5, "burn_in": 0},
+        "out": str(tmp_path),
+    })
+    assert run(["sample", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: fields.{key}")
+
+
+@pytest.mark.parametrize("key", ["A", "phi"])
+def test_wrong_adjointness_field_file_is_config_error(tmp_path, capsys, key):
+    rng = np.random.default_rng(8)
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = H + H.conj().T
+    path = str(tmp_path / "field.json")
+    # (0,4) needs A_mu* = -A_mu and phi* = phi
+    cli.save_matrix(path, H if key == "A" else 1j * H)
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
+        "fields": {"source": "files", key: [path] if key == "A" else path},
+        "out": str(tmp_path),
+    })
+    assert run(["action", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}") and "adjointness" in err
+
+
+def test_sample_sextic_poly_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2},
+        "poly": [0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        "sampler": {"steps": 5, "burn_in": 0},
+        "out": str(tmp_path),
+    })
+    assert run(["sample", "--config", cfg]) == 2
+    assert "degree 6" in capsys.readouterr().err
+
+
+def test_sample_uses_the_sampler_default_step_sizes(tmp_path):
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
+        "sampler": {"steps": 3, "burn_in": 0, "autotune": False},
+        "out": str(tmp_path),
+    })
+    assert run(["sample", "--config", cfg]) == 0
+    steps = json.loads((tmp_path / "summary.json").read_text())["step_sizes"]
+    assert steps == {"A0": 0.08, "A1": 0.08, "A2": 0.08, "A3": 0.08, "phi": 0.1}

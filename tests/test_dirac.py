@@ -49,6 +49,14 @@ def test_fuzzy_block_type_rejected():
         FuzzyData(N=2, sig=sig, K={single(0): H})
 
 
+def test_nan_blocks_rejected():
+    sig = build_signature(0, 4)
+    with pytest.raises(ValueError):
+        FuzzyData(N=2, sig=sig, K={single(0): np.full((2, 2), np.nan, dtype=complex)})
+    with pytest.raises(ValueError):
+        FiniteData(n=2, D_F=np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_assemble_zero_and_single_block():
     sig = build_signature(0, 4)
     mod = build_module(0, 4)

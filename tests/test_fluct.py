@@ -184,6 +184,18 @@ def test_one_form_span_rank():
     assert fluct.one_form_span(np.eye(2, dtype=complex)).shape[0] == 0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", ["zero", "scalar", "diagonal", "random"])
+def test_one_form_span_is_zero_or_everything(n, case):
+    # Omega^1_{D_F} is a two-sided ideal of the simple algebra M_n
+    DF = {"zero": np.zeros((n, n)), "scalar": 2.5 * np.eye(n),
+          "diagonal": np.diag([1.0, 2.0, 1.0][:n]),
+          "random": dirac.random_hermitian(n, np.random.default_rng(n))}[case]
+    dim = fluct.one_form_span(DF.astype(complex)).shape[0]
+    assert dim == (0 if case in ("zero", "scalar") else n * n)
+    assert FiniteData(n=n, D_F=DF.astype(complex)).is_scalar == (dim == 0)
+
+
 def test_selfadjoint_span_and_projection():
     DF = dirac.random_hermitian(2, np.random.default_rng(3))
     basis = fluct.selfadjoint_span_basis(fluct.one_form_span(DF))

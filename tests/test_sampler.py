@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from ncg_ymh import dirac, fluct, sampler
-from ncg_ymh.action import ActionPolynomial
+from ncg_ymh.action import ActionPolynomial, bitracial_traces, sector_breakdown
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import NotSelfAdjoint, UnstableAction
 
 QUARTIC = ActionPolynomial((0.0, 1.0, 0.0, 1.0))
+# d/dlam at lam = 1 of a polynomial of degree <= 4, from its values at LAMBDAS
+LAMBDAS = np.array([-1.0, 0.0, 1.0, 2.0, 3.0])
+LAGRANGE = np.linalg.solve(np.vander(LAMBDAS, increasing=True).T, np.arange(5.0))
 
 
 def ym_template(N=2, n=2, seed=0):
@@ -31,6 +34,12 @@ def test_config_validation():
         sampler.SamplerConfig(N=2, n=2, poly=ActionPolynomial((1.0,)), steps=5)
     with pytest.raises(ValueError):
         sampler.SamplerConfig(N=2, n=2, poly=ActionPolynomial((0.0, 1.0, 0.0, -1.0)), steps=5)
+
+
+def test_config_refuses_degree_above_four():
+    # the kernel reads a2 and a4 only; a sextic would be weighed as its quartic part
+    with pytest.raises(ValueError, match="degree 6"):
+        sampler.SamplerConfig(N=2, n=2, poly=ActionPolynomial((0, 1, 0, 0, 0, 1)), steps=5)
 
 
 def test_zero_steps_empty_records():
@@ -128,17 +137,6 @@ def test_eigen_histogram():
         sampler.eigen_histogram(np.array([[0.0, 1.0], [0.0, 0.0]]), bins=2)
 
 
-def test_records_with_histograms():
-    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=10, burn_in=2,
-                                thin=4, seed=3, histogram_bins=6)
-    records, _ = sampler.run_chain(cfg, ym_template())
-    assert records
-    for r in records:
-        edges, counts = r.histogram
-        assert len(edges) == 7 and len(counts) == 6
-        assert sum(counts) == 64
-
-
 def test_chiral_pairing_symmetric_spectrum():
     # Yang-Mills D anticommutes with gamma (x) 1: spectrum symmetric
     sig = build_signature(0, 4)
@@ -175,3 +173,54 @@ def test_records_describe_the_state_at_their_sweep():
             want = getattr(br, name)
             assert abs(getattr(r, name) - want) <= 1e-12 * max(abs(want), 1e-300), name
         assert abs(r.s_total - br.total_closed) <= 1e-12 * abs(br.total_closed)
+
+
+def recorded_states(monkeypatch, cfg, gt):
+    """Run a chain; return, per record, the (X, P, phi) its action was read from."""
+    by_total, last = {}, []
+    traces, breakdown = sampler.bitracial_traces, sampler.sector_breakdown
+
+    def spy_traces(X, P, phi, e, eps):
+        last[:] = [(X, P, phi)]
+        return traces(X, P, phi, e, eps)
+
+    def spy_breakdown(tr, poly):
+        br = breakdown(tr, poly)
+        by_total[br.total_closed] = last[0]
+        return br
+
+    monkeypatch.setattr(sampler, "bitracial_traces", spy_traces)
+    monkeypatch.setattr(sampler, "sector_breakdown", spy_breakdown)
+    records, _ = sampler.run_chain(cfg, gt)
+    monkeypatch.undo()
+    return [by_total[r.s_total] for r in records]
+
+
+@pytest.mark.parametrize("kind", ["yang_mills", "higgs"])
+def test_chain_samples_its_weight_schwinger_dyson(monkeypatch, kind):
+    # Scaling identities <v . grad S> = dim_R V for v(x) = x, per field group:
+    # X_mu = L_mu (x) 1 + A_mu ranges over su(m)^4 (S is constant along
+    # X_mu -> X_mu + i c 1), phi over Herm(m).  v . grad S at a state is
+    # d/dlam S(lam X, phi), resp. d/dlam S(X, lam phi), at lam = 1, exact from
+    # the kernel at five lam since S is quartic.
+    gt = ym_template() if kind == "yang_mills" else higgs_template(seed=1)
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=3000, burn_in=300, thin=5,
+                                seed=101)
+    states = recorded_states(monkeypatch, cfg, gt)
+    m = 4
+    targets = {"X": 4 * (m * m - 1)} if kind == "yang_mills" else \
+        {"X": 4 * (m * m - 1), "phi": m * m}
+
+    def scaled(name, X, P, phi, lam):
+        return (lam * X, P, phi) if name == "X" else (X, P + (lam - 1) * phi, lam * phi)
+
+    e, eps = gt.sig.e, gt.sig.eps_dblprime
+    traces = {name: [[bitracial_traces(*scaled(name, *st, lam), e, eps) for lam in LAMBDAS]
+                     for st in states] for name in targets}
+    # the same states weighed with a4 doubled must miss: the gate can fail
+    for poly, holds in ((QUARTIC, True), (ActionPolynomial((0.0, 1.0, 0.0, 2.0)), False)):
+        for name, target in targets.items():
+            virial = [LAGRANGE @ [sector_breakdown(tr, poly).total_closed for tr in row]
+                      for row in traces[name]]
+            mean, se = sampler.batch_means(virial)
+            assert (abs(mean - target) <= 4 * se) == holds, (name, poly.coeffs, mean, se)
