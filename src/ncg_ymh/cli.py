@@ -247,6 +247,9 @@ def cmd_action(cfg: dict) -> int:
         "rest": br.rest,
         "positivity_applicable": poly.a4 >= 0,
     }
+    bad = [key for key, value in out.items() if not np.isfinite(value)]
+    if bad:
+        raise NcgError(f"non-finite action ({', '.join(bad)}); no breakdown written")
     path = os.path.join(cfg["out"], "action_breakdown.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
@@ -314,10 +317,13 @@ def cmd_sample(cfg: dict) -> int:
     gt, _ = _fields(cfg, sig, N, n, DF)
     sp = cfg.get("sampler", {})
     try:
+        steps, burn_in = int(sp.get("steps", 200)), int(sp.get("burn_in", 50))
+        if not steps >= burn_in >= 0:
+            default = "" if "burn_in" in sp else " (the default)"
+            raise ValueError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
+                             f"{steps} and sampler.burn_in = {burn_in}{default}")
         scfg = SamplerConfig(
-            N=N, n=n, poly=_poly(cfg),
-            steps=int(sp.get("steps", 200)),
-            burn_in=int(sp.get("burn_in", 50)),
+            N=N, n=n, poly=_poly(cfg), steps=steps, burn_in=burn_in,
             thin=int(sp.get("thin", 1)),
             step_sizes=dict(sp.get("step_sizes", {})),
             autotune=bool(sp.get("autotune", True)),

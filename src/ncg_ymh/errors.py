@@ -33,4 +33,4 @@ class NotRiemannian(NcgError):
 
 
 class UnstableAction(NcgError):
-    """Action diverged during burn-in; the weight is not confining."""
+    """Action non-finite or diverged, at the start or during burn-in."""

@@ -160,6 +160,8 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     A = [np.zeros((m, m), dtype=complex) for _ in range(4)]
     phi = np.zeros((m, m), dtype=complex)
     state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(A, phi))
+    if not abs(state.current_action) <= _DIVERGENCE:  # also catches NaN
+        raise UnstableAction(f"initial action {state.current_action:.3e}")
 
     # each field is proposed once per sweep: a tuning window is tune_interval proposals
     window_acc = dict.fromkeys(rngs, 0)
@@ -185,7 +187,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                 window_acc[name] += 1
 
         in_burn = sweep < cfg.burn_in
-        if in_burn and abs(state.current_action) > _DIVERGENCE:
+        if in_burn and not abs(state.current_action) <= _DIVERGENCE:
             raise UnstableAction(f"action {state.current_action:.3e} during burn-in")
         if in_burn and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
             lo, hi = cfg.target_acceptance

@@ -85,33 +85,12 @@ class SuperOp:
     def trace(self) -> complex:
         return complex(np.trace(self.rep))
 
-    def power(self, k: int) -> "SuperOp":
-        out = identity(self.side_dim)
-        for _ in range(k):
-            out = out @ self
-        return out
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Apply to a matrix and return the resulting matrix."""
-        if X.shape != (self.side_dim, self.side_dim):
-            raise DimensionMismatch(
-                f"argument shape {X.shape}, expected square of side {self.side_dim}")
-        return unvec(self.rep @ vec(X), self.side_dim)
-
 
 def _square(K: np.ndarray) -> np.ndarray:
     K = np.ascontiguousarray(K, dtype=complex)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {K.shape}")
     return K
-
-
-def identity(m: int) -> SuperOp:
-    return SuperOp(m, np.eye(m * m, dtype=complex))
-
-
-def zero(m: int) -> SuperOp:
-    return SuperOp(m, np.zeros((m * m, m * m), dtype=complex))
 
 
 def left_mult(K: np.ndarray) -> SuperOp:

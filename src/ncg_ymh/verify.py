@@ -1,9 +1,26 @@
-"""The identity suite behind the CLI verify subcommand.
+"""The identity checks, each written once, and the suites behind `cli verify`.
 
-Each entry evaluates one algebraic statement numerically (usually against a
-brute-force oracle) and reports the worst deviation together with the
-tolerance pinned for it.  Signature-independent statements run per
-signature; sector/covariance statements are Riemannian only.
+Each check takes the data of one statement (triple, fluctuation, Clifford
+module, and an rng, seed or lambda where it needs one) and returns its worst
+deviation, mostly against a brute-force oracle.  The suites call them with
+pinned seeds, the tests with their own data:
+
+    check                       suite       tests
+    clifford_identities         signature   acceptance 01
+    axioms                      signature   acceptance 02
+    lichnerowicz                signature   acceptance 03, test_dirac
+    dual_path                   signature   acceptance 04, test_fluct
+    weitzenbock_full            signature   acceptance 05
+    field_strength_adjointness  signature
+    trace_lemmas                signature   acceptance 06a, test_action
+    odd_traces                  signature   acceptance 07
+    weitzenbock_flat_higgs      riemannian  acceptance 05
+    sector_split                riemannian  acceptance 07
+    gauge_covariance            riemannian  acceptance 08
+    central_unitary             riemannian  acceptance 08
+
+`signature_suite` runs in any signature; `riemannian_suite` (sectors and
+covariance) in (0, 4) only.
 """
 from __future__ import annotations
 
@@ -36,6 +53,135 @@ def _rel(diff: float, scale: float) -> float:
     return diff / max(scale, 1e-300)
 
 
+def _square_dev(D: np.ndarray, rhs: np.ndarray) -> float:
+    D2 = D @ D
+    return _rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2))
+
+
+def _worst(rows):
+    """Entry-wise max over the per-sample deviation tuples."""
+    return tuple(map(max, zip(*rows)))
+
+
+def clifford_identities(mod) -> dict:
+    """Module invariants and gamma identities, keyed by identity name."""
+    out = {f"clifford/{k}": v for k, v in clifford.verify_module_invariants(mod).items()}
+    out.update({f"gamma/{k}": v for k, v in clifford.verify_gamma_identities(mod).items()})
+    return out
+
+
+def axioms(gt: GaugeTriple, mod, seed: int) -> dict:
+    """The asserted axiom deviations (20 random algebra pairs), keyed by name."""
+    rep = dirac.check_axioms(gt, mod, seed=seed, pairs=20)
+    return {f"axioms/{k}": v for k, v in rep.items() if not k.startswith("informational_")}
+
+
+def lichnerowicz(fz, mod) -> float:
+    """Relative deviation of the fuzzy D^2 from its six-term closed form."""
+    return _square_dev(dirac.assemble_fuzzy_dirac(fz, mod), dirac.lichnerowicz_rhs(fz, mod))
+
+
+def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
+    """D + omega + eps' J omega J* against the closed-form D_omega.
+
+    omega is the Connes one-form of three random pairs (a, c), each factor a
+    Kronecker product of complex Gaussian N x N and n x n matrices.
+    """
+    def rnd(size):
+        return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+
+    N, n = gt.N, gt.n
+    pairs = [(np.kron(rnd(N), rnd(n)), np.kron(rnd(N), rnd(n))) for _ in range(3)]
+    omega = fluct.connes_one_form(gt, mod, pairs)
+    S = dirac.real_structure(mod, gt.m)
+    D = dirac.assemble_product_dirac(gt, mod)
+    D_fl = fluct.fluctuate(D, omega, S, gt.sig.eps_prime, symmetrize=True)
+    fl = fluct.extract_fluctuation(gt, mod, (omega + omega.conj().T) / 2)
+    closed = fluct.assemble_fluctuated(gt, fl, mod)
+    return _rel(np.linalg.norm(D_fl - closed), np.linalg.norm(D_fl))
+
+
+def weitzenbock_full(gt: GaugeTriple, fl, mod) -> float:
+    """Relative deviation of D_omega^2 from the Weitzenboeck form (Higgs off)."""
+    D = fluct.assemble_fluctuated(gt, fl, mod)
+    k = fluct.covariant_ops(gt, fl)
+    x = fluct.triple_ops(gt, fl)
+    return _square_dev(D, dirac._weitzenbock_core(gt.sig, mod, k, x, gt.m * gt.m))
+
+
+def weitzenbock_flat_higgs(gt: GaugeTriple, fl, mod) -> float:
+    """Flat D_omega^2 = (1/2) g g F + theta + Phi^2 + g gamma [d, Phi], (0, 4)."""
+    D = fluct.assemble_fluctuated(gt, fl, mod)
+    F = action_mod.field_strength(gt, fl).F_super
+    th = action_mod.theta(gt, fl)
+    Phi = fluct.higgs_field(fl, gt)
+    d = fluct.covariant_ops(gt, fl)
+    rhs = np.zeros_like(D)
+    for mu in range(4):
+        for nu in range(4):
+            rhs += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu], F[mu][nu].rep)
+    rhs += np.kron(np.eye(4), th.rep + Phi.rep @ Phi.rep)
+    for mu in range(4):
+        dphi = d[mu].rep @ Phi.rep - Phi.rep @ d[mu].rep
+        rhs += np.kron(mod.gammas[mu] @ mod.chirality, dphi)
+    return _square_dev(D, rhs)
+
+
+def field_strength_adjointness(gt: GaugeTriple, fl) -> float:
+    """F_{mu nu} = -F_{nu mu} and F_{mu nu}* = -e_mu e_nu F_{mu nu} (flat data)."""
+    e = gt.sig.e
+    F = action_mod.field_strength(gt, fl).F_super
+    worst = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            worst = max(worst, np.abs(F[mu][nu].rep + F[nu][mu].rep).max())
+            expect = -e[mu] * e[nu] * F[mu][nu].rep
+            worst = max(worst, np.abs(F[mu][nu].adjoint().rep - expect).max())
+    return worst
+
+
+def trace_lemmas(gt: GaugeTriple, fl, mod) -> tuple:
+    """Relative deviations of the closed (1/4) Tr D^2 and (1/4) Tr D^4 from brute force."""
+    D = fluct.assemble_fluctuated(gt, fl, mod)
+    D2 = D @ D
+    lhs2 = 0.25 * np.trace(D2).real
+    lhs4 = 0.25 * np.trace(D2 @ D2).real
+    return (_rel(abs(lhs2 - action_mod.trace_d2_closed(gt, fl)), abs(lhs2)),
+            _rel(abs(lhs4 - action_mod.trace_d4_closed(gt, fl)), abs(lhs4)))
+
+
+def odd_traces(gt: GaugeTriple, fl, mod) -> float:
+    """|Tr D_omega^k| / Tr |D_omega|^k for k = 1, 3."""
+    ev = np.linalg.eigvalsh(fluct.assemble_fluctuated(gt, fl, mod))
+    odd1 = abs(np.sum(ev)) / max(np.sum(np.abs(ev)), 1e-300)
+    odd3 = abs(np.sum(ev ** 3)) / max(np.sum(np.abs(ev) ** 3), 1e-300)
+    return max(odd1, odd3)
+
+
+def sector_split(gt: GaugeTriple, fl, poly: ActionPolynomial) -> tuple:
+    """(sector sum vs direct (1/4) Tr f(D), negativity of a sector, of theta)."""
+    br = action_mod.sectors(gt, fl, poly, include_direct=True)
+    theta_min = float(np.linalg.eigvalsh(action_mod.theta(gt, fl).rep).min())
+    return (_rel(abs(br.total_closed - br.total_direct), abs(br.total_direct)),
+            max(0.0, -min(br.s_ym, br.s_h, br.s_theta)),
+            max(0.0, -theta_min))
+
+
+def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, seed: int) -> tuple:
+    """(field strength covariance, action invariance, Ts identity) from
+    `covariance_report`, worst over a product and a non-product unitary."""
+    reports = [gauge.covariance_report(gt, fl, gauge.random_unitary(
+        gt.N, gt.n, product_form=product_form, seed=seed), poly) for product_form in (True, False)]
+    return _worst((r["field_strength_covariance"], r["action_invariance_rel"], r["ts_identity"])
+                  for r in reports)
+
+
+def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:
+    """Largest change of A_mu and phi under the central unitary lam 1."""
+    out = gauge.transform(gt, fl, gauge.GaugeElement(u=lam * np.eye(gt.m)))
+    return max(np.abs(new - old).max() for new, old in zip((*out.A, out.phi), (*fl.A, fl.phi)))
+
+
 def _random_triple(p, q, N, n, seed, include_X, with_DF):
     sig = clifford.build_signature(p, q)
     fz = dirac.random_fuzzy(N, sig, seed=seed, include_X=include_X)
@@ -46,172 +192,63 @@ def _random_triple(p, q, N, n, seed, include_X, with_DF):
 
 def signature_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
     """Identities valid in any 4d signature, for one (p, q)."""
-    results = []
     sig = clifford.build_signature(p, q)
     mod = clifford.build_gammas(sig)
 
-    inv = clifford.verify_module_invariants(mod)
-    for name, dev in inv.items():
-        results.append(IdentityResult(f"clifford/{name}", dev, 1e-12))
-    rep = clifford.verify_gamma_identities(mod)
-    for name, dev in rep.items():
-        results.append(IdentityResult(f"gamma/{name}", dev, 1e-12))
+    def triple(sd, include_X, with_DF):
+        return _random_triple(p, q, N, n, seed + sd, include_X, with_DF)
 
-    # axioms on a random flat Yang-Mills triple (JD sign needs D_F = 0)
-    gt0 = _random_triple(p, q, N, n, seed, include_X=True, with_DF=False)
-    ax = dirac.check_axioms(gt0, mod, seed=seed, pairs=20)
-    for name, dev in ax.items():
-        if name.startswith("informational_"):
-            continue
-        results.append(IdentityResult(f"axioms/{name}", dev, 1e-10))
+    def fields(sd, include_X, with_DF):
+        gt = triple(sd, include_X, with_DF)
+        return gt, fluct.random_fluctuation(gt, seed=seed + sd)
 
-    # Lichnerowicz, five seeds, N in {2, 3}
-    worst = 0.0
-    for NN in (2, 3):
-        for sd in range(5):
-            fz = dirac.random_fuzzy(NN, sig, seed=seed + sd, include_X=True)
-            D = dirac.assemble_fuzzy_dirac(fz, mod)
-            D2 = D @ D
-            rhs = dirac.lichnerowicz_rhs(fz, mod)
-            worst = max(worst, _rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2)))
-    results.append(IdentityResult("lichnerowicz/square_equals_rhs", worst, 1e-10))
-
-    # fluctuation dual path (with D_F and Higgs content when available)
-    worst = 0.0
-    for sd in range(3):
-        gt = _random_triple(p, q, N, n, seed + sd, include_X=True, with_DF=True)
-        rng = np.random.default_rng(seed + sd)
-        m = gt.m
-        pairs = [(np.kron(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)),
-                          rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))),
-                  np.kron(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)),
-                          rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
-                 for _ in range(3)]
-        omega = fluct.connes_one_form(gt, mod, pairs)
-        S = dirac.real_structure(mod, m)
-        D = dirac.assemble_product_dirac(gt, mod)
-        D_fl = fluct.fluctuate(D, omega, S, sig.eps_prime, symmetrize=True)
-        fl = fluct.extract_fluctuation(gt, mod, (omega + omega.conj().T) / 2)
-        closed = fluct.assemble_fluctuated(gt, fl, mod)
-        worst = max(worst, _rel(np.linalg.norm(D_fl - closed), np.linalg.norm(D_fl)))
-    results.append(IdentityResult("fluctuation/dual_path", worst, 1e-10))
-
-    # full Weitzenboeck: X, S nonzero, Higgs off
-    worst = 0.0
-    for sd in range(2):
-        gt = _random_triple(p, q, N, n, seed + sd, include_X=True, with_DF=False)
-        fl = fluct.random_fluctuation(gt, seed=seed + sd)
-        D = fluct.assemble_fluctuated(gt, fl, mod)
-        k = fluct.covariant_ops(gt, fl)
-        x = fluct.triple_ops(gt, fl)
-        rhs = dirac._weitzenbock_core(sig, mod, k, x, gt.m * gt.m)
-        D2 = D @ D
-        worst = max(worst, _rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2)))
-    results.append(IdentityResult("weitzenbock/full", worst, 1e-10))
-
-    # field strength adjointness in the flat setting
-    gt = _random_triple(p, q, N, n, seed, include_X=False, with_DF=False)
-    fl = fluct.random_fluctuation(gt, seed=seed)
-    F = action_mod.field_strength(gt, fl).F_super
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            worst = max(worst, np.abs(F[mu][nu].rep + F[nu][mu].rep).max())
-            expect = -sig.e[mu] * sig.e[nu] * F[mu][nu].rep
-            worst = max(worst, np.abs(F[mu][nu].adjoint().rep - expect).max())
-    results.append(IdentityResult("field_strength/antisymmetry_adjointness", worst, 1e-10))
-
-    # trace lemmas against brute force (flat, with D_F and Higgs)
-    gt = _random_triple(p, q, N, n, seed, include_X=False, with_DF=True)
-    flh = fluct.random_fluctuation(gt, seed=seed)
-    D = fluct.assemble_fluctuated(gt, flh, mod)
-    D2 = D @ D
-    lhs2 = 0.25 * np.trace(D2).real
-    lhs4 = 0.25 * np.trace(D2 @ D2).real
-    results.append(IdentityResult(
-        "trace/quadratic", _rel(abs(lhs2 - action_mod.trace_d2_closed(gt, flh)), abs(lhs2)), 1e-9))
-    results.append(IdentityResult(
-        "trace/quartic", _rel(abs(lhs4 - action_mod.trace_d4_closed(gt, flh)), abs(lhs4)), 1e-9))
-    ev = np.linalg.eigvalsh(D)
-    odd1 = abs(np.sum(ev)) / max(np.sum(np.abs(ev)), 1e-300)
-    odd3 = abs(np.sum(ev ** 3)) / max(np.sum(np.abs(ev) ** 3), 1e-300)
-    results.append(IdentityResult("trace/odd_powers_vanish", max(odd1, odd3), 1e-9))
-    return results
+    results = [IdentityResult(k, v, 1e-12) for k, v in clifford_identities(mod).items()]
+    # the J D sign is asserted only for D_F = 0
+    results += [IdentityResult(k, v, 1e-10)
+                for k, v in axioms(triple(0, True, False), mod, seed).items()]
+    flat_higgs = fields(0, False, True)
+    quadratic, quartic = trace_lemmas(*flat_higgs, mod)
+    return results + [IdentityResult(name, dev, tol) for name, dev, tol in (
+        ("lichnerowicz/square_equals_rhs",
+         max(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=seed + sd, include_X=True), mod)
+             for NN in (2, 3) for sd in range(5)), 1e-10),
+        ("fluctuation/dual_path",
+         max(dual_path(triple(sd, True, True), mod, np.random.default_rng(seed + sd))
+             for sd in range(3)), 1e-10),
+        ("weitzenbock/full",
+         max(weitzenbock_full(*fields(sd, True, False), mod) for sd in range(2)), 1e-10),
+        ("field_strength/antisymmetry_adjointness",
+         field_strength_adjointness(*fields(0, False, False)), 1e-10),
+        ("trace/quadratic", quadratic, 1e-9),
+        ("trace/quartic", quartic, 1e-9),
+        ("trace/odd_powers_vanish", odd_traces(*flat_higgs, mod), 1e-9))]
 
 
 def riemannian_suite(N: int = 2, n: int = 2, seed: int = 0):
     """Sector decomposition, positivity and gauge covariance, (0, 4) only."""
-    results = []
-    sig = clifford.build_signature(0, 4)
-    mod = clifford.build_gammas(sig)
+    mod = clifford.build_gammas(clifford.build_signature(0, 4))
     poly = ActionPolynomial((0.0, 1.0, 0.0, 1.0))
 
-    # flat Weitzenboeck with Higgs on
-    worst = 0.0
-    for sd in range(3):
-        gt = _random_triple(0, 4, N, n, seed + sd, include_X=False, with_DF=True)
-        fl = fluct.random_fluctuation(gt, seed=seed + sd)
-        D = fluct.assemble_fluctuated(gt, fl, mod)
-        F = action_mod.field_strength(gt, fl).F_super
-        th = action_mod.theta(gt, fl)
-        Phi = fluct.higgs_field(fl, gt)
-        d = fluct.covariant_ops(gt, fl)
-        rhs = np.zeros_like(D)
-        for mu in range(4):
-            for nu in range(4):
-                rhs += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu], F[mu][nu].rep)
-        rhs += np.kron(np.eye(4), th.rep + Phi.rep @ Phi.rep)
-        for mu in range(4):
-            dphi = d[mu].rep @ Phi.rep - Phi.rep @ d[mu].rep
-            rhs += np.kron(mod.gammas[mu] @ mod.chirality, dphi)
-        D2 = D @ D
-        worst = max(worst, _rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2)))
-    results.append(IdentityResult("weitzenbock/flat_higgs", worst, 1e-10))
+    def fields(sd, with_DF, fl_seed):
+        gt = _random_triple(0, 4, N, n, seed + sd, False, with_DF)
+        return gt, fluct.random_fluctuation(gt, seed=fl_seed)
 
-    # sector sum against the direct trace; positivity; theta PSD
-    worst_sum = 0.0
-    worst_pos = 0.0
-    worst_theta = 0.0
-    for sd in range(5):
-        gt = _random_triple(0, 4, N, n, seed + sd, include_X=False, with_DF=True)
-        fl = fluct.random_fluctuation(gt, seed=seed + 17 + sd)
-        br = action_mod.sectors(gt, fl, poly, include_direct=True)
-        worst_sum = max(worst_sum, _rel(abs(br.total_closed - br.total_direct),
-                                        abs(br.total_direct)))
-        worst_pos = max(worst_pos, -min(br.s_ym, br.s_h, br.s_theta))
-        th = action_mod.theta(gt, fl)
-        worst_theta = max(worst_theta, -float(np.linalg.eigvalsh(th.rep).min()))
-    results.append(IdentityResult("sectors/sum_equals_direct_trace", worst_sum, 1e-9))
-    results.append(IdentityResult("sectors/positivity", worst_pos, 1e-10))
-    results.append(IdentityResult("theta/positive_semidefinite", worst_theta, 1e-10))
-
-    # gauge covariance and invariance (Yang-Mills data: action invariance
-    # needs J-compatibility of all of D, which left-mult D_F breaks)
-    worst_cov = 0.0
-    worst_inv = 0.0
-    worst_ts = 0.0
-    for sd in range(3):
-        gt = _random_triple(0, 4, N, n, seed + sd, include_X=False, with_DF=False)
-        fl = fluct.random_fluctuation(gt, seed=seed + 31 + sd)
-        for product_form in (True, False):
-            g = gauge.random_unitary(N, n, product_form=product_form, seed=seed + sd)
-            rep = gauge.covariance_report(gt, fl, g, poly)
-            worst_cov = max(worst_cov, rep["field_strength_covariance"])
-            worst_inv = max(worst_inv, rep["action_invariance_rel"])
-            worst_ts = max(worst_ts, rep["ts_identity"])
-    results.append(IdentityResult("gauge/field_strength_covariance", worst_cov, 1e-10))
-    results.append(IdentityResult("gauge/action_invariance", worst_inv, 1e-9))
-    results.append(IdentityResult("gauge/ts_identity", worst_ts, 1e-10))
-
-    gt = _random_triple(0, 4, N, n, seed, include_X=False, with_DF=True)
-    fl = fluct.random_fluctuation(gt, seed=seed)
-    lam = np.exp(0.37j)
-    central = gauge.GaugeElement(u=lam * np.eye(gt.m))
-    fl_c = gauge.transform(gt, fl, central)
-    dev = max(np.abs(fl_c.A[mu] - fl.A[mu]).max() for mu in range(4))
-    dev = max(dev, np.abs(fl_c.phi - fl.phi).max())
-    results.append(IdentityResult("gauge/central_unitary_trivial", dev, 1e-12))
-    return results
+    split = _worst(sector_split(*fields(sd, True, seed + 17 + sd), poly) for sd in range(5))
+    # action invariance needs J-compatibility of all of D, which left-mult D_F
+    # breaks: Yang-Mills data
+    cov = _worst(gauge_covariance(*fields(sd, False, seed + 31 + sd), poly, seed + sd)
+                 for sd in range(3))
+    return [IdentityResult(name, dev, tol) for name, dev, tol in (
+        ("weitzenbock/flat_higgs",
+         max(weitzenbock_flat_higgs(*fields(sd, True, seed + sd), mod) for sd in range(3)), 1e-10),
+        ("sectors/sum_equals_direct_trace", split[0], 1e-9),
+        ("sectors/positivity", split[1], 1e-10),
+        ("theta/positive_semidefinite", split[2], 1e-10),
+        ("gauge/field_strength_covariance", cov[0], 1e-10),
+        ("gauge/action_invariance", cov[1], 1e-9),
+        ("gauge/ts_identity", cov[2], 1e-10),
+        ("gauge/central_unitary_trivial",
+         central_unitary(*fields(0, True, seed), np.exp(0.37j)), 1e-12))]
 
 
 def run_identity_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):

@@ -2,6 +2,8 @@
 
 Each test prints one `ACCEPTANCE <id> ...: PASS|FAIL` line (visible with
 pytest -s).  Desk scale throughout: N <= 4, n = 2, Hilbert dimension <= 256.
+The identity checks live in `ncg_ymh.verify`, one function per statement;
+criteria 01-08 call them with their own seeds, sizes and tolerances.
 
 Criterion 6b (the integration-by-parts style shortcut for the gauge-Higgs
 trace) is expected to fail: for operator traces the two sides differ by
@@ -12,7 +14,7 @@ weakened; the sector decomposition itself (criterion 07) never uses it.
 import numpy as np
 import pytest
 
-from ncg_ymh import action, clifford, dirac, fluct, gauge, sampler
+from ncg_ymh import action, dirac, fluct, sampler, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
@@ -39,40 +41,23 @@ def rel(diff, scale):
 
 
 def test_01_clifford_suite():
-    worst = 0.0
-    for (p, q) in ALL_SIGS:
-        mod = build_module(p, q)
-        for dev in clifford.verify_module_invariants(mod).values():
-            worst = max(worst, dev)
-        for dev in clifford.verify_gamma_identities(mod).values():
-            worst = max(worst, dev)
+    worst = max(max(verify.clifford_identities(build_module(p, q)).values())
+                for (p, q) in ALL_SIGS)
     report("01 clifford suite (tol 1e-12)", worst <= 1e-12)
 
 
 def test_02_axioms():
-    worst = 0.0
-    for (p, q) in ALL_SIGS:
-        mod = build_module(p, q)
-        gt = make_triple(p, q, seed=5, include_X=True, with_DF=False)
-        rep = dirac.check_axioms(gt, mod, seed=7, pairs=20)
-        for name, dev in rep.items():
-            worst = max(worst, dev)
+    worst = max(max(verify.axioms(make_triple(p, q, seed=5, include_X=True),
+                                  build_module(p, q), seed=7).values())
+                for (p, q) in ALL_SIGS)
     report("02 axioms: order-one, commutant, J/gamma/D signs (tol 1e-10)",
            worst <= 1e-10)
 
 
 def test_03_lichnerowicz():
-    worst = 0.0
-    for (p, q) in ALL_SIGS:
-        sig = build_signature(p, q)
-        mod = build_module(p, q)
-        for N in (2, 3):
-            for seed in range(5):
-                fz = dirac.random_fuzzy(N, sig, seed=seed, include_X=True)
-                D = dirac.assemble_fuzzy_dirac(fz, mod)
-                D2 = D @ D
-                rhs = dirac.lichnerowicz_rhs(fz, mod)
-                worst = max(worst, rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2)))
+    worst = max(verify.lichnerowicz(dirac.random_fuzzy(N, build_signature(p, q), seed=seed,
+                                                       include_X=True), build_module(p, q))
+                for (p, q) in ALL_SIGS for N in (2, 3) for seed in range(5))
     report("03 fuzzy Lichnerowicz D^2 = RHS (rel 1e-10)", worst <= 1e-10)
 
 
@@ -81,22 +66,8 @@ def test_04_fluctuation_dual_path():
     for seed in range(10):
         p, q = ALL_SIGS[seed % 4]
         gt = make_triple(p, q, seed=seed, include_X=True, with_DF=True)
-        sig, mod = gt.sig, build_module(p, q)
-        rng = np.random.default_rng(100 + seed)
-        N, n = gt.N, gt.n
-
-        def rnd(sz):
-            return rng.normal(size=(sz, sz)) + 1j * rng.normal(size=(sz, sz))
-
-        pairs = [(np.kron(rnd(N), rnd(n)), np.kron(rnd(N), rnd(n))) for _ in range(3)]
-        omega = fluct.connes_one_form(gt, mod, pairs)
-        D = dirac.assemble_product_dirac(gt, mod)
-        S = dirac.real_structure(mod, gt.m)
-        fluctuated = fluct.fluctuate(D, omega, S, sig.eps_prime, symmetrize=True)
-        fl = fluct.extract_fluctuation(gt, mod, (omega + omega.conj().T) / 2)
-        closed = fluct.assemble_fluctuated(gt, fl, mod)
-        worst = max(worst, rel(np.linalg.norm(fluctuated - closed),
-                               np.linalg.norm(fluctuated)))
+        worst = max(worst, verify.dual_path(gt, build_module(p, q),
+                                            np.random.default_rng(100 + seed)))
     report("04 fluctuation dual path, 10 seeds (rel 1e-10)", worst <= 1e-10)
 
 
@@ -107,32 +78,13 @@ def test_05_weitzenbock():
     for seed in range(3):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 50)
-        D = fluct.assemble_fluctuated(gt, fl, mod)
-        F = action.field_strength(gt, fl).F_super
-        th = action.theta(gt, fl)
-        Phi = fluct.higgs_field(fl, gt)
-        d = fluct.covariant_ops(gt, fl)
-        rhs = np.kron(np.eye(4), th.rep + Phi.rep @ Phi.rep)
-        for mu in range(4):
-            for nu in range(4):
-                rhs += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu], F[mu][nu].rep)
-            rhs += np.kron(mod.gammas[mu] @ mod.chirality,
-                           d[mu].rep @ Phi.rep - Phi.rep @ d[mu].rep)
-        D2 = D @ D
-        worst = max(worst, rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2)))
+        worst = max(worst, verify.weitzenbock_flat_higgs(gt, fl, mod))
     # full Weitzenboeck: X, S on, Higgs off, all signatures
     for (p, q) in ALL_SIGS:
-        sig = build_signature(p, q)
-        modx = build_module(p, q)
         for seed in range(2):
             gt = make_triple(p, q, seed=seed, include_X=True, with_DF=False)
             fl = fluct.random_fluctuation(gt, seed=seed + 60)
-            D = fluct.assemble_fluctuated(gt, fl, modx)
-            k = fluct.covariant_ops(gt, fl)
-            x = fluct.triple_ops(gt, fl)
-            rhs = dirac._weitzenbock_core(sig, modx, k, x, gt.m * gt.m)
-            D2 = D @ D
-            worst = max(worst, rel(np.linalg.norm(D2 - rhs), np.linalg.norm(D2)))
+            worst = max(worst, verify.weitzenbock_full(gt, fl, build_module(p, q)))
     report("05 Weitzenbock flat+Higgs and full (rel 1e-10)", worst <= 1e-10)
 
 
@@ -142,12 +94,7 @@ def test_06a_trace_lemmas():
     for N, seed in ((2, 0), (3, 1), (4, 2)):     # Hilbert dims 64, 144, 256
         gt = make_triple(0, 4, N=N, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 70)
-        D = fluct.assemble_fluctuated(gt, fl, mod)
-        D2 = D @ D
-        t2 = 0.25 * np.trace(D2).real
-        t4 = 0.25 * np.trace(D2 @ D2).real
-        worst = max(worst, rel(abs(t2 - action.trace_d2_closed(gt, fl)), abs(t2)))
-        worst = max(worst, rel(abs(t4 - action.trace_d4_closed(gt, fl)), abs(t4)))
+        worst = max(worst, *verify.trace_lemmas(gt, fl, mod))
     report("06a trace lemmas TrD^2, TrD^4 vs brute force (rel 1e-9)", worst <= 1e-9)
 
 
@@ -174,15 +121,10 @@ def test_07_sector_decomposition():
     for seed in range(20):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=(seed % 2 == 0))
         fl = fluct.random_fluctuation(gt, seed=seed + 90)
-        br = action.sectors(gt, fl, QUARTIC, include_direct=True)
-        worst_sum = max(worst_sum, rel(abs(br.total_closed - br.total_direct),
-                                       abs(br.total_direct)))
-        worst_pos = max(worst_pos, -min(br.s_ym, br.s_h, br.s_theta))
-        D = fluct.assemble_fluctuated(gt, fl, mod)
-        ev = np.linalg.eigvalsh(D)
-        worst_odd = max(worst_odd, abs(np.sum(ev)) / max(np.sum(np.abs(ev)), 1e-300))
-        worst_odd = max(worst_odd,
-                        abs(np.sum(ev ** 3)) / max(np.sum(np.abs(ev) ** 3), 1e-300))
+        sum_dev, pos_dev, _ = verify.sector_split(gt, fl, QUARTIC)
+        worst_sum = max(worst_sum, sum_dev)
+        worst_pos = max(worst_pos, pos_dev)
+        worst_odd = max(worst_odd, verify.odd_traces(gt, fl, mod))
     ok = worst_sum <= 1e-9 and worst_odd <= 1e-9 and worst_pos <= 1e-10
     report("07 sector sum = (1/4)Tr f(D), odd traces, positivity", ok)
 
@@ -194,18 +136,12 @@ def test_08_gauge_covariance_invariance():
     for seed in range(5):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=False)
         fl = fluct.random_fluctuation(gt, seed=seed + 110)
-        for product_form in (True, False):
-            g = gauge.random_unitary(gt.N, gt.n, product_form=product_form,
-                                     seed=seed + 120)
-            rep = gauge.covariance_report(gt, fl, g, poly)
-            worst_cov = max(worst_cov, rep["field_strength_covariance"])
-            worst_inv = max(worst_inv, rep["action_invariance_rel"])
+        cov, inv, _ = verify.gauge_covariance(gt, fl, poly, seed=seed + 120)
+        worst_cov = max(worst_cov, cov)
+        worst_inv = max(worst_inv, inv)
     # central unitary acts trivially; lambda = i keeps IEEE arithmetic exact
     gt = make_triple(0, 4, seed=3, include_X=False, with_DF=True)
-    fl = fluct.random_fluctuation(gt, seed=133)
-    out = gauge.transform(gt, fl, gauge.GaugeElement(u=1j * np.eye(gt.m)))
-    central_dev = max(np.abs(out.A[mu] - fl.A[mu]).max() for mu in range(4))
-    central_dev = max(central_dev, np.abs(out.phi - fl.phi).max())
+    central_dev = verify.central_unitary(gt, fluct.random_fluctuation(gt, seed=133), 1j)
     ok = worst_cov <= 1e-10 and worst_inv <= 1e-9 and central_dev == 0.0
     report("08 gauge covariance (1e-10), invariance (1e-9), central exact", ok)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncg_ymh import action, dirac, fluct
+from ncg_ymh import action, dirac, fluct, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature, single
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
@@ -78,12 +78,8 @@ def test_theta_positivity_and_reduction():
 
 def test_trace_d2_closed():
     gt = make_triple(N=3, n=2, seed=7)
-    mod = build_module(0, 4)
     fl = fluct.random_fluctuation(gt, seed=8)
-    D = fluct.assemble_fluctuated(gt, fl, mod)
-    brute = 0.25 * np.trace(D @ D).real
-    closed = action.trace_d2_closed(gt, fl)
-    assert abs(brute - closed) <= 1e-10 * abs(brute)
+    assert verify.trace_lemmas(gt, fl, build_module(0, 4))[0] <= 1e-10
 
     # Yang-Mills reduces to Tr theta
     gt_ym = make_triple(seed=9, with_DF=False)
@@ -99,13 +95,8 @@ def test_trace_d2_closed():
 
 def test_trace_d4_closed():
     gt = make_triple(N=3, n=2, seed=11)
-    mod = build_module(0, 4)
     fl = fluct.random_fluctuation(gt, seed=12)
-    D = fluct.assemble_fluctuated(gt, fl, mod)
-    D2 = D @ D
-    brute = 0.25 * np.trace(D2 @ D2).real
-    closed = action.trace_d4_closed(gt, fl)
-    assert abs(brute - closed) <= 1e-9 * abs(brute)
+    assert verify.trace_lemmas(gt, fl, build_module(0, 4))[1] <= 1e-9
 
     # Higgs only: reduces to Tr Phi^4
     sig = build_signature(0, 4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncg_ymh import cli
+from ncg_ymh.verify import run_identity_suite
 
 
 def run(argv):
@@ -44,6 +45,13 @@ def test_verify_single_signature(tmp_path):
     rows = report["signatures"]["(2,2)"]
     assert all(r["pass"] for r in rows)
     assert {"identity", "max_deviation", "tolerance", "pass"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("p,q,count", [(0, 4, 39), (1, 3, 31), (2, 2, 31), (3, 1, 31)])
+def test_identity_suite_shape(p, q, count):
+    # the report rows, and the benchmark's verify replay, count these entries
+    names = [r.name for r in run_identity_suite(p, q)]
+    assert len(names) == len(set(names)) == count
 
 
 def test_verify_rejects_bad_signature(tmp_path):
@@ -360,3 +368,30 @@ def test_sample_uses_the_sampler_default_step_sizes(tmp_path):
     assert run(["sample", "--config", cfg]) == 0
     steps = json.loads((tmp_path / "summary.json").read_text())["step_sizes"]
     assert steps == {"A0": 0.08, "A1": 0.08, "A2": 0.08, "A3": 0.08, "phi": 0.1}
+
+
+HUGE_FIELDS = {"geometry": {"N": 2, "n": 2, "d_f": "random"}, "fields": {"scale": 1e100}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_action_non_finite_is_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**HUGE_FIELDS, "out": str(tmp_path)})
+    assert run(["action", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite action")
+    assert not (tmp_path / "action_breakdown.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sample_nan_chain_is_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**HUGE_FIELDS, "sampler": {"steps": 20, "burn_in": 5},
+                                  "out": str(tmp_path)})
+    assert run(["sample", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: initial action nan")
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_sample_burn_in_error_names_the_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sampler": {"steps": 5}, "out": str(tmp_path)})
+    assert run(["sample", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "sampler.steps = 5" in err and "sampler.burn_in = 50 (the default)" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncg_ymh import dirac, fluct
+from ncg_ymh import dirac, fluct, verify
 from ncg_ymh.clifford import build_module, build_signature, hat, single
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import NotSelfAdjoint
@@ -82,20 +82,7 @@ def test_fluctuate_zero_and_rejection():
 @pytest.mark.parametrize("p,q", ALL_SIGS)
 def test_dual_path(p, q):
     gt = make_triple(p, q, include_X=True, with_DF=True, seed=13)
-    sig = gt.sig
-    mod = build_module(p, q)
-    rng = np.random.default_rng(17)
-    N, n = gt.N, gt.n
-    pairs = [(np.kron(rand_c(N, rng), rand_c(n, rng)),
-              np.kron(rand_c(N, rng), rand_c(n, rng))) for _ in range(3)]
-    omega = fluct.connes_one_form(gt, mod, pairs)
-    D = dirac.assemble_product_dirac(gt, mod)
-    S = dirac.real_structure(mod, gt.m)
-    fluctuated = fluct.fluctuate(D, omega, S, sig.eps_prime, symmetrize=True)
-    fl = fluct.extract_fluctuation(gt, mod, (omega + omega.conj().T) / 2)
-    closed = fluct.assemble_fluctuated(gt, fl, mod)
-    err = np.linalg.norm(fluctuated - closed) / np.linalg.norm(fluctuated)
-    assert err <= 1e-10
+    assert verify.dual_path(gt, build_module(p, q), np.random.default_rng(17)) <= 1e-10
 
 
 @pytest.mark.parametrize("p,q", ALL_SIGS)

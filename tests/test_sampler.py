@@ -107,6 +107,17 @@ def test_unstable_action_detected():
         sampler.run_chain(cfg, gt)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_action_is_unstable():
+    # blocks of size 1e100 overflow the kernel: the action is NaN from the start
+    sig = build_signature(0, 4)
+    gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, sig, scale=1e100, include_X=False),
+                     finite=FiniteData(n=2, D_F=np.diag([1.0, -1.0]).astype(complex)))
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=20, burn_in=5, seed=1)
+    with pytest.raises(UnstableAction, match="nan"):
+        sampler.run_chain(cfg, gt)
+
+
 def test_gaussian_self_test_quick():
     res = sampler.gaussian_self_test(N=2, samples=20_000, seed=3)
     assert abs(res["mean_tr_m2"] - 2.0) <= 4 * res["stderr"]
