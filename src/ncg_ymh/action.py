@@ -29,7 +29,8 @@ import numpy as np
 from .clifford import build_gammas, single
 from .dirac import GaugeTriple
 from .errors import DimensionMismatch, NotFlat, NotRiemannian, NotSelfAdjoint
-from .fluct import Fluctuation, assemble_fluctuated, covariant_ops, higgs_field
+from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
+                    higgs_field)
 from .superop import SuperOp, gen_comm
 
 
@@ -169,6 +170,10 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
     commutators themselves, not from a difference of Gram entries, so that
     commuting data gives exactly zero.  Entries stay complex until the end:
     Tr X_mu is imaginary in signature (0, 4).
+
+    Overflow gives non-finite traces, which the callers report; they, not
+    the kernel, silence numpy's overflow warnings, since entering
+    `np.errstate` costs about 2 % of a kernel call at m = 8.
     """
     m = X.shape[-1]
     e = np.asarray(e, dtype=float)
@@ -198,18 +203,12 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
     return BiTraces(*(float(v.real) for v in traces))
 
 
-def covariant_matrices(K, A) -> np.ndarray:
-    """The (4, m, m) stack X_mu = K_mu (x) 1_n + A_mu from N x N blocks K_mu."""
-    K, A = np.asarray(K), np.asarray(A)
-    N, m = K.shape[-1], A.shape[-1]
-    return np.einsum("kij,ab->kiajb", K, np.eye(m // N)).reshape(A.shape) + A
-
-
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:
     _require_flat(gt, fl)
     X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
-    P = np.kron(np.eye(gt.N), gt.finite.D_F) + fl.phi
-    return bitracial_traces(X, P, fl.phi, gt.sig.e, gt.sig.eps_dblprime)
+    P = gt.lifted_D_F + fl.phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bitracial_traces(X, P, fl.phi, gt.sig.e, gt.sig.eps_dblprime)
 
 
 def _gauge_higgs(tr: BiTraces, a4: float) -> float:
@@ -298,44 +297,120 @@ def sectors(gt: GaugeTriple, fl: Fluctuation, f: ActionPolynomial,
 _CHECK_ENTRIES = 1 << 16
 
 
+def _checked_tiles(D: np.ndarray) -> list:
+    """The check of `require_self_adjoint`; returns D's spinor tiles, None where zero.
+
+    The tiles are the views D_ac of D's 4 x 4 spinor blocks, or D itself when
+    4 does not divide dim.  Each mirror pair D_ac, D_ca, a <= c, is read
+    once, in blocks of about _CHECK_ENTRIES entries, so no temporary of the
+    size of D is formed.
+    """
+    g = 4 if D.shape[0] % 4 == 0 else 1
+    s = D.shape[0] // g
+    tiles = [[D[a * s:(a + 1) * s, c * s:(c + 1) * s] for c in range(g)] for a in range(g)]
+    step = max(1, _CHECK_ENTRIES // max(1, s))
+    dev = scale = 0.0
+    for a in range(g):
+        for c in range(a, g):
+            up, lo = tiles[a][c], tiles[c][a]
+            top_up = top_lo = 0.0
+            for r in range(0, s, step):
+                rows, mirror = up[r:r + step], lo[:, r:r + step]
+                t_up = np.abs(rows).max()
+                # the rows of a diagonal tile cover its mirror; off the diagonal
+                # each maximum is tested, since max(x, nan) drops a NaN
+                t_lo = t_up if a == c else np.abs(mirror).max()
+                if not (np.isfinite(t_up) and np.isfinite(t_lo)):
+                    raise NotSelfAdjoint("operator has non-finite entries")
+                top_up, top_lo = max(top_up, t_up), max(top_lo, t_lo)
+                if t_up or t_lo:
+                    dev = max(dev, np.abs(rows - mirror.conj().T).max())
+            scale = max(scale, top_up, top_lo)
+            if not top_up:
+                tiles[a][c] = None
+            if not top_lo:
+                tiles[c][a] = None
+    if not dev <= 1e-9 * max(1.0, scale):
+        raise NotSelfAdjoint(f"operator deviates from self-adjointness by {dev:.3e}")
+    return tiles
+
+
 def require_self_adjoint(D: np.ndarray):
     """Raise NotSelfAdjoint unless D is finite and max|D - D*| <= 1e-9 max(1, max|D|).
 
-    Both maxima are taken over blocks of rows, so no temporary of the size
-    of D is formed.  A non-finite entry fails the check.
+    Both maxima are taken tile by tile over D's 4 x 4 spinor blocks, in
+    blocks of rows, so no temporary of the size of D is formed.  A
+    non-finite entry fails the check, wherever it sits.
     """
-    dev = scale = 0.0
-    step = max(1, _CHECK_ENTRIES // max(1, D.shape[1]))
-    for r in range(0, D.shape[0], step):
-        rows = D[r:r + step]
-        top = np.abs(rows).max()
-        if not np.isfinite(top):
-            raise NotSelfAdjoint("operator has non-finite entries")
-        scale = max(scale, top)
-        dev = max(dev, np.abs(rows - D[:, r:r + step].conj().T).max())
-    if not dev <= 1e-9 * max(1.0, scale):
-        raise NotSelfAdjoint(f"operator deviates from self-adjointness by {dev:.3e}")
+    _checked_tiles(D)
+
+
+def _upper_product(P: list, T: list) -> list:
+    """Tiles a <= c of the self-adjoint product P D from full tile grids of P and D.
+
+    None is a zero tile; a product with a zero factor is skipped.
+    """
+    g = len(T)
+    out = [[None] * g for _ in range(g)]
+    for a in range(g):
+        for c in range(a, g):
+            for b in range(g):
+                if P[a][b] is not None and T[b][c] is not None:
+                    term = P[a][b] @ T[b][c]
+                    if out[a][c] is None:
+                        out[a][c] = term
+                    else:
+                        out[a][c] += term
+    return out
+
+
+def _mirror(P: list):
+    """Fill the tiles a > c of a self-adjoint tile grid from those a < c."""
+    for a in range(len(P)):
+        for c in range(a + 1, len(P)):
+            P[c][a] = None if P[a][c] is None else P[a][c].conj().T
 
 
 def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
     """(1/4) Tr f(D) for a self-adjoint D, from traces of powers of D.
 
     Tr f(D) = (1/2) sum_k a_k Tr D^k.  Only D^1 .. D^h, h = ceil(deg f / 2),
-    are formed; Tr D^k for k >= 2 is the Hilbert-Schmidt product
-    <D^i, D^j> = Tr(D^i D^j) with i + j = k, the powers being self-adjoint.
-    No diagonalisation: the default quartic costs one matrix product.
+    are formed, on the grid of D's 4 x 4 spinor blocks (one block when 4
+    does not divide dim): a product with a zero block of D is skipped, and
+    of each power only the blocks a <= c are formed, the powers being
+    self-adjoint.  Tr D^k is the trace of the diagonal blocks of D^k for
+    k <= h, and otherwise the Hilbert-Schmidt product <D^i, D^j> =
+    Tr(D^i D^j), i + j = k, read as real parts of block products with
+    weight 2 off the diagonal.  No diagonalisation: the default quartic
+    costs one block-wise matrix product, and the four anti-diagonal blocks
+    of every D that `assemble_fluctuated` writes are zero (odd products of
+    gammas never reach them).  The self-adjointness check is the pass that
+    finds the zero blocks.
     """
     if D.shape[0] != D.shape[1]:
         raise DimensionMismatch(f"operator not square: {D.shape}")
-    require_self_adjoint(D)
-    powers = [None, D]
-    for _ in range((f.degree + 1) // 2 - 1):
-        powers.append(powers[-1] @ D)
+    tiles = _checked_tiles(D)
+    g, h = len(tiles), (f.degree + 1) // 2
     total = 0.0
-    for k, a in enumerate(f.coeffs, start=1):
-        if a:
-            tr = np.trace(D) if k == 1 else np.vdot(powers[k // 2], powers[k - k // 2])
-            total += 0.5 * a * float(tr.real)
+    # an overflow shows as a non-finite total, which the callers report
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [None, tiles]
+        for k in range(2, h + 1):
+            if k > 2:
+                _mirror(powers[-1])
+            powers.append(_upper_product(powers[-1], tiles))
+        for k, coeff in enumerate(f.coeffs, start=1):
+            if not coeff:
+                continue
+            if k <= h:
+                P = powers[k]
+                tr = sum(np.trace(P[a][a]).real for a in range(g) if P[a][a] is not None)
+            else:
+                Pi, Pj = powers[k // 2], powers[k - k // 2]
+                tr = sum((1 if a == c else 2) * np.vdot(Pi[a][c], Pj[a][c]).real
+                         for a in range(g) for c in range(a, g)
+                         if Pi[a][c] is not None and Pj[a][c] is not None)
+            total += 0.5 * coeff * float(tr)
     return 0.25 * total
 
 

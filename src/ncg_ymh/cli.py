@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,8 +27,8 @@ from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
 from .errors import NcgError, NonFourDimensional, NotRiemannian
-from .sampler import (SamplerConfig, batch_means, eigen_histogram,
-                      gaussian_self_test, run_chain, stationarity_check)
+from .sampler import (SamplerConfig, batch_means, gaussian_self_test, run_chain,
+                      stationarity_check, symmetric_histogram)
 from .verify import run_identity_suite
 
 _SIGNATURES = [(0, 4), (1, 3), (2, 2), (3, 1)]
@@ -191,6 +192,24 @@ def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
     raise ConfigError(f"unknown fields.source {source!r}")
 
 
+def _require_dense_fits(N: int, n: int):
+    """Refuse a dense Dirac operator that cannot fit, before it is allocated.
+
+    D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n, and
+    eigvalsh (or the powers of the direct trace) needs about as much again.
+    The limit is the smaller of physical memory and RLIMIT_AS.
+    """
+    need = 2 * 256 * (N * n) ** 4
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    if need > limit:
+        raise ConfigError(f"the dense Dirac operator at N = {N}, n = {n} needs "
+                          f"{need / 2**30:.1f} GiB (D and one copy), more than the "
+                          f"{limit / 2**30:.1f} GiB of memory available")
+
+
 def _poly(cfg: dict) -> ActionPolynomial:
     coeffs = cfg.get("poly", [0.0, 1.0, 0.0, 1.0])
     return ActionPolynomial(tuple(float(c) for c in coeffs))
@@ -238,6 +257,7 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_action(cfg: dict) -> int:
     sig, N, n, DF = _geometry(cfg)
+    _require_dense_fits(N, n)
     gt, fl = _fields(cfg, sig, N, n, DF)
     poly = _poly(cfg)
     br = sectors(gt, fl, poly, include_direct=True)
@@ -260,6 +280,7 @@ def cmd_action(cfg: dict) -> int:
 
 def cmd_spectrum(cfg: dict) -> int:
     sig, N, n, DF = _geometry(cfg)
+    _require_dense_fits(N, n)
     gt, fl = _fields(cfg, sig, N, n, DF)
     mod = clifford.build_gammas(sig)
     fluctuate = cfg.get("fields", {}).get("fluctuation", True)
@@ -276,7 +297,7 @@ def cmd_spectrum(cfg: dict) -> int:
             writer.writerow([i, _fmt(lam)])
     bins = int(cfg.get("histogram_bins", 0))
     if bins > 0:
-        edges, counts = eigen_histogram(D, bins)
+        edges, counts = symmetric_histogram(ev, bins)
         with open(os.path.join(cfg["out"], "spectrum_histogram.json"), "w") as fh:
             json.dump({"bin_edges": list(map(float, edges)),
                        "counts": list(map(int, counts))}, fh)

@@ -123,14 +123,21 @@ class CliffordModule:
         return self.gammas[others[0]] @ self.gammas[others[1]] @ self.gammas[others[2]]
 
 
-def _euclidean_base():
-    # four Hermitian, pairwise anticommuting matrices squaring to +1
-    return (
-        np.kron(_PAULI[1], _PAULI[0]),
-        np.kron(_PAULI[2], _PAULI[0]),
-        np.kron(_PAULI[3], _PAULI[1]),
-        np.kron(_PAULI[3], _PAULI[2]),
-    )
+# four Hermitian, pairwise anticommuting matrices squaring to +1
+_EUCLIDEAN_BASE = (
+    np.kron(_PAULI[1], _PAULI[0]),
+    np.kron(_PAULI[2], _PAULI[0]),
+    np.kron(_PAULI[3], _PAULI[1]),
+    np.kron(_PAULI[3], _PAULI[2]),
+)
+
+# the 16 Pauli tensor monomials in search order (tensor factors 1, x, y, z)
+_MONOMIALS = tuple(np.kron(_PAULI[a], _PAULI[b]) for a in range(4) for b in range(4))
+
+
+def _equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """Entrywise equality to 1e-12; the entries compared here lie in {0, +-1, +-i}."""
+    return np.abs(x - y).max() <= 1e-12
 
 
 def _search_conjugation(sig: Signature, gammas, chirality) -> np.ndarray:
@@ -141,26 +148,18 @@ def _search_conjugation(sig: Signature, gammas, chirality) -> np.ndarray:
     relation, so plain monomials suffice.
     """
     eye = np.eye(4)
-    for a in range(4):
-        for b in range(4):
-            U = np.kron(_PAULI[a], _PAULI[b])
-            if not np.allclose(U @ U.conj(), sig.eps * eye, atol=1e-12):
-                continue
-            if not all(np.allclose(U @ g.conj(), sig.eps_prime * g @ U, atol=1e-12)
-                       for g in gammas):
-                continue
-            if not np.allclose(U @ chirality.conj(),
-                               sig.eps_dblprime * chirality @ U, atol=1e-12):
-                continue
-            return U
+    for U in _MONOMIALS:
+        if (_equal(U @ U.conj(), sig.eps * eye)
+                and all(_equal(U @ g.conj(), sig.eps_prime * g @ U) for g in gammas)
+                and _equal(U @ chirality.conj(), sig.eps_dblprime * chirality @ U)):
+            return U.copy()
     raise ConjugationNotFound(
         f"no monomial U_C satisfies the C relations for (p, q) = ({sig.p}, {sig.q})")
 
 
 def build_gammas(sig: Signature) -> CliffordModule:
     """Explicit 4x4 representation for the given signature."""
-    base = _euclidean_base()
-    gammas = tuple(base[mu] if mu < sig.p else 1j * base[mu] for mu in range(4))
+    gammas = tuple(g.copy() if mu < sig.p else 1j * g for mu, g in enumerate(_EUCLIDEAN_BASE))
     chirality = sig.sigma_eta * gammas[0] @ gammas[1] @ gammas[2] @ gammas[3]
     U = _search_conjugation(sig, gammas, chirality)
     return CliffordModule(signature=sig, dimV=4, gammas=gammas,

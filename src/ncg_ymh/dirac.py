@@ -100,6 +100,11 @@ class GaugeTriple:
         return self.fuzzy.N * self.finite.n
 
     @property
+    def lifted_D_F(self) -> np.ndarray:
+        """1_N (x) D_F: D_F acting on the matrix factor M_N (x) M_n = M_m."""
+        return np.kron(np.eye(self.N), self.finite.D_F)
+
+    @property
     def hilbert_dim(self) -> int:
         return 4 * self.m * self.m
 

@@ -220,8 +220,14 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
 
 def higgs_field(fl: Fluctuation, gt: GaugeTriple) -> SuperOp:
     """Phi = Left(1 (x) D_F + phi) + eps'' Right(phi) on M_N (x) M_n."""
-    inner = np.kron(np.eye(gt.N), gt.finite.D_F)
-    return left_mult(inner + fl.phi) + gt.sig.eps_dblprime * right_mult(fl.phi)
+    return left_mult(gt.lifted_D_F + fl.phi) + gt.sig.eps_dblprime * right_mult(fl.phi)
+
+
+def covariant_matrices(K, A) -> np.ndarray:
+    """The (4, m, m) stack X_mu = K_mu (x) 1_n + A_mu from N x N blocks K_mu."""
+    K, A = np.asarray(K), np.asarray(A)
+    N, m = K.shape[-1], A.shape[-1]
+    return np.einsum("kij,ab->kiajb", K, np.eye(m // N)).reshape(A.shape) + A
 
 
 def covariant_ops(gt: GaugeTriple, fl: Fluctuation):
@@ -261,15 +267,14 @@ def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
     """
     if gt.sig != mod.signature:
         raise DimensionMismatch("triple and Clifford module carry different signatures")
-    sig, N, n, m = gt.sig, gt.N, gt.n, gt.m
+    sig, m = gt.sig, gt.m
     if fl.A[0].shape != (m, m):
         raise DimensionMismatch(f"fluctuation size {fl.A[0].shape} vs m = {m}")
-    one = np.eye(n)
-    X = [np.kron(gt.fuzzy.block(single(mu)), one) + fl.A[mu] for mu in range(4)]
-    Y = [np.kron(gt.fuzzy.block(hat(mu)), one) + (0 if fl.S is None else fl.S[mu])
-         for mu in range(4)]
+    X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
+    Y = covariant_matrices([gt.fuzzy.block(hat(mu)) for mu in range(4)],
+                           np.zeros((4, m, m)) if fl.S is None else fl.S)
     gammas = np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
-    lefts = np.array([*X, *Y, np.kron(np.eye(N), gt.finite.D_F) + fl.phi])
+    lefts = np.array([*X, *Y, gt.lifted_D_F + fl.phi])
     rights = np.array([*(e * x for e, x in zip(sig.e, X)),
                        *(e * y for e, y in zip(sig.e_hat, Y)), sig.eps_dblprime * fl.phi])
     L = np.tensordot(gammas, lefts, axes=(0, 0))    # (a, b, i, j)

@@ -59,7 +59,7 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
     for mu in range(4):
         Lmu = np.kron(gt.fuzzy.block(single(mu)), np.eye(n))
         A_new.append(u @ fl.A[mu] @ ustar + u @ (Lmu @ ustar - ustar @ Lmu))
-    DFbig = np.kron(np.eye(gt.N), gt.finite.D_F)
+    DFbig = gt.lifted_D_F
     phi_new = u @ fl.phi @ ustar + u @ (DFbig @ ustar - ustar @ DFbig)
     return Fluctuation(A=tuple(A_new), S=fl.S, phi=phi_new)
 

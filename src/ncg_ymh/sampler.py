@@ -21,11 +21,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .action import (ActionBreakdown, ActionPolynomial, bitracial_traces,
-                     covariant_matrices, require_self_adjoint, sector_breakdown)
+                     require_self_adjoint, sector_breakdown)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, UnstableAction
-from .fluct import Fluctuation
+from .fluct import Fluctuation, covariant_matrices
 
 _DIVERGENCE = 1e12
 _STEP_SIZES = {"A": 0.08, "phi": 0.1}
@@ -123,6 +123,7 @@ def _su_project(H: np.ndarray) -> np.ndarray:
     return 1j * (H - np.trace(H) / N * np.eye(N))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite action is refused, not warned of
 def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     """Metropolis over (A, phi); returns the list of SampleRecords and an info dict.
 
@@ -139,7 +140,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         raise NotRiemannian("the sampler runs in signature (0, 4)")
     if gt_template.fuzzy.has_triples:
         raise NotFlat("the sampler needs a flat template (no X blocks)")
-    DF_big = np.kron(np.eye(N), gt_template.finite.D_F)
+    DF_big = gt_template.lifted_D_F
     L = [np.asarray(gt_template.fuzzy.block(single(mu)), dtype=complex) for mu in range(4)]
     L = [K - np.trace(K) / N * np.eye(N) for K in L]
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
@@ -216,7 +217,11 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
 def eigen_histogram(D: np.ndarray, bins: int):
     """Eigenvalue histogram of a self-adjoint operator over a symmetric range."""
     require_self_adjoint(D)
-    ev = np.linalg.eigvalsh(D)
+    return symmetric_histogram(np.linalg.eigvalsh(D), bins)
+
+
+def symmetric_histogram(ev: np.ndarray, bins: int):
+    """(edges, counts) of the values ev over [-max|ev|, max|ev|], or [-1, 1] if all are 0."""
     span = float(np.abs(ev).max())
     if span == 0.0:
         span = 1.0

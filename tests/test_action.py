@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncg_ymh import action, dirac, fluct, verify
+from ncg_ymh import action, cli, dirac, fluct, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature, single
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
@@ -293,3 +293,79 @@ def test_bitracial_kernel_commuting_data_exact_zero():
     assert tr.F2 == 0.0
     assert tr.dPhi2 == 0.0
     assert tr.theta > 0 and tr.Phi4 > 0
+
+
+def _dense_direct(D, f):
+    """Reference: (1/4) Tr f(D) from dense powers of D, Tr D^k = <D^i, D^j>."""
+    powers = [None, D]
+    for _ in range((f.degree + 1) // 2 - 1):
+        powers.append(powers[-1] @ D)
+    total = 0.0
+    for k, a in enumerate(f.coeffs, start=1):
+        if a:
+            tr = np.trace(D) if k == 1 else np.vdot(powers[k // 2], powers[k - k // 2])
+            total += 0.5 * a * float(tr.real)
+    return 0.25 * total
+
+
+def _zero_tiles(D):
+    return [[t is None for t in row] for row in action._checked_tiles(D)]
+
+
+ANTI_DIAGONAL = [[a + c == 3 for c in range(4)] for a in range(4)]
+
+
+def test_direct_trace_matches_dense_at_evaluate_size():
+    # the benchmark's evaluate config at N = 6, through the CLI's own input path
+    cfg = {"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"}, "seed": 0}
+    gt, fl = cli._fields(cfg, *cli._geometry(cfg))
+    D = fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
+    assert _zero_tiles(D) == ANTI_DIAGONAL
+    f = ActionPolynomial((0.0, 1.0, 0.0, 1.0))
+    want = _dense_direct(D, f)
+    assert abs(action.spectral_action_direct(D, f) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("data", ["triple_blocks", "dense_tiles", "dim_7"])
+def test_direct_trace_matches_dense(data, degree):
+    if data == "triple_blocks":
+        gt = make_triple(N=2, seed=90 + degree, include_X=True)
+        fl = fluct.random_fluctuation(gt, seed=100 + degree)
+        assert fl.S is not None
+        D = fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
+        # odd products of gammas never reach the anti-diagonal spinor blocks
+        assert _zero_tiles(D) == ANTI_DIAGONAL
+    else:
+        D = dirac.random_hermitian(64 if data == "dense_tiles" else 7,
+                                   np.random.default_rng(degree))
+        zero = _zero_tiles(D)  # a 4 x 4 grid of dense tiles, or one tile for dim 7
+        assert len(zero) == (4 if data == "dense_tiles" else 1) and not any(map(any, zero))
+    f = ActionPolynomial((0.3, -0.7, 0.5, 1.1, -0.2, 0.9)[:degree])
+    ev = np.linalg.eigvalsh(D)
+    # relative to the size of the summed terms: Tr D^k may cancel for odd k
+    scale = 0.25 * ActionPolynomial(tuple(map(abs, f.coeffs))).evaluate_sum(np.abs(ev))
+    assert abs(action.spectral_action_direct(D, f) - _dense_direct(D, f)) <= 1e-12 * scale
+
+
+def test_direct_trace_of_zero_operator():
+    f = ActionPolynomial((0.3, -0.7, 0.5, 1.1, -0.2, 0.9))
+    for dim in (16, 7):
+        D = np.zeros((dim, dim), dtype=complex)
+        assert all(all(row) for row in _zero_tiles(D))
+        assert action.spectral_action_direct(D, f) == 0.0 == _dense_direct(D, f)
+
+
+@pytest.mark.parametrize("where", [(9, 0), (13, 0), (5, 2)])
+def test_nan_only_in_a_lower_mirror_tile(where):
+    # D is 16 x 16, tiles 4 x 4: (9, 0) sits in tile (2, 0), whose mirror (0, 2)
+    # is nonzero; (13, 0) in tile (3, 0), whose mirror (0, 3) is zero
+    gt = make_triple(N=2, n=1, seed=5)
+    fl = fluct.random_fluctuation(gt, seed=6)
+    D = fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
+    assert _zero_tiles(D) == ANTI_DIAGONAL
+    D[where] = np.nan
+    for check in (action.require_self_adjoint,
+                  lambda D: action.spectral_action_direct(D, POLY)):
+        with pytest.raises(NotSelfAdjoint, match="non-finite"):
+            check(D)

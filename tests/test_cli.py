@@ -1,16 +1,28 @@
 import csv
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ncg_ymh import cli
+from ncg_ymh import cli, clifford, fluct, sampler
 from ncg_ymh.verify import run_identity_suite
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_process(argv, address_space=None):
+    """The CLI in a fresh interpreter, optionally under its own RLIMIT_AS."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    limit = None if address_space is None else \
+        (lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
+    return subprocess.run([sys.executable, "-m", "ncg_ymh.cli", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=limit, timeout=120)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -395,3 +407,42 @@ def test_sample_burn_in_error_names_the_keys(tmp_path, capsys):
     assert run(["sample", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "sampler.steps = 5" in err and "sampler.burn_in = 50 (the default)" in err
+
+
+@pytest.mark.parametrize("command", ["action", "sample"])
+def test_overflow_is_one_error_line_and_no_warning(tmp_path, command):
+    cfg = write_config(tmp_path, {**HUGE_FIELDS, "out": str(tmp_path)})
+    res = run_process([command, "--config", cfg])
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "action"])
+def test_dense_operator_beyond_memory_is_config_error(tmp_path, command):
+    # N = 40, n = 2: D alone takes 9.8 GiB; under a 2 GiB address-space limit an
+    # unguarded run fails its allocation instead of making it
+    cfg = write_config(tmp_path, {"geometry": {"N": 40, "n": 2}, "out": str(tmp_path)})
+    res = run_process([command, "--config", cfg], address_space=2 << 30)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: ") and res.stderr.count("\n") == 1
+    assert "N = 40, n = 2" in res.stderr and "19.5 GiB" in res.stderr
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
+    cfg = {"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
+           "histogram_bins": 8, "seed": 3, "out": str(tmp_path)}
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda D: calls.append(D.shape) or eigvalsh(D))
+    assert run(["spectrum", "--config", write_config(tmp_path, cfg)]) == 0
+    assert calls == [(64, 64)]
+    # byte-identical to the histogram of a second diagonalisation of the same D
+    sig, N, n, DF = cli._geometry(cfg)
+    gt, fl = cli._fields(cfg, sig, N, n, DF)
+    edges, counts = sampler.eigen_histogram(
+        fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(sig)), 8)
+    want = json.dumps({"bin_edges": list(map(float, edges)), "counts": list(map(int, counts))})
+    assert (tmp_path / "spectrum_histogram.json").read_text() == want

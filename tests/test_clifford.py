@@ -134,3 +134,28 @@ def test_appendix_coefficient_of_full_product():
         prod = g[mu] @ mod.gamma_hat(mu)
         coeff = np.trace(full.conj().T @ prod) / np.trace(full.conj().T @ full)
         assert abs(coeff - (-1) ** mu) <= 1e-13
+
+
+# U_C of each signature as (real part, imaginary part), signed zeros included
+PINNED_CONJ_UNITARY = {
+    (0, 4): ([[0.0] * 4] * 4,
+             [[0.0, 0.0, -0.0, -1.0], [0.0, 0.0, -1.0, -0.0],
+              [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+    (1, 3): ([[0.0] * 4] * 4,
+             [[0.0, -1.0, 0.0, -0.0], [1.0, 0.0, 0.0, 0.0],
+              [0.0, -0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]),
+    (2, 2): ([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
+              [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+             [[0.0] * 4] * 4),
+    (3, 1): ([[0.0, 0.0, 1.0, 0.0], [0.0, -0.0, 0.0, -1.0],
+              [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, -0.0]],
+             [[0.0] * 4] * 4),
+}
+
+
+@pytest.mark.parametrize("p,q", ALL_SIGS)
+def test_conjugation_unitary_pinned_bit_exact(p, q):
+    re, im = PINNED_CONJ_UNITARY[(p, q)]
+    want = np.empty((4, 4), dtype=complex)
+    want.real, want.imag = re, im
+    assert clifford.build_module(p, q).conj_unitary.tobytes() == want.tobytes()
