@@ -13,8 +13,10 @@ kernel, `bitracial_traces`, evaluates the seven traces that the sectors and
 the quadratic and quartic trace lemmas are built from.  Every term is a
 product of entries of one Gram matrix Tr(S_i S_j) over a short stack of
 words S_i, except the commutator squares, which are traced from explicit
-commutators; at the sampler's sizes the cost is the number of numpy calls,
-not the flops, and this form keeps that number small.  The m^2 x m^2
+commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from one
+(6m x m) @ (m x 6m) matrix product, not 36 small ones.  At the sampler's
+sizes (m = 8) the cost is the number of numpy calls more than the flops,
+and this form keeps that number small.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength`, the shortcut side of
 `gauge_higgs_identity_sides`, `tetrahedral`) are kept as brute-force
 oracles.  Index raising uses the constant signature eta = diag(e_0..e_3).
@@ -73,8 +75,9 @@ class ActionPolynomial:
         return self.degree % 2 == 0 and self.coeffs[-1] > 0
 
 
-@dataclass(frozen=True)
-class ActionBreakdown:
+class ActionBreakdown(NamedTuple):
+    """The four sectors and their sum; a tuple, since the sampler builds one per proposal."""
+
     s_ym: float
     s_h: float
     s_gh: float
@@ -145,12 +148,7 @@ class BiTraces(NamedTuple):
     dPhi2: float       # sum e_mu Tr [d_mu, Phi]^2
 
 
-def _tr(a: np.ndarray, b: np.ndarray):
-    """Tr(a b), broadcast over leading axes."""
-    return np.einsum("...ij,...ji->...", a, b)
-
-
-# rows of the Gram stack S = (1, X_0..X_3, P, phi, P^2, phi^2, Q)
+# rows of the Gram stack S = (1, X_0..X_3, P, phi, P^2, phi^2, Q); Y = S[1:7]
 _X, _P, _PHI, _P2, _PHI2, _Q = slice(1, 5), 5, 6, 7, 8, 9
 
 
@@ -165,42 +163,44 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
     Every term is a product of Gram entries G_ij = Tr(S_i S_j) over the
     stack S = (1, X_mu, P, phi, P^2, phi^2, Q), Q = sum e_mu X_mu^2: one
     matrix product forms G, Tr S_i is G_0i, and the sums over mu are read
-    off W = G_{., X} G_{X, .}.  The products Y_a Y_b of Y = (X_mu, P, phi)
-    come from one broadcast matmul.  F^2 and [d, Phi]^2 are traced from the
-    commutators themselves, not from a difference of Gram entries, so that
-    commuting data gives exactly zero.  Entries stay complex until the end:
-    Tr X_mu is imaginary in signature (0, 4).
+    off W = G_{., X} G_{X, .}.  All 36 products Y_a Y_b of Y = (X_mu, P, phi)
+    come from one (6m x m) @ (m x 6m) product, read through views.  F^2 and
+    [d, Phi]^2 are traced from the commutators themselves, not from a
+    difference of Gram entries, so that commuting data gives exactly zero.
+    Entries stay complex until the end: Tr X_mu is imaginary in signature
+    (0, 4).
 
     Overflow gives non-finite traces, which the callers report; they, not
     the kernel, silence numpy's overflow warnings, since entering
     `np.errstate` costs about 2 % of a kernel call at m = 8.
     """
     m = X.shape[-1]
-    e = np.asarray(e, dtype=float)
-    Y = np.concatenate((X, P[None], phi[None]))  # Y_4 = P, Y_5 = phi
-    YY = Y[:, None] @ Y[None]
-    C = YY - YY.swapaxes(0, 1)
-    ec = e @ _tr(C[:4], C[:4])  # sum_mu e_mu Tr [Y_mu, Y_b]^2
-    S = np.concatenate((np.eye(m)[None], Y, YY[[4, 5], [4, 5]],
-                        np.einsum("k,kkij->ij", e, YY[:4, :4])[None]))
-    G = S.reshape(len(S), -1) @ S.swapaxes(1, 2).reshape(len(S), -1).T
+    S = np.empty((10, m, m), dtype=complex)
+    S[0], S[_X], S[_P], S[_PHI] = np.eye(m), X, P, phi
+    Y = S[1:7]
+    YY = (Y.reshape(6 * m, m) @ Y.transpose(1, 0, 2).reshape(m, 6 * m)).reshape(6, m, 6, m)
+    C = YY[:4] - YY[:, :, :4].transpose(2, 1, 0, 3)  # C[mu, :, b, :] = [X_mu, Y_b]
+    ec = np.einsum("a,aibj,ajbi->b", e, C, C).tolist()  # sum_mu e_mu Tr [X_mu, Y_b]^2
+    S[_P2], S[_PHI2] = YY[4, :, 4], YY[5, :, 5]
+    np.einsum("k,kikj->ij", e, YY[:4, :, :4], out=S[_Q])
+    G = S.reshape(10, -1) @ S.transpose(0, 2, 1).reshape(10, -1).T
     g, w = G.tolist(), (G[:, _X] @ G[_X]).tolist()
 
     trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
-    traces = BiTraces(
-        theta=2 * m * trQ + 2 * w[0][0],
-        theta2=2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
-        + 4 * sum(w[k][k] for k in range(1, 5)),
-        F2=2 * m * (ec[:4] @ e),
-        Phi2=m * (trP2 + trphi2) + 2 * eps * trP * trphi,
-        Phi4=m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
-        + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI]),
-        Phi2_theta=m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
-        + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
-        + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI],
-        dPhi2=m * (ec[4] + ec[5]),
+    e0, e1, e2, e3 = e
+    return BiTraces(
+        theta=(2 * m * trQ + 2 * w[0][0]).real,
+        theta2=(2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
+                + 4 * (w[1][1] + w[2][2] + w[3][3] + w[4][4])).real,
+        F2=(2 * m * (e0 * ec[0] + e1 * ec[1] + e2 * ec[2] + e3 * ec[3])).real,
+        Phi2=(m * (trP2 + trphi2) + 2 * eps * trP * trphi).real,
+        Phi4=(m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
+              + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI])).real,
+        Phi2_theta=(m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
+                    + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
+                    + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI]).real,
+        dPhi2=(m * (ec[4] + ec[5])).real,
     )
-    return BiTraces(*(float(v.real) for v in traces))
 
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:

@@ -27,8 +27,8 @@ from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
 from .errors import NcgError, NonFourDimensional, NotRiemannian
-from .sampler import (SamplerConfig, batch_means, gaussian_self_test, run_chain,
-                      stationarity_check, symmetric_histogram)
+from .sampler import (SamplerConfig, batch_means, effective_sample_size, gaussian_self_test,
+                      run_chain, stationarity_check, symmetric_histogram, tau_int)
 from .verify import run_identity_suite
 
 _SIGNATURES = [(0, 4), (1, 3), (2, 2), (3, 1)]
@@ -361,13 +361,17 @@ def cmd_sample(cfg: dict) -> int:
             writer.writerow([r.step, _fmt(r.s_total), _fmt(r.s_ym), _fmt(r.s_h),
                              _fmt(r.s_gh), _fmt(r.s_theta), _fmt(r.acceptance)])
     summary = {"seed": seed, "n_records": len(records),
-               "step_sizes": info["step_sizes"], "acceptance": info["acceptance"]}
+               "step_sizes": info["step_sizes"], "acceptance": info["acceptance"],
+               "acceptance_by_field": info["acceptance_by_field"],
+               "step_size_trajectory": info["step_size_trajectory"]}
     for name in ("s_total", "s_ym", "s_h", "s_gh", "s_theta"):
         series = [getattr(r, name) for r in records]
         mean, se = batch_means(series)
         summary[name] = {"mean": mean, "stderr": se}
-        if name == "s_ym" and len(series) >= 4:
-            summary["stationarity_s_ym"] = stationarity_check(series)
+        if name == "s_ym":
+            summary[name].update(tau_int=tau_int(series), ess=effective_sample_size(series))
+            if len(series) >= 4:
+                summary["stationarity_s_ym"] = stationarity_check(series)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1)
     print(f"{len(records)} records -> {csv_path}")

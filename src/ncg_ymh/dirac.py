@@ -113,6 +113,13 @@ class GaugeTriple:
         return self.fuzzy.sig
 
 
+def lift(K, n: int) -> np.ndarray:
+    """K (x) 1_n: an N x N block, or each block of a stack, acting on M_N (x) M_n = M_{Nn}."""
+    K = np.asarray(K)
+    N = K.shape[-1]
+    return np.einsum("...ij,ab->...iajb", K, np.eye(n)).reshape(K.shape[:-2] + (N * n, N * n))
+
+
 def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
     M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (M + M.conj().T) / 2
@@ -236,7 +243,7 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int = 0,
     for I in _all_indices():
         blk = gt.fuzzy.block(I)
         e = I.sign(sig)
-        op = gen_comm(np.kron(blk, np.eye(gt.n)), e)
+        op = gen_comm(lift(blk, gt.n), e)
         # adjoint = e * op whenever K* = e K; the gamma factor restores
         # self-adjointness of the full Dirac term
         dev = max(dev, np.abs(op.adjoint().rep - e * op.rep).max())

@@ -33,4 +33,4 @@ class NotRiemannian(NcgError):
 
 
 class UnstableAction(NcgError):
-    """Action non-finite or diverged, at the start or during burn-in."""
+    """Action non-finite or diverged, at the start of a chain or after any sweep."""

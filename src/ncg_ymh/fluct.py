@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule, gamma_product, single, hat
-from .dirac import (GaugeTriple, assemble_product_dirac, conjugate_by_J,
+from .dirac import (GaugeTriple, assemble_product_dirac, conjugate_by_J, lift,
                     random_hermitian, represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
 from .superop import SuperOp, gen_comm, left_mult, right_mult, unvec, vec
@@ -226,29 +226,20 @@ def higgs_field(fl: Fluctuation, gt: GaugeTriple) -> SuperOp:
 def covariant_matrices(K, A) -> np.ndarray:
     """The (4, m, m) stack X_mu = K_mu (x) 1_n + A_mu from N x N blocks K_mu."""
     K, A = np.asarray(K), np.asarray(A)
-    N, m = K.shape[-1], A.shape[-1]
-    return np.einsum("kij,ab->kiajb", K, np.eye(m // N)).reshape(A.shape) + A
+    return lift(K, A.shape[-1] // K.shape[-1]) + A
 
 
 def covariant_ops(gt: GaugeTriple, fl: Fluctuation):
     """The four superops d_mu = {K_mu (x) 1 + A_mu, .}_{e_mu}."""
-    sig = gt.sig
-    n = gt.n
-    return [gen_comm(np.kron(gt.fuzzy.block(single(mu)), np.eye(n)) + fl.A[mu], sig.e[mu])
-            for mu in range(4)]
+    X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
+    return [gen_comm(Xmu, e) for Xmu, e in zip(X, gt.sig.e)]
 
 
 def triple_ops(gt: GaugeTriple, fl: Fluctuation):
     """The four superops x_mu + s_mu for the triple-index sector."""
-    sig = gt.sig
-    n = gt.n
-    out = []
-    for mu in range(4):
-        blk = np.kron(gt.fuzzy.block(hat(mu)), np.eye(n))
-        if fl.S is not None:
-            blk = blk + fl.S[mu]
-        out.append(gen_comm(blk, sig.e_hat[mu]))
-    return out
+    S = np.zeros((4, gt.m, gt.m)) if fl.S is None else fl.S
+    Y = covariant_matrices([gt.fuzzy.block(hat(mu)) for mu in range(4)], S)
+    return [gen_comm(Ymu, e) for Ymu, e in zip(Y, gt.sig.e_hat)]
 
 
 def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,

@@ -7,7 +7,7 @@ import numpy as np
 
 from .action import ActionPolynomial, field_strength, sectors, spectral_action_direct
 from .clifford import build_gammas, single
-from .dirac import GaugeTriple
+from .dirac import GaugeTriple, lift
 from .errors import NotRiemannian
 from .fluct import (Fluctuation, assemble_fluctuated, one_form_span, project_higgs,
                     selfadjoint_span_basis)
@@ -44,6 +44,11 @@ def random_unitary(N: int, n: int, product_form: bool = False,
     return GaugeElement(u=_haar(N * n, rng))
 
 
+def _lifted_L(gt: GaugeTriple) -> np.ndarray:
+    """The four L_mu (x) 1_n."""
+    return lift([gt.fuzzy.block(single(mu)) for mu in range(4)], gt.n)
+
+
 def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
     """A_mu -> u A_mu u* + u [L_mu, u*];  phi -> u phi u* + u [D_F, u*].
 
@@ -54,11 +59,9 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
         raise NotRiemannian("matrix-level gauge transformation needs signature (0, 4)")
     u = g.u
     ustar = u.conj().T
-    n = gt.n
     A_new = []
-    for mu in range(4):
-        Lmu = np.kron(gt.fuzzy.block(single(mu)), np.eye(n))
-        A_new.append(u @ fl.A[mu] @ ustar + u @ (Lmu @ ustar - ustar @ Lmu))
+    for A, Lmu in zip(fl.A, _lifted_L(gt)):
+        A_new.append(u @ A @ ustar + u @ (Lmu @ ustar - ustar @ Lmu))
     DFbig = gt.lifted_D_F
     phi_new = u @ fl.phi @ ustar + u @ (DFbig @ ustar - ustar @ DFbig)
     return Fluctuation(A=tuple(A_new), S=fl.S, phi=phi_new)
@@ -93,7 +96,7 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
         raise NotRiemannian("covariance is asserted in signature (0, 4) only")
     u = g.u
     ustar = u.conj().T
-    n = gt.n
+    L = _lifted_L(gt)
     fl_u = transform(gt, fl, g)
     F0 = field_strength(gt, fl).F_matrix
     Fu = field_strength(gt, fl_u).F_matrix
@@ -101,11 +104,9 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
     cov = 0.0
     ts_dev = 0.0
     for mu in range(4):
-        Lmu = np.kron(gt.fuzzy.block(single(mu)), np.eye(n))
         for nu in range(mu + 1, 4):
-            Lnu = np.kron(gt.fuzzy.block(single(nu)), np.eye(n))
             cov = max(cov, np.abs(Fu[mu][nu] - u @ F0[mu][nu] @ ustar).max())
-            LL = Lmu @ Lnu - Lnu @ Lmu
+            LL = L[mu] @ L[nu] - L[nu] @ L[mu]
             T0 = F0[mu][nu] - LL
             Tu = Fu[mu][nu] - LL
             ts_dev = max(ts_dev, np.abs(Tu - (u @ T0 @ ustar + u @ LL @ ustar - LL)).max())

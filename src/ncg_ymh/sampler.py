@@ -10,12 +10,28 @@ ideal of the simple algebra M_n, so the Higgs space is 0 (D_F scalar: phi is
 dropped) or all of Herm(m).  A proposal adds a step times a Gaussian
 Hermitian generator, made traceless anti-Hermitian for A_mu.
 
+At the sampler's sizes (m = 8) numpy's per-call overhead is most of a
+proposal's cost, so the loop makes few calls: A is held as one (4, m, m)
+array, and an A_mu candidate is one copy of it with one slice updated; the
+kernel's arguments X and P of the current state are kept, so a candidate
+recomputes only the one that changes; and each field's generators are drawn
+in chunks of about _DRAW_ENTRIES matrix entries, in the order one draw per
+proposal would take them.  The candidate arrays are never written after the
+kernel has seen them.  A non-finite or diverging action (|S| > 1e12) stops
+the chain with UnstableAction at the start and after any sweep, not only
+during burn-in.
+
 Streams: SeedSequence(seed, spawn_key=(k,)) with k = 4 + mu for A_mu, 8 for
 phi and 9 for the accept/reject uniforms; 0..3 are retired.  Identical seeds
 give bit-identical chains on one platform.
+
+Diagnostics: `run_chain`'s info reports the post-burn-in acceptance per
+field and the autotune step-size trajectory; `tau_int` and
+`effective_sample_size` read a finished record series.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -61,7 +77,7 @@ class ChainState:
     """The chain's fields and the action breakdown evaluated on them."""
 
     L: list
-    A: list
+    A: np.ndarray  # (4, m, m): A_mu = A[mu]
     phi: np.ndarray
     breakdown: ActionBreakdown
     accept_count: int = 0
@@ -117,10 +133,53 @@ def stationarity_check(values, n_batches: int = 20) -> dict:
     }
 
 
-def _su_project(H: np.ndarray) -> np.ndarray:
-    """Hermitian generator -> traceless anti-Hermitian increment."""
-    N = H.shape[0]
-    return 1j * (H - np.trace(H) / N * np.eye(N))
+def tau_int(values, c: float = 5.0) -> float:
+    """Integrated autocorrelation time of a series, in records.
+
+    tau = 1/2 + sum_{t=1}^{W} rho(t) with Sokal's automatic window: the
+    smallest W >= c tau(W).  The autocorrelation rho comes from one FFT.
+    Series shorter than 4 or constant give 1/2, the value of independent
+    records.
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if n < 4:
+        return 0.5
+    x = x - x.mean()
+    if not np.any(x):
+        return 0.5
+    f = np.fft.rfft(x, 2 * n)
+    acf = np.fft.irfft(f * np.conj(f))[:n]
+    rho = acf / acf[0]
+    tau = 0.5
+    for w in range(1, n):
+        tau += rho[w]
+        if w >= c * tau:
+            break
+    return max(tau, 0.5)
+
+
+def effective_sample_size(values) -> float:
+    """n / (2 tau_int): the number of independent records the series is worth."""
+    n = len(values)
+    return n / (2 * tau_int(values)) if n else 0.0
+
+
+# Gaussian generators are drawn for about this many matrix entries per field at a time
+_DRAW_ENTRIES = 1 << 12
+
+
+def _generators(rng, k: int, m: int, traceless: bool) -> np.ndarray:
+    """The next k Hermitian generators of the stream, as k `random_hermitian` calls draw them.
+
+    traceless turns each into the traceless anti-Hermitian increment of A_mu.
+    """
+    M = rng.normal(size=(k, 2, m, m))
+    M = M[:, 0] + 1j * M[:, 1]
+    H = (M + M.conj().transpose(0, 2, 1)) / 2
+    if traceless:
+        H = 1j * (H - np.trace(H, axis1=1, axis2=2)[:, None, None] * (np.eye(m) / m))
+    return H
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite action is refused, not warned of
@@ -129,7 +188,10 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
 
     The template supplies n, D_F and the signature; its L blocks, made
     traceless, stay fixed (zero blocks are fine).  Fully deterministic under
-    cfg.seed.
+    cfg.seed.  Besides the final state, info holds the tuned step sizes,
+    the post-burn-in acceptance overall and per field, and the autotune
+    trajectory: per tuning window its last sweep, each field's acceptance
+    and the step sizes it led to.
     """
     sig = gt_template.sig
     N = cfg.N
@@ -145,63 +207,73 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     L = [K - np.trace(K) / N * np.eye(N) for K in L]
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
-    def breakdown(A, phi):
-        traces = bitracial_traces(LX + np.asarray(A), DF_big + phi, phi,
-                                  sig.e, sig.eps_dblprime)
-        return sector_breakdown(traces, cfg.poly)
+    def breakdown(X, P, phi):
+        return sector_breakdown(bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime), cfg.poly)
 
-    spawn_keys = {f"A{mu}": 4 + mu for mu in range(4)}
+    fields = [0, 1, 2, 3]  # mu of each A_mu; None stands for phi
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
-        spawn_keys["phi"] = 8
-    rngs = {name: np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
-            for name, k in spawn_keys.items()}
+        fields.append(None)
+    names = ["phi" if mu is None else f"A{mu}" for mu in fields]
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+        entropy=cfg.seed, spawn_key=(8 if mu is None else 4 + mu,))) for mu in fields]
     accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
     sizes = {**_STEP_SIZES, **cfg.step_sizes}
-    steps = {name: float(sizes["phi" if name == "phi" else "A"]) for name in rngs}
-    A = [np.zeros((m, m), dtype=complex) for _ in range(4)]
+    steps = [float(sizes["phi" if mu is None else "A"]) for mu in fields]
+    A = np.zeros((4, m, m), dtype=complex)
     phi = np.zeros((m, m), dtype=complex)
-    state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(A, phi))
+    X, P = LX + A, DF_big + phi  # the kernel's arguments at the current state
+    state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(X, P, phi))
     if not abs(state.current_action) <= _DIVERGENCE:  # also catches NaN
         raise UnstableAction(f"initial action {state.current_action:.3e}")
 
-    # each field is proposed once per sweep: a tuning window is tune_interval proposals
-    window_acc = dict.fromkeys(rngs, 0)
+    chunk = max(1, _DRAW_ENTRIES // (m * m))
+    accepted = [0] * len(fields)  # per field, over the whole chain
+    window_start = after_burn_in = accepted[:]
+    trajectory = []
     records = []
 
     for sweep in range(cfg.steps):
-        for name, rng in rngs.items():
-            H = random_hermitian(m, rng)
-            A, phi = state.A, state.phi
-            if name == "phi":
-                phi = phi + steps[name] * H
+        j = sweep % chunk
+        if j == 0:
+            k = min(chunk, cfg.steps - sweep)
+            draws = [_generators(rng, k, m, mu is not None) for rng, mu in zip(rngs, fields)]
+        for i, mu in enumerate(fields):
+            increment = steps[i] * draws[i][j]
+            if mu is None:
+                A_c, phi_c = state.A, state.phi + increment
+                X_c, P_c = X, DF_big + phi_c
             else:
-                mu = int(name[1])
-                A = list(A)
-                A[mu] = A[mu] + steps[name] * _su_project(H)
-
-            cand = breakdown(A, phi)
+                A_c, phi_c = state.A.copy(), state.phi
+                A_c[mu] += increment
+                X_c, P_c = LX + A_c, P
+            cand = breakdown(X_c, P_c, phi_c)
             delta = cand.total_closed - state.current_action
             state.proposal_count += 1
-            if delta <= 0 or accept_rng.uniform() < np.exp(-min(delta, 700.0)):
-                state.A, state.phi, state.breakdown = A, phi, cand
+            if delta <= 0 or accept_rng.random() < math.exp(-delta):
+                state.A, state.phi, state.breakdown = A_c, phi_c, cand
+                X, P = X_c, P_c
                 state.accept_count += 1
-                window_acc[name] += 1
+                accepted[i] += 1
 
+        if not abs(state.current_action) <= _DIVERGENCE:
+            raise UnstableAction(f"action {state.current_action:.3e} at sweep {sweep}")
         in_burn = sweep < cfg.burn_in
-        if in_burn and not abs(state.current_action) <= _DIVERGENCE:
-            raise UnstableAction(f"action {state.current_action:.3e} during burn-in")
         if in_burn and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
+            # each field is proposed once per sweep: a window is tune_interval proposals
             lo, hi = cfg.target_acceptance
-            for name, accepted in window_acc.items():
-                rate = accepted / cfg.tune_interval
+            rates = [(a - a0) / cfg.tune_interval for a, a0 in zip(accepted, window_start)]
+            for i, rate in enumerate(rates):
                 if rate > hi:
-                    steps[name] *= 1.25
+                    steps[i] *= 1.25
                 elif rate < lo:
-                    steps[name] /= 1.25
-            window_acc = dict.fromkeys(rngs, 0)
+                    steps[i] /= 1.25
+            trajectory.append({"sweep": sweep, "acceptance": dict(zip(names, rates)),
+                               "step_sizes": dict(zip(names, steps))})
+            window_start = accepted[:]
         if sweep + 1 == cfg.burn_in:
             # acceptance statistics restart after burn-in
             state.accept_count = state.proposal_count = 0
+            after_burn_in = accepted[:]
 
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
             br = state.breakdown
@@ -209,8 +281,13 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             records.append(SampleRecord(step=sweep, s_total=br.total_closed, s_ym=br.s_ym,
                                         s_h=br.s_h, s_gh=br.s_gh, s_theta=br.s_theta,
                                         acceptance=rate))
-    info = {"step_sizes": steps, "final_state": state,
-            "acceptance": state.accept_count / max(1, state.proposal_count)}
+    sampled = max(1, cfg.steps - cfg.burn_in)
+    info = {"step_sizes": dict(zip(names, steps)),
+            "final_state": state,
+            "acceptance": state.accept_count / max(1, state.proposal_count),
+            "acceptance_by_field": {name: (a - a0) / sampled for name, a, a0
+                                    in zip(names, accepted, after_burn_in)},
+            "step_size_trajectory": trajectory}
     return records, info
 
 

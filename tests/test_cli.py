@@ -446,3 +446,29 @@ def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
         fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(sig)), 8)
     want = json.dumps({"bin_edges": list(map(float, edges)), "counts": list(map(int, counts))})
     assert (tmp_path / "spectrum_histogram.json").read_text() == want
+
+
+def test_sample_summary_reports_autocorrelation_and_acceptance(tmp_path):
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
+        "sampler": {"steps": 120, "burn_in": 50, "thin": 2},
+        "out": str(tmp_path),
+    })
+    assert run(["sample", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    s_ym = summary["s_ym"]
+    assert s_ym["tau_int"] >= 0.5
+    assert s_ym["ess"] == pytest.approx(summary["n_records"] / (2 * s_ym["tau_int"]))
+    assert set(summary["acceptance_by_field"]) == {"A0", "A1", "A2", "A3", "phi"}
+    assert [entry["sweep"] for entry in summary["step_size_trajectory"]] == [24, 49]
+    assert summary["step_size_trajectory"][-1]["step_sizes"] == summary["step_sizes"]
+
+
+def test_sample_divergence_after_burn_in_is_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "geometry": {"N": 2, "n": 2}, "fields": {"source": "zero"}, "poly": [0, -1e13, 0, 1],
+        "sampler": {"steps": 40, "burn_in": 0}, "seed": 1, "out": str(tmp_path),
+    })
+    assert run(["sample", "--config", cfg]) == 1
+    assert "at sweep" in capsys.readouterr().err
+    assert not (tmp_path / "records.csv").exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,160 @@ def test_chain_samples_its_weight_schwinger_dyson(monkeypatch, kind):
                       for row in traces[name]]
             mean, se = sampler.batch_means(virial)
             assert (abs(mean - target) <= 4 * se) == holds, (name, poly.coeffs, mean, se)
+
+
+def test_divergence_after_burn_in_is_unstable():
+    # a2 = -1e13 drives the fields outwards from the first sweep; with no burn-in
+    # the chain used to record |S| ~ 1e15 and return
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=ActionPolynomial((0, -1e13, 0, 1)), steps=40,
+                                burn_in=0, seed=1)
+    with pytest.raises(UnstableAction, match="at sweep"):
+        sampler.run_chain(cfg, ym_template())
+
+
+def ar1(rho, n, seed):
+    """Stationary AR(1) series with unit variance."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=n) * np.sqrt(1 - rho * rho)
+    x = np.empty(n)
+    x[0] = rng.normal()
+    for t in range(1, n):
+        x[t] = rho * x[t - 1] + noise[t]
+    return x
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
+def test_tau_int_of_ar1(rho):
+    # tau_int = 1/2 + sum_t rho^t = (1 + rho) / (2 (1 - rho)); the windowed estimate
+    # scatters by about 2 % here
+    x = ar1(rho, 100_000, seed=17)
+    exact = (1 + rho) / (2 * (1 - rho))
+    assert abs(sampler.tau_int(x) / exact - 1) <= 0.1
+    assert sampler.effective_sample_size(x) == x.size / (2 * sampler.tau_int(x))
+
+
+def test_tau_int_degenerate_series():
+    assert sampler.tau_int([]) == 0.5
+    assert sampler.tau_int([3.0] * 50) == 0.5
+    assert sampler.effective_sample_size([]) == 0.0
+
+
+def test_chain_reports_acceptance_per_field_and_tuning_trajectory():
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=120, burn_in=60, seed=4,
+                                tune_interval=20)
+    records, info = sampler.run_chain(cfg, higgs_template(seed=2))
+    by_field = info["acceptance_by_field"]
+    assert list(by_field) == ["A0", "A1", "A2", "A3", "phi"]
+    assert all(0 <= rate <= 1 for rate in by_field.values())
+    # every field is proposed once per sweep, so the overall rate is the mean
+    assert abs(np.mean(list(by_field.values())) - info["acceptance"]) <= 1e-12
+    assert abs(records[-1].acceptance - info["acceptance"]) <= 1e-12
+    trajectory = info["step_size_trajectory"]
+    assert [entry["sweep"] for entry in trajectory] == [19, 39, 59]
+    assert trajectory[-1]["step_sizes"] == info["step_sizes"]
+    lo, hi = cfg.target_acceptance
+    before = {name: 0.1 if name == "phi" else 0.08 for name in by_field}
+    for entry in trajectory:
+        assert set(entry["acceptance"]) == set(entry["step_sizes"]) == set(by_field)
+        for name, rate in entry["acceptance"].items():
+            factor = 1.25 if rate > hi else 1 / 1.25 if rate < lo else 1.0
+            assert entry["step_sizes"][name] == pytest.approx(before[name] * factor, rel=1e-15)
+        before = entry["step_sizes"]
+    _, fixed = sampler.run_chain(sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=30,
+                                                       burn_in=20, autotune=False), ym_template())
+    assert fixed["step_size_trajectory"] == []
+    assert list(fixed["acceptance_by_field"]) == ["A0", "A1", "A2", "A3"]
+
+
+def reference_chain(cfg, gt):
+    """Plain Metropolis over (A, phi) with the sampler's streams and tuning rule.
+
+    One `random_hermitian` draw per proposal on spawn key 4 + mu (A_mu) or 8
+    (phi), the accept uniforms on key 9, and the action from `action.sectors`.
+    Returns the accept decisions, the breakdown after every sweep and the
+    final step sizes.
+    """
+    from ncg_ymh.action import sectors
+    N, m = cfg.N, cfg.N * cfg.n
+    L = {}
+    for mu in range(4):
+        K = np.asarray(gt.fuzzy.block(dirac.single(mu)), dtype=complex)
+        L[dirac.single(mu)] = K - np.trace(K) / N * np.eye(N)
+    fixed = GaugeTriple(fuzzy=dirac.FuzzyData(N=N, sig=gt.sig, K=L), finite=gt.finite)
+
+    def action(A, phi):
+        return sectors(fixed, fluct.Fluctuation(A=tuple(A), S=None, phi=phi), cfg.poly)
+
+    keys = {f"A{mu}": 4 + mu for mu in range(4)}
+    if not gt.finite.is_scalar:
+        keys["phi"] = 8
+    rngs = {name: np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
+            for name, k in keys.items()}
+    accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
+    steps = {name: cfg.step_sizes["phi" if name == "phi" else "A"] for name in keys}
+    A, phi = [np.zeros((m, m), dtype=complex)] * 4, np.zeros((m, m), dtype=complex)
+    current = action(A, phi)
+    window = dict.fromkeys(keys, 0)
+    decisions, states = [], []
+    for sweep in range(cfg.steps):
+        for name, rng in rngs.items():
+            H = dirac.random_hermitian(m, rng)
+            A_c, phi_c = list(A), phi
+            if name == "phi":
+                phi_c = phi + steps[name] * H
+            else:
+                mu = int(name[1])
+                A_c[mu] = A[mu] + steps[name] * 1j * (H - np.trace(H) / m * np.eye(m))
+            cand = action(A_c, phi_c)
+            delta = cand.total_closed - current.total_closed
+            accept = bool(delta <= 0 or accept_rng.uniform() < np.exp(-delta))
+            decisions.append(accept)
+            if accept:
+                A, phi, current = A_c, phi_c, cand
+                window[name] += 1
+        if sweep < cfg.burn_in and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
+            lo, hi = cfg.target_acceptance
+            for name, accepted in window.items():
+                rate = accepted / cfg.tune_interval
+                steps[name] *= 1.25 if rate > hi else 1 / 1.25 if rate < lo else 1
+            window = dict.fromkeys(keys, 0)
+        states.append(current)
+    return decisions, states, steps
+
+
+def test_chain_matches_reference_metropolis_loop(monkeypatch):
+    # m = 4: more than one draw chunk (sampler._DRAW_ENTRIES // m^2 sweeps) and
+    # four tuning windows, autotune on
+    gt = higgs_template(seed=8)
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=300, burn_in=100, seed=23)
+    assert cfg.steps > sampler._DRAW_ENTRIES // 16 and cfg.burn_in > 2 * cfg.tune_interval
+    candidates = []
+    breakdown = sampler.sector_breakdown
+
+    def spy(tr, poly):
+        candidates.append(breakdown(tr, poly).total_closed)
+        return breakdown(tr, poly)
+
+    monkeypatch.setattr(sampler, "sector_breakdown", spy)
+    records, info = sampler.run_chain(cfg, gt)
+    monkeypatch.undo()
+    # decode run_chain's decisions: its candidates, its accept stream, its rule
+    accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
+    current, decisions, after_sweep = candidates[0], [], []
+    for k, cand in enumerate(candidates[1:]):
+        delta = cand - current
+        accept = bool(delta <= 0 or accept_rng.random() < math.exp(-delta))
+        decisions.append(accept)
+        current = cand if accept else current
+        if (k + 1) % 5 == 0:
+            after_sweep.append(current)
+    assert [r.s_total for r in records] == after_sweep[cfg.burn_in:]
+
+    want_decisions, states, want_steps = reference_chain(cfg, gt)
+    assert decisions == want_decisions
+    assert 0.1 < np.mean(decisions) < 0.9  # both outcomes are exercised
+    assert info["step_sizes"] == pytest.approx(want_steps, rel=1e-15)
+    for r, want in zip(records, states[cfg.burn_in:]):
+        for name in ("s_total", "s_ym", "s_h", "s_gh", "s_theta"):
+            w = getattr(want, "total_closed" if name == "s_total" else name)
+            assert abs(getattr(r, name) - w) <= 1e-12 * abs(w), (r.step, name)
