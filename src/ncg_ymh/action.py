@@ -9,12 +9,19 @@ r(b), and the rules
     Tr_{M_m} l(a) r(b) = Tr a Tr b
 
 turn each such trace into a bi-tracial polynomial in m x m matrices.  One
-kernel, `bitracial_traces`, evaluates the seven traces that the sectors and
-the quadratic and quartic trace lemmas are built from.  Every term is a
-product of entries of one Gram matrix Tr(S_i S_j) over a short stack of
-words S_i, except the commutator squares, which are traced from explicit
-commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from one
-(6m x m) @ (m x 6m) matrix product, not 36 small ones.  At the sampler's
+kernel, `stack_traces`, evaluates the seven traces that the sectors and
+the quadratic and quartic trace lemmas are built from.  It reads a stack
+S = (1, X_0..X_3, P, phi) of m x m matrices followed by three scratch rows
+(the layout is named here: STACK_X, STACK_P, STACK_PHI), into which it writes
+P^2, phi^2 and Q of that stack and nowhere else, so a caller may hold the
+stack across calls (the sampler updates one or two rows per candidate)
+while several threads run the kernel on stacks of their own;
+`bitracial_traces(X, P, phi, ...)` fills a fresh stack and calls it.  Every
+term is a product of entries of one Gram matrix Tr(S_i S_j), except the
+commutator squares, which are traced from 14 explicit commutators.  All
+products Y_a Y_b of Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m)
+matrix product, not 36 small ones, and one `np.take` on flat indices,
+cached per m, gathers the 34 blocks the kernel reads.  At the sampler's
 sizes (m = 8) the cost is the number of numpy calls more than the flops,
 and this form keeps that number small.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength`, the shortcut side of
@@ -23,6 +30,7 @@ oracles.  Index raising uses the constant signature eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,24 +156,55 @@ class BiTraces(NamedTuple):
     dPhi2: float       # sum e_mu Tr [d_mu, Phi]^2
 
 
-# rows of the Gram stack S = (1, X_0..X_3, P, phi, P^2, phi^2, Q); Y = S[1:7]
-_X, _P, _PHI, _P2, _PHI2, _Q = slice(1, 5), 5, 6, 7, 8, 9
+# Rows of the kernel stack S: the identity, X_0..X_3 (row STACK_X + mu), P and phi,
+# then three scratch rows that `stack_traces` overwrites with P^2, phi^2 and Q.
+STACK_ROWS, STACK_X, STACK_P, STACK_PHI = 10, 1, 5, 6
+_X, _P, _PHI, _P2, _PHI2, _Q = slice(STACK_X, STACK_X + 4), STACK_P, STACK_PHI, 7, 8, 9
+# the 14 commutators [Y_a, Y_b] the traces need, Y = (X_0..X_3, P, phi):
+# [X_mu, X_nu] for mu < nu (F^2 is symmetric in mu, nu), then [X_mu, P] and [X_mu, phi]
+_COMMUTATORS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)] + \
+    [(mu, b) for b in (4, 5) for mu in range(4)]
 
 
-def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> BiTraces:
+def kernel_stack(X: np.ndarray, P: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The (STACK_ROWS, m, m) input of `stack_traces` for (X, P, phi); scratch rows unset."""
+    m = X.shape[-1]
+    S = np.empty((STACK_ROWS, m, m), dtype=complex)
+    S[0], S[_X], S[_P], S[_PHI] = np.eye(m), X, P, phi
+    return S
+
+
+@functools.lru_cache(maxsize=8)
+def _product_blocks(m: int) -> np.ndarray:
+    """Flat indices, into the 6m x 6m product Y Y, of the 34 blocks Y_a Y_b the kernel reads.
+
+    In order: Y_a Y_b and Y_b Y_a for each pair of _COMMUTATORS, then the
+    squares Y_0^2 .. Y_5^2.  Read-only, as every caller shares it.
+    """
+    pairs = _COMMUTATORS + [(b, a) for a, b in _COMMUTATORS] + [(k, k) for k in range(6)]
+    i = np.arange(m)
+    idx = np.array([(a * m + i)[:, None] * (6 * m) + b * m + i for a, b in pairs])
+    idx.flags.writeable = False
+    return idx
+
+
+def stack_traces(S: np.ndarray, e, eps) -> BiTraces:
     """The seven traces over M_m as bi-tracial polynomials in m x m matrices.
 
-    X is the (4, m, m) stack X_mu = K_mu (x) 1 + A_mu, P = 1 (x) D_F + phi,
-    e the signs e_mu and eps = eps''.  With d_mu = l(X_mu) + e_mu r(X_mu) and
+    S is the kernel stack (see `kernel_stack`): rows 0..6 hold (1, X_mu, P,
+    phi), with X_mu = K_mu (x) 1 + A_mu and P = 1 (x) D_F + phi; e are the
+    signs e_mu and eps = eps''.  With d_mu = l(X_mu) + e_mu r(X_mu) and
     Phi = l(P) + eps r(phi), every trace follows from l(a) l(b) = l(ab),
     r(a) r(b) = r(ba), [l, r] = 0 and Tr l(a) r(b) = Tr a Tr b.
 
     Every term is a product of Gram entries G_ij = Tr(S_i S_j) over the
-    stack S = (1, X_mu, P, phi, P^2, phi^2, Q), Q = sum e_mu X_mu^2: one
+    stack completed by P^2, phi^2 and Q = sum e_mu X_mu^2, which the kernel
+    writes into the scratch rows 7..9 of S; rows 0..6 are only read.  One
     matrix product forms G, Tr S_i is G_0i, and the sums over mu are read
-    off W = G_{., X} G_{X, .}.  All 36 products Y_a Y_b of Y = (X_mu, P, phi)
-    come from one (6m x m) @ (m x 6m) product, read through views.  F^2 and
-    [d, Phi]^2 are traced from the commutators themselves, not from a
+    off W = G_{., X} G_{X, .}.  The products Y_a Y_b of Y = (X_mu, P, phi)
+    come from one (6m x m) @ (m x 6m) product, and one `np.take` on flat
+    indices cached per m gathers the 34 blocks the kernel reads.  F^2 and
+    [d, Phi]^2 are traced from the 14 commutators themselves, not from a
     difference of Gram entries, so that commuting data gives exactly zero.
     Entries stay complex until the end: Tr X_mu is imaginary in signature
     (0, 4).
@@ -174,16 +213,15 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
     the kernel, silence numpy's overflow warnings, since entering
     `np.errstate` costs about 2 % of a kernel call at m = 8.
     """
-    m = X.shape[-1]
-    S = np.empty((10, m, m), dtype=complex)
-    S[0], S[_X], S[_P], S[_PHI] = np.eye(m), X, P, phi
+    m = S.shape[-1]
     Y = S[1:7]
-    YY = (Y.reshape(6 * m, m) @ Y.transpose(1, 0, 2).reshape(m, 6 * m)).reshape(6, m, 6, m)
-    C = YY[:4] - YY[:, :, :4].transpose(2, 1, 0, 3)  # C[mu, :, b, :] = [X_mu, Y_b]
-    ec = np.einsum("a,aibj,ajbi->b", e, C, C).tolist()  # sum_mu e_mu Tr [X_mu, Y_b]^2
-    S[_P2], S[_PHI2] = YY[4, :, 4], YY[5, :, 5]
-    np.einsum("k,kikj->ij", e, YY[:4, :, :4], out=S[_Q])
-    G = S.reshape(10, -1) @ S.transpose(0, 2, 1).reshape(10, -1).T
+    B = np.take(Y.reshape(6 * m, m) @ Y.transpose(1, 0, 2).reshape(m, 6 * m),
+                _product_blocks(m))
+    C = B[:14] - B[14:28]
+    t = np.einsum("kij,kji->k", C, C).tolist()  # Tr [Y_a, Y_b]^2 over _COMMUTATORS
+    S[_P2], S[_PHI2] = B[32], B[33]
+    np.einsum("k,kij->ij", e, B[28:32], out=S[_Q])
+    G = S.reshape(STACK_ROWS, -1) @ S.transpose(0, 2, 1).reshape(STACK_ROWS, -1).T
     g, w = G.tolist(), (G[:, _X] @ G[_X]).tolist()
 
     trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
@@ -192,15 +230,22 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
         theta=(2 * m * trQ + 2 * w[0][0]).real,
         theta2=(2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
                 + 4 * (w[1][1] + w[2][2] + w[3][3] + w[4][4])).real,
-        F2=(2 * m * (e0 * ec[0] + e1 * ec[1] + e2 * ec[2] + e3 * ec[3])).real,
+        F2=(4 * m * (e0 * (e1 * t[0] + e2 * t[1] + e3 * t[2]) + e1 * (e2 * t[3] + e3 * t[4])
+                     + e2 * e3 * t[5])).real,
         Phi2=(m * (trP2 + trphi2) + 2 * eps * trP * trphi).real,
         Phi4=(m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
               + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI])).real,
         Phi2_theta=(m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
                     + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
                     + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI]).real,
-        dPhi2=(m * (ec[4] + ec[5])).real,
+        dPhi2=(m * (e0 * (t[6] + t[10]) + e1 * (t[7] + t[11]) + e2 * (t[8] + t[12])
+                    + e3 * (t[9] + t[13]))).real,
     )
+
+
+def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> BiTraces:
+    """`stack_traces` of (X, P, phi): X the (4, m, m) stack X_mu, P and phi m x m."""
+    return stack_traces(kernel_stack(X, P, phi), e, eps)
 
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import resource
 import sys
@@ -97,6 +98,47 @@ def _check_keys(cfg):
             raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
 
 
+# the scalar keys and what each must hold; JSON true and false are not numbers here
+_INTEGERS = {"seed": 0, "histogram_bins": 0, "geometry.p": 0, "geometry.q": 0,
+             "geometry.N": 1, "geometry.n": 1, "fields.seed": 0, "sampler.steps": 0,
+             "sampler.burn_in": 0, "sampler.thin": 1, "sampler.self_test_N": 1}  # least value
+_POSITIVE = ("fields.scale", "sampler.step_sizes.A", "sampler.step_sizes.phi")
+_FLAGS = ("self_test", "fields.include_x", "fields.fluctuation", "sampler.autotune")
+_ABSENT = object()
+
+
+def _lookup(cfg: dict, name: str):
+    *blocks, key = name.split(".")
+    for block in blocks:
+        cfg = cfg.get(block, {})
+    return cfg.get(key, _ABSENT)
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _check_values(cfg: dict):
+    """Refuse a scalar of the wrong type or range, naming its key, before anything is built."""
+    for name, least in _INTEGERS.items():
+        value = _lookup(cfg, name)
+        if value is not _ABSENT and not (type(value) is int and value >= least):
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    for name in _POSITIVE:
+        value = _lookup(cfg, name)
+        if value is _ABSENT or (value is None and name == "fields.scale"):  # null: 1/sqrt(N)
+            continue
+        if not (_is_number(value) and value > 0):
+            raise ConfigError(f"{name} must be a positive number, got {value!r}")
+    for name in _FLAGS:
+        value = _lookup(cfg, name)
+        if value is not _ABSENT and type(value) is not bool:
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+    poly = cfg.get("poly", _ABSENT)
+    if poly is not _ABSENT and not (type(poly) is list and poly and all(map(_is_number, poly))):
+        raise ConfigError(f"poly must be a non-empty list of numbers, got {poly!r}")
+
+
 def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
     """Per-purpose spawn stream of the root seed; D_F uses counter 1."""
     return np.random.default_rng(np.random.SeedSequence(entropy=root_seed,
@@ -121,6 +163,7 @@ def load_config(args) -> dict:
         cfg["self_test"] = True
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", ".")
+    _check_values(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     return cfg
 
@@ -219,6 +262,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _statistic(x: float) -> float | None:
+    """A statistic for summary.json: null where it is undefined (NaN), as JSON has no NaN."""
+    return x if math.isfinite(x) else None
+
+
+def _write_summary(out_dir: str, summary: dict):
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=1, allow_nan=False)
+
+
 # --------------------------------------------------------------- subcommands
 
 def cmd_verify(cfg: dict) -> int:
@@ -310,9 +363,10 @@ def cmd_sample(cfg: dict) -> int:
     out_dir = cfg["out"]
     if cfg.get("self_test"):
         sp = cfg.get("sampler", {})
-        res = gaussian_self_test(N=int(sp.get("self_test_N", 2)),
-                                 samples=int(sp.get("steps", 100_000)),
-                                 seed=seed)
+        samples = sp.get("steps", 100_000)
+        if samples < 1:
+            raise ConfigError("sampler.steps must be >= 1 for the self test, got 0")
+        res = gaussian_self_test(N=sp.get("self_test_N", 2), samples=samples, seed=seed)
         csv_path = os.path.join(out_dir, "samples.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -320,10 +374,9 @@ def cmd_sample(cfg: dict) -> int:
             for i, v in enumerate(res["samples"]):
                 writer.writerow([i, _fmt(v)])
         summary = {k: v for k, v in res.items() if k != "samples"}
-        summary["seed"] = seed
-        summary["mode"] = "gaussian-self-test"
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1)
+        summary.update(mean_tr_m2=_statistic(res["mean_tr_m2"]),
+                       stderr=_statistic(res["stderr"]), seed=seed, mode="gaussian-self-test")
+        _write_summary(out_dir, summary)
         print(f"<Tr M^2> = {res['mean_tr_m2']:.4f} +- {res['stderr']:.4f} "
               f"(target {res['target']}, acceptance {res['acceptance']:.2f})")
         return 0
@@ -367,13 +420,12 @@ def cmd_sample(cfg: dict) -> int:
     for name in ("s_total", "s_ym", "s_h", "s_gh", "s_theta"):
         series = [getattr(r, name) for r in records]
         mean, se = batch_means(series)
-        summary[name] = {"mean": mean, "stderr": se}
+        summary[name] = {"mean": _statistic(mean), "stderr": _statistic(se)}
         if name == "s_ym":
             summary[name].update(tau_int=tau_int(series), ess=effective_sample_size(series))
             if len(series) >= 4:
                 summary["stationarity_s_ym"] = stationarity_check(series)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1)
+    _write_summary(out_dir, summary)
     print(f"{len(records)} records -> {csv_path}")
     return 0
 

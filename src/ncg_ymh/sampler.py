@@ -1,7 +1,7 @@
 """Metropolis chain over the fields the action sees: A_mu in su(m), phi in Herm(m).
 
 Boltzmann weight exp(-(1/4) Tr f(D_omega)) from the closed-form sectors
-(`action.bitracial_traces`), exact for deg f <= 4 (`SamplerConfig` refuses
+(`action.stack_traces`), exact for deg f <= 4 (`SamplerConfig` refuses
 more), once per proposal; records read the state's kept breakdown.
 
 The action sees (L_mu, A_mu) only through X_mu = L_mu (x) 1 + A_mu, so L_mu
@@ -11,13 +11,16 @@ dropped) or all of Herm(m).  A proposal adds a step times a Gaussian
 Hermitian generator, made traceless anti-Hermitian for A_mu.
 
 At the sampler's sizes (m = 8) numpy's per-call overhead is most of a
-proposal's cost, so the loop makes few calls: A is held as one (4, m, m)
-array, and an A_mu candidate is one copy of it with one slice updated; the
-kernel's arguments X and P of the current state are kept, so a candidate
-recomputes only the one that changes; and each field's generators are drawn
+proposal's cost, so the loop makes few calls.  The chain holds the kernel's
+input for its current state, the stack S = (1, X_0..X_3, P, phi, three
+scratch rows) of `action.stack_traces`, with the rows named in `action`.
+An A_mu candidate is one copy of S with row X_mu updated, a phi candidate
+one copy with rows phi and P = 1 (x) D_F + phi rewritten; the kernel reads
+the candidate's stack and writes only its scratch rows, so an accepted
+candidate is the next state as it stands.  Each field's generators are drawn
 in chunks of about _DRAW_ENTRIES matrix entries, in the order one draw per
-proposal would take them.  The candidate arrays are never written after the
-kernel has seen them.  A non-finite or diverging action (|S| > 1e12) stops
+proposal would take them, and scaled by the field's step size once per chunk
+and per tuning window.  A non-finite or diverging action (|S| > 1e12) stops
 the chain with UnstableAction at the start and after any sweep, not only
 during burn-in.
 
@@ -36,8 +39,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .action import (ActionBreakdown, ActionPolynomial, bitracial_traces,
-                     require_self_adjoint, sector_breakdown)
+from .action import (STACK_P, STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial,
+                     kernel_stack, require_self_adjoint, sector_breakdown, stack_traces)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, UnstableAction
@@ -74,7 +77,7 @@ class SamplerConfig:
 
 @dataclass
 class ChainState:
-    """The chain's fields and the action breakdown evaluated on them."""
+    """The chain's last fields, their action breakdown and its post-burn-in counts."""
 
     L: list
     A: np.ndarray  # (4, m, m): A_mu = A[mu]
@@ -207,24 +210,23 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     L = [K - np.trace(K) / N * np.eye(N) for K in L]
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
-    def breakdown(X, P, phi):
-        return sector_breakdown(bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime), cfg.poly)
+    def breakdown(S):
+        return sector_breakdown(stack_traces(S, sig.e, sig.eps_dblprime), cfg.poly)
 
     fields = [0, 1, 2, 3]  # mu of each A_mu; None stands for phi
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
         fields.append(None)
     names = ["phi" if mu is None else f"A{mu}" for mu in fields]
+    rows = [STACK_PHI if mu is None else STACK_X + mu for mu in fields]
     rngs = [np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(8 if mu is None else 4 + mu,))) for mu in fields]
     accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
     sizes = {**_STEP_SIZES, **cfg.step_sizes}
     steps = [float(sizes["phi" if mu is None else "A"]) for mu in fields]
-    A = np.zeros((4, m, m), dtype=complex)
-    phi = np.zeros((m, m), dtype=complex)
-    X, P = LX + A, DF_big + phi  # the kernel's arguments at the current state
-    state = ChainState(L=L, A=A, phi=phi, breakdown=breakdown(X, P, phi))
-    if not abs(state.current_action) <= _DIVERGENCE:  # also catches NaN
-        raise UnstableAction(f"initial action {state.current_action:.3e}")
+    S = kernel_stack(LX, DF_big, np.zeros((m, m), dtype=complex))  # A = 0, phi = 0
+    current = breakdown(S)
+    if not abs(current.total_closed) <= _DIVERGENCE:  # also catches NaN
+        raise UnstableAction(f"initial action {current.total_closed:.3e}")
 
     chunk = max(1, _DRAW_ENTRIES // (m * m))
     accepted = [0] * len(fields)  # per field, over the whole chain
@@ -237,26 +239,20 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         if j == 0:
             k = min(chunk, cfg.steps - sweep)
             draws = [_generators(rng, k, m, mu is not None) for rng, mu in zip(rngs, fields)]
-        for i, mu in enumerate(fields):
-            increment = steps[i] * draws[i][j]
-            if mu is None:
-                A_c, phi_c = state.A, state.phi + increment
-                X_c, P_c = X, DF_big + phi_c
-            else:
-                A_c, phi_c = state.A.copy(), state.phi
-                A_c[mu] += increment
-                X_c, P_c = LX + A_c, P
-            cand = breakdown(X_c, P_c, phi_c)
-            delta = cand.total_closed - state.current_action
-            state.proposal_count += 1
+            increments = [step * d for step, d in zip(steps, draws)]
+        for i, row in enumerate(rows):
+            S_c = S.copy()
+            S_c[row] += increments[i][j]
+            if row == STACK_PHI:
+                np.add(DF_big, S_c[STACK_PHI], out=S_c[STACK_P])
+            cand = breakdown(S_c)
+            delta = cand.total_closed - current.total_closed
             if delta <= 0 or accept_rng.random() < math.exp(-delta):
-                state.A, state.phi, state.breakdown = A_c, phi_c, cand
-                X, P = X_c, P_c
-                state.accept_count += 1
+                S, current = S_c, cand
                 accepted[i] += 1
 
-        if not abs(state.current_action) <= _DIVERGENCE:
-            raise UnstableAction(f"action {state.current_action:.3e} at sweep {sweep}")
+        if not abs(current.total_closed) <= _DIVERGENCE:
+            raise UnstableAction(f"action {current.total_closed:.3e} at sweep {sweep}")
         in_burn = sweep < cfg.burn_in
         if in_burn and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
             # each field is proposed once per sweep: a window is tune_interval proposals
@@ -267,24 +263,27 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                     steps[i] *= 1.25
                 elif rate < lo:
                     steps[i] /= 1.25
+            increments = [step * d for step, d in zip(steps, draws)]
             trajectory.append({"sweep": sweep, "acceptance": dict(zip(names, rates)),
                                "step_sizes": dict(zip(names, steps))})
             window_start = accepted[:]
         if sweep + 1 == cfg.burn_in:
             # acceptance statistics restart after burn-in
-            state.accept_count = state.proposal_count = 0
             after_burn_in = accepted[:]
 
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            br = state.breakdown
-            rate = state.accept_count / max(1, state.proposal_count)
-            records.append(SampleRecord(step=sweep, s_total=br.total_closed, s_ym=br.s_ym,
-                                        s_h=br.s_h, s_gh=br.s_gh, s_theta=br.s_theta,
-                                        acceptance=rate))
+            rate = (sum(accepted) - sum(after_burn_in)) / ((sweep + 1 - cfg.burn_in) * len(fields))
+            records.append(SampleRecord(step=sweep, s_total=current.total_closed,
+                                        s_ym=current.s_ym, s_h=current.s_h, s_gh=current.s_gh,
+                                        s_theta=current.s_theta, acceptance=rate))
+    proposals = (cfg.steps - cfg.burn_in) * len(fields)
+    state = ChainState(L=L, A=S[STACK_X:STACK_X + 4] - LX, phi=S[STACK_PHI].copy(),
+                       breakdown=current, accept_count=sum(accepted) - sum(after_burn_in),
+                       proposal_count=proposals)
     sampled = max(1, cfg.steps - cfg.burn_in)
     info = {"step_sizes": dict(zip(names, steps)),
             "final_state": state,
-            "acceptance": state.accept_count / max(1, state.proposal_count),
+            "acceptance": state.accept_count / max(1, proposals),
             "acceptance_by_field": {name: (a - a0) / sampled for name, a, a0
                                     in zip(names, accepted, after_burn_in)},
             "step_size_trajectory": trajectory}

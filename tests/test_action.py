@@ -295,6 +295,61 @@ def test_bitracial_kernel_commuting_data_exact_zero():
     assert tr.theta > 0 and tr.Phi4 > 0
 
 
+@pytest.mark.parametrize("m", [4, 8])
+@pytest.mark.parametrize("field", ["A2", "phi"])
+def test_candidate_stack_by_row_update(m, field):
+    # the sampler's candidates: a copy of the state's stack with row X_mu, or rows
+    # phi and P, updated; the kernel writes only the scratch rows of its input
+    rng = np.random.default_rng(m)
+    sig = build_signature(0, 4)
+    X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
+    DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
+    S = action.kernel_stack(X, DF + phi, phi)
+    action.stack_traces(S, sig.e, sig.eps_dblprime)  # fills the scratch rows of the state
+    inc = dirac.random_hermitian(m, rng)
+    S_c = S.copy()
+    if field == "phi":
+        S_c[action.STACK_PHI] += inc
+        np.add(DF, S_c[action.STACK_PHI], out=S_c[action.STACK_P])
+        X_c, phi_c = X, phi + inc
+    else:
+        S_c[action.STACK_X + 2] += 1j * inc
+        X_c, phi_c = X.copy(), phi
+        X_c[2] = X[2] + 1j * inc
+    rows = S_c[:7].tobytes()
+    got = action.stack_traces(S_c, sig.e, sig.eps_dblprime)
+    assert S_c[:7].tobytes() == rows
+    want = action.bitracial_traces(X_c, DF + phi_c, phi_c, sig.e, sig.eps_dblprime)
+    for name, g, w in zip(action.BiTraces._fields, got, want):
+        assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
+
+
+def test_stack_kernel_from_many_threads():
+    # the gather indices are shared through a per-m cache; every thread writes
+    # only its own stack, so concurrent calls give the serial traces bit for bit
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    sig = build_signature(0, 4)
+    stacks = []
+    for k in range(16):
+        rng = np.random.default_rng(100 + k)
+        m = (4, 6, 8)[k % 3]
+        X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
+        stacks.append(action.kernel_stack(X, dirac.random_hermitian(m, rng),
+                                          dirac.random_hermitian(m, rng)))
+    want = [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime) for S in stacks]
+    action._product_blocks.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda S: [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime)
+                                           for _ in range(20)], stacks * 2, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(runs == [w] * 20 for runs, w in zip(got, want * 2))
+
+
 def _dense_direct(D, f):
     """Reference: (1/4) Tr f(D) from dense powers of D, Tr D^k = <D^i, D^j>."""
     powers = [None, D]

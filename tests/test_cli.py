@@ -328,6 +328,60 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, message, cfg):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("action", {"geometry": {"N": "two"}}, "geometry.N"),
+    ("action", {"geometry": {"N": 2.5}}, "geometry.N"),
+    ("action", {"geometry": {"N": 0}}, "geometry.N"),
+    ("action", {"geometry": {"N": -2}}, "geometry.N"),
+    ("action", {"geometry": {"n": 0}}, "geometry.n"),
+    ("action", {"poly": ["a", 1]}, "poly"),
+    ("action", {"poly": []}, "poly"),
+    ("spectrum", {"fields": {"scale": "big"}}, "fields.scale"),
+    ("spectrum", {"histogram_bins": "x"}, "histogram_bins"),
+    ("sample", {"sampler": {"step_sizes": {"A": "x"}}}, "sampler.step_sizes.A"),
+    ("sample", {"sampler": {"autotune": "no"}}, "sampler.autotune"),
+    ("sample", {"seed": -1}, "seed"),
+])
+def test_config_value_of_wrong_type_or_range_is_config_error(tmp_path, capsys, command, cfg,
+                                                             key):
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, {**cfg, "out": str(out)})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ") and err.count("\n") == 1, err
+    assert not out.exists()  # refused before anything was made
+
+
+def test_self_test_without_steps_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sampler": {"steps": 0}, "out": str(tmp_path)})
+    assert run(["sample", "--config", cfg, "--self-test"]) == 2
+    assert capsys.readouterr().err.startswith("config error: sampler.steps must be >= 1")
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("steps, burn_in, self_test", [(5, 5, False), (6, 5, False),
+                                                       (1, 0, True)])
+def test_sample_summary_is_strict_json(tmp_path, steps, burn_in, self_test):
+    cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 2, "d_f": "random"},
+                                  "sampler": {"steps": steps, "burn_in": burn_in},
+                                  "out": str(tmp_path)})
+    assert run(["sample", "--config", cfg] + ["--self-test"] * self_test) == 0
+    summary = _strict_json((tmp_path / "summary.json").read_text())
+    if self_test:
+        assert summary["stderr"] is None and summary["mean_tr_m2"] >= 0
+        return
+    records = steps - burn_in
+    assert summary["n_records"] == records
+    for name in ("s_total", "s_ym", "s_h", "s_gh", "s_theta"):
+        # a mean needs one record and a batch-means error two; undefined ones are null
+        assert (summary[name]["mean"] is None) == (records == 0)
+        assert summary[name]["stderr"] is None
+
+
 @pytest.mark.parametrize("key", ["A", "phi"])
 def test_sample_refuses_potential_and_higgs_files(tmp_path, capsys, key):
     path = str(tmp_path / "field.json")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ncg_ymh import dirac, fluct, sampler
-from ncg_ymh.action import ActionPolynomial, bitracial_traces, sector_breakdown
+from ncg_ymh.action import (STACK_P, STACK_PHI, STACK_X, ActionPolynomial, bitracial_traces,
+                            sector_breakdown)
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import NotSelfAdjoint, UnstableAction
@@ -191,18 +192,18 @@ def test_records_describe_the_state_at_their_sweep():
 def recorded_states(monkeypatch, cfg, gt):
     """Run a chain; return, per record, the (X, P, phi) its action was read from."""
     by_total, last = {}, []
-    traces, breakdown = sampler.bitracial_traces, sampler.sector_breakdown
+    traces, breakdown = sampler.stack_traces, sampler.sector_breakdown
 
-    def spy_traces(X, P, phi, e, eps):
-        last[:] = [(X, P, phi)]
-        return traces(X, P, phi, e, eps)
+    def spy_traces(S, e, eps):
+        last[:] = [(S[STACK_X:STACK_X + 4].copy(), S[STACK_P].copy(), S[STACK_PHI].copy())]
+        return traces(S, e, eps)
 
     def spy_breakdown(tr, poly):
         br = breakdown(tr, poly)
         by_total[br.total_closed] = last[0]
         return br
 
-    monkeypatch.setattr(sampler, "bitracial_traces", spy_traces)
+    monkeypatch.setattr(sampler, "stack_traces", spy_traces)
     monkeypatch.setattr(sampler, "sector_breakdown", spy_breakdown)
     records, _ = sampler.run_chain(cfg, gt)
     monkeypatch.undo()
