@@ -15,8 +15,8 @@ from .errors import (ConjugationNotFound, DimensionMismatch, NcgError,
                      NonFourDimensional, NotFlat, NotRiemannian,
                      NotSelfAdjoint, UnstableAction)
 from .fluct import (Fluctuation, assemble_fluctuated, connes_one_form,
-                    extract_fluctuation, fluctuate, higgs_field, one_form_span,
-                    random_fluctuation, zero_fluctuation)
+                    extract_fluctuation, fluctuate, higgs_field, random_fluctuation,
+                    zero_fluctuation)
 from .gauge import GaugeElement, covariance_report, random_unitary, transform
 from .sampler import (ChainState, SampleRecord, SamplerConfig, batch_means,
                       eigen_histogram, gaussian_self_test, run_chain,

@@ -24,8 +24,8 @@ class Fluctuation:
     """Gauge potentials A_mu, S_mu and the Higgs matrix phi.
 
     Adjointness types: (A_mu)* = e_mu A_mu, (S_mu)* = e_hat_mu S_mu, and
-    phi* = phi with phi in M_N (x) span{a [D_F, c]}.  S is None for flat
-    configurations; phi is zero for Yang-Mills triples.
+    phi* = phi, and phi = 0 when D_F is scalar: span{a [D_F, c]} is 0 then
+    and all of M_n otherwise.  S is None for flat configurations.
     """
 
     A: tuple
@@ -42,74 +42,6 @@ def zero_fluctuation(gt: GaugeTriple, flat: bool = True) -> Fluctuation:
     zero = np.zeros((m, m), dtype=complex)
     S = None if flat else tuple(zero.copy() for _ in range(4))
     return Fluctuation(A=tuple(zero.copy() for _ in range(4)), S=S, phi=zero.copy())
-
-
-def one_form_span(D_F: np.ndarray, seed: int = 0, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of Omega^1_{D_F} = span{a [D_F, c]} inside M_n.
-
-    Rank-revealing SVD over 2 n^2 random pairs; returns an (r, n, n) array
-    whose slices are HS-orthonormal.  Empty (r = 0) when D_F is central.
-    """
-    n = D_F.shape[0]
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(2 * n * n):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        rows.append(vec(a @ (D_F @ c - c @ D_F)))
-    M = np.array(rows)
-    if not np.abs(M).max() > 0:
-        return np.zeros((0, n, n), dtype=complex)
-    _, sv, vh = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(sv > tol * sv[0]))
-    return np.array([unvec(vh[j].conj(), n) for j in range(r)])
-
-
-def selfadjoint_span_basis(basis: np.ndarray) -> np.ndarray:
-    """Real-orthonormal basis of the self-adjoint part of a *-closed span."""
-    n = basis.shape[1] if basis.size else 0
-    cands = []
-    for B in basis:
-        cands.append((B + B.conj().T) / 2)
-        cands.append(1j * (B - B.conj().T) / 2)
-    if not cands:
-        return np.zeros((0, n, n), dtype=complex)
-    rows = np.array([vec(C) for C in cands])
-    # real orthogonalization in the realified HS space
-    real_rows = np.hstack([rows.real, rows.imag])
-    _, sv, vh = np.linalg.svd(real_rows, full_matrices=False)
-    r = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else 0
-    nn = n * n
-    out = []
-    for j in range(r):
-        out.append(unvec(vh[j, :nn] + 1j * vh[j, nn:], n))
-    return np.array(out)
-
-
-def project_onto_span(X: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real-linear HS projection onto span_R of the given basis slices."""
-    if basis.size == 0:
-        return np.zeros_like(X)
-    out = np.zeros_like(X)
-    for B in basis:
-        out += np.real(np.trace(B.conj().T @ X)) * B
-    return out
-
-
-def project_higgs(H: np.ndarray, N: int, n: int, basis: np.ndarray) -> np.ndarray:
-    """Project a Hermitian m x m matrix onto Herm(N) (x) span_R(basis).
-
-    The basis slices are Hermitian and real-orthonormal (as returned by
-    `selfadjoint_span_basis`), hence also an orthonormal basis of their
-    complex span W.  Projecting every n x n block of H onto W is the
-    orthogonal projection onto M_N (x) W, which keeps H Hermitian and so
-    lands in Herm(N) (x) span_R(basis).
-    """
-    if basis.size == 0:
-        return np.zeros_like(H)
-    blocks = H.reshape(N, n, N, n)
-    coeffs = np.einsum("kab,iajb->ijk", basis.conj(), blocks)
-    return np.einsum("ijk,kab->iajb", coeffs, basis).reshape(H.shape)
 
 
 def connes_one_form(gt: GaugeTriple, mod: CliffordModule, pairs) -> np.ndarray:
@@ -184,10 +116,10 @@ def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
 
 
 def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
-                       seed: int = 0, higgs_terms: int = 3) -> Fluctuation:
+                       seed: int = 0) -> Fluctuation:
     """Seeded Gaussian fluctuation with the correct adjointness types.
 
-    phi is a symmetrized sum of X (x) a [D_F, c] terms, zero for Yang-Mills
+    phi is a symmetrized sum of three X (x) a [D_F, c] terms, zero for Yang-Mills
     triples; S matrices are drawn only when the fuzzy data has X blocks.
     """
     sig = gt.sig
@@ -209,7 +141,7 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
     phi = np.zeros((m, m), dtype=complex)
     if not gt.yang_mills:
         n = gt.n
-        for _ in range(higgs_terms):
+        for _ in range(3):
             X = random_hermitian(gt.N, rng, scale)
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -9,8 +9,7 @@ from .action import ActionPolynomial, field_strength, sectors, spectral_action_d
 from .clifford import build_gammas, single
 from .dirac import GaugeTriple, lift
 from .errors import NotRiemannian
-from .fluct import (Fluctuation, assemble_fluctuated, one_form_span, project_higgs,
-                    selfadjoint_span_basis)
+from .fluct import Fluctuation, assemble_fluctuated
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,6 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
     return Fluctuation(A=tuple(A_new), S=fl.S, phi=phi_new)
 
 
-def higgs_span_leakage(gt: GaugeTriple, phi: np.ndarray, seed: int = 0) -> float:
-    """Norm of the part of phi outside Herm(N) (x) [Omega^1_{D_F}]_sa.
-
-    Diagnostic for the transformed Higgs; zero (up to roundoff) whenever the
-    one-form span machinery and the transformation agree.
-    """
-    basis = selfadjoint_span_basis(one_form_span(gt.finite.D_F, seed=seed))
-    return float(np.linalg.norm(phi - project_higgs(phi, gt.N, gt.n, basis)))
-
-
 def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
                       f: ActionPolynomial) -> dict:
     """Covariance of the field strength and invariance of the action.
@@ -126,6 +115,5 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
         "sector_h_rel": abs(bu.s_h - b0.s_h) / max(1.0, abs(b0.s_h)),
         "sector_gh_rel": abs(bu.s_gh - b0.s_gh) / max(1.0, abs(b0.s_gh)),
         "sector_theta_rel": abs(bu.s_theta - b0.s_theta) / max(1.0, abs(b0.s_theta)),
-        "higgs_span_leakage": higgs_span_leakage(gt, fl_u.phi),
     }
     return report

@@ -313,6 +313,8 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
     mean, its batch-means standard error and whether the target lies within
     three standard errors.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
     M = np.zeros((N, N), dtype=complex)

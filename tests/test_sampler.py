@@ -70,9 +70,22 @@ def test_state_stays_on_moduli_space():
         assert abs(np.trace(st.L[mu])) <= 1e-12
         assert np.abs(st.A[mu] + st.A[mu].conj().T).max() <= 1e-12
     assert np.abs(st.phi - st.phi.conj().T).max() <= 1e-12
-    basis = fluct.selfadjoint_span_basis(fluct.one_form_span(gt.finite.D_F))
-    proj = fluct.project_higgs(st.phi, 2, 2, basis)
-    assert np.abs(proj - st.phi).max() <= 1e-10  # phi lies in the Higgs span
+    # D_F is not scalar, so the Higgs space is all of Herm(m): a Hermitian
+    # phi is in it
+    assert not gt.finite.is_scalar
+
+
+def test_scalar_finite_dirac_has_no_higgs():
+    # a nonzero scalar D_F is not Yang-Mills data, but its one-form span is 0,
+    # so the chain proposes only the A_mu and phi stays exactly 0
+    sig = build_signature(0, 4)
+    gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(2, sig),
+                     finite=FiniteData(n=2, D_F=2.5 * np.eye(2, dtype=complex)))
+    assert not gt.yang_mills and gt.finite.is_scalar
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=30, burn_in=5, seed=3)
+    _, info = sampler.run_chain(cfg, gt)
+    assert list(info["acceptance_by_field"]) == ["A0", "A1", "A2", "A3"]
+    assert not info["final_state"].phi.any()
 
 
 def test_record_sector_sum():
@@ -125,6 +138,12 @@ def test_gaussian_self_test_quick():
     res = sampler.gaussian_self_test(N=2, samples=20_000, seed=3)
     assert abs(res["mean_tr_m2"] - 2.0) <= 4 * res["stderr"]
     assert 0.05 < res["acceptance"] < 0.95
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_gaussian_self_test_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sampler.gaussian_self_test(N=2, samples=samples)
 
 
 def test_batch_means_and_stationarity():
