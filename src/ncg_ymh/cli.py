@@ -1,7 +1,10 @@
 """Batch front door: verify / action / spectrum / sample subcommands.
 
 Configuration is a single JSON document; command-line flags override config
-keys.  Matrix files use the shared JSON format
+keys.  `TABLE` declares each key once, with its type, range and default;
+the subcommands read only what `resolve` makes of a document against it.
+
+Matrix files use the shared JSON format
 
     {"rows": R, "cols": C, "data": [[re, im], ...]}   (row-major)
 
@@ -14,12 +17,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
 import os
 import resource
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,9 +32,10 @@ import numpy as np
 from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
-from .errors import NcgError, NonFourDimensional, NotRiemannian
-from .sampler import (SamplerConfig, batch_means, effective_sample_size, gaussian_self_test,
-                      run_chain, stationarity_check, symmetric_histogram, tau_int)
+from .errors import NcgError, NotRiemannian
+from .sampler import (_STEP_SIZES, SamplerConfig, batch_means, effective_sample_size,
+                      gaussian_self_test, run_chain, stationarity_check, symmetric_histogram,
+                      tau_int)
 from .verify import run_identity_suite
 
 _SIGNATURES = [(0, 4), (1, 3), (2, 2), (3, 1)]
@@ -52,22 +58,37 @@ def save_matrix(path: str, M: np.ndarray):
         json.dump(payload, fh)
 
 
-def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        payload = json.load(fh)
-    rows, cols = payload["rows"], payload["cols"]
-    data = payload["data"]
-    if len(data) != rows * cols:
-        raise ConfigError(f"{path}: {len(data)} entries for a {rows}x{cols} matrix")
-    flat = np.array([complex(re, im) for re, im in data])
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object a file holds; a missing file or anything else is a config error."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not text or not JSON
+        raise ConfigError(f"{path} is not a readable JSON file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path} holds no JSON object")
+    return payload
+
+
+def load_matrix(path: str, what: str = "matrix") -> np.ndarray:
+    payload = _read_json(path, what)
+    try:
+        rows, cols, data = payload["rows"], payload["cols"], payload["data"]
+        if len(data) != rows * cols:
+            raise ConfigError(f"{path}: {len(data)} entries for a {rows}x{cols} matrix")
+        flat = np.array([complex(re, im) for re, im in data]).reshape((rows, cols), order="C")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} is not a matrix file: {exc!r}") from None
     if not np.isfinite(flat).all():
         raise ConfigError(f"{path}: non-finite entries")
-    return flat.reshape((rows, cols), order="C")
+    return flat
 
 
 def _load_square(path: str, size: int, what: str, e: int | None = None) -> np.ndarray:
     """load_matrix, refusing anything but a size x size matrix with M* = e M."""
-    M = load_matrix(path)
+    M = load_matrix(path, what)
     if M.shape != (size, size):
         raise ConfigError(f"{path}: {what} has shape {M.shape}, need ({size}, {size})")
     if e is not None and not dirac.has_adjointness_type(M, e):
@@ -77,66 +98,107 @@ def _load_square(path: str, size: int, what: str, e: int | None = None) -> np.nd
 
 # ------------------------------------------------------------- config layer
 
-# the keys each config block may carry; any other key is a config error
-_KEYS = {(): {"geometry", "fields", "poly", "sampler", "seed", "out", "signatures",
-              "self_test", "histogram_bins"},
-         ("geometry",): {"p", "q", "N", "n", "d_f"},
-         ("fields",): {"source", "seed", "scale", "include_x", "fluctuation", "K", "A", "phi"},
-         ("sampler",): {"steps", "burn_in", "thin", "step_sizes", "autotune", "self_test_N"},
-         ("sampler", "step_sizes"): {"A", "phi"}}
+# One row per config key ("geometry.N" is key N of block geometry): the JSON type of its
+# value, the range of that type it may take and its default.  An int is never true or
+# false; a float is a finite number, and must be positive; a str's range lists the values
+# it may take (None: any but "", a path); a list's range is its (least, most) length.  A
+# null default also admits null; a callable default reads the config resolved so far.
+Row = namedtuple("Row", "key type range default")
 
-
-def _check_keys(cfg):
-    for where, allowed in _KEYS.items():
-        block, name = cfg, ".".join(where) or "config"
-        for key in where:
-            block = block.get(key, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"{name} must be a JSON object")
-        unknown = sorted(set(block) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
-
-
-# the scalar keys and what each must hold; JSON true and false are not numbers here
-_INTEGERS = {"seed": 0, "histogram_bins": 0, "geometry.p": 0, "geometry.q": 0,
-             "geometry.N": 1, "geometry.n": 1, "fields.seed": 0, "sampler.steps": 0,
-             "sampler.burn_in": 0, "sampler.thin": 1, "sampler.self_test_N": 1}  # least value
-_POSITIVE = ("fields.scale", "sampler.step_sizes.A", "sampler.step_sizes.phi")
-_FLAGS = ("self_test", "fields.include_x", "fields.fluctuation", "sampler.autotune")
-_ABSENT = object()
-
-
-def _lookup(cfg: dict, name: str):
-    *blocks, key = name.split(".")
-    for block in blocks:
-        cfg = cfg.get(block, {})
-    return cfg.get(key, _ABSENT)
+TABLE = (
+    Row("seed", int, 0, 0),
+    Row("out", str, None, "."),
+    Row("signatures", str, ("one", "all"), "one"),
+    Row("self_test", bool, None, False),
+    Row("histogram_bins", int, 0, 0),
+    Row("geometry.p", int, 0, 0),
+    Row("geometry.q", int, 0, 4),
+    Row("geometry.N", int, 1, 2),
+    Row("geometry.n", int, 1, 2),
+    Row("geometry.d_f", str, None, None),  # "random" or a matrix file; null: D_F = 0
+    Row("fields.source", str, ("zero", "random", "files"), "random"),
+    Row("fields.seed", int, 0, lambda cfg: cfg["seed"]),
+    Row("fields.scale", float, None, None),  # null: 1/sqrt(N)
+    Row("fields.include_x", bool, None, False),
+    Row("fields.fluctuation", bool, None, True),
+    *(Row(f"fields.K.{kind}{mu}", str, None, None) for kind in ("mu", "hat") for mu in range(4)),
+    Row("fields.A", list[str], (0, 4), []),
+    Row("fields.phi", str, None, None),
+    Row("poly", list[float], (1, None), [0.0, 1.0, 0.0, 1.0]),
+    Row("sampler.steps", int, 0, lambda cfg: 100_000 if cfg["self_test"] else 200),
+    Row("sampler.burn_in", int, 0, 50),
+    Row("sampler.thin", int, 1, 1),
+    Row("sampler.step_sizes.A", float, None, _STEP_SIZES["A"]),
+    Row("sampler.step_sizes.phi", float, None, _STEP_SIZES["phi"]),
+    Row("sampler.autotune", bool, None, True),
+    Row("sampler.self_test_N", int, 1, 2),
+)
 
 
 def _is_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max  # finite as a float
 
 
-def _check_values(cfg: dict):
-    """Refuse a scalar of the wrong type or range, naming its key, before anything is built."""
-    for name, least in _INTEGERS.items():
-        value = _lookup(cfg, name)
-        if value is not _ABSENT and not (type(value) is int and value >= least):
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    for name in _POSITIVE:
-        value = _lookup(cfg, name)
-        if value is _ABSENT or (value is None and name == "fields.scale"):  # null: 1/sqrt(N)
-            continue
-        if not (_is_number(value) and value > 0):
-            raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    for name in _FLAGS:
-        value = _lookup(cfg, name)
-        if value is not _ABSENT and type(value) is not bool:
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
-    poly = cfg.get("poly", _ABSENT)
-    if poly is not _ABSENT and not (type(poly) is list and poly and all(map(_is_number, poly))):
-        raise ConfigError(f"poly must be a non-empty list of numbers, got {poly!r}")
+def _checked(row: Row, value):
+    """The value, if it has the row's type and lies in its range; else a ConfigError."""
+    r = row.range
+    if row.type is int:
+        ok, must = type(value) is int and value >= r, f"an integer >= {r}"
+    elif row.type is float:
+        ok, must = _is_number(value) and value > 0, "a positive number"
+    elif row.type is bool:
+        ok, must = type(value) is bool, "true or false"
+    elif row.type is str:
+        ok = type(value) is str and (value in r if r else value != "")
+        must = "one of " + ", ".join(map(repr, r)) if r else "a path"
+    else:  # list[float] or list[str]
+        numbers = row.type == list[float]
+        ok = (type(value) is list and r[0] <= len(value) <= (r[1] or len(value))
+              and all(_is_number(x) if numbers else type(x) is str and x != "" for x in value))
+        must = ("a non-empty list of " if r[0] else "a list of ") + \
+            (f"at most {r[1]} " if r[1] else "") + ("numbers" if numbers else "paths")
+    if not (ok or (value is None and row.default is None)):
+        must += " or null" * (row.default is None)
+        raise ConfigError(f"{row.key} must be {must}, got {value!r}")
+    return value
+
+
+def _refuse_unknown(given: dict, known: dict, name: str = ""):
+    """Refuse a key of a given block, or of a block within it, that the table lacks."""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {name or 'config'}")
+    for key in given:
+        if isinstance(known[key], dict):
+            _refuse_unknown(given[key], known[key], f"{name}.{key}" if name else key)
+
+
+def resolve(cfg: dict) -> dict:
+    """cfg checked against TABLE, every default filled in; resolving twice changes nothing."""
+    out = {}
+    for row in TABLE:
+        *path, key = row.key.split(".")
+        given, into = cfg, out
+        for depth, block in enumerate(path, 1):
+            given, into = given.get(block, {}), into.setdefault(block, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"{'.'.join(path[:depth])} must be a JSON object")
+        if key in given:
+            into[key] = _checked(row, given[key])
+        else:
+            into[key] = row.default(out) if callable(row.default) else copy.copy(row.default)
+    _refuse_unknown(cfg, out)
+    p, q = out["geometry"]["p"], out["geometry"]["q"]
+    if p + q != 4:
+        raise ConfigError(f"geometry.p + geometry.q must be 4, got ({p}, {q})")
+    steps, burn_in = out["sampler"]["steps"], out["sampler"]["burn_in"]
+    if out["self_test"] and steps < 1:
+        raise ConfigError(f"sampler.steps must be >= 1 for the self test, got {steps}")
+    if not out["self_test"] and steps < burn_in:
+        default = "" if "burn_in" in cfg.get("sampler", {}) else " (the default)"
+        raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
+                          f"{steps} and sampler.burn_in = {burn_in}{default}")
+    return out
 
 
 def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
@@ -146,93 +208,55 @@ def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
 
 
 def load_config(args) -> dict:
-    cfg = {}
-    if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        _check_keys(cfg)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
-    if getattr(args, "signatures", None):
-        cfg["signatures"] = args.signatures
-    if getattr(args, "self_test", False):
-        cfg["self_test"] = True
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", ".")
-    _check_values(cfg)
+    """The config file with the flags over its keys, resolved; makes the output directory."""
+    cfg = _read_json(args.config, "config") if "config" in args else {}
+    # a flag given is the top-level key of its name; one not given is absent from args
+    cfg.update((key, value) for key, value in vars(args).items() if key in {r.key for r in TABLE})
+    cfg = resolve(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     return cfg
 
 
 def _geometry(cfg: dict):
-    geo = cfg.get("geometry", {})
-    p = int(geo.get("p", 0))
-    q = int(geo.get("q", 4))
-    N = int(geo.get("N", 2))
-    n = int(geo.get("n", 2))
-    try:
-        sig = clifford.build_signature(p, q)
-    except NonFourDimensional as exc:
-        raise ConfigError(f"NonFourDimensional: {exc}") from exc
-    d_f = geo.get("d_f")
+    """(signature, N, n, D_F) of a config as written or resolved (resolving is idempotent)."""
+    cfg = resolve(cfg)
+    geo = cfg["geometry"]
+    n, d_f = geo["n"], geo["d_f"]
     if d_f is None:
         DF = np.zeros((n, n), dtype=complex)
     elif d_f == "random":
         DF = dirac.random_hermitian(n, _seed_rng(cfg["seed"], 1))
-    elif isinstance(d_f, str):
-        if not os.path.exists(d_f):
-            raise ConfigError(f"D_F file not found: {d_f}")
+    else:
         DF = _load_square(d_f, n, "D_F")
         DF = (DF + DF.conj().T) / 2
-    else:
-        raise ConfigError("geometry.d_f must be null, 'random' or a file path")
-    return sig, N, n, DF
+    return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 
 def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
-    """Fuzzy blocks plus fluctuation per the fields config block."""
-    fields = cfg.get("fields", {})
-    source = fields.get("source", "random")
-    if source == "zero":
-        fz = dirac.zero_fuzzy(N, sig)
-        gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
+    """Fuzzy blocks plus fluctuation per the fields block of a config as written or resolved."""
+    fields, finite = resolve(cfg)["fields"], FiniteData(n=n, D_F=DF)
+    if fields["source"] == "zero":
+        gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(N, sig), finite=finite)
         return gt, fluct.zero_fluctuation(gt)
-    if source == "random":
-        scale = fields.get("scale")
-        include_X = bool(fields.get("include_x", False))
-        seed = int(fields.get("seed", cfg["seed"]))
-        fz = dirac.random_fuzzy(N, sig, scale=scale, seed=seed, include_X=include_X)
-        gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
-        if fields.get("fluctuation", True):
-            fl = fluct.random_fluctuation(gt, scale=scale, seed=seed + 1)
-        else:
-            fl = fluct.zero_fluctuation(gt, flat=not include_X)
-        return gt, fl
-    if source == "files":
-        K = {}
-        for key, path in fields.get("K", {}).items():
-            if key.startswith("hat"):
-                I = clifford.hat(int(key[3:]))
-            elif key.startswith("mu"):
-                I = clifford.single(int(key[2:]))
-            else:
-                raise ConfigError(f"unknown block key {key!r} (use mu0..mu3, hat0..hat3)")
+    if fields["source"] == "random":
+        scale, seed = fields["scale"], fields["seed"]
+        fz = dirac.random_fuzzy(N, sig, scale=scale, seed=seed, include_X=fields["include_x"])
+        gt = GaugeTriple(fuzzy=fz, finite=finite)
+        if fields["fluctuation"]:
+            return gt, fluct.random_fluctuation(gt, scale=scale, seed=seed + 1)
+        return gt, fluct.zero_fluctuation(gt, flat=not fields["include_x"])
+    K = {}
+    for key, path in fields["K"].items():
+        if path is not None:
+            I = (clifford.hat if key.startswith("hat") else clifford.single)(int(key[-1]))
             K[I] = _load_square(path, N, f"block {key}", I.sign(sig))
-        gt = GaugeTriple(fuzzy=FuzzyData(N=N, sig=sig, K=K), finite=FiniteData(n=n, D_F=DF))
-        m = N * n
-        paths = fields.get("A", [])
-        if len(paths) > 4:
-            raise ConfigError(f"fields.A lists {len(paths)} files; at most four")
-        A = [_load_square(path, m, f"A{mu}", sig.e[mu]) for mu, path in enumerate(paths)]
-        A += [np.zeros((m, m), dtype=complex) for _ in range(4 - len(A))]
-        phi = _load_square(fields["phi"], m, "phi", 1) if fields.get("phi") else \
-            np.zeros((m, m), dtype=complex)
-        return gt, fluct.Fluctuation(A=tuple(A), S=None, phi=phi)
-    raise ConfigError(f"unknown fields.source {source!r}")
+    gt = GaugeTriple(fuzzy=FuzzyData(N=N, sig=sig, K=K), finite=finite)
+    m = N * n
+    A = [_load_square(path, m, f"A{mu}", sig.e[mu]) for mu, path in enumerate(fields["A"])]
+    A += [np.zeros((m, m), dtype=complex) for _ in range(4 - len(A))]
+    phi = np.zeros((m, m), dtype=complex) if fields["phi"] is None else \
+        _load_square(fields["phi"], m, "phi", 1)
+    return gt, fluct.Fluctuation(A=tuple(A), S=None, phi=phi)
 
 
 def _require_dense_fits(N: int, n: int):
@@ -254,8 +278,7 @@ def _require_dense_fits(N: int, n: int):
 
 
 def _poly(cfg: dict) -> ActionPolynomial:
-    coeffs = cfg.get("poly", [0.0, 1.0, 0.0, 1.0])
-    return ActionPolynomial(tuple(float(c) for c in coeffs))
+    return ActionPolynomial(tuple(float(c) for c in cfg["poly"]))
 
 
 def _fmt(x: float) -> str:
@@ -275,16 +298,9 @@ def _write_summary(out_dir: str, summary: dict):
 # --------------------------------------------------------------- subcommands
 
 def cmd_verify(cfg: dict) -> int:
-    which = cfg.get("signatures", "one")
-    if which == "all":
-        sigs = _SIGNATURES
-    else:
-        geo = cfg.get("geometry", {})
-        p, q = int(geo.get("p", 0)), int(geo.get("q", 4))
-        if p + q != 4:
-            raise ConfigError(f"NonFourDimensional: (p, q) = ({p}, {q})")
-        sigs = [(p, q)]
-    seed = int(cfg["seed"])
+    geo = cfg["geometry"]
+    sigs = _SIGNATURES if cfg["signatures"] == "all" else [(geo["p"], geo["q"])]
+    seed = cfg["seed"]
     workers = _worker_cap(len(sigs))
     if workers > 1 and len(sigs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -336,8 +352,7 @@ def cmd_spectrum(cfg: dict) -> int:
     _require_dense_fits(N, n)
     gt, fl = _fields(cfg, sig, N, n, DF)
     mod = clifford.build_gammas(sig)
-    fluctuate = cfg.get("fields", {}).get("fluctuation", True)
-    if fluctuate:
+    if cfg["fields"]["fluctuation"]:
         D = fluct.assemble_fluctuated(gt, fl, mod)
     else:
         D = dirac.assemble_product_dirac(gt, mod)
@@ -348,9 +363,8 @@ def cmd_spectrum(cfg: dict) -> int:
         writer.writerow(["index", "eigenvalue"])
         for i, lam in enumerate(ev):
             writer.writerow([i, _fmt(lam)])
-    bins = int(cfg.get("histogram_bins", 0))
-    if bins > 0:
-        edges, counts = symmetric_histogram(ev, bins)
+    if cfg["histogram_bins"] > 0:
+        edges, counts = symmetric_histogram(ev, cfg["histogram_bins"])
         with open(os.path.join(cfg["out"], "spectrum_histogram.json"), "w") as fh:
             json.dump({"bin_edges": list(map(float, edges)),
                        "counts": list(map(int, counts))}, fh)
@@ -359,14 +373,9 @@ def cmd_spectrum(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
-    seed = int(cfg["seed"])
-    out_dir = cfg["out"]
-    if cfg.get("self_test"):
-        sp = cfg.get("sampler", {})
-        samples = sp.get("steps", 100_000)
-        if samples < 1:
-            raise ConfigError("sampler.steps must be >= 1 for the self test, got 0")
-        res = gaussian_self_test(N=sp.get("self_test_N", 2), samples=samples, seed=seed)
+    seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
+    if cfg["self_test"]:
+        res = gaussian_self_test(N=sp["self_test_N"], samples=sp["steps"], seed=seed)
         csv_path = os.path.join(out_dir, "samples.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -385,24 +394,14 @@ def cmd_sample(cfg: dict) -> int:
     if (sig.p, sig.q) != (0, 4):
         raise NotRiemannian("sampling requires signature (0, 4)")
     for key in ("A", "phi"):
-        if cfg.get("fields", {}).get(key):
+        if cfg["fields"][key]:
             raise ConfigError(f"fields.{key}: sample starts from A = 0 and phi = 0 "
                               "and reads no potential or Higgs file")
     gt, _ = _fields(cfg, sig, N, n, DF)
-    sp = cfg.get("sampler", {})
     try:
-        steps, burn_in = int(sp.get("steps", 200)), int(sp.get("burn_in", 50))
-        if not steps >= burn_in >= 0:
-            default = "" if "burn_in" in sp else " (the default)"
-            raise ValueError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
-                             f"{steps} and sampler.burn_in = {burn_in}{default}")
-        scfg = SamplerConfig(
-            N=N, n=n, poly=_poly(cfg), steps=steps, burn_in=burn_in,
-            thin=int(sp.get("thin", 1)),
-            step_sizes=dict(sp.get("step_sizes", {})),
-            autotune=bool(sp.get("autotune", True)),
-            seed=seed,
-        )
+        scfg = SamplerConfig(N=N, n=n, poly=_poly(cfg), steps=sp["steps"], burn_in=sp["burn_in"],
+                             thin=sp["thin"], step_sizes=dict(sp["step_sizes"]),
+                             autotune=sp["autotune"], seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     records, info = run_chain(scfg, gt)
@@ -451,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("verify", cmd_verify), ("action", cmd_action),
                      ("spectrum", cmd_spectrum), ("sample", cmd_sample)):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="root seed (overrides config)")
         sp.add_argument("--out", help="output directory")
         sp.set_defaults(func=fn)
         if name == "verify":
-            sp.add_argument("--signatures", choices=["one", "all"],
-                            help="verify one configured signature or all four")
+            sp.add_argument("--signatures", help="verify one configured signature ('one') "
+                                                 "or all four ('all')")
         if name == "sample":
             sp.add_argument("--self-test", dest="self_test", action="store_true",
                             help="Gaussian single-matrix self test")

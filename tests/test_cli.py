@@ -1,12 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncg_ymh import cli, clifford, fluct, sampler
 from ncg_ymh.verify import run_identity_suite
@@ -526,3 +533,215 @@ def test_sample_divergence_after_burn_in_is_error(tmp_path, capsys):
     assert run(["sample", "--config", cfg]) == 1
     assert "at sweep" in capsys.readouterr().err
     assert not (tmp_path / "records.csv").exists()
+
+
+def _write_file(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "config-not-json", "missing-K-file", "missing-A-file", "missing-phi-file",
+    "matrix-without-rows", "matrix-without-cols", "matrix-without-data", "K-key-hatX",
+    "K-key-mu9", "K-not-an-object", "A-a-string", "poly-int-beyond-float",
+])
+def test_malformed_input_is_one_config_error_line(tmp_path, capsys, case):
+    good = {"rows": 2, "cols": 2, "data": [[0.0, 0.0]] * 4}
+    fields = {"source": "files"}
+    cfg = {"geometry": {"p": 0, "q": 4, "N": 2, "n": 2}, "fields": fields}
+    if case.startswith("missing-"):
+        key, missing = case.split("-")[1], str(tmp_path / "missing.json")
+        fields[key] = {"K": {"mu0": missing}, "A": [missing], "phi": missing}[key]
+    elif case.startswith("matrix-without-"):
+        del good[case.rsplit("-", 1)[1]]
+        fields["K"] = {"mu0": _write_file(tmp_path, "L0.json", good)}
+    elif case.startswith("K-key-"):
+        fields["K"] = {case.rsplit("-", 1)[1]: _write_file(tmp_path, "K.json", good)}
+    elif case == "K-not-an-object":
+        fields["K"] = [_write_file(tmp_path, "K.json", good)]
+    elif case == "A-a-string":
+        fields["A"] = "A.js"  # short enough to pass for four one-letter paths
+    elif case == "poly-int-beyond-float":
+        cfg["poly"] = [0, 1, 0, 10 ** 400]
+    if case == "config-not-json":
+        path = _write_file(tmp_path, "config.json", '{"geometry": {"N": 2,}}')
+    else:
+        path = write_config(tmp_path, cfg)
+    assert run(["action", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("verify", {"signatures": "both"}, "signatures"),
+    ("verify", {"signatures": 3}, "signatures"),
+    ("action", {"fields": {"source": "file"}}, "fields.source"),
+])
+def test_value_outside_its_allowed_set_is_config_error(tmp_path, capsys, command, cfg, key):
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path, {**cfg, "out": str(out)})]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be one of ")
+    assert not out.exists()  # refused before anything was made
+
+
+# ------------------------------------------------ the config table, property-tested
+
+def _nested(key, value):
+    """{"a": {"b": value}} for key "a.b"."""
+    for name in reversed(key.split(".")):
+        value = {name: value}
+    return value
+
+
+def _merge(into, cfg):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            _merge(into.setdefault(key, {}), value)
+        else:
+            into[key] = value
+    return into
+
+
+NUMBERS = st.integers(-10 ** 6, 10 ** 6) | st.floats(allow_nan=False, allow_infinity=False)
+PATHS = st.text(min_size=1, max_size=8)
+JSON = st.recursive(st.none() | st.booleans() | NUMBERS | st.text(max_size=8),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=4)
+
+
+def _is_type(row, value):
+    """value has the row's JSON type, whatever its range."""
+    if row.type is float:
+        return type(value) in (int, float)
+    if row.type in (list[float], list[str]):
+        return type(value) is list
+    return type(value) is row.type
+
+
+def fitting(row):
+    """Values of the row's type inside its range, and null where the default is null."""
+    if row.type is int:
+        values = st.integers(min_value=row.range, max_value=2 ** 63)
+    elif row.type is float:
+        values = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    elif row.type is bool:
+        values = st.booleans()
+    elif row.type is str:
+        values = st.sampled_from(row.range) if row.range else PATHS
+    else:
+        least, most = row.range
+        values = st.lists(NUMBERS if row.type == list[float] else PATHS,
+                          min_size=least, max_size=most)
+    return values | st.none() if row.default is None else values
+
+
+def refused(row):
+    """Values of another JSON type than the row's, or of its type outside its range."""
+    null = row.default is None
+    values = JSON.filter(lambda v: not _is_type(row, v) and not (v is None and null))
+    if row.type is int:
+        values |= st.integers(max_value=row.range - 1)
+    elif row.type is float:
+        values |= st.floats(max_value=0) | st.sampled_from([math.inf, math.nan, 10 ** 400])
+    elif row.type is str:
+        values |= st.text(max_size=8).filter(lambda v: v not in row.range) if row.range \
+            else st.just("")
+    elif row.type in (list[float], list[str]):
+        least, most = row.range
+        items = NUMBERS if row.type == list[float] else PATHS
+        if least:
+            values |= st.lists(items, max_size=least - 1)
+        if most is not None:
+            values |= st.lists(items, min_size=most + 1, max_size=most + 3)
+        values |= st.sampled_from([[True], [None], [[1.0]], [math.nan], [10 ** 400]]
+                                  if row.type == list[float] else [[1], [None], [""]])
+    return values
+
+
+@st.composite
+def configs(draw):
+    """A config that sets some table keys, each to a value its row admits."""
+    cfg = {}
+    for row in cli.TABLE:
+        if draw(st.integers(0, 3)) == 0:
+            _merge(cfg, _nested(row.key, draw(fitting(row))))
+    return cfg
+
+
+def _at(cfg, key):
+    for name in key.split("."):
+        cfg = cfg[name]
+    return cfg
+
+
+def _resolved(cfg):
+    try:
+        return cli.resolve(cfg)
+    except cli.ConfigError:  # each value fits its row, but p + q != 4 or steps < burn_in can
+        assume(False)
+
+
+@settings(deadline=None)
+@given(configs())
+def test_resolving_twice_changes_nothing(cfg):
+    resolved = _resolved(cfg)
+    assert cli.resolve(resolved) == resolved
+
+
+@settings(deadline=None)
+@given(configs())
+def test_resolve_fills_every_table_key(cfg):
+    resolved = _resolved(cfg)
+    for row in cli.TABLE:
+        try:
+            want = _at(cfg, row.key)
+        except KeyError:
+            want = row.default(resolved) if callable(row.default) else row.default
+        assert _at(resolved, row.key) == want, row.key
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_value_outside_its_row_is_config_error(data):
+    row = data.draw(st.sampled_from(cli.TABLE))
+    value = data.draw(refused(row))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        cfg = _merge(_nested(row.key, value), {} if row.key == "out" else {"out": out})
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["action", "--config", path])
+        assert code == 2, (row.key, value)
+        assert err.getvalue().startswith(f"config error: {row.key} must be ")
+        assert err.getvalue().count("\n") == 1
+        assert not os.path.exists(out)  # refused before anything was made
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+                  elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+@example(np.array([[complex(-0.0, 5e-324), complex(sys.float_info.max, -0.0)],
+                   [complex(-sys.float_info.max, -2.2250738585072014e-308),
+                    complex(sys.float_info.min / 3, -sys.float_info.max)]]))
+def test_matrix_roundtrip_is_bit_exact(M):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        cli.save_matrix(path, M)
+        back = cli.load_matrix(path)
+    assert back.shape == M.shape and back.tobytes() == M.tobytes()
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("### Config document\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    for row in cli.TABLE:
+        line = next((line for line in rows if f"`{row.key}`" in line.split("|")[1]), "")
+        assert line, f"README's config section does not list {row.key}"
+        for mode in ({}, {"self_test": True}):  # the default of sampler.steps depends on it
+            if row.key not in mode:
+                assert f"`{json.dumps(_at(cli.resolve(mode), row.key))}`" in line, line
