@@ -13,17 +13,19 @@ kernel, `stack_traces`, evaluates the seven traces that the sectors and
 the quadratic and quartic trace lemmas are built from.  It reads a stack
 S = (1, X_0..X_3, P, phi) of m x m matrices followed by three scratch rows
 (the layout is named here: STACK_X, STACK_P, STACK_PHI), into which it writes
-P^2, phi^2 and Q of that stack and nowhere else, so a caller may hold the
-stack across calls (the sampler updates one or two rows per candidate)
-while several threads run the kernel on stacks of their own;
-`bitracial_traces(X, P, phi, ...)` fills a fresh stack and calls it.  Every
-term is a product of entries of one Gram matrix Tr(S_i S_j), except the
-commutator squares, which are traced from 14 explicit commutators.  All
-products Y_a Y_b of Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m)
-matrix product, not 36 small ones, and one `np.take` on flat indices,
-cached per m, gathers the 34 blocks the kernel reads.  At the sampler's
-sizes (m = 8) the cost is the number of numpy calls more than the flops,
-and this form keeps that number small.  The m^2 x m^2
+P^2, phi^2 and Q of that stack and nowhere else.  Every array it forms goes
+into a `KernelWorkspace` that the caller holds, so a caller may hold stack
+and workspace across calls (the sampler updates one or two rows per
+candidate) and the kernel allocates no array, while several threads run it
+on stacks and workspaces of their own; `bitracial_traces(X, P, phi, ...)`
+fills a fresh stack and workspace and calls it.  Every term is a product of
+entries of one Gram matrix Tr(S_i S_j), except the commutator squares,
+which are traced from 14 explicit commutators.  All products Y_a Y_b of
+Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m) matrix product, not
+36 small ones, and one `np.take` on flat indices, cached per m, gathers the
+34 blocks the kernel reads.  At the sampler's sizes (m = 8) the cost is the
+number of numpy calls more than the flops, and this form keeps that number
+small.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength`, the shortcut side of
 `gauge_higgs_identity_sides`, `tetrahedral`) are kept as brute-force
 oracles.  Index raising uses the constant signature eta = diag(e_0..e_3).
@@ -188,7 +190,51 @@ def _product_blocks(m: int) -> np.ndarray:
     return idx
 
 
-def stack_traces(S: np.ndarray, e, eps) -> BiTraces:
+class KernelWorkspace:
+    """The buffers `stack_traces` computes into at one m, held by its caller across calls.
+
+    It holds the transposed rows Y = (X_mu, P, phi), their 6m x 6m product,
+    the 34 gathered blocks, the 14 commutators, the transposed stack, G, W
+    and the signs e as a row, and the reshape and transpose views of the
+    last stack the kernel ran on, made when that stack is first seen, so a
+    call on the same stack allocates no array.  One workspace serves one
+    thread at a time: threads that run the kernel at once each hold their own.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.idx = _product_blocks(m).copy()  # `take` copies read-only indices on every call
+        self.YT = np.empty((m, 6, m), dtype=complex)  # YT[i, a] = row i of Y_a
+        self.YY = np.empty((6 * m, 6 * m), dtype=complex)
+        self.B = np.empty((len(self.idx), m, m), dtype=complex)
+        self.C = np.empty((len(_COMMUTATORS), m, m), dtype=complex)
+        self.ST = np.empty((STACK_ROWS, m, m), dtype=complex)  # ST[i] = S_i^T
+        self.G = np.empty((STACK_ROWS, STACK_ROWS), dtype=complex)
+        self.W = np.empty((STACK_ROWS, STACK_ROWS), dtype=complex)
+        self.e_row, self.signs = np.empty((1, 4), dtype=complex), None
+        n = len(_COMMUTATORS)
+        self.YT_flat, self.ST_flat_T = self.YT.reshape(m, 6 * m), self.ST.reshape(STACK_ROWS, -1).T
+        self.B_ab, self.B_ba = self.B[:n], self.B[n:2 * n]
+        self.B_XX, self.B_sq = self.B[2 * n:2 * n + 4].reshape(4, -1), self.B[2 * n + 4:]
+        self.G_col, self.G_row = self.G[:, _X], self.G[_X]
+        self.stack = None
+
+    def bind(self, S: np.ndarray):
+        """Make the views of a new stack S; refuse it, writing nothing, unless it fits."""
+        m = self.m
+        if S.shape != (STACK_ROWS, m, m):
+            raise DimensionMismatch(f"stack of shape {S.shape}, workspace for "
+                                    f"({STACK_ROWS}, {m}, {m})")
+        if S.dtype != complex or not S.flags.c_contiguous:
+            raise ValueError("the kernel stack must be a C-contiguous complex array")
+        Y = S[STACK_X:STACK_PHI + 1]
+        self.Y_flat, self.Y_T = Y.reshape(6 * m, m), Y.transpose(1, 0, 2)
+        self.S_flat, self.S_T = S.reshape(STACK_ROWS, -1), S.transpose(0, 2, 1)
+        self.sq, self.Q = S[_P2:_PHI2 + 1], S[_Q].reshape(1, -1)
+        self.stack = S
+
+
+def stack_traces(S: np.ndarray, e, eps, ws: KernelWorkspace) -> BiTraces:
     """The seven traces over M_m as bi-tracial polynomials in m x m matrices.
 
     S is the kernel stack (see `kernel_stack`): rows 0..6 hold (1, X_mu, P,
@@ -203,29 +249,43 @@ def stack_traces(S: np.ndarray, e, eps) -> BiTraces:
     matrix product forms G, Tr S_i is G_0i, and the sums over mu are read
     off W = G_{., X} G_{X, .}.  The products Y_a Y_b of Y = (X_mu, P, phi)
     come from one (6m x m) @ (m x 6m) product, and one `np.take` on flat
-    indices cached per m gathers the 34 blocks the kernel reads.  F^2 and
-    [d, Phi]^2 are traced from the 14 commutators themselves, not from a
-    difference of Gram entries, so that commuting data gives exactly zero.
-    Entries stay complex until the end: Tr X_mu is imaginary in signature
-    (0, 4).
+    indices cached per m gathers the 34 blocks the kernel reads; Q is one
+    (1 x 4) @ (4 x m^2) product.  F^2 and [d, Phi]^2 are traced from the 14
+    commutators themselves, not from a difference of Gram entries, so that
+    commuting data gives exactly zero.  Entries stay complex until the end:
+    Tr X_mu is imaginary in signature (0, 4).
+
+    Every array is written into ws, a `KernelWorkspace` of the stack's m
+    (a stack of another m is refused before anything is written), so a
+    caller that holds its stack and workspace across calls allocates only
+    the few Python numbers the traces are read as.  `np.take` runs with
+    mode="clip", as mode="raise" copies through a buffer of the size of
+    its output; the indices are in range either way.
 
     Overflow gives non-finite traces, which the callers report; they, not
     the kernel, silence numpy's overflow warnings, since entering
     `np.errstate` costs about 2 % of a kernel call at m = 8.
     """
-    m = S.shape[-1]
-    Y = S[1:7]
-    B = np.take(Y.reshape(6 * m, m) @ Y.transpose(1, 0, 2).reshape(m, 6 * m),
-                _product_blocks(m))
-    C = B[:14] - B[14:28]
-    t = np.einsum("kij,kji->k", C, C).tolist()  # Tr [Y_a, Y_b]^2 over _COMMUTATORS
-    S[_P2], S[_PHI2] = B[32], B[33]
-    np.einsum("k,kij->ij", e, B[28:32], out=S[_Q])
-    G = S.reshape(STACK_ROWS, -1) @ S.transpose(0, 2, 1).reshape(STACK_ROWS, -1).T
-    g, w = G.tolist(), (G[:, _X] @ G[_X]).tolist()
+    if S is not ws.stack:
+        ws.bind(S)
+    signs = tuple(e)
+    if signs != ws.signs:  # callers pass one signature's signs, and the write costs ~1 us
+        ws.e_row[0], ws.signs = signs, signs
+    m = ws.m
+    np.copyto(ws.YT, ws.Y_T)
+    np.matmul(ws.Y_flat, ws.YT_flat, out=ws.YY)
+    ws.YY.take(ws.idx, out=ws.B, mode="clip")
+    np.subtract(ws.B_ab, ws.B_ba, out=ws.C)
+    t = np.einsum("kij,kji->k", ws.C, ws.C).tolist()  # Tr [Y_a, Y_b]^2 over _COMMUTATORS
+    np.copyto(ws.sq, ws.B_sq)
+    np.matmul(ws.e_row, ws.B_XX, out=ws.Q)
+    np.copyto(ws.ST, ws.S_T)
+    np.matmul(ws.S_flat, ws.ST_flat_T, out=ws.G)
+    np.matmul(ws.G_col, ws.G_row, out=ws.W)
+    g, w = ws.G.tolist(), ws.W.tolist()
 
     trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
-    e0, e1, e2, e3 = e
+    e0, e1, e2, e3 = signs
     return BiTraces(
         theta=(2 * m * trQ + 2 * w[0][0]).real,
         theta2=(2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
@@ -244,8 +304,9 @@ def stack_traces(S: np.ndarray, e, eps) -> BiTraces:
 
 
 def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> BiTraces:
-    """`stack_traces` of (X, P, phi): X the (4, m, m) stack X_mu, P and phi m x m."""
-    return stack_traces(kernel_stack(X, P, phi), e, eps)
+    """`stack_traces` of (X, P, phi) on a fresh workspace: X the (4, m, m) stack X_mu,
+    P and phi m x m."""
+    return stack_traces(kernel_stack(X, P, phi), e, eps, KernelWorkspace(X.shape[-1]))
 
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -213,7 +214,11 @@ def load_config(args) -> dict:
     # a flag given is the top-level key of its name; one not given is absent from args
     cfg.update((key, value) for key, value in vars(args).items() if key in {r.key for r in TABLE})
     cfg = resolve(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
+    try:
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:  # a file of that name, or no permission
+        raise ConfigError(f"out: cannot make the output directory {cfg['out']}: "
+                          f"{exc.strerror}") from None
     return cfg
 
 
@@ -232,9 +237,33 @@ def _geometry(cfg: dict):
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 
+# the keys of the fields block that each source reads, besides "source" and "fluctuation"
+# (which spectrum reads for every source)
+_SOURCE_READS = {"zero": (), "random": ("seed", "scale", "include_x"), "files": ("K", "A", "phi")}
+
+
+def _refuse_unread_fields(cfg: dict):
+    """Refuse a fields key, set to other than its default, that fields.source does not read."""
+    fields = cfg["fields"]
+    read = ("source", "fluctuation") + _SOURCE_READS[fields["source"]]
+    for row in TABLE:
+        block, _, key = row.key.partition(".")
+        key, *sub = key.split(".")
+        if block != "fields" or key in read:
+            continue
+        value = fields[key][sub[0]] if sub else fields[key]
+        if value != (row.default(cfg) if callable(row.default) else row.default):
+            raise ConfigError(f"{row.key} is not read when fields.source is {fields['source']!r}")
+
+
 def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
-    """Fuzzy blocks plus fluctuation per the fields block of a config as written or resolved."""
-    fields, finite = resolve(cfg)["fields"], FiniteData(n=n, D_F=DF)
+    """Fuzzy blocks plus fluctuation per the fields block of a config as written or resolved.
+
+    A key of the block that the source does not read must keep its default.
+    """
+    cfg = resolve(cfg)
+    _refuse_unread_fields(cfg)
+    fields, finite = cfg["fields"], FiniteData(n=n, D_F=DF)
     if fields["source"] == "zero":
         gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(N, sig), finite=finite)
         return gt, fluct.zero_fluctuation(gt)
@@ -272,8 +301,9 @@ def _require_dense_fits(N: int, n: int):
     if soft != resource.RLIM_INFINITY:
         limit = min(limit, soft)
     if need > limit:
+        from decimal import Decimal  # need / 2**30 overflows a float at N ~ 10^80
         raise ConfigError(f"the dense Dirac operator at N = {N}, n = {n} needs "
-                          f"{need / 2**30:.1f} GiB (D and one copy), more than the "
+                          f"{Decimal(need) / 2**30:.3g} GiB (D and one copy), more than the "
                           f"{limit / 2**30:.1f} GiB of memory available")
 
 
@@ -464,8 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: building one costs most of a parse
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
         return args.func(cfg)

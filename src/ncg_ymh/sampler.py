@@ -11,13 +11,15 @@ dropped) or all of Herm(m).  A proposal adds a step times a Gaussian
 Hermitian generator, made traceless anti-Hermitian for A_mu.
 
 At the sampler's sizes (m = 8) numpy's per-call overhead is most of a
-proposal's cost, so the loop makes few calls.  The chain holds the kernel's
-input for its current state, the stack S = (1, X_0..X_3, P, phi, three
-scratch rows) of `action.stack_traces`, with the rows named in `action`.
-An A_mu candidate is one copy of S with row X_mu updated, a phi candidate
-one copy with rows phi and P = 1 (x) D_F + phi rewritten; the kernel reads
-the candidate's stack and writes only its scratch rows, so an accepted
-candidate is the next state as it stands.  Each field's generators are drawn
+proposal's cost, so the loop makes few calls and allocates no stack.  The
+chain holds two kernel stacks S = (1, X_0..X_3, P, phi, three scratch rows)
+of `action.stack_traces`, with the rows named in `action`, each with its own
+`KernelWorkspace`: the current state's and the candidate's.  A candidate is
+the current stack copied into the candidate's (`np.copyto`) with row X_mu
+updated for A_mu, or rows phi and P = 1 (x) D_F + phi rewritten for phi;
+the kernel reads the candidate's stack and writes only its scratch rows and
+workspace, so acceptance swaps the two stacks with their workspaces and the
+accepted candidate is the next state as it stands.  Each field's generators are drawn
 in chunks of about _DRAW_ENTRIES matrix entries, in the order one draw per
 proposal would take them, and scaled by the field's step size once per chunk
 and per tuning window.  A non-finite or diverging action (|S| > 1e12) stops
@@ -40,7 +42,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .action import (STACK_P, STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial,
-                     kernel_stack, require_self_adjoint, sector_breakdown, stack_traces)
+                     KernelWorkspace, kernel_stack, require_self_adjoint, sector_breakdown,
+                     stack_traces)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, UnstableAction
@@ -210,8 +213,8 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     L = [K - np.trace(K) / N * np.eye(N) for K in L]
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
-    def breakdown(S):
-        return sector_breakdown(stack_traces(S, sig.e, sig.eps_dblprime), cfg.poly)
+    def breakdown(S, ws):
+        return sector_breakdown(stack_traces(S, sig.e, sig.eps_dblprime, ws), cfg.poly)
 
     fields = [0, 1, 2, 3]  # mu of each A_mu; None stands for phi
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
@@ -224,7 +227,9 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     sizes = {**_STEP_SIZES, **cfg.step_sizes}
     steps = [float(sizes["phi" if mu is None else "A"]) for mu in fields]
     S = kernel_stack(LX, DF_big, np.zeros((m, m), dtype=complex))  # A = 0, phi = 0
-    current = breakdown(S)
+    ws = KernelWorkspace(m)
+    S_c, ws_c = np.empty_like(S), KernelWorkspace(m)  # the candidate's stack and workspace
+    current = breakdown(S, ws)
     if not abs(current.total_closed) <= _DIVERGENCE:  # also catches NaN
         raise UnstableAction(f"initial action {current.total_closed:.3e}")
 
@@ -241,14 +246,14 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             draws = [_generators(rng, k, m, mu is not None) for rng, mu in zip(rngs, fields)]
             increments = [step * d for step, d in zip(steps, draws)]
         for i, row in enumerate(rows):
-            S_c = S.copy()
+            np.copyto(S_c, S)
             S_c[row] += increments[i][j]
             if row == STACK_PHI:
                 np.add(DF_big, S_c[STACK_PHI], out=S_c[STACK_P])
-            cand = breakdown(S_c)
+            cand = breakdown(S_c, ws_c)
             delta = cand.total_closed - current.total_closed
             if delta <= 0 or accept_rng.random() < math.exp(-delta):
-                S, current = S_c, cand
+                S, S_c, ws, ws_c, current = S_c, S, ws_c, ws, cand
                 accepted[i] += 1
 
         if not abs(current.total_closed) <= _DIVERGENCE:

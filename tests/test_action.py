@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ncg_ymh import action, cli, dirac, fluct, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature, single
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
-from ncg_ymh.errors import NotFlat, NotRiemannian, NotSelfAdjoint
+from ncg_ymh.errors import DimensionMismatch, NotFlat, NotRiemannian, NotSelfAdjoint
 from ncg_ymh.superop import gen_comm
 
 POLY = ActionPolynomial((0.0, 0.7, 0.0, 1.3))
@@ -298,16 +300,18 @@ def test_bitracial_kernel_commuting_data_exact_zero():
 @pytest.mark.parametrize("m", [4, 8])
 @pytest.mark.parametrize("field", ["A2", "phi"])
 def test_candidate_stack_by_row_update(m, field):
-    # the sampler's candidates: a copy of the state's stack with row X_mu, or rows
-    # phi and P, updated; the kernel writes only the scratch rows of its input
+    # the sampler's candidates: the state's stack copied into a second stack, with row
+    # X_mu, or rows phi and P, updated; the kernel writes only the scratch rows of its input
     rng = np.random.default_rng(m)
     sig = build_signature(0, 4)
     X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
     DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
     S = action.kernel_stack(X, DF + phi, phi)
-    action.stack_traces(S, sig.e, sig.eps_dblprime)  # fills the scratch rows of the state
+    # fills the scratch rows of the state
+    action.stack_traces(S, sig.e, sig.eps_dblprime, action.KernelWorkspace(m))
     inc = dirac.random_hermitian(m, rng)
-    S_c = S.copy()
+    S_c = np.empty_like(S)
+    np.copyto(S_c, S)
     if field == "phi":
         S_c[action.STACK_PHI] += inc
         np.add(DF, S_c[action.STACK_PHI], out=S_c[action.STACK_P])
@@ -317,17 +321,85 @@ def test_candidate_stack_by_row_update(m, field):
         X_c, phi_c = X.copy(), phi
         X_c[2] = X[2] + 1j * inc
     rows = S_c[:7].tobytes()
-    got = action.stack_traces(S_c, sig.e, sig.eps_dblprime)
+    got = action.stack_traces(S_c, sig.e, sig.eps_dblprime, action.KernelWorkspace(m))
     assert S_c[:7].tobytes() == rows
     want = action.bitracial_traces(X_c, DF + phi_c, phi_c, sig.e, sig.eps_dblprime)
     for name, g, w in zip(action.BiTraces._fields, got, want):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
 
 
+def _kernel_input(m, k):
+    """(X, P, phi) at size m, the k-th of a fixed sequence."""
+    rng = np.random.default_rng([m, k])
+    X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
+    DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
+    return X, DF + phi, phi
+
+
+# sha256 (first 16 hex digits) of the traces of `_kernel_input(m, k)`, m in (2, 4, 8, 16,
+# 32), k in (0, 1, 2), as the kernel gave them before it computed into a workspace
+# (numpy 2.4.6, OpenBLAS 0.3.31)
+KERNEL_DIGESTS = {(0, 4): "6ba741c3e6557697", (1, 3): "a4cefb37a7a4203b",
+                  (2, 2): "61aa4bc688afd581", (3, 1): "002760863d8f3427"}
+
+
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+def test_stack_kernel_on_a_held_workspace(p, q):
+    # one stack and one workspace per m, refilled with three inputs in turn, give the
+    # traces of a fresh stack and workspace bit for bit
+    sig = build_signature(p, q)
+    h = hashlib.sha256()
+    for m in (2, 4, 8, 16, 32):
+        S, ws = np.empty((action.STACK_ROWS, m, m), dtype=complex), action.KernelWorkspace(m)
+        for k in range(3):
+            X, P, phi = _kernel_input(m, k)
+            S[:7] = action.kernel_stack(X, P, phi)[:7]
+            got = action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+            want = action.bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (m, k)
+            h.update(np.array(got).tobytes())
+    assert h.hexdigest()[:16] == KERNEL_DIGESTS[(p, q)]
+
+
+def test_workspace_refuses_a_stack_of_another_m():
+    sig = build_signature(0, 4)
+    S, ws = action.kernel_stack(*_kernel_input(4, 0)), action.KernelWorkspace(4)
+    want = action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+    buffers = {k: v.tobytes() for k, v in vars(ws).items() if isinstance(v, np.ndarray)}
+    other = action.kernel_stack(*_kernel_input(6, 0))
+    other[7:] = 0
+    rows = other.tobytes()
+    with pytest.raises(DimensionMismatch, match="workspace for"):
+        action.stack_traces(other, sig.e, sig.eps_dblprime, ws)
+    assert other.tobytes() == rows
+    assert buffers == {k: v.tobytes() for k, v in vars(ws).items() if isinstance(v, np.ndarray)}
+    assert action.stack_traces(S, sig.e, sig.eps_dblprime, ws) == want
+
+
+def test_stack_kernel_allocates_no_array():
+    # on a held stack and workspace only the Python numbers of the traces are allocated
+    import tracemalloc
+    sig = build_signature(0, 4)
+    peaks = {}
+    for m in (16, 32, 64):
+        S, ws = action.kernel_stack(*_kernel_input(m, 0)), action.KernelWorkspace(m)
+        action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+        tracemalloc.start()
+        try:
+            action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[32] < 16 * 1024, peaks
+    assert peaks[64] <= peaks[16], peaks
+
+
 def test_stack_kernel_from_many_threads():
-    # the gather indices are shared through a per-m cache; every thread writes
-    # only its own stack, so concurrent calls give the serial traces bit for bit
+    # the gather indices are shared through a per-m cache; every thread writes only its
+    # own stacks and its own workspace, one per m, reused across the stacks it is given,
+    # so concurrent calls give the serial traces bit for bit
     import sys
+    import threading
     from concurrent.futures import ThreadPoolExecutor
     sig = build_signature(0, 4)
     stacks = []
@@ -337,14 +409,23 @@ def test_stack_kernel_from_many_threads():
         X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
         stacks.append(action.kernel_stack(X, dirac.random_hermitian(m, rng),
                                           dirac.random_hermitian(m, rng)))
-    want = [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime) for S in stacks]
+    want = [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime,
+                                action.KernelWorkspace(S.shape[-1])) for S in stacks]
     action._product_blocks.cache_clear()
+    local = threading.local()
+
+    def runs(S):
+        spaces, m = vars(local).setdefault("spaces", {}), S.shape[-1]
+        if m not in spaces:
+            spaces[m] = action.KernelWorkspace(m)
+        return [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime, spaces[m])
+                for _ in range(20)]
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda S: [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime)
-                                           for _ in range(20)], stacks * 2, timeout=60))
+            got = list(pool.map(runs, stacks * 2, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert all(runs == [w] * 20 for runs, w in zip(got, want * 2))

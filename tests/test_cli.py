@@ -585,6 +585,95 @@ def test_value_outside_its_allowed_set_is_config_error(tmp_path, capsys, command
     assert not out.exists()  # refused before anything was made
 
 
+@pytest.mark.parametrize("command", ["verify", "action", "spectrum", "sample"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "taken"
+    path.write_text("a file")
+    assert run([command, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out: cannot make the output directory {path}") \
+        and err.count("\n") == 1, err
+    assert path.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command", ["action", "spectrum"])
+def test_huge_N_is_one_config_error_line(tmp_path, command):
+    # 256 m^4 bytes at N = 10^80 is beyond a float in GiB
+    cfg = write_config(tmp_path, {"geometry": {"N": 10 ** 80}, "out": str(tmp_path)})
+    res = run_process([command, "--config", cfg])
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: the dense Dirac operator") \
+        and res.stderr.count("\n") == 1, res.stderr
+    assert "7.63e+314 GiB" in res.stderr
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"phi": "/nonexistent.json"}, "phi"),
+    ({"source": "random", "A": ["A0.json"]}, "A"),
+    ({"source": "random", "K": {"hat1": "X1.json"}}, "K.hat1"),
+    ({"source": "files", "seed": 3}, "seed"),
+    ({"source": "files", "scale": 0.5}, "scale"),
+    ({"source": "zero", "include_x": True}, "include_x"),
+])
+def test_fields_key_the_source_does_not_read_is_config_error(tmp_path, capsys, fields, key):
+    cfg = write_config(tmp_path, {"fields": fields, "out": str(tmp_path)})
+    assert run(["action", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: fields.{key} is not read when fields.source is "), err
+    assert not (tmp_path / "action_breakdown.json").exists()
+
+
+def test_fields_keys_at_their_defaults_and_fluctuation_are_read_by_every_source(tmp_path):
+    # a key set to its default, or fluctuation (which spectrum reads), is no conflict
+    for fields in ({"source": "zero", "fluctuation": False, "seed": 4, "phi": None},
+                   {"source": "files", "fluctuation": False, "include_x": False},
+                   {"source": "random", "K": {"mu0": None}, "A": []}):
+        cfg = write_config(tmp_path, {"fields": fields, "seed": 4, "out": str(tmp_path)})
+        assert run(["spectrum", "--config", cfg]) == 0, fields
+
+
+def test_readme_example_config_runs(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("### Config document\n", 1)[1]
+    cfg = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg["out"] = str(tmp_path)
+    path = write_config(tmp_path, cfg)
+    for command in ("action", "spectrum"):
+        assert run([command, "--config", path]) == 0, command
+
+
+def test_main_parser_is_reused_without_carrying_flags(tmp_path):
+    # in-process calls in a row, with flags that the next call leaves out, write the
+    # files that each call writes in a fresh process
+    cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 2, "d_f": "random"},
+                                  "sampler": {"steps": 20, "burn_in": 5}, "seed": 2})
+    calls = [["verify", "--signatures", "all", "--seed", "1"], ["verify"],
+             ["sample", "--self-test", "--config", cfg, "--seed", "3"], ["sample", "--config", cfg],
+             ["action", "--config", cfg, "--seed", "9"], ["spectrum", "--config", cfg]]
+    for k, argv in enumerate(calls):
+        assert run([*argv, "--out", str(tmp_path / f"in_{k}")]) == 0, argv
+    for k, argv in enumerate(calls):
+        res = run_process([*argv, "--out", str(tmp_path / f"fresh_{k}")])
+        assert res.returncode == 0, res.stderr
+        names = sorted(os.listdir(tmp_path / f"in_{k}"))
+        assert names == sorted(os.listdir(tmp_path / f"fresh_{k}")) and names, argv
+        for name in names:
+            assert (tmp_path / f"in_{k}" / name).read_bytes() == \
+                (tmp_path / f"fresh_{k}" / name).read_bytes(), (argv, name)
+
+
+def test_main_help_and_usage_errors_are_unchanged(capsys):
+    for argv, code in ((["--help"], 0), (["action", "--help"], 0), ([], 2), (["bogus"], 2),
+                       (["action", "--seed", "x"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code
+        fresh = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert capsys.readouterr() == fresh, argv
+
+
 # ------------------------------------------------ the config table, property-tested
 
 def _nested(key, value):

@@ -213,9 +213,9 @@ def recorded_states(monkeypatch, cfg, gt):
     by_total, last = {}, []
     traces, breakdown = sampler.stack_traces, sampler.sector_breakdown
 
-    def spy_traces(S, e, eps):
+    def spy_traces(S, e, eps, ws):
         last[:] = [(S[STACK_X:STACK_X + 4].copy(), S[STACK_P].copy(), S[STACK_PHI].copy())]
-        return traces(S, e, eps)
+        return traces(S, e, eps, ws)
 
     def spy_breakdown(tr, poly):
         br = breakdown(tr, poly)
