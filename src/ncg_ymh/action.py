@@ -9,30 +9,27 @@ r(b), and the rules
     Tr_{M_m} l(a) r(b) = Tr a Tr b
 
 turn each such trace into a bi-tracial polynomial in m x m matrices.  One
-kernel, `stack_traces`, evaluates the seven traces that the sectors and
-the quadratic and quartic trace lemmas are built from.  It reads a stack
-S = (1, X_0..X_3, P, phi) of m x m matrices followed by three scratch rows
-(the layout is named here: STACK_X, STACK_P, STACK_PHI), into which it writes
-P^2, phi^2 and Q of that stack and nowhere else.  Every array it forms goes
-into a `KernelWorkspace` that the caller holds, so a caller may hold stack
-and workspace across calls (the sampler updates one or two rows per
-candidate) and the kernel allocates no array, while several threads run it
-on stacks and workspaces of their own; `bitracial_traces(X, P, phi, ...)`
-fills a fresh stack and workspace and calls it.  Every term is a product of
-entries of one Gram matrix Tr(S_i S_j), except the commutator squares,
-which are traced from 14 explicit commutators.  All products Y_a Y_b of
-Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m) matrix product, not
-36 small ones, and one `np.take` on flat indices, cached per m, gathers the
-34 blocks the kernel reads.  At the sampler's sizes (m = 8) the cost is the
-number of numpy calls more than the flops, and this form keeps that number
-small.  The m^2 x m^2
+kernel, `Kernel`, evaluates the seven traces that the sectors and the
+quadratic and quartic trace lemmas are built from.  A kernel of size m owns
+its stack S = (1, X_0..X_3, P, phi) of m x m matrices, followed by three
+scratch rows (the layout is named here: STACK_X, STACK_P, STACK_PHI) into
+which it writes P^2, phi^2 and Q, and every buffer it computes into.  So a
+caller holds one kernel per state across calls (the sampler updates one or
+two rows of a candidate) and a call allocates no array, while several
+threads run kernels of their own; `bitracial_traces(X, P, phi, ...)` fills
+a fresh kernel and calls it.  Every term is a product of entries of one Gram
+matrix Tr(S_i S_j), except the commutator squares, which are traced from 14
+explicit commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from
+one (6m x m) @ (m x 6m) matrix product, not 36 small ones, and one `np.take`
+on flat indices gathers the 34 blocks the kernel reads.  At the sampler's
+sizes (m = 8) the cost is the number of numpy calls more than the flops, and
+this form keeps that number small.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength`, the shortcut side of
 `gauge_higgs_identity_sides`, `tetrahedral`) are kept as brute-force
 oracles.  Index raising uses the constant signature eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -159,154 +156,120 @@ class BiTraces(NamedTuple):
 
 
 # Rows of the kernel stack S: the identity, X_0..X_3 (row STACK_X + mu), P and phi,
-# then three scratch rows that `stack_traces` overwrites with P^2, phi^2 and Q.
+# then three scratch rows that `Kernel.traces` overwrites with P^2, phi^2 and Q.
 STACK_ROWS, STACK_X, STACK_P, STACK_PHI = 10, 1, 5, 6
 _X, _P, _PHI, _P2, _PHI2, _Q = slice(STACK_X, STACK_X + 4), STACK_P, STACK_PHI, 7, 8, 9
 # the 14 commutators [Y_a, Y_b] the traces need, Y = (X_0..X_3, P, phi):
 # [X_mu, X_nu] for mu < nu (F^2 is symmetric in mu, nu), then [X_mu, P] and [X_mu, phi]
 _COMMUTATORS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)] + \
     [(mu, b) for b in (4, 5) for mu in range(4)]
+# the 34 products Y_a Y_b the kernel reads: Y_a Y_b and Y_b Y_a for each pair of
+# _COMMUTATORS, then the squares Y_0^2 .. Y_5^2
+_PRODUCTS = np.array(_COMMUTATORS + [(b, a) for a, b in _COMMUTATORS] + [(k, k) for k in range(6)])
 
 
-def kernel_stack(X: np.ndarray, P: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The (STACK_ROWS, m, m) input of `stack_traces` for (X, P, phi); scratch rows unset."""
-    m = X.shape[-1]
-    S = np.empty((STACK_ROWS, m, m), dtype=complex)
-    S[0], S[_X], S[_P], S[_PHI] = np.eye(m), X, P, phi
-    return S
+class Kernel:
+    """The seven traces over M_m as bi-tracial polynomials in m x m matrices, at one m.
 
-
-@functools.lru_cache(maxsize=8)
-def _product_blocks(m: int) -> np.ndarray:
-    """Flat indices, into the 6m x 6m product Y Y, of the 34 blocks Y_a Y_b the kernel reads.
-
-    In order: Y_a Y_b and Y_b Y_a for each pair of _COMMUTATORS, then the
-    squares Y_0^2 .. Y_5^2.  Read-only, as every caller shares it.
-    """
-    pairs = _COMMUTATORS + [(b, a) for a, b in _COMMUTATORS] + [(k, k) for k in range(6)]
-    i = np.arange(m)
-    idx = np.array([(a * m + i)[:, None] * (6 * m) + b * m + i for a, b in pairs])
-    idx.flags.writeable = False
-    return idx
-
-
-class KernelWorkspace:
-    """The buffers `stack_traces` computes into at one m, held by its caller across calls.
-
-    It holds the transposed rows Y = (X_mu, P, phi), their 6m x 6m product,
-    the 34 gathered blocks, the 14 commutators, the transposed stack, G, W
-    and the signs e as a row, and the reshape and transpose views of the
-    last stack the kernel ran on, made when that stack is first seen, so a
-    call on the same stack allocates no array.  One workspace serves one
-    thread at a time: threads that run the kernel at once each hold their own.
+    The kernel owns its stack S (STACK_ROWS, m, m): row 0 is the identity,
+    rows 1..6 hold (X_mu, P, phi), which its caller writes through the views
+    X (4, m, m), P and phi, with X_mu = K_mu (x) 1 + A_mu and
+    P = 1 (x) D_F + phi; `traces` writes P^2, phi^2 and Q into the scratch
+    rows 7..9 and reads rows 0..6 only.  e are the signs e_mu and eps =
+    eps''.  It also owns every buffer `traces` writes into, so a call
+    allocates no array; one kernel serves one thread at a time.
     """
 
-    def __init__(self, m: int):
-        self.m = m
-        self.idx = _product_blocks(m).copy()  # `take` copies read-only indices on every call
+    def __init__(self, m: int, e, eps):
+        self.m, self.e, self.eps = m, tuple(e), eps
+        self.S = np.zeros((STACK_ROWS, m, m), dtype=complex)
+        self.S[0] = np.eye(m)
+        self.X, self.P, self.phi = self.S[_X], self.S[_P], self.S[_PHI]
+        # flat indices, into the 6m x 6m product Y Y, of the blocks _PRODUCTS: entry (i, j)
+        # of Y_a Y_b is entry (a m + i, b m + j) of Y Y
+        a, b, i = _PRODUCTS[:, 0], _PRODUCTS[:, 1], np.arange(m)
+        self.idx = np.add.outer((6 * m * a + b) * m, 6 * m * i[:, None] + i)
         self.YT = np.empty((m, 6, m), dtype=complex)  # YT[i, a] = row i of Y_a
         self.YY = np.empty((6 * m, 6 * m), dtype=complex)
-        self.B = np.empty((len(self.idx), m, m), dtype=complex)
+        self.B = np.empty((len(_PRODUCTS), m, m), dtype=complex)
         self.C = np.empty((len(_COMMUTATORS), m, m), dtype=complex)
         self.ST = np.empty((STACK_ROWS, m, m), dtype=complex)  # ST[i] = S_i^T
         self.G = np.empty((STACK_ROWS, STACK_ROWS), dtype=complex)
         self.W = np.empty((STACK_ROWS, STACK_ROWS), dtype=complex)
-        self.e_row, self.signs = np.empty((1, 4), dtype=complex), None
-        n = len(_COMMUTATORS)
+        self.e_row = np.array([self.e], dtype=complex)
+        n, Y = len(_COMMUTATORS), self.S[STACK_X:STACK_PHI + 1]
+        self.Y_flat, self.Y_T = Y.reshape(6 * m, m), Y.transpose(1, 0, 2)
+        self.S_flat, self.S_T = self.S.reshape(STACK_ROWS, -1), self.S.transpose(0, 2, 1)
+        self.sq, self.Q = self.S[_P2:_PHI2 + 1], self.S[_Q].reshape(1, -1)
         self.YT_flat, self.ST_flat_T = self.YT.reshape(m, 6 * m), self.ST.reshape(STACK_ROWS, -1).T
         self.B_ab, self.B_ba = self.B[:n], self.B[n:2 * n]
         self.B_XX, self.B_sq = self.B[2 * n:2 * n + 4].reshape(4, -1), self.B[2 * n + 4:]
         self.G_col, self.G_row = self.G[:, _X], self.G[_X]
-        self.stack = None
 
-    def bind(self, S: np.ndarray):
-        """Make the views of a new stack S; refuse it, writing nothing, unless it fits."""
+    def traces(self) -> BiTraces:
+        """The seven traces of the stack as it stands.
+
+        With d_mu = l(X_mu) + e_mu r(X_mu) and Phi = l(P) + eps r(phi), every
+        trace follows from l(a) l(b) = l(ab), r(a) r(b) = r(ba), [l, r] = 0
+        and Tr l(a) r(b) = Tr a Tr b.  Every term is a product of Gram entries
+        G_ij = Tr(S_i S_j) over the stack completed by P^2, phi^2 and
+        Q = sum e_mu X_mu^2.  One matrix product forms G, Tr S_i is G_0i, and
+        the sums over mu are read off W = G_{., X} G_{X, .}.  The products
+        Y_a Y_b of Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m)
+        product, and one `np.take` on flat indices gathers the 34 blocks the
+        kernel reads; Q is one (1 x 4) @ (4 x m^2) product.  F^2 and
+        [d, Phi]^2 are traced from the 14 commutators themselves, not from a
+        difference of Gram entries, so that commuting data gives exactly
+        zero.  Entries stay complex until the end: Tr X_mu is imaginary in
+        signature (0, 4).
+
+        Every array is written with out= into the kernel's buffers, so a
+        call allocates only the few Python numbers the traces are read as.
+        `np.take` runs with mode="clip", as mode="raise" copies through a
+        buffer of the size of its output; the indices are in range either
+        way.
+
+        Overflow gives non-finite traces, which the callers report; they, not
+        the kernel, silence numpy's overflow warnings, since entering
+        `np.errstate` costs about 2 % of a kernel call at m = 8.
+        """
         m = self.m
-        if S.shape != (STACK_ROWS, m, m):
-            raise DimensionMismatch(f"stack of shape {S.shape}, workspace for "
-                                    f"({STACK_ROWS}, {m}, {m})")
-        if S.dtype != complex or not S.flags.c_contiguous:
-            raise ValueError("the kernel stack must be a C-contiguous complex array")
-        Y = S[STACK_X:STACK_PHI + 1]
-        self.Y_flat, self.Y_T = Y.reshape(6 * m, m), Y.transpose(1, 0, 2)
-        self.S_flat, self.S_T = S.reshape(STACK_ROWS, -1), S.transpose(0, 2, 1)
-        self.sq, self.Q = S[_P2:_PHI2 + 1], S[_Q].reshape(1, -1)
-        self.stack = S
+        np.copyto(self.YT, self.Y_T)
+        np.matmul(self.Y_flat, self.YT_flat, out=self.YY)
+        self.YY.take(self.idx, out=self.B, mode="clip")
+        np.subtract(self.B_ab, self.B_ba, out=self.C)
+        t = np.einsum("kij,kji->k", self.C, self.C).tolist()  # Tr [Y_a, Y_b]^2 over _COMMUTATORS
+        np.copyto(self.sq, self.B_sq)
+        np.matmul(self.e_row, self.B_XX, out=self.Q)
+        np.copyto(self.ST, self.S_T)
+        np.matmul(self.S_flat, self.ST_flat_T, out=self.G)
+        np.matmul(self.G_col, self.G_row, out=self.W)
+        g, w = self.G.tolist(), self.W.tolist()
 
-
-def stack_traces(S: np.ndarray, e, eps, ws: KernelWorkspace) -> BiTraces:
-    """The seven traces over M_m as bi-tracial polynomials in m x m matrices.
-
-    S is the kernel stack (see `kernel_stack`): rows 0..6 hold (1, X_mu, P,
-    phi), with X_mu = K_mu (x) 1 + A_mu and P = 1 (x) D_F + phi; e are the
-    signs e_mu and eps = eps''.  With d_mu = l(X_mu) + e_mu r(X_mu) and
-    Phi = l(P) + eps r(phi), every trace follows from l(a) l(b) = l(ab),
-    r(a) r(b) = r(ba), [l, r] = 0 and Tr l(a) r(b) = Tr a Tr b.
-
-    Every term is a product of Gram entries G_ij = Tr(S_i S_j) over the
-    stack completed by P^2, phi^2 and Q = sum e_mu X_mu^2, which the kernel
-    writes into the scratch rows 7..9 of S; rows 0..6 are only read.  One
-    matrix product forms G, Tr S_i is G_0i, and the sums over mu are read
-    off W = G_{., X} G_{X, .}.  The products Y_a Y_b of Y = (X_mu, P, phi)
-    come from one (6m x m) @ (m x 6m) product, and one `np.take` on flat
-    indices cached per m gathers the 34 blocks the kernel reads; Q is one
-    (1 x 4) @ (4 x m^2) product.  F^2 and [d, Phi]^2 are traced from the 14
-    commutators themselves, not from a difference of Gram entries, so that
-    commuting data gives exactly zero.  Entries stay complex until the end:
-    Tr X_mu is imaginary in signature (0, 4).
-
-    Every array is written into ws, a `KernelWorkspace` of the stack's m
-    (a stack of another m is refused before anything is written), so a
-    caller that holds its stack and workspace across calls allocates only
-    the few Python numbers the traces are read as.  `np.take` runs with
-    mode="clip", as mode="raise" copies through a buffer of the size of
-    its output; the indices are in range either way.
-
-    Overflow gives non-finite traces, which the callers report; they, not
-    the kernel, silence numpy's overflow warnings, since entering
-    `np.errstate` costs about 2 % of a kernel call at m = 8.
-    """
-    if S is not ws.stack:
-        ws.bind(S)
-    signs = tuple(e)
-    if signs != ws.signs:  # callers pass one signature's signs, and the write costs ~1 us
-        ws.e_row[0], ws.signs = signs, signs
-    m = ws.m
-    np.copyto(ws.YT, ws.Y_T)
-    np.matmul(ws.Y_flat, ws.YT_flat, out=ws.YY)
-    ws.YY.take(ws.idx, out=ws.B, mode="clip")
-    np.subtract(ws.B_ab, ws.B_ba, out=ws.C)
-    t = np.einsum("kij,kji->k", ws.C, ws.C).tolist()  # Tr [Y_a, Y_b]^2 over _COMMUTATORS
-    np.copyto(ws.sq, ws.B_sq)
-    np.matmul(ws.e_row, ws.B_XX, out=ws.Q)
-    np.copyto(ws.ST, ws.S_T)
-    np.matmul(ws.S_flat, ws.ST_flat_T, out=ws.G)
-    np.matmul(ws.G_col, ws.G_row, out=ws.W)
-    g, w = ws.G.tolist(), ws.W.tolist()
-
-    trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
-    e0, e1, e2, e3 = signs
-    return BiTraces(
-        theta=(2 * m * trQ + 2 * w[0][0]).real,
-        theta2=(2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
-                + 4 * (w[1][1] + w[2][2] + w[3][3] + w[4][4])).real,
-        F2=(4 * m * (e0 * (e1 * t[0] + e2 * t[1] + e3 * t[2]) + e1 * (e2 * t[3] + e3 * t[4])
-                     + e2 * e3 * t[5])).real,
-        Phi2=(m * (trP2 + trphi2) + 2 * eps * trP * trphi).real,
-        Phi4=(m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
-              + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI])).real,
-        Phi2_theta=(m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
-                    + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
-                    + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI]).real,
-        dPhi2=(m * (e0 * (t[6] + t[10]) + e1 * (t[7] + t[11]) + e2 * (t[8] + t[12])
-                    + e3 * (t[9] + t[13]))).real,
-    )
+        trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
+        (e0, e1, e2, e3), eps = self.e, self.eps
+        return BiTraces(
+            theta=(2 * m * trQ + 2 * w[0][0]).real,
+            theta2=(2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
+                    + 4 * (w[1][1] + w[2][2] + w[3][3] + w[4][4])).real,
+            F2=(4 * m * (e0 * (e1 * t[0] + e2 * t[1] + e3 * t[2]) + e1 * (e2 * t[3] + e3 * t[4])
+                         + e2 * e3 * t[5])).real,
+            Phi2=(m * (trP2 + trphi2) + 2 * eps * trP * trphi).real,
+            Phi4=(m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
+                  + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI])).real,
+            Phi2_theta=(m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
+                        + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
+                        + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI]).real,
+            dPhi2=(m * (e0 * (t[6] + t[10]) + e1 * (t[7] + t[11]) + e2 * (t[8] + t[12])
+                        + e3 * (t[9] + t[13]))).real,
+        )
 
 
 def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> BiTraces:
-    """`stack_traces` of (X, P, phi) on a fresh workspace: X the (4, m, m) stack X_mu,
-    P and phi m x m."""
-    return stack_traces(kernel_stack(X, P, phi), e, eps, KernelWorkspace(X.shape[-1]))
+    """The traces of a fresh `Kernel` filled with X (the (4, m, m) stack X_mu), P and phi."""
+    k = Kernel(X.shape[-1], e, eps)
+    k.X[...], k.P[...], k.phi[...] = X, P, phi
+    return k.traces()
 
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:

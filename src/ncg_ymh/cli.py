@@ -223,8 +223,7 @@ def load_config(args) -> dict:
 
 
 def _geometry(cfg: dict):
-    """(signature, N, n, D_F) of a config as written or resolved (resolving is idempotent)."""
-    cfg = resolve(cfg)
+    """(signature, N, n, D_F) of a resolved config."""
     geo = cfg["geometry"]
     n, d_f = geo["n"], geo["d_f"]
     if d_f is None:
@@ -257,11 +256,10 @@ def _refuse_unread_fields(cfg: dict):
 
 
 def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
-    """Fuzzy blocks plus fluctuation per the fields block of a config as written or resolved.
+    """Fuzzy blocks plus fluctuation per the fields block of a resolved config.
 
     A key of the block that the source does not read must keep its default.
     """
-    cfg = resolve(cfg)
     _refuse_unread_fields(cfg)
     fields, finite = cfg["fields"], FiniteData(n=n, D_F=DF)
     if fields["source"] == "zero":
@@ -288,23 +286,33 @@ def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
     return gt, fluct.Fluctuation(A=tuple(A), S=None, phi=phi)
 
 
-def _require_dense_fits(N: int, n: int):
-    """Refuse a dense Dirac operator that cannot fit, before it is allocated.
+def _require_fits(need: int, what: str, parts: str):
+    """Refuse a config whose arrays need more than the memory available, before any is made.
 
-    D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n, and
-    eigvalsh (or the powers of the direct trace) needs about as much again.
-    The limit is the smaller of physical memory and RLIMIT_AS.
+    need is their size in bytes, what names them with the config values that
+    size them, and parts says what need counts.  The limit is the smaller of
+    physical memory and RLIMIT_AS.
     """
-    need = 2 * 256 * (N * n) ** 4
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:
         limit = min(limit, soft)
     if need > limit:
         from decimal import Decimal  # need / 2**30 overflows a float at N ~ 10^80
-        raise ConfigError(f"the dense Dirac operator at N = {N}, n = {n} needs "
-                          f"{Decimal(need) / 2**30:.3g} GiB (D and one copy), more than the "
-                          f"{limit / 2**30:.1f} GiB of memory available")
+        raise ConfigError(f"{what} needs {Decimal(need) / 2**30:.3g} GiB ({parts}), more than "
+                          f"the {limit / 2**30:.1f} GiB of memory available")
+
+
+def _dense_inputs(cfg: dict):
+    """(gauge triple, fluctuation) of a config whose dense Dirac operator fits in memory.
+
+    D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n, and
+    eigvalsh (or the powers of the direct trace) needs about as much again.
+    """
+    N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
+    _require_fits(2 * 256 * (N * n) ** 4, f"the dense Dirac operator at N = {N}, n = {n}",
+                  "D and one copy")
+    return _fields(cfg, *_geometry(cfg))
 
 
 def _poly(cfg: dict) -> ActionPolynomial:
@@ -355,9 +363,7 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_action(cfg: dict) -> int:
-    sig, N, n, DF = _geometry(cfg)
-    _require_dense_fits(N, n)
-    gt, fl = _fields(cfg, sig, N, n, DF)
+    gt, fl = _dense_inputs(cfg)
     poly = _poly(cfg)
     br = sectors(gt, fl, poly, include_direct=True)
     out = {
@@ -378,10 +384,8 @@ def cmd_action(cfg: dict) -> int:
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    sig, N, n, DF = _geometry(cfg)
-    _require_dense_fits(N, n)
-    gt, fl = _fields(cfg, sig, N, n, DF)
-    mod = clifford.build_gammas(sig)
+    gt, fl = _dense_inputs(cfg)
+    mod = clifford.build_gammas(gt.sig)
     if cfg["fields"]["fluctuation"]:
         D = fluct.assemble_fluctuated(gt, fl, mod)
     else:
@@ -405,7 +409,10 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_sample(cfg: dict) -> int:
     seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
     if cfg["self_test"]:
-        res = gaussian_self_test(N=sp["self_test_N"], samples=sp["steps"], seed=seed)
+        N, steps = sp["self_test_N"], sp["steps"]
+        _require_fits(16 * steps + 128 * N ** 2, f"the Gaussian self test at sampler.self_test_N "
+                      f"= {N}, sampler.steps = {steps}", "its samples and N x N matrices")
+        res = gaussian_self_test(N=N, samples=steps, seed=seed)
         csv_path = os.path.join(out_dir, "samples.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -420,6 +427,11 @@ def cmd_sample(cfg: dict) -> int:
               f"(target {res['target']}, acceptance {res['acceptance']:.2f})")
         return 0
 
+    N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
+    # the chain's peak (tracemalloc, m = 32 to 96) is about 4600 bytes per entry of an
+    # m x m matrix, m = N n: most of it the stacks and buffers of two kernels
+    _require_fits(5120 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
+                  "two kernels, the fields and their draws")
     sig, N, n, DF = _geometry(cfg)
     if (sig.p, sig.q) != (0, 4):
         raise NotRiemannian("sampling requires signature (0, 4)")

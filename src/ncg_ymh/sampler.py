@@ -1,7 +1,7 @@
 """Metropolis chain over the fields the action sees: A_mu in su(m), phi in Herm(m).
 
 Boltzmann weight exp(-(1/4) Tr f(D_omega)) from the closed-form sectors
-(`action.stack_traces`), exact for deg f <= 4 (`SamplerConfig` refuses
+(`action.Kernel`), exact for deg f <= 4 (`SamplerConfig` refuses
 more), once per proposal; records read the state's kept breakdown.
 
 The action sees (L_mu, A_mu) only through X_mu = L_mu (x) 1 + A_mu, so L_mu
@@ -12,19 +12,18 @@ Hermitian generator, made traceless anti-Hermitian for A_mu.
 
 At the sampler's sizes (m = 8) numpy's per-call overhead is most of a
 proposal's cost, so the loop makes few calls and allocates no stack.  The
-chain holds two kernel stacks S = (1, X_0..X_3, P, phi, three scratch rows)
-of `action.stack_traces`, with the rows named in `action`, each with its own
-`KernelWorkspace`: the current state's and the candidate's.  A candidate is
-the current stack copied into the candidate's (`np.copyto`) with row X_mu
-updated for A_mu, or rows phi and P = 1 (x) D_F + phi rewritten for phi;
-the kernel reads the candidate's stack and writes only its scratch rows and
-workspace, so acceptance swaps the two stacks with their workspaces and the
-accepted candidate is the next state as it stands.  Each field's generators are drawn
-in chunks of about _DRAW_ENTRIES matrix entries, in the order one draw per
-proposal would take them, and scaled by the field's step size once per chunk
-and per tuning window.  A non-finite or diverging action (|S| > 1e12) stops
-the chain with UnstableAction at the start and after any sweep, not only
-during burn-in.
+chain holds two `action.Kernel`s, the current state's and the candidate's,
+each owning its stack S = (1, X_0..X_3, P, phi, three scratch rows) with
+the rows named in `action`.  A candidate is the current stack copied into
+the candidate's (`np.copyto`) with row X_mu updated for A_mu, or rows phi
+and P = 1 (x) D_F + phi rewritten for phi; the kernel reads the candidate's
+stack and writes only its scratch rows and buffers, so acceptance swaps the
+two kernels and the accepted candidate is the next state as it stands.
+Each field's generators are drawn in chunks of about _DRAW_ENTRIES matrix
+entries, in the order one draw per proposal would take them, and scaled by
+the field's step size once per chunk and per tuning window.  A non-finite
+or diverging action (|S| > 1e12) stops the chain with UnstableAction at the
+start and after any sweep, not only during burn-in.
 
 Streams: SeedSequence(seed, spawn_key=(k,)) with k = 4 + mu for A_mu, 8 for
 phi and 9 for the accept/reject uniforms; 0..3 are retired.  Identical seeds
@@ -41,9 +40,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .action import (STACK_P, STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial,
-                     KernelWorkspace, kernel_stack, require_self_adjoint, sector_breakdown,
-                     stack_traces)
+from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
+                     require_self_adjoint, sector_breakdown)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
 from .errors import NotFlat, NotRiemannian, UnstableAction
@@ -213,8 +211,8 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     L = [K - np.trace(K) / N * np.eye(N) for K in L]
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
-    def breakdown(S, ws):
-        return sector_breakdown(stack_traces(S, sig.e, sig.eps_dblprime, ws), cfg.poly)
+    def breakdown(kernel):
+        return sector_breakdown(kernel.traces(), cfg.poly)
 
     fields = [0, 1, 2, 3]  # mu of each A_mu; None stands for phi
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
@@ -226,10 +224,9 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
     sizes = {**_STEP_SIZES, **cfg.step_sizes}
     steps = [float(sizes["phi" if mu is None else "A"]) for mu in fields]
-    S = kernel_stack(LX, DF_big, np.zeros((m, m), dtype=complex))  # A = 0, phi = 0
-    ws = KernelWorkspace(m)
-    S_c, ws_c = np.empty_like(S), KernelWorkspace(m)  # the candidate's stack and workspace
-    current = breakdown(S, ws)
+    cur, cand = Kernel(m, sig.e, sig.eps_dblprime), Kernel(m, sig.e, sig.eps_dblprime)
+    cur.X[...], cur.P[...] = LX, DF_big  # A = 0, phi = 0
+    current = breakdown(cur)
     if not abs(current.total_closed) <= _DIVERGENCE:  # also catches NaN
         raise UnstableAction(f"initial action {current.total_closed:.3e}")
 
@@ -246,14 +243,14 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             draws = [_generators(rng, k, m, mu is not None) for rng, mu in zip(rngs, fields)]
             increments = [step * d for step, d in zip(steps, draws)]
         for i, row in enumerate(rows):
-            np.copyto(S_c, S)
-            S_c[row] += increments[i][j]
+            np.copyto(cand.S, cur.S)
+            cand.S[row] += increments[i][j]
             if row == STACK_PHI:
-                np.add(DF_big, S_c[STACK_PHI], out=S_c[STACK_P])
-            cand = breakdown(S_c, ws_c)
-            delta = cand.total_closed - current.total_closed
+                np.add(DF_big, cand.phi, out=cand.P)
+            proposed = breakdown(cand)
+            delta = proposed.total_closed - current.total_closed
             if delta <= 0 or accept_rng.random() < math.exp(-delta):
-                S, S_c, ws, ws_c, current = S_c, S, ws_c, ws, cand
+                cur, cand, current = cand, cur, proposed
                 accepted[i] += 1
 
         if not abs(current.total_closed) <= _DIVERGENCE:
@@ -282,7 +279,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                                         s_ym=current.s_ym, s_h=current.s_h, s_gh=current.s_gh,
                                         s_theta=current.s_theta, acceptance=rate))
     proposals = (cfg.steps - cfg.burn_in) * len(fields)
-    state = ChainState(L=L, A=S[STACK_X:STACK_X + 4] - LX, phi=S[STACK_PHI].copy(),
+    state = ChainState(L=L, A=cur.X - LX, phi=cur.phi.copy(),
                        breakdown=current, accept_count=sum(accepted) - sum(after_burn_in),
                        proposal_count=proposals)
     sampled = max(1, cfg.steps - cfg.burn_in)

@@ -7,7 +7,7 @@ from ncg_ymh import action, cli, dirac, fluct, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature, single
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
-from ncg_ymh.errors import DimensionMismatch, NotFlat, NotRiemannian, NotSelfAdjoint
+from ncg_ymh.errors import NotFlat, NotRiemannian, NotSelfAdjoint
 from ncg_ymh.superop import gen_comm
 
 POLY = ActionPolynomial((0.0, 0.7, 0.0, 1.3))
@@ -297,32 +297,36 @@ def test_bitracial_kernel_commuting_data_exact_zero():
     assert tr.theta > 0 and tr.Phi4 > 0
 
 
+def _filled(kernel, X, P, phi):
+    kernel.X[...], kernel.P[...], kernel.phi[...] = X, P, phi
+    return kernel
+
+
 @pytest.mark.parametrize("m", [4, 8])
 @pytest.mark.parametrize("field", ["A2", "phi"])
 def test_candidate_stack_by_row_update(m, field):
-    # the sampler's candidates: the state's stack copied into a second stack, with row
-    # X_mu, or rows phi and P, updated; the kernel writes only the scratch rows of its input
+    # the sampler's candidates: the state's stack copied into a second kernel's, with row
+    # X_mu, or rows phi and P, updated; the kernel writes only the scratch rows of its stack
     rng = np.random.default_rng(m)
     sig = build_signature(0, 4)
     X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
     DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
-    S = action.kernel_stack(X, DF + phi, phi)
-    # fills the scratch rows of the state
-    action.stack_traces(S, sig.e, sig.eps_dblprime, action.KernelWorkspace(m))
+    state = _filled(action.Kernel(m, sig.e, sig.eps_dblprime), X, DF + phi, phi)
+    state.traces()  # fills the scratch rows of the state
     inc = dirac.random_hermitian(m, rng)
-    S_c = np.empty_like(S)
-    np.copyto(S_c, S)
+    cand = action.Kernel(m, sig.e, sig.eps_dblprime)
+    np.copyto(cand.S, state.S)
     if field == "phi":
-        S_c[action.STACK_PHI] += inc
-        np.add(DF, S_c[action.STACK_PHI], out=S_c[action.STACK_P])
+        cand.phi[...] += inc
+        np.add(DF, cand.phi, out=cand.P)
         X_c, phi_c = X, phi + inc
     else:
-        S_c[action.STACK_X + 2] += 1j * inc
+        cand.X[2] += 1j * inc
         X_c, phi_c = X.copy(), phi
         X_c[2] = X[2] + 1j * inc
-    rows = S_c[:7].tobytes()
-    got = action.stack_traces(S_c, sig.e, sig.eps_dblprime, action.KernelWorkspace(m))
-    assert S_c[:7].tobytes() == rows
+    rows = cand.S[:7].tobytes()
+    got = cand.traces()
+    assert cand.S[:7].tobytes() == rows
     want = action.bitracial_traces(X_c, DF + phi_c, phi_c, sig.e, sig.eps_dblprime)
     for name, g, w in zip(action.BiTraces._fields, got, want):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
@@ -337,7 +341,7 @@ def _kernel_input(m, k):
 
 
 # sha256 (first 16 hex digits) of the traces of `_kernel_input(m, k)`, m in (2, 4, 8, 16,
-# 32), k in (0, 1, 2), as the kernel gave them before it computed into a workspace
+# 32), k in (0, 1, 2), as the kernel gave them before it computed into preallocated buffers
 # (numpy 2.4.6, OpenBLAS 0.3.31)
 KERNEL_DIGESTS = {(0, 4): "6ba741c3e6557697", (1, 3): "a4cefb37a7a4203b",
                   (2, 2): "61aa4bc688afd581", (3, 1): "002760863d8f3427"}
@@ -345,48 +349,32 @@ KERNEL_DIGESTS = {(0, 4): "6ba741c3e6557697", (1, 3): "a4cefb37a7a4203b",
 
 @pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
 def test_stack_kernel_on_a_held_workspace(p, q):
-    # one stack and one workspace per m, refilled with three inputs in turn, give the
-    # traces of a fresh stack and workspace bit for bit
+    # one kernel per m, refilled with three inputs in turn, gives the traces of a fresh
+    # kernel bit for bit
     sig = build_signature(p, q)
     h = hashlib.sha256()
     for m in (2, 4, 8, 16, 32):
-        S, ws = np.empty((action.STACK_ROWS, m, m), dtype=complex), action.KernelWorkspace(m)
+        kernel = action.Kernel(m, sig.e, sig.eps_dblprime)
         for k in range(3):
             X, P, phi = _kernel_input(m, k)
-            S[:7] = action.kernel_stack(X, P, phi)[:7]
-            got = action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+            got = _filled(kernel, X, P, phi).traces()
             want = action.bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (m, k)
             h.update(np.array(got).tobytes())
     assert h.hexdigest()[:16] == KERNEL_DIGESTS[(p, q)]
 
 
-def test_workspace_refuses_a_stack_of_another_m():
-    sig = build_signature(0, 4)
-    S, ws = action.kernel_stack(*_kernel_input(4, 0)), action.KernelWorkspace(4)
-    want = action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
-    buffers = {k: v.tobytes() for k, v in vars(ws).items() if isinstance(v, np.ndarray)}
-    other = action.kernel_stack(*_kernel_input(6, 0))
-    other[7:] = 0
-    rows = other.tobytes()
-    with pytest.raises(DimensionMismatch, match="workspace for"):
-        action.stack_traces(other, sig.e, sig.eps_dblprime, ws)
-    assert other.tobytes() == rows
-    assert buffers == {k: v.tobytes() for k, v in vars(ws).items() if isinstance(v, np.ndarray)}
-    assert action.stack_traces(S, sig.e, sig.eps_dblprime, ws) == want
-
-
 def test_stack_kernel_allocates_no_array():
-    # on a held stack and workspace only the Python numbers of the traces are allocated
+    # on a held kernel only the Python numbers of the traces are allocated
     import tracemalloc
     sig = build_signature(0, 4)
     peaks = {}
     for m in (16, 32, 64):
-        S, ws = action.kernel_stack(*_kernel_input(m, 0)), action.KernelWorkspace(m)
-        action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+        kernel = _filled(action.Kernel(m, sig.e, sig.eps_dblprime), *_kernel_input(m, 0))
+        kernel.traces()
         tracemalloc.start()
         try:
-            action.stack_traces(S, sig.e, sig.eps_dblprime, ws)
+            kernel.traces()
             peaks[m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,37 +383,32 @@ def test_stack_kernel_allocates_no_array():
 
 
 def test_stack_kernel_from_many_threads():
-    # the gather indices are shared through a per-m cache; every thread writes only its
-    # own stacks and its own workspace, one per m, reused across the stacks it is given,
-    # so concurrent calls give the serial traces bit for bit
+    # every thread writes only its own kernels, one per m, refilled with each input it is
+    # given, so concurrent calls give the serial traces bit for bit
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
     sig = build_signature(0, 4)
-    stacks = []
+    inputs = []
     for k in range(16):
         rng = np.random.default_rng(100 + k)
         m = (4, 6, 8)[k % 3]
         X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
-        stacks.append(action.kernel_stack(X, dirac.random_hermitian(m, rng),
-                                          dirac.random_hermitian(m, rng)))
-    want = [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime,
-                                action.KernelWorkspace(S.shape[-1])) for S in stacks]
-    action._product_blocks.cache_clear()
+        inputs.append((X, dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)))
+    want = [action.bitracial_traces(*inp, sig.e, sig.eps_dblprime) for inp in inputs]
     local = threading.local()
 
-    def runs(S):
-        spaces, m = vars(local).setdefault("spaces", {}), S.shape[-1]
-        if m not in spaces:
-            spaces[m] = action.KernelWorkspace(m)
-        return [action.stack_traces(S.copy(), sig.e, sig.eps_dblprime, spaces[m])
-                for _ in range(20)]
+    def runs(inp):
+        kernels, m = vars(local).setdefault("kernels", {}), inp[0].shape[-1]
+        if m not in kernels:
+            kernels[m] = action.Kernel(m, sig.e, sig.eps_dblprime)
+        return [_filled(kernels[m], *inp).traces() for _ in range(20)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(runs, stacks * 2, timeout=60))
+            got = list(pool.map(runs, inputs * 2, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert all(runs == [w] * 20 for runs, w in zip(got, want * 2))
@@ -453,7 +436,8 @@ ANTI_DIAGONAL = [[a + c == 3 for c in range(4)] for a in range(4)]
 
 def test_direct_trace_matches_dense_at_evaluate_size():
     # the benchmark's evaluate config at N = 6, through the CLI's own input path
-    cfg = {"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"}, "seed": 0}
+    cfg = cli.resolve({"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"},
+                       "seed": 0})
     gt, fl = cli._fields(cfg, *cli._geometry(cfg))
     D = fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
     assert _zero_tiles(D) == ANTI_DIAGONAL

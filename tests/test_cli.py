@@ -501,6 +501,7 @@ def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
     assert run(["spectrum", "--config", write_config(tmp_path, cfg)]) == 0
     assert calls == [(64, 64)]
     # byte-identical to the histogram of a second diagonalisation of the same D
+    cfg = cli.resolve(cfg)
     sig, N, n, DF = cli._geometry(cfg)
     gt, fl = cli._fields(cfg, sig, N, n, DF)
     edges, counts = sampler.eigen_histogram(
@@ -596,15 +597,33 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, command):
     assert path.read_text() == "a file"
 
 
-@pytest.mark.parametrize("command", ["action", "spectrum"])
-def test_huge_N_is_one_config_error_line(tmp_path, command):
-    # 256 m^4 bytes at N = 10^80 is beyond a float in GiB
-    cfg = write_config(tmp_path, {"geometry": {"N": 10 ** 80}, "out": str(tmp_path)})
-    res = run_process([command, "--config", cfg])
+# per case: the command, its config and how its config error begins
+HUGE = {
+    "action": (["action"], {"geometry": {"N": 10 ** 80}}, "the dense Dirac operator"),
+    "spectrum": (["spectrum"], {"geometry": {"N": 10 ** 80}}, "the dense Dirac operator"),
+    "sample": (["sample"], {"geometry": {"N": 10 ** 80}}, "the chain at geometry.N = 1000"),
+    "sample-N-1e9": (["sample"], {"geometry": {"N": 10 ** 9}},
+                     "the chain at geometry.N = 1000000000,"),
+    "self-test-N": (["sample", "--self-test"], {"sampler": {"self_test_N": 10 ** 80}},
+                    "the Gaussian self test at sampler.self_test_N = 1000"),
+    "self-test-steps": (["sample", "--self-test"], {"sampler": {"steps": 10 ** 80}},
+                        "the Gaussian self test at sampler.self_test_N = 2, sampler.steps = 1000"),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE))
+def test_huge_N_is_one_config_error_line(tmp_path, case):
+    # 256 m^4 bytes at N = 10^80 is beyond a float in GiB; every size is refused before
+    # anything of that size is allocated
+    argv, cfg, what = HUGE[case]
+    path = write_config(tmp_path, {**cfg, "out": str(tmp_path)})
+    res = run_process([*argv, "--config", path])
     assert res.returncode == 2, res.stderr
-    assert res.stderr.startswith("config error: the dense Dirac operator") \
+    assert res.stderr.startswith(f"config error: {what}") \
         and res.stderr.count("\n") == 1, res.stderr
-    assert "7.63e+314 GiB" in res.stderr
+    if argv[0] != "sample":
+        assert "7.63e+314 GiB" in res.stderr
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 @pytest.mark.parametrize("fields, key", [

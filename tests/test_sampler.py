@@ -1,11 +1,13 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ncg_ymh import dirac, fluct, sampler
-from ncg_ymh.action import (STACK_P, STACK_PHI, STACK_X, ActionPolynomial, bitracial_traces,
-                            sector_breakdown)
+from ncg_ymh.action import ActionPolynomial, Kernel, bitracial_traces, sector_breakdown
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import NotSelfAdjoint, UnstableAction
@@ -58,6 +60,29 @@ def test_determinism_bit_identical():
     assert len(r1) == len(r2) > 0
     for a, b in zip(r1, r2):
         assert a == b  # dataclass equality, exact float comparison
+
+
+# sha256 (first 16 hex digits) of a chain's records, final A and phi, tuned step sizes and
+# step-size trajectory, as the sampler gave them when the chain held two kernel stacks
+# and their workspaces (numpy 2.4.6, OpenBLAS 0.3.31)
+CHAIN_DIGESTS = {"yang_mills": "73715d44ddd7f7a5", "higgs": "77435b0df1846622"}
+
+
+@pytest.mark.parametrize("kind", ["yang_mills", "higgs"])
+def test_chain_is_pinned_across_versions(kind):
+    gt = ym_template() if kind == "yang_mills" else higgs_template(seed=2)
+    # steps start above their tuned sizes, so every tuning window moves some of them
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=300, burn_in=100, seed=31,
+                                step_sizes={"A": 0.2, "phi": 0.2})
+    records, info = sampler.run_chain(cfg, gt)
+    state = info["final_state"]
+    h = hashlib.sha256()
+    h.update(np.array([dataclasses.astuple(r) for r in records]).tobytes())
+    h.update(state.A.tobytes())
+    h.update(state.phi.tobytes())
+    h.update(json.dumps([info["step_sizes"], info["step_size_trajectory"]]).encode())
+    assert len(info["step_size_trajectory"]) == 4
+    assert h.hexdigest()[:16] == CHAIN_DIGESTS[kind]
 
 
 def test_state_stays_on_moduli_space():
@@ -211,18 +236,18 @@ def test_records_describe_the_state_at_their_sweep():
 def recorded_states(monkeypatch, cfg, gt):
     """Run a chain; return, per record, the (X, P, phi) its action was read from."""
     by_total, last = {}, []
-    traces, breakdown = sampler.stack_traces, sampler.sector_breakdown
+    traces, breakdown = Kernel.traces, sampler.sector_breakdown
 
-    def spy_traces(S, e, eps, ws):
-        last[:] = [(S[STACK_X:STACK_X + 4].copy(), S[STACK_P].copy(), S[STACK_PHI].copy())]
-        return traces(S, e, eps, ws)
+    def spy_traces(kernel):
+        last[:] = [(kernel.X.copy(), kernel.P.copy(), kernel.phi.copy())]
+        return traces(kernel)
 
     def spy_breakdown(tr, poly):
         br = breakdown(tr, poly)
         by_total[br.total_closed] = last[0]
         return br
 
-    monkeypatch.setattr(sampler, "stack_traces", spy_traces)
+    monkeypatch.setattr(Kernel, "traces", spy_traces)
     monkeypatch.setattr(sampler, "sector_breakdown", spy_breakdown)
     records, _ = sampler.run_chain(cfg, gt)
     monkeypatch.undo()
