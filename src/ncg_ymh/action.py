@@ -37,7 +37,7 @@ import numpy as np
 
 from .clifford import build_gammas, single
 from .dirac import GaugeTriple
-from .errors import DimensionMismatch, NotFlat, NotRiemannian, NotSelfAdjoint
+from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
 from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
                     higgs_field)
 from .superop import SuperOp, gen_comm
@@ -113,11 +113,6 @@ def _require_flat(gt: GaugeTriple, fl: Fluctuation):
         raise NotFlat("fuzzy data carries nonzero triple-index blocks")
     if fl.S is not None and max(np.abs(Sm).max() for Sm in fl.S) > 0:
         raise NotFlat("fluctuation carries nonzero S matrices")
-
-
-def _require_riemannian(gt: GaugeTriple):
-    if (gt.sig.p, gt.sig.q) != (0, 4):
-        raise NotRiemannian(f"signature ({gt.sig.p}, {gt.sig.q}); need (0, 4)")
 
 
 def field_strength(gt: GaugeTriple, fl: Fluctuation) -> FieldStrength:
@@ -349,12 +344,11 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
 
 def sectors(gt: GaugeTriple, fl: Fluctuation, f: ActionPolynomial,
             include_direct: bool = False) -> ActionBreakdown:
-    """Sector decomposition of (1/4) Tr f(D_omega), flat Riemannian only.
+    """Sector decomposition of (1/4) Tr f(D_omega), flat data in any signature.
 
     See `sector_breakdown`.  For f of degree <= 4 the four sectors sum to
     the direct trace.
     """
-    _require_riemannian(gt)
     tr = _traces(gt, fl)
     direct = None
     if include_direct:

@@ -33,7 +33,7 @@ import numpy as np
 from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
-from .errors import NcgError, NotRiemannian
+from .errors import NcgError
 from .sampler import (_STEP_SIZES, SamplerConfig, batch_means, effective_sample_size,
                       gaussian_self_test, run_chain, stationarity_check, symmetric_histogram,
                       tau_int)
@@ -255,29 +255,33 @@ def _refuse_unread_fields(cfg: dict):
             raise ConfigError(f"{row.key} is not read when fields.source is {fields['source']!r}")
 
 
-def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
-    """Fuzzy blocks plus fluctuation per the fields block of a resolved config.
+def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
+    """The gauge triple of a resolved config: fuzzy blocks per its fields block, D_F given.
 
     A key of the block that the source does not read must keep its default.
     """
     _refuse_unread_fields(cfg)
-    fields, finite = cfg["fields"], FiniteData(n=n, D_F=DF)
-    if fields["source"] == "zero":
-        gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(N, sig), finite=finite)
-        return gt, fluct.zero_fluctuation(gt)
+    fields = cfg["fields"]
     if fields["source"] == "random":
-        scale, seed = fields["scale"], fields["seed"]
-        fz = dirac.random_fuzzy(N, sig, scale=scale, seed=seed, include_X=fields["include_x"])
-        gt = GaugeTriple(fuzzy=fz, finite=finite)
-        if fields["fluctuation"]:
-            return gt, fluct.random_fluctuation(gt, scale=scale, seed=seed + 1)
+        fz = dirac.random_fuzzy(N, sig, scale=fields["scale"], seed=fields["seed"],
+                                include_X=fields["include_x"])
+    else:  # "zero" leaves every K path null
+        K = {}
+        for key, path in fields["K"].items():
+            if path is not None:
+                I = (clifford.hat if key.startswith("hat") else clifford.single)(int(key[-1]))
+                K[I] = _load_square(path, N, f"block {key}", I.sign(sig))
+        fz = FuzzyData(N=N, sig=sig, K=K)
+    return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
+
+
+def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
+    """`_triple` plus the fluctuation per the fields block of a resolved config."""
+    gt, fields = _triple(cfg, sig, N, n, DF), cfg["fields"]
+    if fields["source"] == "random" and fields["fluctuation"]:
+        return gt, fluct.random_fluctuation(gt, scale=fields["scale"], seed=fields["seed"] + 1)
+    if fields["source"] != "files":  # include_x is false unless the source is "random"
         return gt, fluct.zero_fluctuation(gt, flat=not fields["include_x"])
-    K = {}
-    for key, path in fields["K"].items():
-        if path is not None:
-            I = (clifford.hat if key.startswith("hat") else clifford.single)(int(key[-1]))
-            K[I] = _load_square(path, N, f"block {key}", I.sign(sig))
-    gt = GaugeTriple(fuzzy=FuzzyData(N=N, sig=sig, K=K), finite=finite)
     m = N * n
     A = [_load_square(path, m, f"A{mu}", sig.e[mu]) for mu, path in enumerate(fields["A"])]
     A += [np.zeros((m, m), dtype=complex) for _ in range(4 - len(A))]
@@ -432,14 +436,11 @@ def cmd_sample(cfg: dict) -> int:
     # m x m matrix, m = N n: most of it the stacks and buffers of two kernels
     _require_fits(5120 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
                   "two kernels, the fields and their draws")
-    sig, N, n, DF = _geometry(cfg)
-    if (sig.p, sig.q) != (0, 4):
-        raise NotRiemannian("sampling requires signature (0, 4)")
     for key in ("A", "phi"):
         if cfg["fields"][key]:
             raise ConfigError(f"fields.{key}: sample starts from A = 0 and phi = 0 "
                               "and reads no potential or Higgs file")
-    gt, _ = _fields(cfg, sig, N, n, DF)
+    gt = _triple(cfg, *_geometry(cfg))
     try:
         scfg = SamplerConfig(N=N, n=n, poly=_poly(cfg), steps=sp["steps"], burn_in=sp["burn_in"],
                              thin=sp["thin"], step_sizes=dict(sp["step_sizes"]),

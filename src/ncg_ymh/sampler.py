@@ -1,14 +1,17 @@
-"""Metropolis chain over the fields the action sees: A_mu in su(m), phi in Herm(m).
+"""Metropolis chain over the fields the action sees, in any signature (p, q).
 
 Boltzmann weight exp(-(1/4) Tr f(D_omega)) from the closed-form sectors
 (`action.Kernel`), exact for deg f <= 4 (`SamplerConfig` refuses
 more), once per proposal; records read the state's kept breakdown.
 
 The action sees (L_mu, A_mu) only through X_mu = L_mu (x) 1 + A_mu, so L_mu
-stays at the template's blocks, made traceless.  Omega^1_{D_F} is a two-sided
-ideal of the simple algebra M_n, so the Higgs space is 0 (D_F scalar: phi is
-dropped) or all of Herm(m).  A proposal adds a step times a Gaussian
-Hermitian generator, made traceless anti-Hermitian for A_mu.
+stays at the template's blocks.  Omega^1_{D_F} is a two-sided ideal of the
+simple algebra M_n, so the Higgs space is 0 (D_F scalar: phi is dropped) or
+all of Herm(m).  X_mu enters as l(X_mu) + e_mu r(X_mu) and phi as l(phi) +
+eps'' r(phi), so the action does not see a trace where that sign is -1.  A
+proposal adds a step times a Gaussian Hermitian generator, made traceless
+where the sign is -1, and times i for A_mu where e_mu = -1 (M* = e_mu M);
+L_mu is made traceless where e_mu = -1.  In (0, 4): A_mu in su(m), phi in Herm(m).
 
 At the sampler's sizes (m = 8) numpy's per-call overhead is most of a
 proposal's cost, so the loop makes few calls and allocates no stack.  The
@@ -44,11 +47,13 @@ from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kern
                      require_self_adjoint, sector_breakdown)
 from .clifford import single
 from .dirac import GaugeTriple, random_hermitian
-from .errors import NotFlat, NotRiemannian, UnstableAction
+from .errors import NotFlat, UnstableAction
 from .fluct import Fluctuation, covariant_matrices
 
 _DIVERGENCE = 1e12
 _STEP_SIZES = {"A": 0.08, "phi": 0.1}
+_TUNE_INTERVAL = 25
+_TARGET_ACCEPTANCE = (0.2, 0.6)
 
 
 @dataclass
@@ -60,10 +65,8 @@ class SamplerConfig:
     burn_in: int = 0
     thin: int = 1
     step_sizes: dict = dc_field(default_factory=lambda: dict(_STEP_SIZES))
-    target_acceptance: tuple = (0.2, 0.6)
     autotune: bool = True
     seed: int = 0
-    tune_interval: int = 25
 
     def __post_init__(self):
         if not (self.steps >= self.burn_in >= 0):
@@ -173,17 +176,18 @@ def effective_sample_size(values) -> float:
 _DRAW_ENTRIES = 1 << 12
 
 
-def _generators(rng, k: int, m: int, traceless: bool) -> np.ndarray:
-    """The next k Hermitian generators of the stream, as k `random_hermitian` calls draw them.
+def _generators(rng, k: int, m: int, e: int, s: int) -> np.ndarray:
+    """The next k increments of a field that enters as l(Y) + s r(Y) and has M* = e M.
 
-    traceless turns each into the traceless anti-Hermitian increment of A_mu.
+    The Hermitian generators are drawn as k `random_hermitian` calls draw
+    them, made traceless where s = -1 and multiplied by i where e = -1.
     """
     M = rng.normal(size=(k, 2, m, m))
     M = M[:, 0] + 1j * M[:, 1]
     H = (M + M.conj().transpose(0, 2, 1)) / 2
-    if traceless:
-        H = 1j * (H - np.trace(H, axis1=1, axis2=2)[:, None, None] * (np.eye(m) / m))
-    return H
+    if s == -1:
+        H = H - np.trace(H, axis1=1, axis2=2)[:, None, None] * (np.eye(m) / m)
+    return 1j * H if e == -1 else H
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite action is refused, not warned of
@@ -191,24 +195,22 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     """Metropolis over (A, phi); returns the list of SampleRecords and an info dict.
 
     The template supplies n, D_F and the signature; its L blocks, made
-    traceless, stay fixed (zero blocks are fine).  Fully deterministic under
-    cfg.seed.  Besides the final state, info holds the tuned step sizes,
-    the post-burn-in acceptance overall and per field, and the autotune
-    trajectory: per tuning window its last sweep, each field's acceptance
-    and the step sizes it led to.
+    traceless where e_mu = -1, stay fixed (zero blocks are fine).  Fully
+    deterministic under cfg.seed.  Besides the final state, info holds the
+    tuned step sizes, the post-burn-in acceptance overall and per field, and
+    the autotune trajectory: per tuning window its last sweep, each field's
+    acceptance and the step sizes it led to.
     """
     sig = gt_template.sig
     N = cfg.N
     m = N * gt_template.n
     if gt_template.N != N or gt_template.n != cfg.n:
         raise ValueError("config and template disagree on (N, n)")
-    if (sig.p, sig.q) != (0, 4):
-        raise NotRiemannian("the sampler runs in signature (0, 4)")
     if gt_template.fuzzy.has_triples:
         raise NotFlat("the sampler needs a flat template (no X blocks)")
     DF_big = gt_template.lifted_D_F
     L = [np.asarray(gt_template.fuzzy.block(single(mu)), dtype=complex) for mu in range(4)]
-    L = [K - np.trace(K) / N * np.eye(N) for K in L]
+    L = [K - np.trace(K) / N * np.eye(N) if e == -1 else K for K, e in zip(L, sig.e)]
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
     def breakdown(kernel):
@@ -218,6 +220,8 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
         fields.append(None)
     names = ["phi" if mu is None else f"A{mu}" for mu in fields]
+    # (e, s) of each field: its adjointness type and its sign in l(Y) + s r(Y)
+    types = [(1, sig.eps_dblprime) if mu is None else (sig.e[mu],) * 2 for mu in fields]
     rows = [STACK_PHI if mu is None else STACK_X + mu for mu in fields]
     rngs = [np.random.default_rng(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(8 if mu is None else 4 + mu,))) for mu in fields]
@@ -240,7 +244,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         j = sweep % chunk
         if j == 0:
             k = min(chunk, cfg.steps - sweep)
-            draws = [_generators(rng, k, m, mu is not None) for rng, mu in zip(rngs, fields)]
+            draws = [_generators(rng, k, m, *t) for rng, t in zip(rngs, types)]
             increments = [step * d for step, d in zip(steps, draws)]
         for i, row in enumerate(rows):
             np.copyto(cand.S, cur.S)
@@ -256,10 +260,10 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         if not abs(current.total_closed) <= _DIVERGENCE:
             raise UnstableAction(f"action {current.total_closed:.3e} at sweep {sweep}")
         in_burn = sweep < cfg.burn_in
-        if in_burn and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
-            # each field is proposed once per sweep: a window is tune_interval proposals
-            lo, hi = cfg.target_acceptance
-            rates = [(a - a0) / cfg.tune_interval for a, a0 in zip(accepted, window_start)]
+        if in_burn and cfg.autotune and (sweep + 1) % _TUNE_INTERVAL == 0:
+            # each field is proposed once per sweep: a window is _TUNE_INTERVAL proposals
+            lo, hi = _TARGET_ACCEPTANCE
+            rates = [(a - a0) / _TUNE_INTERVAL for a, a0 in zip(accepted, window_start)]
             for i, rate in enumerate(rates):
                 if rate > hi:
                     steps[i] *= 1.25

@@ -14,13 +14,13 @@ pinned seeds, the tests with their own data:
     field_strength_adjointness  signature
     trace_lemmas                signature   acceptance 06a, test_action
     odd_traces                  signature   acceptance 07
-    weitzenbock_flat_higgs      riemannian  acceptance 05
-    sector_split                riemannian  acceptance 07
+    weitzenbock_flat_higgs      signature   acceptance 05
+    sector_split                signature   acceptance 07, test_action
     gauge_covariance            riemannian  acceptance 08
     central_unitary             riemannian  acceptance 08
 
-`signature_suite` runs in any signature; `riemannian_suite` (sectors and
-covariance) in (0, 4) only.
+`signature_suite` runs in any signature; `riemannian_suite` (gauge
+covariance, a separate claim) in (0, 4) only.
 """
 from __future__ import annotations
 
@@ -32,6 +32,8 @@ from . import action as action_mod
 from . import clifford, dirac, fluct, gauge
 from .action import ActionPolynomial
 from .dirac import FiniteData, GaugeTriple, random_hermitian
+
+_QUARTIC = ActionPolynomial((0.0, 1.0, 0.0, 1.0))  # the suites' f
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def weitzenbock_full(gt: GaugeTriple, fl, mod) -> float:
 
 
 def weitzenbock_flat_higgs(gt: GaugeTriple, fl, mod) -> float:
-    """Flat D_omega^2 = (1/2) g g F + theta + Phi^2 + g gamma [d, Phi], (0, 4)."""
+    """Flat D_omega^2 = (1/2) g g F + theta + Phi^2 + g gamma [d, Phi]."""
     D = fluct.assemble_fluctuated(gt, fl, mod)
     F = action_mod.field_strength(gt, fl).F_super
     th = action_mod.theta(gt, fl)
@@ -198,9 +200,9 @@ def signature_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
     def triple(sd, include_X, with_DF):
         return _random_triple(p, q, N, n, seed + sd, include_X, with_DF)
 
-    def fields(sd, include_X, with_DF):
+    def fields(sd, include_X, with_DF, fl_sd=0):
         gt = triple(sd, include_X, with_DF)
-        return gt, fluct.random_fluctuation(gt, seed=seed + sd)
+        return gt, fluct.random_fluctuation(gt, seed=seed + sd + fl_sd)
 
     results = [IdentityResult(k, v, 1e-12) for k, v in clifford_identities(mod).items()]
     # the J D sign is asserted only for D_F = 0
@@ -208,6 +210,7 @@ def signature_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
                 for k, v in axioms(triple(0, True, False), mod, seed).items()]
     flat_higgs = fields(0, False, True)
     quadratic, quartic = trace_lemmas(*flat_higgs, mod)
+    split = _worst(sector_split(*fields(sd, False, True, 17), _QUARTIC) for sd in range(5))
     return results + [IdentityResult(name, dev, tol) for name, dev, tol in (
         ("lichnerowicz/square_equals_rhs",
          max(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=seed + sd, include_X=True), mod)
@@ -221,29 +224,26 @@ def signature_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
          field_strength_adjointness(*fields(0, False, False)), 1e-10),
         ("trace/quadratic", quadratic, 1e-9),
         ("trace/quartic", quartic, 1e-9),
-        ("trace/odd_powers_vanish", odd_traces(*flat_higgs, mod), 1e-9))]
+        ("trace/odd_powers_vanish", odd_traces(*flat_higgs, mod), 1e-9),
+        ("weitzenbock/flat_higgs",
+         max(weitzenbock_flat_higgs(*fields(sd, False, True), mod) for sd in range(3)), 1e-10),
+        ("sectors/sum_equals_direct_trace", split[0], 1e-9),
+        ("sectors/positivity", split[1], 1e-10),
+        ("theta/positive_semidefinite", split[2], 1e-10))]
 
 
 def riemannian_suite(N: int = 2, n: int = 2, seed: int = 0):
-    """Sector decomposition, positivity and gauge covariance, (0, 4) only."""
-    mod = clifford.build_gammas(clifford.build_signature(0, 4))
-    poly = ActionPolynomial((0.0, 1.0, 0.0, 1.0))
+    """Gauge covariance, (0, 4) only."""
 
     def fields(sd, with_DF, fl_seed):
         gt = _random_triple(0, 4, N, n, seed + sd, False, with_DF)
         return gt, fluct.random_fluctuation(gt, seed=fl_seed)
 
-    split = _worst(sector_split(*fields(sd, True, seed + 17 + sd), poly) for sd in range(5))
     # action invariance needs J-compatibility of all of D, which left-mult D_F
     # breaks: Yang-Mills data
-    cov = _worst(gauge_covariance(*fields(sd, False, seed + 31 + sd), poly, seed + sd)
+    cov = _worst(gauge_covariance(*fields(sd, False, seed + 31 + sd), _QUARTIC, seed + sd)
                  for sd in range(3))
     return [IdentityResult(name, dev, tol) for name, dev, tol in (
-        ("weitzenbock/flat_higgs",
-         max(weitzenbock_flat_higgs(*fields(sd, True, seed + sd), mod) for sd in range(3)), 1e-10),
-        ("sectors/sum_equals_direct_trace", split[0], 1e-9),
-        ("sectors/positivity", split[1], 1e-10),
-        ("theta/positive_semidefinite", split[2], 1e-10),
         ("gauge/field_strength_covariance", cov[0], 1e-10),
         ("gauge/action_invariance", cov[1], 1e-9),
         ("gauge/ts_identity", cov[2], 1e-10),

@@ -7,7 +7,7 @@ from ncg_ymh import action, cli, dirac, fluct, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature, single
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
-from ncg_ymh.errors import NotFlat, NotRiemannian, NotSelfAdjoint
+from ncg_ymh.errors import NotFlat, NotSelfAdjoint
 from ncg_ymh.superop import gen_comm
 
 POLY = ActionPolynomial((0.0, 0.7, 0.0, 1.3))
@@ -121,13 +121,6 @@ def test_not_flat_rejected():
         action.sectors(gt, fl, POLY)
 
 
-def test_not_riemannian_rejected():
-    gt = make_triple(p=1, q=3, include_X=False, seed=16)
-    fl = fluct.random_fluctuation(gt, seed=17)
-    with pytest.raises(NotRiemannian):
-        action.sectors(gt, fl, POLY)
-
-
 def test_sectors_quadratic_truncation():
     gt = make_triple(seed=18)
     fl = fluct.random_fluctuation(gt, seed=19)
@@ -141,13 +134,15 @@ def test_sectors_quadratic_truncation():
 
 
 def test_sector_sum_equals_direct():
-    gt = make_triple(N=2, n=2, seed=20)
-    fl = fluct.random_fluctuation(gt, seed=21)
-    br = action.sectors(gt, fl, POLY, include_direct=True)
-    assert br.total_direct is not None
-    assert abs(br.total_closed - br.total_direct) <= 1e-9 * abs(br.total_direct)
-    assert abs(br.rest) <= 1e-9 * abs(br.total_direct)
-    assert br.s_ym >= -1e-10 and br.s_h >= -1e-10 and br.s_theta >= -1e-10
+    # every signature with p + q = 4
+    for p in range(5):
+        gt = make_triple(p=p, q=4 - p, N=2, n=2, seed=20)
+        fl = fluct.random_fluctuation(gt, seed=21)
+        br = action.sectors(gt, fl, POLY, include_direct=True)
+        assert br.total_direct is not None
+        assert abs(br.total_closed - br.total_direct) <= 1e-9 * abs(br.total_direct), p
+        assert abs(br.rest) <= 1e-9 * abs(br.total_direct), p
+        assert br.s_ym >= -1e-10 and br.s_h >= -1e-10 and br.s_theta >= -1e-10, p
 
 
 def test_rest_for_degree_six():

@@ -66,7 +66,7 @@ def test_verify_single_signature(tmp_path):
     assert {"identity", "max_deviation", "tolerance", "pass"} <= set(rows[0])
 
 
-@pytest.mark.parametrize("p,q,count", [(0, 4, 39), (1, 3, 31), (2, 2, 31), (3, 1, 31)])
+@pytest.mark.parametrize("p,q,count", [(0, 4, 39), (1, 3, 35), (2, 2, 35), (3, 1, 35)])
 def test_identity_suite_shape(p, q, count):
     # the report rows, and the benchmark's verify replay, count these entries
     names = [r.name for r in run_identity_suite(p, q)]
@@ -118,13 +118,16 @@ def test_action_negative_a4_flagged(tmp_path):
     assert out["positivity_applicable"] is False
 
 
-def test_action_rejects_lorentzian(tmp_path):
+def test_action_lorentzian_matches_direct_trace(tmp_path):
     cfg = write_config(tmp_path, {
         "geometry": {"p": 1, "q": 3, "N": 2, "n": 2},
         "fields": {"source": "random", "seed": 1},
         "out": str(tmp_path),
     })
-    assert run(["action", "--config", cfg]) == 1
+    assert run(["action", "--config", cfg]) == 0
+    out = json.loads((tmp_path / "action_breakdown.json").read_text())
+    assert abs(out["total_closed"] - out["total_direct"]) \
+        <= 1e-9 * max(1.0, abs(out["total_direct"]))
 
 
 def test_action_from_matrix_files(tmp_path):
@@ -208,14 +211,29 @@ def test_sample_deterministic_csv(tmp_path):
     assert "s_total" in summary and "step_sizes" in summary
 
 
-def test_sample_lorentzian_rejected(tmp_path):
+def test_sample_lorentzian(tmp_path):
     cfg = write_config(tmp_path, {
-        "geometry": {"p": 1, "q": 3, "N": 2, "n": 2},
+        "geometry": {"p": 1, "q": 3, "N": 2, "n": 2, "d_f": "random"},
         "poly": [0.0, 1.0, 0.0, 1.0],
         "sampler": {"steps": 5, "burn_in": 0},
         "out": str(tmp_path),
     })
-    assert run(["sample", "--config", cfg]) == 1
+    assert run(["sample", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary["acceptance_by_field"]) == ["A0", "A1", "A2", "A3", "phi"]
+
+
+def test_sample_draws_no_fluctuation(tmp_path, monkeypatch):
+    # the chain starts from A = 0 and phi = 0: only the template's blocks are drawn
+    calls = []
+    monkeypatch.setattr(fluct, "random_fluctuation", lambda *a, **k: calls.append(a))
+    cfg = write_config(tmp_path, {
+        "geometry": {"p": 0, "q": 4, "N": 4, "n": 2, "d_f": "random"},
+        "sampler": {"steps": 5, "burn_in": 0},
+        "out": str(tmp_path),
+    })
+    assert run(["sample", "--config", cfg]) == 0
+    assert calls == []
 
 
 def test_sample_nonconfining_poly_is_config_error(tmp_path):

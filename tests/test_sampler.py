@@ -18,14 +18,14 @@ LAMBDAS = np.array([-1.0, 0.0, 1.0, 2.0, 3.0])
 LAGRANGE = np.linalg.solve(np.vander(LAMBDAS, increasing=True).T, np.arange(5.0))
 
 
-def ym_template(N=2, n=2, seed=0):
-    sig = build_signature(0, 4)
+def ym_template(N=2, n=2, seed=0, p=0, q=4):
+    sig = build_signature(p, q)
     return GaugeTriple(fuzzy=dirac.zero_fuzzy(N, sig),
                        finite=FiniteData(n=n, D_F=np.zeros((n, n), dtype=complex)))
 
 
-def higgs_template(N=2, n=2, seed=0):
-    sig = build_signature(0, 4)
+def higgs_template(N=2, n=2, seed=0, p=0, q=4):
+    sig = build_signature(p, q)
     DF = dirac.random_hermitian(n, np.random.default_rng(seed))
     return GaugeTriple(fuzzy=dirac.zero_fuzzy(N, sig), finite=FiniteData(n=n, D_F=DF))
 
@@ -98,6 +98,18 @@ def test_state_stays_on_moduli_space():
     # D_F is not scalar, so the Higgs space is all of Herm(m): a Hermitian
     # phi is in it
     assert not gt.finite.is_scalar
+    # in (1, 3) the anticommutator {X_0, .} sees the trace of the Hermitian A_0,
+    # while Phi = l(P) - r(phi) does not see that of phi
+    gt = higgs_template(seed=3, p=1, q=3)
+    _, info = sampler.run_chain(cfg, gt)
+    st = info["final_state"]
+    assert np.abs(st.A[0] - st.A[0].conj().T).max() <= 1e-12
+    assert abs(np.trace(st.A[0])) > 1e-3
+    for mu in range(1, 4):
+        assert np.abs(st.A[mu] + st.A[mu].conj().T).max() <= 1e-12
+        assert abs(np.trace(st.A[mu])) <= 1e-12
+    assert np.abs(st.phi - st.phi.conj().T).max() <= 1e-12
+    assert np.abs(st.phi).max() > 1e-3 and abs(np.trace(st.phi)) <= 1e-12
 
 
 def test_scalar_finite_dirac_has_no_higgs():
@@ -254,20 +266,25 @@ def recorded_states(monkeypatch, cfg, gt):
     return [by_total[r.s_total] for r in records]
 
 
-@pytest.mark.parametrize("kind", ["yang_mills", "higgs"])
-def test_chain_samples_its_weight_schwinger_dyson(monkeypatch, kind):
+@pytest.mark.parametrize("kind,p,q", [
+    pytest.param(kind, p, q, id=kind if (p, q) == (0, 4) else f"{kind}-{p}-{q}")
+    for p, q in ((0, 4), (1, 3), (2, 2)) for kind in ("yang_mills", "higgs")])
+def test_chain_samples_its_weight_schwinger_dyson(monkeypatch, kind, p, q):
     # Scaling identities <v . grad S> = dim_R V for v(x) = x, per field group:
-    # X_mu = L_mu (x) 1 + A_mu ranges over su(m)^4 (S is constant along
-    # X_mu -> X_mu + i c 1), phi over Herm(m).  v . grad S at a state is
-    # d/dlam S(lam X, phi), resp. d/dlam S(X, lam phi), at lam = 1, exact from
-    # the kernel at five lam since S is quartic.
-    gt = ym_template() if kind == "yang_mills" else higgs_template(seed=1)
+    # X_mu = L_mu (x) 1 + A_mu ranges over su(m) where e_mu = -1 (S is constant
+    # along X_mu -> X_mu + i c 1) and over Herm(m) where e_mu = +1, phi over
+    # Herm(m), or its traceless part where eps'' = -1 (S is constant along
+    # phi -> phi + c 1).  v . grad S at a state is d/dlam S(lam X, phi), resp.
+    # d/dlam S(X, lam phi), at lam = 1, exact from the kernel at five lam since
+    # S is quartic.
+    gt = ym_template(p=p, q=q) if kind == "yang_mills" else higgs_template(seed=1, p=p, q=q)
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=3000, burn_in=300, thin=5,
                                 seed=101)
     states = recorded_states(monkeypatch, cfg, gt)
     m = 4
-    targets = {"X": 4 * (m * m - 1)} if kind == "yang_mills" else \
-        {"X": 4 * (m * m - 1), "phi": m * m}
+    targets = {"X": sum(m * m if e == 1 else m * m - 1 for e in gt.sig.e)}
+    if kind == "higgs":
+        targets["phi"] = m * m - (gt.sig.eps_dblprime == -1)
 
     def scaled(name, X, P, phi, lam):
         return (lam * X, P, phi) if name == "X" else (X, P + (lam - 1) * phi, lam * phi)
@@ -321,8 +338,7 @@ def test_tau_int_degenerate_series():
 
 
 def test_chain_reports_acceptance_per_field_and_tuning_trajectory():
-    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=120, burn_in=60, seed=4,
-                                tune_interval=20)
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=135, burn_in=75, seed=4)
     records, info = sampler.run_chain(cfg, higgs_template(seed=2))
     by_field = info["acceptance_by_field"]
     assert list(by_field) == ["A0", "A1", "A2", "A3", "phi"]
@@ -331,9 +347,9 @@ def test_chain_reports_acceptance_per_field_and_tuning_trajectory():
     assert abs(np.mean(list(by_field.values())) - info["acceptance"]) <= 1e-12
     assert abs(records[-1].acceptance - info["acceptance"]) <= 1e-12
     trajectory = info["step_size_trajectory"]
-    assert [entry["sweep"] for entry in trajectory] == [19, 39, 59]
+    assert [entry["sweep"] for entry in trajectory] == [24, 49, 74]
     assert trajectory[-1]["step_sizes"] == info["step_sizes"]
-    lo, hi = cfg.target_acceptance
+    lo, hi = sampler._TARGET_ACCEPTANCE
     before = {name: 0.1 if name == "phi" else 0.08 for name in by_field}
     for entry in trajectory:
         assert set(entry["acceptance"]) == set(entry["step_sizes"]) == set(by_field)
@@ -352,15 +368,17 @@ def reference_chain(cfg, gt):
 
     One `random_hermitian` draw per proposal on spawn key 4 + mu (A_mu) or 8
     (phi), the accept uniforms on key 9, and the action from `action.sectors`.
-    Returns the accept decisions, the breakdown after every sweep and the
-    final step sizes.
+    A_mu's increment is i times the traceless part of the draw where e_mu = -1
+    and the draw itself where e_mu = +1; phi's is the draw, made traceless
+    where eps'' = -1.  Returns the accept decisions, the breakdown after every
+    sweep and the final step sizes.
     """
     from ncg_ymh.action import sectors
-    N, m = cfg.N, cfg.N * cfg.n
+    N, m, e = cfg.N, cfg.N * cfg.n, gt.sig.e
     L = {}
     for mu in range(4):
         K = np.asarray(gt.fuzzy.block(dirac.single(mu)), dtype=complex)
-        L[dirac.single(mu)] = K - np.trace(K) / N * np.eye(N)
+        L[dirac.single(mu)] = K - np.trace(K) / N * np.eye(N) if e[mu] == -1 else K
     fixed = GaugeTriple(fuzzy=dirac.FuzzyData(N=N, sig=gt.sig, K=L), finite=gt.finite)
 
     def action(A, phi):
@@ -382,10 +400,14 @@ def reference_chain(cfg, gt):
             H = dirac.random_hermitian(m, rng)
             A_c, phi_c = list(A), phi
             if name == "phi":
+                if gt.sig.eps_dblprime == -1:
+                    H = H - np.trace(H) / m * np.eye(m)
                 phi_c = phi + steps[name] * H
             else:
                 mu = int(name[1])
-                A_c[mu] = A[mu] + steps[name] * 1j * (H - np.trace(H) / m * np.eye(m))
+                if e[mu] == -1:
+                    H = 1j * (H - np.trace(H) / m * np.eye(m))
+                A_c[mu] = A[mu] + steps[name] * H
             cand = action(A_c, phi_c)
             delta = cand.total_closed - current.total_closed
             accept = bool(delta <= 0 or accept_rng.uniform() < np.exp(-delta))
@@ -393,10 +415,10 @@ def reference_chain(cfg, gt):
             if accept:
                 A, phi, current = A_c, phi_c, cand
                 window[name] += 1
-        if sweep < cfg.burn_in and cfg.autotune and (sweep + 1) % cfg.tune_interval == 0:
-            lo, hi = cfg.target_acceptance
+        if sweep < cfg.burn_in and cfg.autotune and (sweep + 1) % sampler._TUNE_INTERVAL == 0:
+            lo, hi = sampler._TARGET_ACCEPTANCE
             for name, accepted in window.items():
-                rate = accepted / cfg.tune_interval
+                rate = accepted / sampler._TUNE_INTERVAL
                 steps[name] *= 1.25 if rate > hi else 1 / 1.25 if rate < lo else 1
             window = dict.fromkeys(keys, 0)
         states.append(current)
@@ -404,11 +426,16 @@ def reference_chain(cfg, gt):
 
 
 def test_chain_matches_reference_metropolis_loop(monkeypatch):
+    # (1, 3) has a Hermitian A_0 with its trace and a traceless phi
+    for p, q in ((0, 4), (1, 3)):
+        match_reference_loop(monkeypatch, higgs_template(seed=8, p=p, q=q))
+
+
+def match_reference_loop(monkeypatch, gt):
     # m = 4: more than one draw chunk (sampler._DRAW_ENTRIES // m^2 sweeps) and
     # four tuning windows, autotune on
-    gt = higgs_template(seed=8)
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=300, burn_in=100, seed=23)
-    assert cfg.steps > sampler._DRAW_ENTRIES // 16 and cfg.burn_in > 2 * cfg.tune_interval
+    assert cfg.steps > sampler._DRAW_ENTRIES // 16 and cfg.burn_in > 2 * sampler._TUNE_INTERVAL
     candidates = []
     breakdown = sampler.sector_breakdown
 
