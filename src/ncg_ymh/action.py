@@ -40,7 +40,7 @@ from .dirac import GaugeTriple
 from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
 from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
                     higgs_field)
-from .superop import SuperOp, gen_comm
+from .superop import gen_comm
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class ActionBreakdown(NamedTuple):
 
 @dataclass(frozen=True)
 class FieldStrength:
-    """F_super[mu][nu] = [d_mu, d_nu]; F_matrix only in flat (0,4) data."""
+    """F_super[mu][nu] = [d_mu, d_nu] (m^2 x m^2); F_matrix only in flat (0,4) data."""
 
     F_super: tuple
     F_matrix: tuple | None
@@ -116,7 +116,7 @@ def _require_flat(gt: GaugeTriple, fl: Fluctuation):
 
 
 def field_strength(gt: GaugeTriple, fl: Fluctuation) -> FieldStrength:
-    """F_{mu nu} = [d_mu, d_nu] as superops; matrix avatar when Riemannian flat."""
+    """F_{mu nu} = [d_mu, d_nu] as m^2 x m^2 arrays; matrix avatar when Riemannian flat."""
     d = covariant_ops(gt, fl)
     F = tuple(tuple(d[mu] @ d[nu] - d[nu] @ d[mu] for nu in range(4)) for mu in range(4))
     F_mat = None
@@ -128,8 +128,8 @@ def field_strength(gt: GaugeTriple, fl: Fluctuation) -> FieldStrength:
     return FieldStrength(F_super=F, F_matrix=F_mat)
 
 
-def theta(gt: GaugeTriple, fl: Fluctuation) -> SuperOp:
-    """theta = sum eta^{mu nu} d_mu o d_nu; positive semidefinite always."""
+def theta(gt: GaugeTriple, fl: Fluctuation) -> np.ndarray:
+    """theta = sum eta^{mu nu} d_mu o d_nu as an m^2 x m^2 array, positive semidefinite."""
     _require_flat(gt, fl)
     d = covariant_ops(gt, fl)
     out = gt.sig.e[0] * (d[0] @ d[0])
@@ -161,6 +161,14 @@ _COMMUTATORS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)] + \
 # the 34 products Y_a Y_b the kernel reads: Y_a Y_b and Y_b Y_a for each pair of
 # _COMMUTATORS, then the squares Y_0^2 .. Y_5^2
 _PRODUCTS = np.array(_COMMUTATORS + [(b, a) for a, b in _COMMUTATORS] + [(k, k) for k in range(6)])
+# flat indices, into the stacked Gram matrices (G, W), of the 23 entries the traces read:
+# Tr S_k = G_0k for five k, nine more entries of G, then nine of W
+_ENTRIES = np.ravel_multi_index(np.array(
+    [(0, 0, k) for k in (_P, _PHI, _P2, _PHI2, _Q)]
+    + [(0, i, j) for i, j in ((_Q, _Q), (_P2, _P2), (_PHI2, _PHI2), (_P2, _P), (_PHI2, _PHI),
+                              (_P2, _Q), (_Q, _PHI2), (_P, _Q), (_Q, _PHI))]
+    + [(1, i, j) for i, j in ((0, 0), (_Q, 0), (1, 1), (2, 2), (3, 3), (4, 4), (_P2, 0),
+                              (_PHI2, 0), (_P, _PHI))]).T, (2, STACK_ROWS, STACK_ROWS))
 
 
 class Kernel:
@@ -189,8 +197,9 @@ class Kernel:
         self.B = np.empty((len(_PRODUCTS), m, m), dtype=complex)
         self.C = np.empty((len(_COMMUTATORS), m, m), dtype=complex)
         self.ST = np.empty((STACK_ROWS, m, m), dtype=complex)  # ST[i] = S_i^T
-        self.G = np.empty((STACK_ROWS, STACK_ROWS), dtype=complex)
-        self.W = np.empty((STACK_ROWS, STACK_ROWS), dtype=complex)
+        self.GW = np.empty((2, STACK_ROWS, STACK_ROWS), dtype=complex)
+        self.G, self.W = self.GW
+        self.entries = np.empty(len(_ENTRIES), dtype=complex)
         self.e_row = np.array([self.e], dtype=complex)
         n, Y = len(_COMMUTATORS), self.S[STACK_X:STACK_PHI + 1]
         self.Y_flat, self.Y_T = Y.reshape(6 * m, m), Y.transpose(1, 0, 2)
@@ -209,7 +218,8 @@ class Kernel:
         and Tr l(a) r(b) = Tr a Tr b.  Every term is a product of Gram entries
         G_ij = Tr(S_i S_j) over the stack completed by P^2, phi^2 and
         Q = sum e_mu X_mu^2.  One matrix product forms G, Tr S_i is G_0i, and
-        the sums over mu are read off W = G_{., X} G_{X, .}.  The products
+        the sums over mu are read off W = G_{., X} G_{X, .}; one `np.take`
+        gathers the 23 entries of G and W that the formulas read.  The products
         Y_a Y_b of Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m)
         product, and one `np.take` on flat indices gathers the 34 blocks the
         kernel reads; Q is one (1 x 4) @ (4 x m^2) product.  F^2 and
@@ -220,7 +230,7 @@ class Kernel:
 
         Every array is written with out= into the kernel's buffers, so a
         call allocates only the few Python numbers the traces are read as.
-        `np.take` runs with mode="clip", as mode="raise" copies through a
+        Each `np.take` runs with mode="clip", as mode="raise" copies through a
         buffer of the size of its output; the indices are in range either
         way.
 
@@ -239,22 +249,23 @@ class Kernel:
         np.copyto(self.ST, self.S_T)
         np.matmul(self.S_flat, self.ST_flat_T, out=self.G)
         np.matmul(self.G_col, self.G_row, out=self.W)
-        g, w = self.G.tolist(), self.W.tolist()
-
-        trP, trphi, trP2, trphi2, trQ = (g[0][k] for k in (_P, _PHI, _P2, _PHI2, _Q))
+        self.GW.take(_ENTRIES, out=self.entries, mode="clip")
+        (trP, trphi, trP2, trphi2, trQ,
+         gQQ, gP2P2, gphi2phi2, gP2P, gphi2phi, gP2Q, gQphi2, gPQ, gQphi,
+         w00, wQ0, w11, w22, w33, w44, wP20, wphi20, wPphi) = self.entries.tolist()
         (e0, e1, e2, e3), eps = self.e, self.eps
         return BiTraces(
-            theta=(2 * m * trQ + 2 * w[0][0]).real,
-            theta2=(2 * m * g[_Q][_Q] + 2 * trQ * trQ + 8 * w[_Q][0]
-                    + 4 * (w[1][1] + w[2][2] + w[3][3] + w[4][4])).real,
+            theta=(2 * m * trQ + 2 * w00).real,
+            theta2=(2 * m * gQQ + 2 * trQ * trQ + 8 * wQ0
+                    + 4 * (w11 + w22 + w33 + w44)).real,
             F2=(4 * m * (e0 * (e1 * t[0] + e2 * t[1] + e3 * t[2]) + e1 * (e2 * t[3] + e3 * t[4])
                          + e2 * e3 * t[5])).real,
             Phi2=(m * (trP2 + trphi2) + 2 * eps * trP * trphi).real,
-            Phi4=(m * (g[_P2][_P2] + g[_PHI2][_PHI2]) + 6 * trP2 * trphi2
-                  + 4 * eps * (g[_P2][_P] * trphi + trP * g[_PHI2][_PHI])).real,
-            Phi2_theta=(m * (g[_P2][_Q] + g[_Q][_PHI2]) + (trP2 + trphi2) * trQ
-                        + 2 * eps * (g[_P][_Q] * trphi + trP * g[_Q][_PHI])
-                        + 2 * (w[_P2][0] + w[_PHI2][0]) + 4 * eps * w[_P][_PHI]).real,
+            Phi4=(m * (gP2P2 + gphi2phi2) + 6 * trP2 * trphi2
+                  + 4 * eps * (gP2P * trphi + trP * gphi2phi)).real,
+            Phi2_theta=(m * (gP2Q + gQphi2) + (trP2 + trphi2) * trQ
+                        + 2 * eps * (gPQ * trphi + trP * gQphi)
+                        + 2 * (wP20 + wphi20) + 4 * eps * wPphi).real,
             dPhi2=(m * (e0 * (t[6] + t[10]) + e1 * (t[7] + t[11]) + e2 * (t[8] + t[12])
                         + e3 * (t[9] + t[13]))).real,
         )
@@ -338,7 +349,7 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     Phi = higgs_field(fl, gt)
     rhs = 0.0 + 0j
     for mu in range(4):
-        rhs -= e[mu] * np.trace(d[mu].rep @ Phi.rep @ d[mu].rep @ Phi.rep)
+        rhs -= e[mu] * np.trace(d[mu] @ Phi @ d[mu] @ Phi)
     return lhs, float(a4 * rhs.real)
 
 
@@ -491,13 +502,12 @@ def tetrahedral(K, sig=None) -> float:
     shape = K[0].shape
     if any(Km.shape != shape for Km in K):
         raise DimensionMismatch("matrices must share one size")
-    k = [gen_comm(np.ascontiguousarray(Km, dtype=complex), sig.e[mu])
-         for mu, Km in enumerate(K)]
+    k = [gen_comm(Km, sig.e[mu]) for mu, Km in enumerate(K)]
     out = 0.0 + 0j
     for mu in range(4):
         for nu in range(4):
             if mu == nu:
                 continue
             out += sig.e[mu] * sig.e[nu] * np.trace(
-                k[mu].rep @ k[nu].rep @ k[mu].rep @ k[nu].rep)
+                k[mu] @ k[nu] @ k[mu] @ k[nu])
     return float((-0.5 * out).real)

@@ -134,6 +134,7 @@ TABLE = (
     Row("sampler.autotune", bool, None, True),
     Row("sampler.self_test_N", int, 1, 2),
 )
+_ROWS = {row.key: row for row in TABLE}
 
 
 def _is_number(x) -> bool:
@@ -192,13 +193,6 @@ def resolve(cfg: dict) -> dict:
     p, q = out["geometry"]["p"], out["geometry"]["q"]
     if p + q != 4:
         raise ConfigError(f"geometry.p + geometry.q must be 4, got ({p}, {q})")
-    steps, burn_in = out["sampler"]["steps"], out["sampler"]["burn_in"]
-    if out["self_test"] and steps < 1:
-        raise ConfigError(f"sampler.steps must be >= 1 for the self test, got {steps}")
-    if not out["self_test"] and steps < burn_in:
-        default = "" if "burn_in" in cfg.get("sampler", {}) else " (the default)"
-        raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
-                          f"{steps} and sampler.burn_in = {burn_in}{default}")
     return out
 
 
@@ -212,7 +206,7 @@ def load_config(args) -> dict:
     """The config file with the flags over its keys, resolved; makes the output directory."""
     cfg = _read_json(args.config, "config") if "config" in args else {}
     # a flag given is the top-level key of its name; one not given is absent from args
-    cfg.update((key, value) for key, value in vars(args).items() if key in {r.key for r in TABLE})
+    cfg.update((key, value) for key, value in vars(args).items() if key in _ROWS)
     cfg = resolve(cfg)
     try:
         os.makedirs(cfg["out"], exist_ok=True)
@@ -236,15 +230,17 @@ def _geometry(cfg: dict):
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 
-# the keys of the fields block that each source reads, besides "source" and "fluctuation"
-# (which spectrum reads for every source)
+# the fields keys each source reads besides "source" and "fluctuation", which action and
+# spectrum read for every source; with fluctuation false, A and phi go unread
 _SOURCE_READS = {"zero": (), "random": ("seed", "scale", "include_x"), "files": ("K", "A", "phi")}
 
 
 def _refuse_unread_fields(cfg: dict):
-    """Refuse a fields key, set to other than its default, that fields.source does not read."""
+    """Refuse a fields key, set to other than its default, that the fields block leaves unread."""
     fields = cfg["fields"]
     read = ("source", "fluctuation") + _SOURCE_READS[fields["source"]]
+    if not fields["fluctuation"]:
+        read = tuple(key for key in read if key not in ("A", "phi"))
     for row in TABLE:
         block, _, key = row.key.partition(".")
         key, *sub = key.split(".")
@@ -252,7 +248,9 @@ def _refuse_unread_fields(cfg: dict):
             continue
         value = fields[key][sub[0]] if sub else fields[key]
         if value != (row.default(cfg) if callable(row.default) else row.default):
-            raise ConfigError(f"{row.key} is not read when fields.source is {fields['source']!r}")
+            also = "" if fields["fluctuation"] else " and fields.fluctuation is false"
+            raise ConfigError(f"{row.key} is not read when fields.source is "
+                              f"{fields['source']!r}{also}")
 
 
 def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
@@ -389,11 +387,7 @@ def cmd_action(cfg: dict) -> int:
 
 def cmd_spectrum(cfg: dict) -> int:
     gt, fl = _dense_inputs(cfg)
-    mod = clifford.build_gammas(gt.sig)
-    if cfg["fields"]["fluctuation"]:
-        D = fluct.assemble_fluctuated(gt, fl, mod)
-    else:
-        D = dirac.assemble_product_dirac(gt, mod)
+    D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
     ev = np.linalg.eigvalsh(D)  # ascending
     path = os.path.join(cfg["out"], "spectrum.csv")
     with open(path, "w", newline="") as fh:
@@ -414,6 +408,8 @@ def cmd_sample(cfg: dict) -> int:
     seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
     if cfg["self_test"]:
         N, steps = sp["self_test_N"], sp["steps"]
+        if steps < 1:
+            raise ConfigError(f"sampler.steps must be >= 1 for the self test, got {steps}")
         _require_fits(16 * steps + 128 * N ** 2, f"the Gaussian self test at sampler.self_test_N "
                       f"= {N}, sampler.steps = {steps}", "its samples and N x N matrices")
         res = gaussian_self_test(N=N, samples=steps, seed=seed)
@@ -431,18 +427,25 @@ def cmd_sample(cfg: dict) -> int:
               f"(target {res['target']}, acceptance {res['acceptance']:.2f})")
         return 0
 
+    steps, burn_in = sp["steps"], sp["burn_in"]
+    if steps < burn_in:
+        default = " (the default)" if burn_in == _ROWS["sampler.burn_in"].default else ""
+        raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
+                          f"{steps} and sampler.burn_in = {burn_in}{default}")
+    fields = cfg["fields"]
+    for key, unread in (("fluctuation", not fields["fluctuation"]), ("A", fields["A"]),
+                        ("phi", fields["phi"])):
+        if unread:
+            raise ConfigError(f"fields.{key} is not read by sample, which starts from "
+                              "A = 0 and phi = 0")
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
     # the chain's peak (tracemalloc, m = 32 to 96) is about 4600 bytes per entry of an
     # m x m matrix, m = N n: most of it the stacks and buffers of two kernels
     _require_fits(5120 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
                   "two kernels, the fields and their draws")
-    for key in ("A", "phi"):
-        if cfg["fields"][key]:
-            raise ConfigError(f"fields.{key}: sample starts from A = 0 and phi = 0 "
-                              "and reads no potential or Higgs file")
     gt = _triple(cfg, *_geometry(cfg))
     try:
-        scfg = SamplerConfig(N=N, n=n, poly=_poly(cfg), steps=sp["steps"], burn_in=sp["burn_in"],
+        scfg = SamplerConfig(N=N, n=n, poly=_poly(cfg), steps=steps, burn_in=burn_in,
                              thin=sp["thin"], step_sizes=dict(sp["step_sizes"]),
                              autotune=sp["autotune"], seed=seed)
     except ValueError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clifford import CliffordModule, MultiIndex, Signature, single, hat
 from .errors import DimensionMismatch
-from .superop import gen_comm, kron, left_mult, transpose_permutation
+from .superop import gen_comm, left_mult, transpose_permutation
 
 
 def has_adjointness_type(M: np.ndarray, e: int) -> bool:
@@ -180,7 +180,7 @@ def real_structure(mod: CliffordModule, m: int) -> np.ndarray:
     transpose permutation at vec level; on V it is the conjugation unitary.
     S is unitary, so J M J^{-1} = S conj(M) S* for any linear operator M.
     """
-    return kron(mod.conj_unitary, transpose_permutation(m))
+    return np.kron(mod.conj_unitary, transpose_permutation(m))
 
 
 def conjugate_by_J(M: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -192,7 +192,7 @@ def represent_algebra(a: np.ndarray, m: int) -> np.ndarray:
     """rho(a): left multiplication on the matrix factor, trivial on V."""
     if a.shape != (m, m):
         raise DimensionMismatch(f"algebra element shape {a.shape}, expected ({m}, {m})")
-    return kron(np.eye(4), left_mult(a).rep)
+    return np.kron(np.eye(4), left_mult(a))
 
 
 def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int = 0,
@@ -210,7 +210,7 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int = 0,
     S = real_structure(mod, m)
     sig = gt.sig
     eye = np.eye(gt.hilbert_dim)
-    gamma_f = kron(mod.chirality, np.eye(m * m))
+    gamma_f = np.kron(mod.chirality, np.eye(m * m))
 
     report = {}
     report["D_selfadjoint"] = np.abs(D - D.conj().T).max()
@@ -246,7 +246,7 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int = 0,
         op = gen_comm(lift(blk, gt.n), e)
         # adjoint = e * op whenever K* = e K; the gamma factor restores
         # self-adjointness of the full Dirac term
-        dev = max(dev, np.abs(op.adjoint().rep - e * op.rep).max())
+        dev = max(dev, np.abs(op.conj().T - e * op).max())
     report["block_e_selfadjointness"] = dev
     return report
 
@@ -287,7 +287,7 @@ def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
 def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.ndarray:
     """Shared assembly of the Lichnerowicz/Weitzenbock right-hand side.
 
-    k and x are lists of four SuperOps (single-index and triple-index
+    k and x are lists of four m2 x m2 arrays (single-index and triple-index
     covariant pieces); m2 is the dimension of the matrix factor's vec space.
     """
     g = mod.gammas
@@ -295,18 +295,18 @@ def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.
     det = sig.det_eta()
     rhs = np.zeros((4 * m2, 4 * m2), dtype=complex)
     for mu in range(4):
-        rhs += sig.e[mu] * kron(eye4, (k[mu] @ k[mu]).rep)
+        rhs += sig.e[mu] * np.kron(eye4, k[mu] @ k[mu])
         for nu in range(4):
             comm = k[mu] @ k[nu] - k[nu] @ k[mu]
-            rhs += 0.5 * kron(g[mu] @ g[nu], comm.rep)
+            rhs += 0.5 * np.kron(g[mu] @ g[nu], comm)
     for mu in range(4):
-        rhs -= det * sig.e[mu] * kron(eye4, (x[mu] @ x[mu]).rep)
+        rhs -= det * sig.e[mu] * np.kron(eye4, x[mu] @ x[mu])
     for mu in range(4):
         for nu in range(mu + 1, 4):
             t = sign_t(sig, mu, nu)
             if t:
                 comm = x[mu] @ x[nu] - x[nu] @ x[mu]
-                rhs += t * kron(g[mu] @ g[nu], comm.rep)
+                rhs += t * np.kron(g[mu] @ g[nu], comm)
     for mu in range(4):
         for nu in range(4):
             for al in range(4):
@@ -314,8 +314,8 @@ def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.
                     s_ = sign_s(sig, mu, nu, al, sg)
                     if s_:
                         acomm = x[nu] @ k[mu] + k[mu] @ x[nu]
-                        rhs += 0.5 * s_ * kron(g[al] @ g[sg], acomm.rep)
+                        rhs += 0.5 * s_ * np.kron(g[al] @ g[sg], acomm)
     for mu in range(4):
         comm = k[mu] @ x[mu] - x[mu] @ k[mu]
-        rhs += ((-1) ** mu / sig.sigma_eta) * kron(mod.chirality, comm.rep)
+        rhs += ((-1) ** mu / sig.sigma_eta) * np.kron(mod.chirality, comm)
     return rhs

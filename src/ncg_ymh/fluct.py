@@ -16,7 +16,7 @@ from .clifford import CliffordModule, gamma_product, single, hat
 from .dirac import (GaugeTriple, assemble_product_dirac, conjugate_by_J, lift,
                     random_hermitian, represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
-from .superop import SuperOp, gen_comm, left_mult, right_mult, unvec, vec
+from .superop import gen_comm, left_mult, right_mult, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
 
     Uses trace-orthogonality of the 16 gamma monomials; every coefficient of
     a one-form is a pure left multiplication, so the matrix is recovered by
-    applying the coefficient superop to the identity.
+    applying the coefficient's m^2 x m^2 block to the identity.
     """
     m = gt.m
     m2 = m * m
@@ -150,7 +150,7 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
     return Fluctuation(A=tuple(A), S=S, phi=phi)
 
 
-def higgs_field(fl: Fluctuation, gt: GaugeTriple) -> SuperOp:
+def higgs_field(fl: Fluctuation, gt: GaugeTriple) -> np.ndarray:
     """Phi = Left(1 (x) D_F + phi) + eps'' Right(phi) on M_N (x) M_n."""
     return left_mult(gt.lifted_D_F + fl.phi) + gt.sig.eps_dblprime * right_mult(fl.phi)
 
@@ -162,13 +162,13 @@ def covariant_matrices(K, A) -> np.ndarray:
 
 
 def covariant_ops(gt: GaugeTriple, fl: Fluctuation):
-    """The four superops d_mu = {K_mu (x) 1 + A_mu, .}_{e_mu}."""
+    """The four m^2 x m^2 operators d_mu = {K_mu (x) 1 + A_mu, .}_{e_mu}."""
     X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
     return [gen_comm(Xmu, e) for Xmu, e in zip(X, gt.sig.e)]
 
 
 def triple_ops(gt: GaugeTriple, fl: Fluctuation):
-    """The four superops x_mu + s_mu for the triple-index sector."""
+    """The four m^2 x m^2 operators x_mu + s_mu for the triple-index sector."""
     S = np.zeros((4, gt.m, gt.m)) if fl.S is None else fl.S
     Y = covariant_matrices([gt.fuzzy.block(hat(mu)) for mu in range(4)], S)
     return [gen_comm(Ymu, e) for Ymu, e in zip(Y, gt.sig.e_hat)]

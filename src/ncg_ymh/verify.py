@@ -121,10 +121,10 @@ def weitzenbock_flat_higgs(gt: GaugeTriple, fl, mod) -> float:
     rhs = np.zeros_like(D)
     for mu in range(4):
         for nu in range(4):
-            rhs += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu], F[mu][nu].rep)
-    rhs += np.kron(np.eye(4), th.rep + Phi.rep @ Phi.rep)
+            rhs += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu], F[mu][nu])
+    rhs += np.kron(np.eye(4), th + Phi @ Phi)
     for mu in range(4):
-        dphi = d[mu].rep @ Phi.rep - Phi.rep @ d[mu].rep
+        dphi = d[mu] @ Phi - Phi @ d[mu]
         rhs += np.kron(mod.gammas[mu] @ mod.chirality, dphi)
     return _square_dev(D, rhs)
 
@@ -136,9 +136,9 @@ def field_strength_adjointness(gt: GaugeTriple, fl) -> float:
     worst = 0.0
     for mu in range(4):
         for nu in range(4):
-            worst = max(worst, np.abs(F[mu][nu].rep + F[nu][mu].rep).max())
-            expect = -e[mu] * e[nu] * F[mu][nu].rep
-            worst = max(worst, np.abs(F[mu][nu].adjoint().rep - expect).max())
+            worst = max(worst, np.abs(F[mu][nu] + F[nu][mu]).max())
+            expect = -e[mu] * e[nu] * F[mu][nu]
+            worst = max(worst, np.abs(F[mu][nu].conj().T - expect).max())
     return worst
 
 
@@ -163,7 +163,7 @@ def odd_traces(gt: GaugeTriple, fl, mod) -> float:
 def sector_split(gt: GaugeTriple, fl, poly: ActionPolynomial) -> tuple:
     """(sector sum vs direct (1/4) Tr f(D), negativity of a sector, of theta)."""
     br = action_mod.sectors(gt, fl, poly, include_direct=True)
-    theta_min = float(np.linalg.eigvalsh(action_mod.theta(gt, fl).rep).min())
+    theta_min = float(np.linalg.eigvalsh(action_mod.theta(gt, fl)).min())
     return (_rel(abs(br.total_closed - br.total_direct), abs(br.total_direct)),
             max(0.0, -min(br.s_ym, br.s_h, br.s_theta)),
             max(0.0, -theta_min))

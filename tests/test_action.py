@@ -41,7 +41,7 @@ def test_field_strength_zero_for_commuting_data():
                      finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
     fl = fluct.zero_fluctuation(gt)
     F = action.field_strength(gt, fl)
-    assert max(np.abs(F.F_super[mu][nu].rep).max() for mu in range(4)
+    assert max(np.abs(F.F_super[mu][nu]).max() for mu in range(4)
                for nu in range(4)) <= 1e-12
 
 
@@ -52,10 +52,10 @@ def test_field_strength_antisymmetry_and_matrix_form():
     assert F.F_matrix is not None
     for mu in range(4):
         for nu in range(4):
-            assert np.abs(F.F_super[mu][nu].rep + F.F_super[nu][mu].rep).max() == 0
+            assert np.abs(F.F_super[mu][nu] + F.F_super[nu][mu]).max() == 0
             # dual representation: commutator superop of the matrix avatar
-            np.testing.assert_allclose(F.F_super[mu][nu].rep,
-                                       gen_comm(F.F_matrix[mu][nu], -1).rep, atol=1e-11)
+            np.testing.assert_allclose(F.F_super[mu][nu],
+                                       gen_comm(F.F_matrix[mu][nu], -1), atol=1e-11)
 
 
 def test_theta_positivity_and_reduction():
@@ -63,19 +63,19 @@ def test_theta_positivity_and_reduction():
     fl = fluct.zero_fluctuation(gt)
     th = action.theta(gt, fl)
     # K-only theta is sum eta k k
-    expected = np.zeros_like(th.rep)
+    expected = np.zeros_like(th)
     for mu in range(4):
         k = gen_comm(np.kron(gt.fuzzy.block(single(mu)), np.eye(gt.n)), -1)
-        expected -= (k @ k).rep
-    np.testing.assert_allclose(th.rep, expected, atol=1e-13)
+        expected -= k @ k
+    np.testing.assert_allclose(th, expected, atol=1e-13)
 
     fl = fluct.random_fluctuation(gt, seed=6)
     th = action.theta(gt, fl)
-    assert np.linalg.eigvalsh(th.rep).min() >= -1e-10
+    assert np.linalg.eigvalsh(th).min() >= -1e-10
 
     zero_gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(2, gt.sig),
                           finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
-    assert np.abs(action.theta(zero_gt, fluct.zero_fluctuation(zero_gt)).rep).max() == 0
+    assert np.abs(action.theta(zero_gt, fluct.zero_fluctuation(zero_gt))).max() == 0
 
 
 def test_trace_d2_closed():
@@ -87,7 +87,7 @@ def test_trace_d2_closed():
     gt_ym = make_triple(seed=9, with_DF=False)
     fl_ym = fluct.random_fluctuation(gt_ym, seed=10)
     assert abs(action.trace_d2_closed(gt_ym, fl_ym)
-               - action.theta(gt_ym, fl_ym).trace().real) <= 1e-10
+               - np.trace(action.theta(gt_ym, fl_ym)).real) <= 1e-10
 
     zero_gt = make_triple(seed=0, with_DF=False)
     zfl = fluct.zero_fluctuation(zero_gt)
@@ -107,7 +107,7 @@ def test_trace_d4_closed():
                            2, np.random.default_rng(1))))
     fl_h = fluct.random_fluctuation(gt_h, seed=13)
     fl_h = fluct.Fluctuation(A=fluct.zero_fluctuation(gt_h).A, S=None, phi=fl_h.phi)
-    Phi = fluct.higgs_field(fl_h, gt_h).rep
+    Phi = fluct.higgs_field(fl_h, gt_h)
     assert abs(action.trace_d4_closed(gt_h, fl_h)
                - np.trace(Phi @ Phi @ Phi @ Phi).real) <= 1e-10
 
@@ -127,8 +127,8 @@ def test_sectors_quadratic_truncation():
     f2 = ActionPolynomial((0.0, 0.9))
     br = action.sectors(gt, fl, f2)
     assert br.s_ym == 0.0 and br.s_gh == 0.0
-    th = action.theta(gt, fl).trace().real
-    Phi = fluct.higgs_field(fl, gt).rep
+    th = np.trace(action.theta(gt, fl)).real
+    Phi = fluct.higgs_field(fl, gt)
     expected = 0.45 * (th + np.trace(Phi @ Phi).real)
     assert abs(br.total_closed - expected) <= 1e-10 * max(1.0, abs(expected))
 
@@ -175,7 +175,7 @@ def test_tetrahedral():
     K = [1j * dirac.random_hermitian(3, rng) for _ in range(4)]
     got = action.tetrahedral(K)
     # independent oracle: naive index contraction of the superop reps
-    k = [gen_comm(Km, -1).rep for Km in K]
+    k = [gen_comm(Km, -1) for Km in K]
     acc = 0.0
     for mu in range(4):
         for nu in range(4):
@@ -190,8 +190,8 @@ def test_gauge_higgs_identity_sides_disagree_by_theta_phi2():
     gt = make_triple(N=2, n=2, seed=25)
     fl = fluct.random_fluctuation(gt, seed=26)
     lhs, rhs = action.gauge_higgs_identity_sides(gt, fl, a4=1.0)
-    th = action.theta(gt, fl).rep
-    Phi = fluct.higgs_field(fl, gt).rep
+    th = action.theta(gt, fl)
+    Phi = fluct.higgs_field(fl, gt)
     gap = 2.0 * np.trace(th @ Phi @ Phi).real
     assert abs((lhs - rhs) - gap) <= 1e-9 * max(1.0, abs(gap))
 
@@ -199,16 +199,16 @@ def test_gauge_higgs_identity_sides_disagree_by_theta_phi2():
 def _oracle_traces(gt, fl):
     """The seven kernel traces from the m^2 x m^2 superoperators."""
     e = gt.sig.e
-    d = [x.rep for x in fluct.covariant_ops(gt, fl)]
-    th = action.theta(gt, fl).rep
-    Phi = fluct.higgs_field(fl, gt).rep
+    d = fluct.covariant_ops(gt, fl)
+    th = action.theta(gt, fl)
+    Phi = fluct.higgs_field(fl, gt)
     F = action.field_strength(gt, fl).F_super
     c = [dm @ Phi - Phi @ dm for dm in d]
     Phi2 = Phi @ Phi
     return action.BiTraces(
         theta=np.trace(th).real,
         theta2=np.trace(th @ th).real,
-        F2=sum(e[mu] * e[nu] * np.trace(F[mu][nu].rep @ F[mu][nu].rep)
+        F2=sum(e[mu] * e[nu] * np.trace(F[mu][nu] @ F[mu][nu])
                for mu in range(4) for nu in range(4)).real,
         Phi2=np.trace(Phi2).real,
         Phi4=np.trace(Phi2 @ Phi2).real,

@@ -407,13 +407,14 @@ def test_sample_summary_is_strict_json(tmp_path, steps, burn_in, self_test):
         assert summary[name]["stderr"] is None
 
 
-@pytest.mark.parametrize("key", ["A", "phi"])
+@pytest.mark.parametrize("key", ["A", "phi", "fluctuation"])
 def test_sample_refuses_potential_and_higgs_files(tmp_path, capsys, key):
+    # the chain starts from A = 0 and phi = 0, so it reads none of these keys
     path = str(tmp_path / "field.json")
     cli.save_matrix(path, np.zeros((4, 4)))
     cfg = write_config(tmp_path, {
         "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
-        "fields": {"source": "files", key: [path] if key == "A" else path},
+        "fields": {"source": "files", key: {"A": [path], "phi": path, "fluctuation": False}[key]},
         "sampler": {"steps": 5, "burn_in": 0},
         "out": str(tmp_path),
     })
@@ -651,6 +652,8 @@ def test_huge_N_is_one_config_error_line(tmp_path, case):
     ({"source": "files", "seed": 3}, "seed"),
     ({"source": "files", "scale": 0.5}, "scale"),
     ({"source": "zero", "include_x": True}, "include_x"),
+    ({"source": "files", "fluctuation": False, "A": ["A0.json"]}, "A"),
+    ({"source": "files", "fluctuation": False, "phi": "phi.json"}, "phi"),
 ])
 def test_fields_key_the_source_does_not_read_is_config_error(tmp_path, capsys, fields, key):
     cfg = write_config(tmp_path, {"fields": fields, "out": str(tmp_path)})
@@ -661,12 +664,40 @@ def test_fields_key_the_source_does_not_read_is_config_error(tmp_path, capsys, f
 
 
 def test_fields_keys_at_their_defaults_and_fluctuation_are_read_by_every_source(tmp_path):
-    # a key set to its default, or fluctuation (which spectrum reads), is no conflict
+    # a key set to its default, or fluctuation (which action and spectrum read), is no conflict
     for fields in ({"source": "zero", "fluctuation": False, "seed": 4, "phi": None},
                    {"source": "files", "fluctuation": False, "include_x": False},
                    {"source": "random", "K": {"mu0": None}, "A": []}):
         cfg = write_config(tmp_path, {"fields": fields, "seed": 4, "out": str(tmp_path)})
         assert run(["spectrum", "--config", cfg]) == 0, fields
+
+
+def test_action_and_spectrum_agree_without_fluctuation(tmp_path):
+    # a files source with K blocks only and fluctuation false: both read the product D
+    rng = np.random.default_rng(11)
+    H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    l0_path = str(tmp_path / "L0.json")
+    cli.save_matrix(l0_path, (H - H.conj().T) / 2)
+    cfg = write_config(tmp_path, {
+        "geometry": {"N": 2, "n": 2, "d_f": "random"},
+        "fields": {"source": "files", "K": {"mu0": l0_path}, "fluctuation": False},
+    })
+    assert run(["action", "--config", cfg, "--out", str(tmp_path / "action")]) == 0
+    assert run(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum")]) == 0
+    direct = json.loads((tmp_path / "action" / "action_breakdown.json").read_text())["total_direct"]
+    with open(tmp_path / "spectrum" / "spectrum.csv") as fh:
+        ev = np.array([float(r["eigenvalue"]) for r in csv.DictReader(fh)])
+    from_spectrum = 0.25 * sum(0.5 * a * np.sum(ev ** k)
+                               for k, a in enumerate((0.0, 1.0, 0.0, 1.0), start=1))
+    assert abs(from_spectrum - direct) <= 1e-9 * max(1.0, abs(direct)), (from_spectrum, direct)
+
+
+@pytest.mark.parametrize("command", ["action", "spectrum", "verify"])
+@pytest.mark.parametrize("cfg", [{"sampler": {"steps": 7}},
+                                 {"self_test": True, "sampler": {"steps": 0}}])
+def test_sampler_keys_bind_only_sample(tmp_path, command, cfg):
+    # steps >= burn_in, and steps >= 1 for the self test, are checked by sample alone
+    assert run([command, "--config", write_config(tmp_path, {**cfg, "out": str(tmp_path)})]) == 0
 
 
 def test_readme_example_config_runs(tmp_path):
@@ -804,7 +835,7 @@ def _at(cfg, key):
 def _resolved(cfg):
     try:
         return cli.resolve(cfg)
-    except cli.ConfigError:  # each value fits its row, but p + q != 4 or steps < burn_in can
+    except cli.ConfigError:  # each value fits its row, but p + q != 4 can
         assume(False)
 
 

@@ -91,10 +91,10 @@ def test_product_reduces_to_fuzzy_when_df_zero():
         from ncg_ymh.superop import gen_comm
         expected += np.kron(mod.gammas[mu],
                             gen_comm(np.kron(gt.fuzzy.block(single(mu)), np.eye(n)),
-                                     gt.sig.e[mu]).rep)
+                                     gt.sig.e[mu]))
         expected += np.kron(mod.gamma_hat(mu),
                             gen_comm(np.kron(gt.fuzzy.block(hat(mu)), np.eye(n)),
-                                     gt.sig.e_hat[mu]).rep)
+                                     gt.sig.e_hat[mu]))
     np.testing.assert_allclose(D, expected, atol=1e-14)
 
 
@@ -104,7 +104,7 @@ def test_gamma_part_anticommutes():
     gt = make_triple(0, 4, with_DF=True, seed=2)
     from ncg_ymh.superop import left_mult
     m = gt.m
-    dfpart = np.kron(mod.chirality, left_mult(np.kron(np.eye(gt.N), gt.finite.D_F)).rep)
+    dfpart = np.kron(mod.chirality, left_mult(np.kron(np.eye(gt.N), gt.finite.D_F)))
     for mu in range(4):
         gmu = np.kron(mod.gammas[mu], np.eye(m * m))
         assert np.abs(dfpart @ gmu + gmu @ dfpart).max() <= 1e-12
@@ -180,10 +180,10 @@ def test_lichnerowicz_zero_and_flat_reduction():
     k = [gen_comm(fz.block(single(mu)), sig.e[mu]) for mu in range(4)]
     expected = np.zeros_like(rhs)
     for mu in range(4):
-        expected += sig.e[mu] * np.kron(np.eye(4), (k[mu] @ k[mu]).rep)
+        expected += sig.e[mu] * np.kron(np.eye(4), k[mu] @ k[mu])
         for nu in range(4):
             expected += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu],
-                                      (k[mu] @ k[nu] - k[nu] @ k[mu]).rep)
+                                      k[mu] @ k[nu] - k[nu] @ k[mu])
     np.testing.assert_allclose(rhs, expected, atol=1e-13)
 
 

@@ -128,19 +128,19 @@ def test_higgs_field_forms():
     fl = fluct.zero_fluctuation(gt)
     Phi = fluct.higgs_field(fl, gt)
     np.testing.assert_allclose(
-        Phi.rep, left_mult(np.kron(np.eye(gt.N), gt.finite.D_F)).rep, atol=0)
+        Phi, left_mult(np.kron(np.eye(gt.N), gt.finite.D_F)), atol=0)
 
     gt_ym = make_triple(0, 4, with_DF=False, seed=31)
     rng = np.random.default_rng(1)
     phi = dirac.random_hermitian(gt_ym.m, rng)
     fl = fluct.Fluctuation(A=fluct.zero_fluctuation(gt_ym).A, S=None, phi=phi)
     Phi = fluct.higgs_field(fl, gt_ym)
-    np.testing.assert_allclose(Phi.rep, (left_mult(phi) + right_mult(phi)).rep, atol=0)
+    np.testing.assert_allclose(Phi, left_mult(phi) + right_mult(phi), atol=0)
 
     gt = make_triple(0, 4, with_DF=True, seed=33)
     fl = fluct.random_fluctuation(gt, seed=5)
     Phi = fluct.higgs_field(fl, gt)
-    np.testing.assert_allclose(Phi.rep, Phi.adjoint().rep, atol=1e-12)
+    np.testing.assert_allclose(Phi, Phi.conj().T, atol=1e-12)
 
 
 @pytest.mark.parametrize("p,q", ALL_SIGS)
@@ -152,8 +152,8 @@ def test_conjugation_sign_of_higgs_term(p, q):
     rng = np.random.default_rng(41)
     phi = dirac.random_hermitian(m, rng)
     S = dirac.real_structure(mod, m)
-    lhs = dirac.conjugate_by_J(np.kron(mod.chirality, left_mult(phi).rep), S)
-    rhs = sig.eps_dblprime * np.kron(mod.chirality, right_mult(phi).rep)
+    lhs = dirac.conjugate_by_J(np.kron(mod.chirality, left_mult(phi)), S)
+    rhs = sig.eps_dblprime * np.kron(mod.chirality, right_mult(phi))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     assert sig.eps_dblprime == (-1) ** sig.q
 
@@ -211,7 +211,7 @@ def _kron_sum(gt, fl, mod):
     sig, one = gt.sig, np.eye(gt.n)
 
     def gen_comm(K, e):
-        return left_mult(K).rep + e * right_mult(K).rep
+        return left_mult(K) + e * right_mult(K)
 
     D = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
     for mu in range(4):
@@ -222,7 +222,7 @@ def _kron_sum(gt, fl, mod):
             Y = Y + fl.S[mu]
         D += np.kron(mod.gamma_hat(mu), gen_comm(Y, sig.e_hat[mu]))
     P = np.kron(np.eye(gt.N), gt.finite.D_F) + fl.phi
-    D += np.kron(mod.chirality, left_mult(P).rep + sig.eps_dblprime * right_mult(fl.phi).rep)
+    D += np.kron(mod.chirality, left_mult(P) + sig.eps_dblprime * right_mult(fl.phi))
     return D
 
 
