@@ -2,9 +2,9 @@
 extensions, the polynomial spectral action, and a Metropolis sampler over
 the resulting multimatrix model."""
 
-from .action import (ActionBreakdown, ActionPolynomial, FieldStrength,
-                     field_strength, sectors, spectral_action_direct,
-                     tetrahedral, theta, trace_d2_closed, trace_d4_closed)
+from .action import (ActionBreakdown, ActionPolynomial, field_strength, sectors,
+                     spectral_action_direct, tetrahedral, theta, trace_d2_closed,
+                     trace_d4_closed)
 from .clifford import (CliffordModule, MultiIndex, Signature, build_gammas,
                        build_module, build_signature, gamma_product, hat,
                        single, trace4, verify_gamma_identities)

@@ -100,37 +100,23 @@ class ActionBreakdown(NamedTuple):
         return self.total_direct - self.total_closed
 
 
-@dataclass(frozen=True)
-class FieldStrength:
-    """F_super[mu][nu] = [d_mu, d_nu] (m^2 x m^2); F_matrix only in flat (0,4) data."""
-
-    F_super: tuple
-    F_matrix: tuple | None
-
-
-def _require_flat(gt: GaugeTriple, fl: Fluctuation):
+def require_flat(gt: GaugeTriple, fl: Fluctuation):
+    """Refuse triple-index blocks and nonzero S matrices (NotFlat)."""
     if gt.fuzzy.has_triples:
         raise NotFlat("fuzzy data carries nonzero triple-index blocks")
     if fl.S is not None and max(np.abs(Sm).max() for Sm in fl.S) > 0:
         raise NotFlat("fluctuation carries nonzero S matrices")
 
 
-def field_strength(gt: GaugeTriple, fl: Fluctuation) -> FieldStrength:
-    """F_{mu nu} = [d_mu, d_nu] as m^2 x m^2 arrays; matrix avatar when Riemannian flat."""
+def field_strength(gt: GaugeTriple, fl: Fluctuation) -> tuple:
+    """F[mu][nu] = [d_mu, d_nu] as m^2 x m^2 arrays."""
     d = covariant_ops(gt, fl)
-    F = tuple(tuple(d[mu] @ d[nu] - d[nu] @ d[mu] for nu in range(4)) for mu in range(4))
-    F_mat = None
-    if (gt.sig.p, gt.sig.q) == (0, 4) and not gt.fuzzy.has_triples \
-            and (fl.S is None or max(np.abs(Sm).max() for Sm in fl.S) == 0):
-        M = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
-        F_mat = tuple(tuple(M[mu] @ M[nu] - M[nu] @ M[mu] for nu in range(4))
-                      for mu in range(4))
-    return FieldStrength(F_super=F, F_matrix=F_mat)
+    return tuple(tuple(d[mu] @ d[nu] - d[nu] @ d[mu] for nu in range(4)) for mu in range(4))
 
 
 def theta(gt: GaugeTriple, fl: Fluctuation) -> np.ndarray:
     """theta = sum eta^{mu nu} d_mu o d_nu as an m^2 x m^2 array, positive semidefinite."""
-    _require_flat(gt, fl)
+    require_flat(gt, fl)
     d = covariant_ops(gt, fl)
     out = gt.sig.e[0] * (d[0] @ d[0])
     for mu in range(1, 4):
@@ -279,7 +265,7 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
 
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:
-    _require_flat(gt, fl)
+    require_flat(gt, fl)
     X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
     P = gt.lifted_D_F + fl.phi
     with np.errstate(over="ignore", invalid="ignore"):

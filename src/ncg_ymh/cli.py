@@ -34,9 +34,9 @@ from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
 from .errors import NcgError
-from .sampler import (_STEP_SIZES, SamplerConfig, batch_means, effective_sample_size,
-                      gaussian_self_test, run_chain, stationarity_check, symmetric_histogram,
-                      tau_int)
+from .sampler import (_DRAW_ENTRIES, _STEP_SIZES, SamplerConfig, batch_means,
+                      effective_sample_size, gaussian_self_test, run_chain,
+                      stationarity_check, symmetric_histogram, tau_int)
 from .verify import run_identity_suite
 
 _SIGNATURES = [(0, 4), (1, 3), (2, 2), (3, 1)]
@@ -127,7 +127,7 @@ TABLE = (
     Row("fields.phi", str, None, None),
     Row("poly", list[float], (1, None), [0.0, 1.0, 0.0, 1.0]),
     Row("sampler.steps", int, 0, lambda cfg: 100_000 if cfg["self_test"] else 200),
-    Row("sampler.burn_in", int, 0, 50),
+    Row("sampler.burn_in", int, 0, lambda cfg: 1000 if cfg["self_test"] else 50),
     Row("sampler.thin", int, 1, 1),
     Row("sampler.step_sizes.A", float, None, _STEP_SIZES["A"]),
     Row("sampler.step_sizes.phi", float, None, _STEP_SIZES["phi"]),
@@ -165,6 +165,22 @@ def _checked(row: Row, value):
     return value
 
 
+def _default(row: Row, cfg: dict):
+    """The row's default in a config resolved at least up to the row."""
+    return row.default(cfg) if callable(row.default) else row.default
+
+
+def _refuse_unread(cfg: dict, keys, why: str):
+    """Refuse the first of these unread keys that a resolved config sets to other than its
+    default, with the message "<key> is not read <why>"."""
+    for key in keys:
+        value = cfg
+        for part in key.split("."):
+            value = value[part]
+        if value != _default(_ROWS[key], cfg):
+            raise ConfigError(f"{key} is not read {why}")
+
+
 def _refuse_unknown(given: dict, known: dict, name: str = ""):
     """Refuse a key of a given block, or of a block within it, that the table lacks."""
     unknown = sorted(set(given) - set(known))
@@ -185,10 +201,7 @@ def resolve(cfg: dict) -> dict:
             given, into = given.get(block, {}), into.setdefault(block, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"{'.'.join(path[:depth])} must be a JSON object")
-        if key in given:
-            into[key] = _checked(row, given[key])
-        else:
-            into[key] = row.default(out) if callable(row.default) else copy.copy(row.default)
+        into[key] = _checked(row, given[key]) if key in given else copy.copy(_default(row, out))
     _refuse_unknown(cfg, out)
     p, q = out["geometry"]["p"], out["geometry"]["q"]
     if p + q != 4:
@@ -241,16 +254,10 @@ def _refuse_unread_fields(cfg: dict):
     read = ("source", "fluctuation") + _SOURCE_READS[fields["source"]]
     if not fields["fluctuation"]:
         read = tuple(key for key in read if key not in ("A", "phi"))
-    for row in TABLE:
-        block, _, key = row.key.partition(".")
-        key, *sub = key.split(".")
-        if block != "fields" or key in read:
-            continue
-        value = fields[key][sub[0]] if sub else fields[key]
-        if value != (row.default(cfg) if callable(row.default) else row.default):
-            also = "" if fields["fluctuation"] else " and fields.fluctuation is false"
-            raise ConfigError(f"{row.key} is not read when fields.source is "
-                              f"{fields['source']!r}{also}")
+    also = "" if fields["fluctuation"] else " and fields.fluctuation is false"
+    _refuse_unread(cfg, [row.key for row in TABLE if row.key.startswith("fields.")
+                         and row.key.split(".")[1] not in read],
+                   f"when fields.source is {fields['source']!r}{also}")
 
 
 def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
@@ -338,6 +345,8 @@ def _write_summary(out_dir: str, summary: dict):
 # --------------------------------------------------------------- subcommands
 
 def cmd_verify(cfg: dict) -> int:
+    _refuse_unread(cfg, ("geometry.N", "geometry.n", "geometry.d_f"),
+                   "by verify, whose suites run at N = n = 2 with their own D_F")
     geo = cfg["geometry"]
     sigs = _SIGNATURES if cfg["signatures"] == "all" else [(geo["p"], geo["q"])]
     seed = cfg["seed"]
@@ -407,12 +416,16 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_sample(cfg: dict) -> int:
     seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
     if cfg["self_test"]:
+        _refuse_unread(cfg, ("sampler.thin", "sampler.step_sizes.A", "sampler.step_sizes.phi",
+                             "sampler.autotune"), "by the self test")
         N, steps = sp["self_test_N"], sp["steps"]
         if steps < 1:
             raise ConfigError(f"sampler.steps must be >= 1 for the self test, got {steps}")
-        _require_fits(16 * steps + 128 * N ** 2, f"the Gaussian self test at sampler.self_test_N "
-                      f"= {N}, sampler.steps = {steps}", "its samples and N x N matrices")
-        res = gaussian_self_test(N=N, samples=steps, seed=seed)
+        # a chunk of draws holds about max(N^2, _DRAW_ENTRIES) entries
+        _require_fits(16 * steps + 128 * max(N ** 2, _DRAW_ENTRIES),
+                      f"the Gaussian self test at sampler.self_test_N = {N}, sampler.steps = "
+                      f"{steps}", "its samples, N x N matrices and draws")
+        res = gaussian_self_test(N=N, samples=steps, seed=seed, burn_in=sp["burn_in"])
         csv_path = os.path.join(out_dir, "samples.csv")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -427,17 +440,14 @@ def cmd_sample(cfg: dict) -> int:
               f"(target {res['target']}, acceptance {res['acceptance']:.2f})")
         return 0
 
+    _refuse_unread(cfg, ("sampler.self_test_N",), "by a chain, only by the self test")
     steps, burn_in = sp["steps"], sp["burn_in"]
     if steps < burn_in:
-        default = " (the default)" if burn_in == _ROWS["sampler.burn_in"].default else ""
+        default = " (the default)" if burn_in == _default(_ROWS["sampler.burn_in"], cfg) else ""
         raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
                           f"{steps} and sampler.burn_in = {burn_in}{default}")
-    fields = cfg["fields"]
-    for key, unread in (("fluctuation", not fields["fluctuation"]), ("A", fields["A"]),
-                        ("phi", fields["phi"])):
-        if unread:
-            raise ConfigError(f"fields.{key} is not read by sample, which starts from "
-                              "A = 0 and phi = 0")
+    _refuse_unread(cfg, ("fields.fluctuation", "fields.A", "fields.phi"),
+                   "by sample, which starts from A = 0 and phi = 0")
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
     # the chain's peak (tracemalloc, m = 32 to 96) is about 4600 bytes per entry of an
     # m x m matrix, m = N n: most of it the stacks and buffers of two kernels

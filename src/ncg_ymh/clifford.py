@@ -52,7 +52,6 @@ class Signature:
 
     p: int
     q: int
-    d: int
     s: int
     e: tuple
     e_hat: tuple
@@ -60,10 +59,6 @@ class Signature:
     eps_prime: int
     eps_dblprime: int
     sigma_eta: complex
-
-    @property
-    def eta(self) -> np.ndarray:
-        return np.diag(np.array(self.e, dtype=float))
 
     def det_eta(self) -> int:
         out = 1
@@ -103,9 +98,8 @@ def build_signature(p: int, q: int) -> Signature:
     e_hat = tuple(e[mu] * (-1) ** (q + 1) for mu in range(4))
     eps, eps_prime, eps_dblprime = _KO_TABLE[s]
     sigma_eta = _MINUS_I_POW[(s * (s + 1) // 2) % 4]
-    return Signature(p=p, q=q, d=4, s=s, e=e, e_hat=e_hat, eps=eps,
-                     eps_prime=eps_prime, eps_dblprime=eps_dblprime,
-                     sigma_eta=sigma_eta)
+    return Signature(p=p, q=q, s=s, e=e, e_hat=e_hat, eps=eps, eps_prime=eps_prime,
+                     eps_dblprime=eps_dblprime, sigma_eta=sigma_eta)
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,6 @@ class CliffordModule:
     """Concrete gammas, chirality and conjugation unitary on V = C^4."""
 
     signature: Signature
-    dimV: int
     gammas: tuple
     chirality: np.ndarray
     conj_unitary: np.ndarray
@@ -162,7 +155,7 @@ def build_gammas(sig: Signature) -> CliffordModule:
     gammas = tuple(g.copy() if mu < sig.p else 1j * g for mu, g in enumerate(_EUCLIDEAN_BASE))
     chirality = sig.sigma_eta * gammas[0] @ gammas[1] @ gammas[2] @ gammas[3]
     U = _search_conjugation(sig, gammas, chirality)
-    return CliffordModule(signature=sig, dimV=4, gammas=gammas,
+    return CliffordModule(signature=sig, gammas=gammas,
                           chirality=chirality, conj_unitary=U)
 
 

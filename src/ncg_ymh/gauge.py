@@ -5,11 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionPolynomial, field_strength, sectors, spectral_action_direct
+from .action import ActionPolynomial, require_flat, sectors, spectral_action_direct
 from .clifford import build_gammas, single
 from .dirac import GaugeTriple, lift
 from .errors import NotRiemannian
-from .fluct import Fluctuation, assemble_fluctuated
+from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,10 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
 
 def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
                       f: ActionPolynomial) -> dict:
-    """Covariance of the field strength and invariance of the action.
+    """Covariance of the field strength and invariance of the action, for flat data.
 
-    Reports (i) max over mu < nu of ||F^u_{mu nu} - u F_{mu nu} u*||,
+    Reports (i) max over mu < nu of ||F^u_{mu nu} - u F_{mu nu} u*||, with
+    F_{mu nu} = [X_mu, X_nu] and X_mu = L_mu (x) 1 + A_mu,
     (ii) relative change of each sector and of (1/4) Tr f(D_omega),
     (iii) the deviation of the alternative-convention identity
     T^u = Ad_u(T) + Ad_u([L, L]) - [L, L] for T = F - [L, L].
@@ -83,21 +84,24 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
     """
     if (gt.sig.p, gt.sig.q) != (0, 4):
         raise NotRiemannian("covariance is asserted in signature (0, 4) only")
+    require_flat(gt, fl)
     u = g.u
     ustar = u.conj().T
     L = _lifted_L(gt)
     fl_u = transform(gt, fl, g)
-    F0 = field_strength(gt, fl).F_matrix
-    Fu = field_strength(gt, fl_u).F_matrix
+    blocks = [gt.fuzzy.block(single(mu)) for mu in range(4)]
+    X0, Xu = covariant_matrices(blocks, fl.A), covariant_matrices(blocks, fl_u.A)
 
     cov = 0.0
     ts_dev = 0.0
     for mu in range(4):
         for nu in range(mu + 1, 4):
-            cov = max(cov, np.abs(Fu[mu][nu] - u @ F0[mu][nu] @ ustar).max())
+            F0 = X0[mu] @ X0[nu] - X0[nu] @ X0[mu]
+            Fu = Xu[mu] @ Xu[nu] - Xu[nu] @ Xu[mu]
+            cov = max(cov, np.abs(Fu - u @ F0 @ ustar).max())
             LL = L[mu] @ L[nu] - L[nu] @ L[mu]
-            T0 = F0[mu][nu] - LL
-            Tu = Fu[mu][nu] - LL
+            T0 = F0 - LL
+            Tu = Fu - LL
             ts_dev = max(ts_dev, np.abs(Tu - (u @ T0 @ ustar + u @ LL @ ustar - LL)).max())
 
     b0 = sectors(gt, fl, f)

@@ -29,7 +29,8 @@ or diverging action (|S| > 1e12) stops the chain with UnstableAction at the
 start and after any sweep, not only during burn-in.
 
 Streams: SeedSequence(seed, spawn_key=(k,)) with k = 4 + mu for A_mu, 8 for
-phi and 9 for the accept/reject uniforms; 0..3 are retired.  Identical seeds
+phi and 9 for the accept/reject uniforms; the Gaussian self test draws its
+generators from 0 and its uniforms from 9; 1..3 are retired.  Identical seeds
 give bit-identical chains on one platform.
 
 Diagnostics: `run_chain`'s info reports the post-burn-in acceptance per
@@ -46,7 +47,7 @@ import numpy as np
 from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
                      require_self_adjoint, sector_breakdown)
 from .clifford import single
-from .dirac import GaugeTriple, random_hermitian
+from .dirac import GaugeTriple
 from .errors import NotFlat, UnstableAction
 from .fluct import Fluctuation, covariant_matrices
 
@@ -54,6 +55,9 @@ _DIVERGENCE = 1e12
 _STEP_SIZES = {"A": 0.08, "phi": 0.1}
 _TUNE_INTERVAL = 25
 _TARGET_ACCEPTANCE = (0.2, 0.6)
+_BATCHES = 20  # of the batch-means estimator
+_WINDOW = 5.0  # Sokal's window constant c of tau_int
+_SELF_TEST_STEP = 0.5  # of the Gaussian self test's proposals
 
 
 @dataclass
@@ -109,13 +113,12 @@ class SampleRecord:
     acceptance: float
 
 
-def batch_means(values, n_batches: int = 20):
-    """(mean, standard error) by the batch-means estimator."""
+def batch_means(values):
+    """(mean, standard error) by the batch-means estimator, over _BATCHES batches."""
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         return float("nan"), float("nan")
-    if x.size < n_batches:
-        n_batches = max(1, x.size)
+    n_batches = min(_BATCHES, x.size)
     usable = (x.size // n_batches) * n_batches
     batches = x[:usable].reshape(n_batches, -1).mean(axis=1)
     mean = float(x.mean())
@@ -125,12 +128,12 @@ def batch_means(values, n_batches: int = 20):
     return mean, se
 
 
-def stationarity_check(values, n_batches: int = 20) -> dict:
+def stationarity_check(values) -> dict:
     """Compare the two halves of a series at 3 combined standard errors."""
     x = np.asarray(values, dtype=float)
     half = x.size // 2
-    m1, se1 = batch_means(x[:half], n_batches)
-    m2, se2 = batch_means(x[half:], n_batches)
+    m1, se1 = batch_means(x[:half])
+    m2, se2 = batch_means(x[half:])
     combined = float(np.hypot(se1, se2))
     return {
         "mean_first_half": m1, "mean_second_half": m2,
@@ -140,13 +143,13 @@ def stationarity_check(values, n_batches: int = 20) -> dict:
     }
 
 
-def tau_int(values, c: float = 5.0) -> float:
+def tau_int(values) -> float:
     """Integrated autocorrelation time of a series, in records.
 
     tau = 1/2 + sum_{t=1}^{W} rho(t) with Sokal's automatic window: the
-    smallest W >= c tau(W).  The autocorrelation rho comes from one FFT.
-    Series shorter than 4 or constant give 1/2, the value of independent
-    records.
+    smallest W >= c tau(W), c = _WINDOW.  The autocorrelation rho comes from
+    one FFT.  Series shorter than 4 or constant give 1/2, the value of
+    independent records.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -161,7 +164,7 @@ def tau_int(values, c: float = 5.0) -> float:
     tau = 0.5
     for w in range(1, n):
         tau += rho[w]
-        if w >= c * tau:
+        if w >= _WINDOW * tau:
             break
     return max(tau, 0.5)
 
@@ -312,12 +315,13 @@ def symmetric_histogram(ev: np.ndarray, bins: int):
 
 
 def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
-                       step: float = 0.5, burn_in: int = 1000) -> dict:
+                       burn_in: int = 1000) -> dict:
     """Metropolis on one Hermitian matrix with weight exp(-Tr M^2).
 
-    The analytic mean of Tr M^2 is N^2 / 2; the summary reports the chain
-    mean, its batch-means standard error and whether the target lies within
-    three standard errors.
+    The generators are drawn as the chain draws them (`_generators`, in
+    chunks) and accepted by the chain's rule.  The analytic mean of Tr M^2
+    is N^2 / 2; the summary reports the chain mean, its batch-means standard
+    error and whether the target lies within three standard errors.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -327,11 +331,16 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
     action = 0.0
     accepted = 0
     trace_sq = np.empty(samples)
-    for i in range(burn_in + samples):
-        cand = M + step * random_hermitian(N, rng)
+    total = burn_in + samples
+    chunk = max(1, _DRAW_ENTRIES // (N * N))
+    for i in range(total):
+        j = i % chunk
+        if j == 0:
+            increments = _SELF_TEST_STEP * _generators(rng, min(chunk, total - i), N, 1, 1)
+        cand = M + increments[j]
         new_action = float(np.trace(cand @ cand).real)
         delta = new_action - action
-        if delta <= 0 or accept_rng.uniform() < np.exp(-min(delta, 700.0)):
+        if delta <= 0 or accept_rng.random() < math.exp(-delta):
             M = cand
             action = new_action
             if i >= burn_in:

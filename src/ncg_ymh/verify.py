@@ -20,7 +20,8 @@ pinned seeds, the tests with their own data:
     central_unitary             riemannian  acceptance 08
 
 `signature_suite` runs in any signature; `riemannian_suite` (gauge
-covariance, a separate claim) in (0, 4) only.
+covariance, a separate claim) in (0, 4) only.  Both run at N = n = 2, with
+random D_F drawn from their seed.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .action import ActionPolynomial
 from .dirac import FiniteData, GaugeTriple, random_hermitian
 
 _QUARTIC = ActionPolynomial((0.0, 1.0, 0.0, 1.0))  # the suites' f
+_N, _n = 2, 2  # the suites' fuzzy and finite sizes
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def weitzenbock_full(gt: GaugeTriple, fl, mod) -> float:
 def weitzenbock_flat_higgs(gt: GaugeTriple, fl, mod) -> float:
     """Flat D_omega^2 = (1/2) g g F + theta + Phi^2 + g gamma [d, Phi]."""
     D = fluct.assemble_fluctuated(gt, fl, mod)
-    F = action_mod.field_strength(gt, fl).F_super
+    F = action_mod.field_strength(gt, fl)
     th = action_mod.theta(gt, fl)
     Phi = fluct.higgs_field(fl, gt)
     d = fluct.covariant_ops(gt, fl)
@@ -132,7 +134,7 @@ def weitzenbock_flat_higgs(gt: GaugeTriple, fl, mod) -> float:
 def field_strength_adjointness(gt: GaugeTriple, fl) -> float:
     """F_{mu nu} = -F_{nu mu} and F_{mu nu}* = -e_mu e_nu F_{mu nu} (flat data)."""
     e = gt.sig.e
-    F = action_mod.field_strength(gt, fl).F_super
+    F = action_mod.field_strength(gt, fl)
     worst = 0.0
     for mu in range(4):
         for nu in range(4):
@@ -184,21 +186,21 @@ def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:
     return max(np.abs(new - old).max() for new, old in zip((*out.A, out.phi), (*fl.A, fl.phi)))
 
 
-def _random_triple(p, q, N, n, seed, include_X, with_DF):
+def _random_triple(p, q, seed, include_X, with_DF):
     sig = clifford.build_signature(p, q)
-    fz = dirac.random_fuzzy(N, sig, seed=seed, include_X=include_X)
+    fz = dirac.random_fuzzy(_N, sig, seed=seed, include_X=include_X)
     rng = np.random.default_rng(seed + 1000)
-    DF = random_hermitian(n, rng) if with_DF else np.zeros((n, n), dtype=complex)
-    return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
+    DF = random_hermitian(_n, rng) if with_DF else np.zeros((_n, _n), dtype=complex)
+    return GaugeTriple(fuzzy=fz, finite=FiniteData(n=_n, D_F=DF))
 
 
-def signature_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
+def signature_suite(p: int, q: int, seed: int = 0):
     """Identities valid in any 4d signature, for one (p, q)."""
     sig = clifford.build_signature(p, q)
     mod = clifford.build_gammas(sig)
 
     def triple(sd, include_X, with_DF):
-        return _random_triple(p, q, N, n, seed + sd, include_X, with_DF)
+        return _random_triple(p, q, seed + sd, include_X, with_DF)
 
     def fields(sd, include_X, with_DF, fl_sd=0):
         gt = triple(sd, include_X, with_DF)
@@ -232,11 +234,11 @@ def signature_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
         ("theta/positive_semidefinite", split[2], 1e-10))]
 
 
-def riemannian_suite(N: int = 2, n: int = 2, seed: int = 0):
+def riemannian_suite(seed: int = 0):
     """Gauge covariance, (0, 4) only."""
 
     def fields(sd, with_DF, fl_seed):
-        gt = _random_triple(0, 4, N, n, seed + sd, False, with_DF)
+        gt = _random_triple(0, 4, seed + sd, False, with_DF)
         return gt, fluct.random_fluctuation(gt, seed=fl_seed)
 
     # action invariance needs J-compatibility of all of D, which left-mult D_F
@@ -251,8 +253,8 @@ def riemannian_suite(N: int = 2, n: int = 2, seed: int = 0):
          central_unitary(*fields(0, True, seed), np.exp(0.37j)), 1e-12))]
 
 
-def run_identity_suite(p: int, q: int, N: int = 2, n: int = 2, seed: int = 0):
-    results = signature_suite(p, q, N, n, seed)
+def run_identity_suite(p: int, q: int, seed: int = 0):
+    results = signature_suite(p, q, seed)
     if (p, q) == (0, 4):
-        results.extend(riemannian_suite(N, n, seed))
+        results.extend(riemannian_suite(seed))
     return results

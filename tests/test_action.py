@@ -41,7 +41,7 @@ def test_field_strength_zero_for_commuting_data():
                      finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
     fl = fluct.zero_fluctuation(gt)
     F = action.field_strength(gt, fl)
-    assert max(np.abs(F.F_super[mu][nu]).max() for mu in range(4)
+    assert max(np.abs(F[mu][nu]).max() for mu in range(4)
                for nu in range(4)) <= 1e-12
 
 
@@ -49,13 +49,13 @@ def test_field_strength_antisymmetry_and_matrix_form():
     gt = make_triple(seed=3, with_DF=False)
     fl = fluct.random_fluctuation(gt, seed=4)
     F = action.field_strength(gt, fl)
-    assert F.F_matrix is not None
+    X = fluct.covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
     for mu in range(4):
         for nu in range(4):
-            assert np.abs(F.F_super[mu][nu] + F.F_super[nu][mu]).max() == 0
+            assert np.abs(F[mu][nu] + F[nu][mu]).max() == 0
             # dual representation: commutator superop of the matrix avatar
-            np.testing.assert_allclose(F.F_super[mu][nu],
-                                       gen_comm(F.F_matrix[mu][nu], -1), atol=1e-11)
+            np.testing.assert_allclose(F[mu][nu], gen_comm(X[mu] @ X[nu] - X[nu] @ X[mu], -1),
+                                       atol=1e-11)
 
 
 def test_theta_positivity_and_reduction():
@@ -202,7 +202,7 @@ def _oracle_traces(gt, fl):
     d = fluct.covariant_ops(gt, fl)
     th = action.theta(gt, fl)
     Phi = fluct.higgs_field(fl, gt)
-    F = action.field_strength(gt, fl).F_super
+    F = action.field_strength(gt, fl)
     c = [dm @ Phi - Phi @ dm for dm in d]
     Phi2 = Phi @ Phi
     return action.BiTraces(

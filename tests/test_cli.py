@@ -627,6 +627,8 @@ HUGE = {
                     "the Gaussian self test at sampler.self_test_N = 1000"),
     "self-test-steps": (["sample", "--self-test"], {"sampler": {"steps": 10 ** 80}},
                         "the Gaussian self test at sampler.self_test_N = 2, sampler.steps = 1000"),
+    "chain-self-test-N": (["sample"], {"sampler": {"self_test_N": 10 ** 80}},
+                          "sampler.self_test_N is not read by a chain"),
 }
 
 
@@ -661,6 +663,47 @@ def test_fields_key_the_source_does_not_read_is_config_error(tmp_path, capsys, f
     err = capsys.readouterr().err
     assert err.startswith(f"config error: fields.{key} is not read when fields.source is "), err
     assert not (tmp_path / "action_breakdown.json").exists()
+
+
+# per key: a command that does not read it and a config setting it to other than its
+# default (verify's suites run at N = n = 2 with their own D_F; the self test and the
+# chain each read their own sampler keys)
+UNREAD = {
+    "geometry.N": (["verify"], {"geometry": {"N": 6}}),
+    "geometry.n": (["verify"], {"geometry": {"n": 3}}),
+    "geometry.d_f": (["verify"], {"geometry": {"d_f": "/nonexistent_df.json"}}),
+    "sampler.thin": (["sample", "--self-test"], {"sampler": {"thin": 5}}),
+    "sampler.step_sizes.A": (["sample", "--self-test"], {"sampler": {"step_sizes": {"A": 0.3}}}),
+    "sampler.step_sizes.phi": (["sample", "--self-test"],
+                               {"sampler": {"step_sizes": {"phi": 0.3}}}),
+    "sampler.autotune": (["sample", "--self-test"], {"sampler": {"autotune": False}}),
+    "sampler.self_test_N": (["sample"], {"sampler": {"self_test_N": 7}}),
+}
+
+
+@pytest.mark.parametrize("key", list(UNREAD))
+def test_key_the_command_does_not_read_is_config_error(tmp_path, capsys, key):
+    argv, cfg = UNREAD[key]
+    out = tmp_path / "out"
+    assert run([*argv, "--config", write_config(tmp_path, {**cfg, "out": str(out)})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} is not read by ") and err.count("\n") == 1, err
+    assert os.listdir(out) == []
+
+
+def test_self_test_reads_burn_in(tmp_path):
+    written = {}
+    for burn_in in (None, 7):
+        sp = {"steps": 50} if burn_in is None else {"steps": 50, "burn_in": burn_in}
+        out = tmp_path / f"burn_in_{burn_in}"
+        path = write_config(tmp_path, {"sampler": sp, "out": str(out)})
+        assert run(["sample", "--self-test", "--config", path]) == 0
+        with open(out / "samples.csv") as fh:
+            written[burn_in] = [float(row["tr_m2"]) for row in csv.DictReader(fh)]
+    assert written[None] != written[7]
+    for burn_in, default in ((None, 1000), (7, 7)):
+        res = sampler.gaussian_self_test(N=2, samples=50, seed=0, burn_in=default)
+        assert written[burn_in] == res["samples"].tolist()
 
 
 def test_fields_keys_at_their_defaults_and_fluctuation_are_read_by_every_source(tmp_path):

@@ -5,7 +5,7 @@ from ncg_ymh import dirac, fluct, gauge
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_signature, single
 from ncg_ymh.dirac import FiniteData, GaugeTriple
-from ncg_ymh.errors import NotRiemannian
+from ncg_ymh.errors import NotFlat, NotRiemannian
 
 POLY = ActionPolynomial((0.0, 0.5, 0.0, 1.0))
 
@@ -95,6 +95,17 @@ def test_not_riemannian():
     with pytest.raises(NotRiemannian):
         gauge.transform(gt, fl, g)
     with pytest.raises(NotRiemannian):
+        gauge.covariance_report(gt, fl, g, POLY)
+
+
+def test_covariance_report_refuses_non_flat_data():
+    # triple-index blocks have no matrix field strength; refused before any work
+    sig = build_signature(0, 4)
+    gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, sig, seed=1, include_X=True),
+                     finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
+    fl = fluct.random_fluctuation(gt, seed=2)
+    g = gauge.random_unitary(gt.N, gt.n, seed=3)
+    with pytest.raises(NotFlat):
         gauge.covariance_report(gt, fl, g, POLY)
 
 

@@ -171,6 +171,17 @@ def test_nan_action_is_unstable():
         sampler.run_chain(cfg, gt)
 
 
+# sha256 (first 16 hex digits) of gaussian_self_test(N=2, samples=20_000, seed=3)["samples"],
+# as the self test gave them with one random_hermitian draw per step (numpy 2.4.6,
+# OpenBLAS 0.3.31)
+SELF_TEST_DIGEST = "b09cbd6ae888e412"
+
+
+def test_gaussian_self_test_is_pinned_across_versions():
+    res = sampler.gaussian_self_test(N=2, samples=20_000, seed=3)
+    assert hashlib.sha256(res["samples"].tobytes()).hexdigest()[:16] == SELF_TEST_DIGEST
+
+
 def test_gaussian_self_test_quick():
     res = sampler.gaussian_self_test(N=2, samples=20_000, seed=3)
     assert abs(res["mean_tr_m2"] - 2.0) <= 4 * res["stderr"]
