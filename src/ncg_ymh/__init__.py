@@ -5,9 +5,8 @@ the resulting multimatrix model."""
 from .action import (ActionBreakdown, ActionPolynomial, field_strength, sectors,
                      spectral_action_direct, tetrahedral, theta, trace_d2_closed,
                      trace_d4_closed)
-from .clifford import (CliffordModule, MultiIndex, Signature, build_gammas,
-                       build_module, build_signature, gamma_product, hat,
-                       single, trace4, verify_gamma_identities)
+from .clifford import (CliffordModule, Signature, build_gammas, build_module,
+                       build_signature, trace4, verify_gamma_identities)
 from .dirac import (FiniteData, FuzzyData, GaugeTriple, assemble_fuzzy_dirac,
                     assemble_product_dirac, check_axioms, lichnerowicz_rhs,
                     random_fuzzy, sign_s, sign_t, yang_mills_triple, zero_fuzzy)

@@ -8,9 +8,12 @@ r(b), and the rules
     l(a) l(b) = l(ab),   r(a) r(b) = r(ba),   [l(a), r(b)] = 0,
     Tr_{M_m} l(a) r(b) = Tr a Tr b
 
-turn each such trace into a bi-tracial polynomial in m x m matrices.  One
-kernel, `Kernel`, evaluates the seven traces that the sectors and the
-quadratic and quartic trace lemmas are built from.  A kernel of size m owns
+turn each such trace into a bi-tracial polynomial in m x m matrices.  The
+closed forms hold for flat data, whose stacks `FuzzyData.K_hat` and
+`Fluctuation.S` are zero (`require_flat`); X_mu = K_mu (x) 1 + A_mu is one
+call of `fluct.covariant_matrices` on the stacks `FuzzyData.K` and
+`Fluctuation.A`.  One kernel, `Kernel`, evaluates the seven traces that the
+sectors and the quadratic and quartic trace lemmas are built from.  A kernel of size m owns
 its stack S = (1, X_0..X_3, P, phi) of m x m matrices, followed by three
 scratch rows (the layout is named here: STACK_X, STACK_P, STACK_PHI) into
 which it writes P^2, phi^2 and Q, and every buffer it computes into.  So a
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import build_gammas, single
+from .clifford import build_gammas
 from .dirac import GaugeTriple
 from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
 from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
@@ -101,10 +104,10 @@ class ActionBreakdown(NamedTuple):
 
 
 def require_flat(gt: GaugeTriple, fl: Fluctuation):
-    """Refuse triple-index blocks and nonzero S matrices (NotFlat)."""
+    """Refuse nonzero triple-index blocks K_hat and nonzero S matrices (NotFlat)."""
     if gt.fuzzy.has_triples:
         raise NotFlat("fuzzy data carries nonzero triple-index blocks")
-    if fl.S is not None and max(np.abs(Sm).max() for Sm in fl.S) > 0:
+    if np.abs(fl.S).max() > 0:
         raise NotFlat("fluctuation carries nonzero S matrices")
 
 
@@ -266,7 +269,7 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:
     require_flat(gt, fl)
-    X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
+    X = covariant_matrices(gt.fuzzy.K, fl.A)
     P = gt.lifted_D_F + fl.phi
     with np.errstate(over="ignore", invalid="ignore"):
         return bitracial_traces(X, P, fl.phi, gt.sig.e, gt.sig.eps_dblprime)

@@ -271,12 +271,13 @@ def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
         fz = dirac.random_fuzzy(N, sig, scale=fields["scale"], seed=fields["seed"],
                                 include_X=fields["include_x"])
     else:  # "zero" leaves every K path null
-        K = {}
+        K = {kind: np.zeros((4, N, N), dtype=complex) for kind in ("mu", "hat")}
+        signs = {"mu": sig.e, "hat": sig.e_hat}
         for key, path in fields["K"].items():
             if path is not None:
-                I = (clifford.hat if key.startswith("hat") else clifford.single)(int(key[-1]))
-                K[I] = _load_square(path, N, f"block {key}", I.sign(sig))
-        fz = FuzzyData(N=N, sig=sig, K=K)
+                kind, mu = key[:-1], int(key[-1])
+                K[kind][mu] = _load_square(path, N, f"block {key}", signs[kind][mu])
+        fz = FuzzyData(sig=sig, K=K["mu"], K_hat=K["hat"])
     return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
 
 
@@ -285,14 +286,12 @@ def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
     gt, fields = _triple(cfg, sig, N, n, DF), cfg["fields"]
     if fields["source"] == "random" and fields["fluctuation"]:
         return gt, fluct.random_fluctuation(gt, scale=fields["scale"], seed=fields["seed"] + 1)
-    if fields["source"] != "files":  # include_x is false unless the source is "random"
-        return gt, fluct.zero_fluctuation(gt, flat=not fields["include_x"])
-    m = N * n
-    A = [_load_square(path, m, f"A{mu}", sig.e[mu]) for mu, path in enumerate(fields["A"])]
-    A += [np.zeros((m, m), dtype=complex) for _ in range(4 - len(A))]
-    phi = np.zeros((m, m), dtype=complex) if fields["phi"] is None else \
-        _load_square(fields["phi"], m, "phi", 1)
-    return gt, fluct.Fluctuation(A=tuple(A), S=None, phi=phi)
+    fl = fluct.zero_fluctuation(gt)  # A and phi stay at [] and null unless the source is "files"
+    for mu, path in enumerate(fields["A"]):
+        fl.A[mu] = _load_square(path, gt.m, f"A{mu}", sig.e[mu])
+    if fields["phi"] is not None:
+        fl.phi[...] = _load_square(fields["phi"], gt.m, "phi", 1)
+    return gt, fl
 
 
 def _require_fits(need: int, what: str, parts: str):
@@ -416,8 +415,11 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_sample(cfg: dict) -> int:
     seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
     if cfg["self_test"]:
-        _refuse_unread(cfg, ("sampler.thin", "sampler.step_sizes.A", "sampler.step_sizes.phi",
-                             "sampler.autotune"), "by the self test")
+        # the self test samples one Hermitian matrix: it reads no geometry, fields or poly
+        unread = [row.key for row in TABLE if row.key.split(".")[0] in ("geometry", "fields")]
+        _refuse_unread(cfg, unread + ["poly", "sampler.thin", "sampler.step_sizes.A",
+                                      "sampler.step_sizes.phi", "sampler.autotune"],
+                       "by the self test")
         N, steps = sp["self_test_N"], sp["steps"]
         if steps < 1:
             raise ConfigError(f"sampler.steps must be >= 1 for the self test, got {steps}")

@@ -8,8 +8,12 @@ Conventions (fixed once, used everywhere):
 * The representation starts from a chiral Euclidean set of four Hermitian,
   pairwise anticommuting, square-one 4x4 matrices built from Pauli blocks;
   gamma^mu is multiplied by i for every mu >= p.
-* hat indices: gamma^{hat mu} is the increasing-order product of the three
-  gammas with index != mu; its adjointness sign is e_{hat mu} = e_mu (-1)^{q+1}.
+* hat indices: gamma^{hat mu} (`CliffordModule.gamma_hat`) is the
+  increasing-order product of the three gammas with index != mu; its
+  adjointness sign is e_{hat mu} = e_mu (-1)^{q+1} (`Signature.e_hat`).  A
+  multi-index I of the Dirac operator is one of the four mu or the four
+  hat mu; every matrix family indexed by I is kept as two mu-ordered stacks,
+  with signs read off `Signature.e` and `Signature.e_hat`.
 * chirality gamma = sigma_eta * gamma^0 gamma^1 gamma^2 gamma^3 with
   sigma_eta = (-i)^{s(s+1)/2 mod 4}, s = (q - p) mod 8.
 * charge conjugation C = U_C o (entrywise conjugation), U_C found by a
@@ -65,28 +69,6 @@ class Signature:
         for x in self.e:
             out *= x
         return out
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A single index mu, or the triple omitting mu (written 'hat mu')."""
-
-    mu: int
-    hat: bool = False
-
-    def sign(self, sig: Signature) -> int:
-        return sig.e_hat[self.mu] if self.hat else sig.e[self.mu]
-
-    def __repr__(self):
-        return f"hat{self.mu}" if self.hat else f"mu{self.mu}"
-
-
-def single(mu: int) -> MultiIndex:
-    return MultiIndex(mu, hat=False)
-
-
-def hat(mu: int) -> MultiIndex:
-    return MultiIndex(mu, hat=True)
 
 
 def build_signature(p: int, q: int) -> Signature:
@@ -161,13 +143,6 @@ def build_gammas(sig: Signature) -> CliffordModule:
 
 def build_module(p: int, q: int) -> CliffordModule:
     return build_gammas(build_signature(p, q))
-
-
-def gamma_product(mod: CliffordModule, I: MultiIndex) -> np.ndarray:
-    """gamma^I: the stored gamma for singles, increasing triple product for hats."""
-    if I.hat:
-        return mod.gamma_hat(I.mu)
-    return mod.gammas[I.mu]
 
 
 def _eta_entry(sig: Signature, mu: int, nu: int) -> int:
@@ -293,12 +268,9 @@ def verify_module_invariants(mod: CliffordModule) -> dict:
         np.abs(U @ gm.conj() - sig.eps_prime * gm @ U).max() for gm in g)
     report["conj_chirality"] = np.abs(U @ c.conj() - sig.eps_dblprime * c @ U).max()
 
-    dev = 0.0
-    for mu in range(4):
-        for h in (False, True):
-            I = MultiIndex(mu, h)
-            gI = gamma_product(mod, I)
-            dev = max(dev, np.abs(gI.conj().T - I.sign(sig) * gI).max())
-    report["multiindex_adjointness"] = dev
+    # the eight gamma^I of the Dirac operator: (gamma^I)* = e_I gamma^I
+    report["multiindex_adjointness"] = max(
+        np.abs(gI.conj().T - e * gI).max()
+        for gI, e in zip((*g, *map(mod.gamma_hat, range(4))), (*sig.e, *sig.e_hat)))
 
     return report

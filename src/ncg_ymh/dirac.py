@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordModule, MultiIndex, Signature, single, hat
+from .clifford import CliffordModule, Signature
 from .errors import DimensionMismatch
 from .superop import gen_comm, left_mult, transpose_permutation
 
@@ -27,29 +27,36 @@ def has_adjointness_type(M: np.ndarray, e: int) -> bool:
 
 @dataclass(frozen=True)
 class FuzzyData:
-    """The K_I blocks of a fuzzy Dirac operator; missing blocks are zero."""
+    """The K_I blocks of a fuzzy Dirac operator as two (4, N, N) stacks in mu order.
 
-    N: int
+    K[mu] = K_mu with K_mu* = e_mu K_mu, and K_hat[mu] = K_{hat mu} with
+    K_{hat mu}* = e_hat_mu K_{hat mu}.  A zero block is stored as zeros; N is
+    read off the shape.  An error names its block as mu<k> or hat<k>.
+    """
+
     sig: Signature
-    K: dict
+    K: np.ndarray
+    K_hat: np.ndarray
 
     def __post_init__(self):
-        for I, mat in self.K.items():
-            if mat.shape != (self.N, self.N):
-                raise DimensionMismatch(f"block {I} has shape {mat.shape}, N = {self.N}")
-            e = I.sign(self.sig)
-            if not has_adjointness_type(mat, e):
-                raise ValueError(f"block {I} violates its adjointness type (e = {e})")
+        N = self.N
+        sig = self.sig
+        for kind, stack, signs in (("mu", self.K, sig.e), ("hat", self.K_hat, sig.e_hat)):
+            if len(stack) != 4:
+                raise DimensionMismatch(f"need 4 blocks {kind}0..{kind}3, got {len(stack)}")
+            for mu, (mat, e) in enumerate(zip(stack, signs)):
+                if mat.shape != (N, N):
+                    raise DimensionMismatch(f"block {kind}{mu} has shape {mat.shape}, N = {N}")
+                if not has_adjointness_type(mat, e):
+                    raise ValueError(f"block {kind}{mu} violates its adjointness type (e = {e})")
 
-    def block(self, I: MultiIndex) -> np.ndarray:
-        out = self.K.get(I)
-        if out is None:
-            return np.zeros((self.N, self.N), dtype=complex)
-        return out
+    @property
+    def N(self) -> int:
+        return self.K.shape[-1]
 
     @property
     def has_triples(self) -> bool:
-        return any(I.hat and np.abs(m).max() > 0 for I, m in self.K.items())
+        return bool(np.abs(self.K_hat).max() > 0)
 
 
 @dataclass(frozen=True)
@@ -125,40 +132,36 @@ def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
     return scale * (M + M.conj().T) / 2
 
 
+def random_typed(n: int, rng, e: int, scale: float) -> np.ndarray:
+    """A Gaussian matrix with M* = e M: `random_hermitian`, times i where e = -1."""
+    H = random_hermitian(n, rng, scale)
+    return H if e == 1 else 1j * H
+
+
 def random_fuzzy(N: int, sig: Signature, scale: float | None = None,
                  seed: int = 0, include_X: bool = True) -> FuzzyData:
     """Gaussian K blocks of the correct adjointness type, seeded.
 
-    scale defaults to 1/sqrt(N) so spectra stay O(1) as N grows.  With
-    include_X false only the single-index blocks are drawn ('flat' data).
+    scale defaults to 1/sqrt(N) so spectra stay O(1) as N grows.  The four
+    K_mu are drawn first, then the four K_hat_mu; with include_X false
+    K_hat is zeros and nothing more is drawn ('flat' data).
     """
     if scale is None:
         scale = 1.0 / np.sqrt(N)
     rng = np.random.default_rng(seed)
-    K = {}
-    for mu in range(4):
-        base = random_hermitian(N, rng, scale)
-        K[single(mu)] = base if sig.e[mu] == 1 else 1j * base
-    if include_X:
-        for mu in range(4):
-            base = random_hermitian(N, rng, scale)
-            K[hat(mu)] = base if sig.e_hat[mu] == 1 else 1j * base
-    return FuzzyData(N=N, sig=sig, K=K)
+    K = np.array([random_typed(N, rng, e, scale) for e in sig.e])
+    K_hat = np.array([random_typed(N, rng, e, scale) for e in sig.e_hat]) if include_X \
+        else np.zeros_like(K)
+    return FuzzyData(sig=sig, K=K, K_hat=K_hat)
 
 
 def zero_fuzzy(N: int, sig: Signature) -> FuzzyData:
-    return FuzzyData(N=N, sig=sig, K={})
+    zero = np.zeros((4, N, N), dtype=complex)
+    return FuzzyData(sig=sig, K=zero, K_hat=zero)
 
 
 def yang_mills_triple(fz: FuzzyData, n: int) -> GaugeTriple:
     return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=np.zeros((n, n), dtype=complex)))
-
-
-def _all_indices():
-    for mu in range(4):
-        yield single(mu)
-    for mu in range(4):
-        yield hat(mu)
 
 
 def assemble_fuzzy_dirac(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
@@ -240,9 +243,7 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int = 0,
     report["commutant"] = worst_commutant
 
     dev = 0.0
-    for I in _all_indices():
-        blk = gt.fuzzy.block(I)
-        e = I.sign(sig)
+    for blk, e in zip((*gt.fuzzy.K, *gt.fuzzy.K_hat), (*sig.e, *sig.e_hat)):
         op = gen_comm(lift(blk, gt.n), e)
         # adjoint = e * op whenever K* = e K; the gamma factor restores
         # self-adjointness of the full Dirac term
@@ -279,8 +280,8 @@ def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
     if sig != mod.signature:
         raise DimensionMismatch("fuzzy data and Clifford module carry different signatures")
     N = fz.N
-    k = [gen_comm(fz.block(single(mu)), sig.e[mu]) for mu in range(4)]
-    x = [gen_comm(fz.block(hat(mu)), sig.e_hat[mu]) for mu in range(4)]
+    k = [gen_comm(K, e) for K, e in zip(fz.K, sig.e)]
+    x = [gen_comm(K, e) for K, e in zip(fz.K_hat, sig.e_hat)]
     return _weitzenbock_core(sig, mod, k, x, N * N)
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordModule, gamma_product, single, hat
+from .clifford import CliffordModule
 from .dirac import (GaugeTriple, assemble_product_dirac, conjugate_by_J, lift,
-                    random_hermitian, represent_algebra)
+                    random_hermitian, random_typed, represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
 from .superop import gen_comm, left_mult, right_mult, unvec, vec
 
@@ -23,25 +23,23 @@ from .superop import gen_comm, left_mult, right_mult, unvec, vec
 class Fluctuation:
     """Gauge potentials A_mu, S_mu and the Higgs matrix phi.
 
-    Adjointness types: (A_mu)* = e_mu A_mu, (S_mu)* = e_hat_mu S_mu, and
-    phi* = phi, and phi = 0 when D_F is scalar: span{a [D_F, c]} is 0 then
-    and all of M_n otherwise.  S is None for flat configurations.
+    A and S are (4, m, m) stacks in mu order, A[mu] = A_mu and S[mu] = S_mu;
+    phi is m x m.  Adjointness types: (A_mu)* = e_mu A_mu,
+    (S_mu)* = e_hat_mu S_mu, and phi* = phi, and phi = 0 when D_F is
+    scalar: span{a [D_F, c]} is 0 then and all of M_n otherwise.  S is zeros
+    for flat configurations.
     """
 
-    A: tuple
-    S: tuple | None
+    A: np.ndarray
+    S: np.ndarray
     phi: np.ndarray
 
-    @property
-    def flat(self) -> bool:
-        return self.S is None
 
-
-def zero_fluctuation(gt: GaugeTriple, flat: bool = True) -> Fluctuation:
+def zero_fluctuation(gt: GaugeTriple) -> Fluctuation:
+    """A = S = 0 and phi = 0: the fluctuation of the product Dirac operator."""
     m = gt.m
-    zero = np.zeros((m, m), dtype=complex)
-    S = None if flat else tuple(zero.copy() for _ in range(4))
-    return Fluctuation(A=tuple(zero.copy() for _ in range(4)), S=S, phi=zero.copy())
+    return Fluctuation(A=np.zeros((4, m, m), dtype=complex),
+                       S=np.zeros((4, m, m), dtype=complex), phi=np.zeros((m, m), dtype=complex))
 
 
 def connes_one_form(gt: GaugeTriple, mod: CliffordModule, pairs) -> np.ndarray:
@@ -97,47 +95,39 @@ def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
 
     Uses trace-orthogonality of the 16 gamma monomials; every coefficient of
     a one-form is a pure left multiplication, so the matrix is recovered by
-    applying the coefficient's m^2 x m^2 block to the identity.
+    applying the coefficient's m^2 x m^2 block to the identity.  An S whose
+    entries all lie below 1e-12 is read as zeros.
     """
     m = gt.m
     m2 = m * m
     eye = np.eye(m)
-    A = []
-    Smats = []
-    for mu in range(4):
-        w = _basis_coefficient(omega, gamma_product(mod, single(mu)), m2)
-        A.append(unvec(w @ vec(eye), m))
-        wh = _basis_coefficient(omega, gamma_product(mod, hat(mu)), m2)
-        Smats.append(unvec(wh @ vec(eye), m))
-    wphi = _basis_coefficient(omega, mod.chirality, m2)
-    phi = unvec(wphi @ vec(eye), m)
-    keep_S = max(np.abs(Sm).max() for Sm in Smats) > 1e-12
-    return Fluctuation(A=tuple(A), S=tuple(Smats) if keep_S else None, phi=phi)
+
+    def coefficient(gA):
+        return unvec(_basis_coefficient(omega, gA, m2) @ vec(eye), m)
+
+    A = np.array([coefficient(g) for g in mod.gammas])
+    S = np.array([coefficient(mod.gamma_hat(mu)) for mu in range(4)])
+    if not np.abs(S).max() > 1e-12:
+        S = np.zeros_like(S)
+    return Fluctuation(A=A, S=S, phi=coefficient(mod.chirality))
 
 
 def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
                        seed: int = 0) -> Fluctuation:
     """Seeded Gaussian fluctuation with the correct adjointness types.
 
-    phi is a symmetrized sum of three X (x) a [D_F, c] terms, zero for Yang-Mills
-    triples; S matrices are drawn only when the fuzzy data has X blocks.
+    The four A_mu are drawn first, then the four S_mu only when the fuzzy
+    data has X blocks (else S is zeros), then phi: a symmetrized sum of
+    three X (x) a [D_F, c] terms, zero for Yang-Mills triples.
     """
     sig = gt.sig
     m = gt.m
     if scale is None:
         scale = 1.0 / np.sqrt(m)
     rng = np.random.default_rng(seed)
-    A = []
-    for mu in range(4):
-        base = random_hermitian(m, rng, scale)
-        A.append(base if sig.e[mu] == 1 else 1j * base)
-    S = None
-    if gt.fuzzy.has_triples:
-        S = []
-        for mu in range(4):
-            base = random_hermitian(m, rng, scale)
-            S.append(base if sig.e_hat[mu] == 1 else 1j * base)
-        S = tuple(S)
+    A = np.array([random_typed(m, rng, e, scale) for e in sig.e])
+    S = np.array([random_typed(m, rng, e, scale) for e in sig.e_hat]) if gt.fuzzy.has_triples \
+        else np.zeros_like(A)
     phi = np.zeros((m, m), dtype=complex)
     if not gt.yang_mills:
         n = gt.n
@@ -147,7 +137,7 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
             c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             w = np.kron(X, a @ (gt.finite.D_F @ c - c @ gt.finite.D_F))
             phi += (w + w.conj().T) / 2
-    return Fluctuation(A=tuple(A), S=S, phi=phi)
+    return Fluctuation(A=A, S=S, phi=phi)
 
 
 def higgs_field(fl: Fluctuation, gt: GaugeTriple) -> np.ndarray:
@@ -163,14 +153,13 @@ def covariant_matrices(K, A) -> np.ndarray:
 
 def covariant_ops(gt: GaugeTriple, fl: Fluctuation):
     """The four m^2 x m^2 operators d_mu = {K_mu (x) 1 + A_mu, .}_{e_mu}."""
-    X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
+    X = covariant_matrices(gt.fuzzy.K, fl.A)
     return [gen_comm(Xmu, e) for Xmu, e in zip(X, gt.sig.e)]
 
 
 def triple_ops(gt: GaugeTriple, fl: Fluctuation):
     """The four m^2 x m^2 operators x_mu + s_mu for the triple-index sector."""
-    S = np.zeros((4, gt.m, gt.m)) if fl.S is None else fl.S
-    Y = covariant_matrices([gt.fuzzy.block(hat(mu)) for mu in range(4)], S)
+    Y = covariant_matrices(gt.fuzzy.K_hat, fl.S)
     return [gen_comm(Ymu, e) for Ymu, e in zip(Y, gt.sig.e_hat)]
 
 
@@ -191,11 +180,10 @@ def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
     if gt.sig != mod.signature:
         raise DimensionMismatch("triple and Clifford module carry different signatures")
     sig, m = gt.sig, gt.m
-    if fl.A[0].shape != (m, m):
-        raise DimensionMismatch(f"fluctuation size {fl.A[0].shape} vs m = {m}")
-    X = covariant_matrices([gt.fuzzy.block(single(mu)) for mu in range(4)], fl.A)
-    Y = covariant_matrices([gt.fuzzy.block(hat(mu)) for mu in range(4)],
-                           np.zeros((4, m, m)) if fl.S is None else fl.S)
+    if fl.A.shape[1:] != (m, m):
+        raise DimensionMismatch(f"fluctuation size {fl.A.shape[1:]} vs m = {m}")
+    X = covariant_matrices(gt.fuzzy.K, fl.A)
+    Y = covariant_matrices(gt.fuzzy.K_hat, fl.S)
     gammas = np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
     lefts = np.array([*X, *Y, gt.lifted_D_F + fl.phi])
     rights = np.array([*(e * x for e, x in zip(sig.e, X)),

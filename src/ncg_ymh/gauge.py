@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionPolynomial, require_flat, sectors, spectral_action_direct
-from .clifford import build_gammas, single
+from .clifford import build_gammas
 from .dirac import GaugeTriple, lift
 from .errors import NotRiemannian
 from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
@@ -45,7 +45,7 @@ def random_unitary(N: int, n: int, product_form: bool = False,
 
 def _lifted_L(gt: GaugeTriple) -> np.ndarray:
     """The four L_mu (x) 1_n."""
-    return lift([gt.fuzzy.block(single(mu)) for mu in range(4)], gt.n)
+    return lift(gt.fuzzy.K, gt.n)
 
 
 def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
@@ -58,12 +58,11 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
         raise NotRiemannian("matrix-level gauge transformation needs signature (0, 4)")
     u = g.u
     ustar = u.conj().T
-    A_new = []
-    for A, Lmu in zip(fl.A, _lifted_L(gt)):
-        A_new.append(u @ A @ ustar + u @ (Lmu @ ustar - ustar @ Lmu))
+    A_new = np.array([u @ A @ ustar + u @ (Lmu @ ustar - ustar @ Lmu)
+                      for A, Lmu in zip(fl.A, _lifted_L(gt))])
     DFbig = gt.lifted_D_F
     phi_new = u @ fl.phi @ ustar + u @ (DFbig @ ustar - ustar @ DFbig)
-    return Fluctuation(A=tuple(A_new), S=fl.S, phi=phi_new)
+    return Fluctuation(A=A_new, S=fl.S, phi=phi_new)
 
 
 def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
@@ -89,8 +88,7 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
     ustar = u.conj().T
     L = _lifted_L(gt)
     fl_u = transform(gt, fl, g)
-    blocks = [gt.fuzzy.block(single(mu)) for mu in range(4)]
-    X0, Xu = covariant_matrices(blocks, fl.A), covariant_matrices(blocks, fl_u.A)
+    X0, Xu = covariant_matrices(gt.fuzzy.K, fl.A), covariant_matrices(gt.fuzzy.K, fl_u.A)
 
     cov = 0.0
     ts_dev = 0.0

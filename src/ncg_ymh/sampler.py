@@ -46,7 +46,6 @@ import numpy as np
 
 from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
                      require_self_adjoint, sector_breakdown)
-from .clifford import single
 from .dirac import GaugeTriple
 from .errors import NotFlat, UnstableAction
 from .fluct import Fluctuation, covariant_matrices
@@ -87,7 +86,7 @@ class SamplerConfig:
 class ChainState:
     """The chain's last fields, their action breakdown and its post-burn-in counts."""
 
-    L: list
+    L: np.ndarray  # (4, N, N): L_mu = L[mu]
     A: np.ndarray  # (4, m, m): A_mu = A[mu]
     phi: np.ndarray
     breakdown: ActionBreakdown
@@ -99,7 +98,7 @@ class ChainState:
         return self.breakdown.total_closed
 
     def fluctuation(self) -> Fluctuation:
-        return Fluctuation(A=tuple(self.A), S=None, phi=self.phi.copy())
+        return Fluctuation(A=self.A, S=np.zeros_like(self.A), phi=self.phi.copy())
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,8 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     if gt_template.fuzzy.has_triples:
         raise NotFlat("the sampler needs a flat template (no X blocks)")
     DF_big = gt_template.lifted_D_F
-    L = [np.asarray(gt_template.fuzzy.block(single(mu)), dtype=complex) for mu in range(4)]
-    L = [K - np.trace(K) / N * np.eye(N) if e == -1 else K for K, e in zip(L, sig.e)]
+    L = np.array([K - np.trace(K) / N * np.eye(N) if e == -1 else K
+                  for K, e in zip(gt_template.fuzzy.K.astype(complex), sig.e)])
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
     def breakdown(kernel):

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncg_ymh import cli, clifford, fluct, sampler
+from ncg_ymh import cli, clifford, dirac, fluct, sampler
 from ncg_ymh.verify import run_identity_suite
 
 
@@ -391,8 +391,9 @@ def _strict_json(text):
 @pytest.mark.parametrize("steps, burn_in, self_test", [(5, 5, False), (6, 5, False),
                                                        (1, 0, True)])
 def test_sample_summary_is_strict_json(tmp_path, steps, burn_in, self_test):
-    cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 2, "d_f": "random"},
-                                  "sampler": {"steps": steps, "burn_in": burn_in},
+    # the self test reads no geometry
+    geometry = {} if self_test else {"geometry": {"N": 2, "n": 2, "d_f": "random"}}
+    cfg = write_config(tmp_path, {**geometry, "sampler": {"steps": steps, "burn_in": burn_in},
                                   "out": str(tmp_path)})
     assert run(["sample", "--config", cfg] + ["--self-test"] * self_test) == 0
     summary = _strict_json((tmp_path / "summary.json").read_text())
@@ -665,9 +666,10 @@ def test_fields_key_the_source_does_not_read_is_config_error(tmp_path, capsys, f
     assert not (tmp_path / "action_breakdown.json").exists()
 
 
-# per key: a command that does not read it and a config setting it to other than its
-# default (verify's suites run at N = n = 2 with their own D_F; the self test and the
-# chain each read their own sampler keys)
+# per case: a command that does not read a key and a config setting that key to other
+# than its default (verify's suites run at N = n = 2 with their own D_F; the self test and
+# the chain each read their own sampler keys, and the self test reads no geometry, fields
+# or poly).  A case is named by the key, or by the command's mode and the key.
 UNREAD = {
     "geometry.N": (["verify"], {"geometry": {"N": 6}}),
     "geometry.n": (["verify"], {"geometry": {"n": 3}}),
@@ -678,12 +680,29 @@ UNREAD = {
                                {"sampler": {"step_sizes": {"phi": 0.3}}}),
     "sampler.autotune": (["sample", "--self-test"], {"sampler": {"autotune": False}}),
     "sampler.self_test_N": (["sample"], {"sampler": {"self_test_N": 7}}),
+    # a missing D_F file, a missing phi file and a sextic poly, none of which it reads
+    "self-test geometry.N": (["sample", "--self-test"], {
+        "geometry": {"N": 6, "d_f": "/nonexistent_df.json"},
+        "fields": {"source": "files", "phi": "/nonexistent.json"},
+        "poly": [0, 1, 0, 0, 0, -1], "sampler": {"steps": 100}}),
+    "self-test geometry.n": (["sample", "--self-test"], {"geometry": {"n": 3}}),
+    "self-test geometry.d_f": (["sample", "--self-test"],
+                               {"geometry": {"d_f": "/nonexistent_df.json"}}),
+    "self-test geometry.p": (["sample", "--self-test"], {"geometry": {"p": 1, "q": 3}}),
+    "self-test fields.source": (["sample", "--self-test"], {"fields": {"source": "zero"}}),
+    "self-test fields.seed": (["sample", "--self-test"], {"fields": {"seed": 5}}),
+    "self-test fields.include_x": (["sample", "--self-test"], {"fields": {"include_x": True}}),
+    "self-test fields.K.hat1": (["sample", "--self-test"],
+                                {"fields": {"K": {"hat1": "/nonexistent.json"}}}),
+    "self-test fields.phi": (["sample", "--self-test"], {"fields": {"phi": "/nonexistent.json"}}),
+    "self-test poly": (["sample", "--self-test"], {"poly": [0, 1, 0, 0, 0, -1]}),
 }
 
 
 @pytest.mark.parametrize("key", list(UNREAD))
 def test_key_the_command_does_not_read_is_config_error(tmp_path, capsys, key):
     argv, cfg = UNREAD[key]
+    key = key.split()[-1]
     out = tmp_path / "out"
     assert run([*argv, "--config", write_config(tmp_path, {**cfg, "out": str(out)})]) == 2
     err = capsys.readouterr().err
@@ -735,6 +754,36 @@ def test_action_and_spectrum_agree_without_fluctuation(tmp_path):
     assert abs(from_spectrum - direct) <= 1e-9 * max(1.0, abs(direct)), (from_spectrum, direct)
 
 
+def test_files_source_with_a_triple_index_block(tmp_path, capsys):
+    # K_mu0 and K_hat1 from files: spectrum assembles both, action refuses the triple-index
+    # block, as its closed-form sectors hold for flat data only
+    sig = clifford.build_signature(0, 4)
+    rng = np.random.default_rng(13)
+    mats = {"mu0": 1j * dirac.random_hermitian(2, rng),  # e_0 = -1, e_hat_1 = +1 in (0, 4)
+            "hat1": dirac.random_hermitian(2, rng), "d_f": dirac.random_hermitian(2, rng)}
+    paths = {key: str(tmp_path / f"{key}.json") for key in mats}
+    for key, M in mats.items():
+        cli.save_matrix(paths[key], M)
+    cfg = write_config(tmp_path, {
+        "geometry": {"N": 2, "n": 2, "d_f": paths["d_f"]},
+        "fields": {"source": "files", "K": {"mu0": paths["mu0"], "hat1": paths["hat1"]}},
+    })
+    assert run(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum")]) == 0
+    with open(tmp_path / "spectrum" / "spectrum.csv") as fh:
+        ev = np.array([float(r["eigenvalue"]) for r in csv.DictReader(fh)])
+    K, K_hat = np.zeros((2, 4, 2, 2), dtype=complex)
+    K[0], K_hat[1] = mats["mu0"], mats["hat1"]
+    gt = dirac.GaugeTriple(fuzzy=dirac.FuzzyData(sig=sig, K=K, K_hat=K_hat),
+                           finite=dirac.FiniteData(n=2, D_F=mats["d_f"]))
+    D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), clifford.build_gammas(sig))
+    assert np.abs(ev - np.linalg.eigvalsh(D)).max() <= 1e-12
+
+    capsys.readouterr()
+    assert run(["action", "--config", cfg, "--out", str(tmp_path / "action")]) == 1
+    assert capsys.readouterr().err == "error: fuzzy data carries nonzero triple-index blocks\n"
+    assert os.listdir(tmp_path / "action") == []
+
+
 @pytest.mark.parametrize("command", ["action", "spectrum", "verify"])
 @pytest.mark.parametrize("cfg", [{"sampler": {"steps": 7}},
                                  {"self_test": True, "sampler": {"steps": 0}}])
@@ -758,8 +807,12 @@ def test_main_parser_is_reused_without_carrying_flags(tmp_path):
     # files that each call writes in a fresh process
     cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 2, "d_f": "random"},
                                   "sampler": {"steps": 20, "burn_in": 5}, "seed": 2})
+    # the self test reads no geometry
+    self_test_cfg = write_config(tmp_path, {"sampler": {"steps": 20, "burn_in": 5}, "seed": 2},
+                                 name="self_test.json")
     calls = [["verify", "--signatures", "all", "--seed", "1"], ["verify"],
-             ["sample", "--self-test", "--config", cfg, "--seed", "3"], ["sample", "--config", cfg],
+             ["sample", "--self-test", "--config", self_test_cfg, "--seed", "3"],
+             ["sample", "--config", cfg],
              ["action", "--config", cfg, "--seed", "9"], ["spectrum", "--config", cfg]]
     for k, argv in enumerate(calls):
         assert run([*argv, "--out", str(tmp_path / f"in_{k}")]) == 0, argv

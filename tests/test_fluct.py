@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncg_ymh import dirac, fluct, verify
-from ncg_ymh.clifford import build_module, build_signature, hat, single
+from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import NotSelfAdjoint
 from ncg_ymh.superop import left_mult, right_mult, unvec, vec
@@ -42,10 +42,10 @@ def test_one_form_flat_single_pair_coefficient():
     omega = fluct.connes_one_form(gt, mod, [(np.kron(W, a), np.kron(T, c))])
     got = fluct.extract_fluctuation(gt, mod, omega)
     for mu in range(4):
-        K = gt.fuzzy.block(single(mu))
+        K = gt.fuzzy.K[mu]
         expected = np.kron(W @ (K @ T - T @ K), a @ c)
         np.testing.assert_allclose(got.A[mu], expected, atol=1e-10)
-    assert got.S is None
+    assert np.abs(got.S).max() == 0
     assert np.abs(got.phi).max() <= 1e-12
 
 
@@ -99,9 +99,8 @@ def test_extracted_adjointness_types(p, q):
     for mu in range(4):
         scale = max(1.0, np.abs(fl.A[mu]).max())
         assert np.abs(fl.A[mu].conj().T - sig.e[mu] * fl.A[mu]).max() <= 1e-12 * scale
-        if fl.S is not None:
-            scale = max(1.0, np.abs(fl.S[mu]).max())
-            assert np.abs(fl.S[mu].conj().T - sig.e_hat[mu] * fl.S[mu]).max() <= 1e-12 * scale
+        scale = max(1.0, np.abs(fl.S[mu]).max())
+        assert np.abs(fl.S[mu].conj().T - sig.e_hat[mu] * fl.S[mu]).max() <= 1e-12 * scale
     assert np.abs(fl.phi.conj().T - fl.phi).max() <= 1e-12
 
 
@@ -109,7 +108,7 @@ def test_random_fluctuation_types():
     gt = make_triple(0, 4, include_X=False, with_DF=False, seed=2)
     fl = fluct.random_fluctuation(gt, seed=3)
     assert np.abs(fl.phi).max() == 0  # yang_mills -> no Higgs
-    assert fl.S is None
+    assert np.abs(fl.S).max() == 0
     for mu in range(4):
         assert np.allclose(fl.A[mu].conj().T, -fl.A[mu])
 
@@ -118,7 +117,7 @@ def test_random_fluctuation_types():
     assert np.allclose(fl13.A[0].conj().T, fl13.A[0])
     for mu in (1, 2, 3):
         assert np.allclose(fl13.A[mu].conj().T, -fl13.A[mu])
-    assert fl13.S is not None
+    assert np.abs(fl13.S).max() > 0
     assert np.allclose(fl13.phi.conj().T, fl13.phi)
     assert np.abs(fl13.phi).max() > 0
 
@@ -133,7 +132,8 @@ def test_higgs_field_forms():
     gt_ym = make_triple(0, 4, with_DF=False, seed=31)
     rng = np.random.default_rng(1)
     phi = dirac.random_hermitian(gt_ym.m, rng)
-    fl = fluct.Fluctuation(A=fluct.zero_fluctuation(gt_ym).A, S=None, phi=phi)
+    zero = fluct.zero_fluctuation(gt_ym)
+    fl = fluct.Fluctuation(A=zero.A, S=zero.S, phi=phi)
     Phi = fluct.higgs_field(fl, gt_ym)
     np.testing.assert_allclose(Phi, left_mult(phi) + right_mult(phi), atol=0)
 
@@ -215,11 +215,9 @@ def _kron_sum(gt, fl, mod):
 
     D = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
     for mu in range(4):
-        X = np.kron(gt.fuzzy.block(single(mu)), one) + fl.A[mu]
+        X = np.kron(gt.fuzzy.K[mu], one) + fl.A[mu]
         D += np.kron(mod.gammas[mu], gen_comm(X, sig.e[mu]))
-        Y = np.kron(gt.fuzzy.block(hat(mu)), one)
-        if fl.S is not None:
-            Y = Y + fl.S[mu]
+        Y = np.kron(gt.fuzzy.K_hat[mu], one) + fl.S[mu]
         D += np.kron(mod.gamma_hat(mu), gen_comm(Y, sig.e_hat[mu]))
     P = np.kron(np.eye(gt.N), gt.finite.D_F) + fl.phi
     D += np.kron(mod.chirality, left_mult(P) + sig.eps_dblprime * right_mult(fl.phi))
@@ -236,7 +234,7 @@ def test_blockwise_assembler_matches_kron_sum(p, q, case, with_DF):
     gt = make_triple(p, q, N=3, n=n, seed=70, include_X=True, with_DF=with_DF)
     if case == "fluctuated":
         fl = fluct.random_fluctuation(gt, seed=71)
-        assert fl.S is not None and gt.fuzzy.has_triples
+        assert np.abs(fl.S).max() > 0 and gt.fuzzy.has_triples
         got = fluct.assemble_fluctuated(gt, fl, mod)
     elif case == "product":
         fl = fluct.zero_fluctuation(gt)

@@ -3,7 +3,7 @@ import pytest
 
 from ncg_ymh import dirac, fluct, gauge
 from ncg_ymh.action import ActionPolynomial
-from ncg_ymh.clifford import build_signature, single
+from ncg_ymh.clifford import build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import NotFlat, NotRiemannian
 
@@ -59,7 +59,7 @@ def test_pure_gauge_configuration():
     out = gauge.transform(gt, fl, g)
     u = g.u
     for mu in range(4):
-        L = np.kron(gt.fuzzy.block(single(mu)), np.eye(gt.n))
+        L = np.kron(gt.fuzzy.K[mu], np.eye(gt.n))
         expected = u @ (L @ u.conj().T - u.conj().T @ L)
         np.testing.assert_allclose(out.A[mu], expected, atol=1e-12)
 

@@ -141,10 +141,9 @@ def test_sampler_action_matches_sectors_module():
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=12, burn_in=0, seed=11)
     records, info = sampler.run_chain(cfg, gt)
     st = info["final_state"]
-    fz = dirac.FuzzyData(N=2, sig=gt.sig,
-                         K={dirac.single(mu): st.L[mu] for mu in range(4)})
+    fz = dirac.FuzzyData(sig=gt.sig, K=st.L, K_hat=np.zeros_like(st.L))
     gt_state = GaugeTriple(fuzzy=fz, finite=gt.finite)
-    fl = fluct.Fluctuation(A=tuple(st.A), S=None, phi=st.phi)
+    fl = fluct.Fluctuation(A=st.A, S=np.zeros_like(st.A), phi=st.phi)
     br = sectors(gt_state, fl, QUARTIC)
     assert abs(br.total_closed - st.current_action) <= 1e-9 * max(1.0, abs(br.total_closed))
 
@@ -152,8 +151,8 @@ def test_sampler_action_matches_sectors_module():
 def test_unstable_action_detected():
     sig = build_signature(0, 4)
     rng = np.random.default_rng(0)
-    big = {dirac.single(mu): 1e4 * 1j * dirac.random_hermitian(2, rng) for mu in range(4)}
-    gt = GaugeTriple(fuzzy=dirac.FuzzyData(N=2, sig=sig, K=big),
+    big = np.array([1e4 * 1j * dirac.random_hermitian(2, rng) for mu in range(4)])
+    gt = GaugeTriple(fuzzy=dirac.FuzzyData(sig=sig, K=big, K_hat=np.zeros_like(big)),
                      finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=5, burn_in=5, seed=1)
     with pytest.raises(UnstableAction):
@@ -247,8 +246,7 @@ def test_records_describe_the_state_at_their_sweep():
     for r in records:
         _, cut = sampler.run_chain(sampler.SamplerConfig(steps=r.step + 1, **opts), gt)
         st = cut["final_state"]
-        fz = dirac.FuzzyData(N=2, sig=gt.sig,
-                             K={dirac.single(mu): st.L[mu] for mu in range(4)})
+        fz = dirac.FuzzyData(sig=gt.sig, K=st.L, K_hat=np.zeros_like(st.L))
         br = sectors(GaugeTriple(fuzzy=fz, finite=gt.finite), st.fluctuation(), QUARTIC)
         for name in ("s_ym", "s_h", "s_gh", "s_theta"):
             want = getattr(br, name)
@@ -386,14 +384,17 @@ def reference_chain(cfg, gt):
     """
     from ncg_ymh.action import sectors
     N, m, e = cfg.N, cfg.N * cfg.n, gt.sig.e
-    L = {}
+    L = []
     for mu in range(4):
-        K = np.asarray(gt.fuzzy.block(dirac.single(mu)), dtype=complex)
-        L[dirac.single(mu)] = K - np.trace(K) / N * np.eye(N) if e[mu] == -1 else K
-    fixed = GaugeTriple(fuzzy=dirac.FuzzyData(N=N, sig=gt.sig, K=L), finite=gt.finite)
+        K = np.asarray(gt.fuzzy.K[mu], dtype=complex)
+        L.append(K - np.trace(K) / N * np.eye(N) if e[mu] == -1 else K)
+    L = np.array(L)
+    fixed = GaugeTriple(fuzzy=dirac.FuzzyData(sig=gt.sig, K=L, K_hat=np.zeros_like(L)),
+                        finite=gt.finite)
+    S = np.zeros((4, m, m), dtype=complex)
 
     def action(A, phi):
-        return sectors(fixed, fluct.Fluctuation(A=tuple(A), S=None, phi=phi), cfg.poly)
+        return sectors(fixed, fluct.Fluctuation(A=np.array(A), S=S, phi=phi), cfg.poly)
 
     keys = {f"A{mu}": 4 + mu for mu in range(4)}
     if not gt.finite.is_scalar:
