@@ -1,8 +1,10 @@
 """Batch front door: verify / action / spectrum / sample subcommands.
 
 Configuration is a single JSON document; command-line flags override config
-keys.  `TABLE` declares each key once, with its type, range and default;
-the subcommands read only what `resolve` makes of a document against it.
+keys.  `TABLE` declares each key once, with its type, range, default and the
+modes that read it; the subcommands read only what `resolve` makes of a
+document against it, and refuse a key set that their mode neither reads nor
+carries for another subcommand.
 
 Matrix files use the shared JSON format
 
@@ -100,39 +102,47 @@ def _load_square(path: str, size: int, what: str, e: int | None = None) -> np.nd
 # ------------------------------------------------------------- config layer
 
 # One row per config key ("geometry.N" is key N of block geometry): the JSON type of its
-# value, the range of that type it may take and its default.  An int is never true or
-# false; a float is a finite number, and must be positive; a str's range lists the values
-# it may take (None: any but "", a path); a list's range is its (least, most) length.  A
-# null default also admits null; a callable default reads the config resolved so far.
-Row = namedtuple("Row", "key type range default")
+# value, the range of that type it may take, its default and the modes that read it.  An int
+# is never true or false; a float is a finite number, and must be positive; a str's range
+# lists the values it may take (None: any but "", a path); a list's range is its (least,
+# most) length.  A null default also admits null; a callable default reads the config
+# resolved so far.  The modes are the subcommands, with sample's two: a chain and the self test.
+Row = namedtuple("Row", "key type range default read_by")
+
+_CHAIN, _SELF_TEST = "a chain", "the self test"
+_DENSE = ("action", "spectrum")  # the modes that build the dense Dirac operator
+_TRIPLE = (*_DENSE, _CHAIN)  # the modes that build the gauge triple
+_SAMPLE = (_CHAIN, _SELF_TEST)
+MODES = ("verify", *_TRIPLE, _SELF_TEST)
 
 TABLE = (
-    Row("seed", int, 0, 0),
-    Row("out", str, None, "."),
-    Row("signatures", str, ("one", "all"), "one"),
-    Row("self_test", bool, None, False),
-    Row("histogram_bins", int, 0, 0),
-    Row("geometry.p", int, 0, 0),
-    Row("geometry.q", int, 0, 4),
-    Row("geometry.N", int, 1, 2),
-    Row("geometry.n", int, 1, 2),
-    Row("geometry.d_f", str, None, None),  # "random" or a matrix file; null: D_F = 0
-    Row("fields.source", str, ("zero", "random", "files"), "random"),
-    Row("fields.seed", int, 0, lambda cfg: cfg["seed"]),
-    Row("fields.scale", float, None, None),  # null: 1/sqrt(N)
-    Row("fields.include_x", bool, None, False),
-    Row("fields.fluctuation", bool, None, True),
-    *(Row(f"fields.K.{kind}{mu}", str, None, None) for kind in ("mu", "hat") for mu in range(4)),
-    Row("fields.A", list[str], (0, 4), []),
-    Row("fields.phi", str, None, None),
-    Row("poly", list[float], (1, None), [0.0, 1.0, 0.0, 1.0]),
-    Row("sampler.steps", int, 0, lambda cfg: 100_000 if cfg["self_test"] else 200),
-    Row("sampler.burn_in", int, 0, lambda cfg: 1000 if cfg["self_test"] else 50),
-    Row("sampler.thin", int, 1, 1),
-    Row("sampler.step_sizes.A", float, None, _STEP_SIZES["A"]),
-    Row("sampler.step_sizes.phi", float, None, _STEP_SIZES["phi"]),
-    Row("sampler.autotune", bool, None, True),
-    Row("sampler.self_test_N", int, 1, 2),
+    Row("seed", int, 0, 0, MODES),
+    Row("out", str, None, ".", MODES),
+    Row("signatures", str, ("one", "all"), "one", ("verify",)),
+    Row("self_test", bool, None, False, _SAMPLE),
+    Row("histogram_bins", int, 0, 0, ("spectrum",)),
+    Row("geometry.p", int, 0, 0, ("verify", *_TRIPLE)),
+    Row("geometry.q", int, 0, 4, ("verify", *_TRIPLE)),
+    Row("geometry.N", int, 1, 2, _TRIPLE),
+    Row("geometry.n", int, 1, 2, _TRIPLE),
+    Row("geometry.d_f", str, None, None, _TRIPLE),  # "random" or a matrix file; null: D_F = 0
+    Row("fields.source", str, ("zero", "random", "files"), "random", _TRIPLE),
+    Row("fields.seed", int, 0, lambda cfg: cfg["seed"], _TRIPLE),
+    Row("fields.scale", float, None, None, _TRIPLE),  # null: 1/sqrt(N)
+    Row("fields.include_x", bool, None, False, _TRIPLE),
+    Row("fields.fluctuation", bool, None, True, _DENSE),  # a chain starts from A = phi = 0
+    *(Row(f"fields.K.{kind}{mu}", str, None, None, _TRIPLE)
+      for kind in ("mu", "hat") for mu in range(4)),
+    Row("fields.A", list[str], (0, 4), [], _DENSE),
+    Row("fields.phi", str, None, None, _DENSE),
+    Row("poly", list[float], (1, None), [0.0, 1.0, 0.0, 1.0], ("action", _CHAIN)),
+    Row("sampler.steps", int, 0, lambda cfg: 100_000 if cfg["self_test"] else 200, _SAMPLE),
+    Row("sampler.burn_in", int, 0, lambda cfg: 1000 if cfg["self_test"] else 50, _SAMPLE),
+    Row("sampler.thin", int, 1, 1, (_CHAIN,)),
+    Row("sampler.step_sizes.A", float, None, _STEP_SIZES["A"], (_CHAIN,)),
+    Row("sampler.step_sizes.phi", float, None, _STEP_SIZES["phi"], (_CHAIN,)),
+    Row("sampler.autotune", bool, None, True, (_CHAIN,)),
+    Row("sampler.self_test_N", int, 1, 2, (_SELF_TEST,)),
 )
 _ROWS = {row.key: row for row in TABLE}
 
@@ -170,15 +180,29 @@ def _default(row: Row, cfg: dict):
     return row.default(cfg) if callable(row.default) else row.default
 
 
-def _refuse_unread(cfg: dict, keys, why: str):
-    """Refuse the first of these unread keys that a resolved config sets to other than its
-    default, with the message "<key> is not read <why>"."""
-    for key in keys:
-        value = cfg
-        for part in key.split("."):
-            value = value[part]
-        if value != _default(_ROWS[key], cfg):
-            raise ConfigError(f"{key} is not read {why}")
+# the blocks that a mode carries unread, as another subcommand reads them from the same document
+_CARRIED = {"verify": ("fields", "poly", "sampler", "self_test"),
+            "action": ("sampler", "self_test"), "spectrum": ("poly", "sampler", "self_test")}
+
+
+def _refuse_unread(cfg: dict, command: str):
+    """Refuse a key set to other than its default that the command's mode neither reads nor
+    carries, or that is a key of the fields block which fields.source leaves unread."""
+    mode = command if command != "sample" else _SELF_TEST if cfg["self_test"] else _CHAIN
+    fields = cfg["fields"]
+    read = {"source", "fluctuation", *{"zero": (), "random": ("seed", "scale", "include_x"),
+                                       "files": ("K", "A", "phi")}[fields["source"]]}
+    read -= set() if fields["fluctuation"] else {"A", "phi"}
+    by_source = f"when fields.source is {fields['source']!r}" + \
+        ("" if fields["fluctuation"] else " and fields.fluctuation is false")
+    for row in TABLE:
+        block, _, key = row.key.partition(".")
+        if mode in row.read_by:
+            unread, why = block == "fields" and key.split(".")[0] not in read, by_source
+        else:
+            unread, why = block not in _CARRIED.get(mode, ()), f"by {mode}"
+        if unread and functools.reduce(dict.get, row.key.split("."), cfg) != _default(row, cfg):
+            raise ConfigError(f"{row.key} is not read {why}")
 
 
 def _refuse_unknown(given: dict, known: dict, name: str = ""):
@@ -243,29 +267,8 @@ def _geometry(cfg: dict):
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 
-# the fields keys each source reads besides "source" and "fluctuation", which action and
-# spectrum read for every source; with fluctuation false, A and phi go unread
-_SOURCE_READS = {"zero": (), "random": ("seed", "scale", "include_x"), "files": ("K", "A", "phi")}
-
-
-def _refuse_unread_fields(cfg: dict):
-    """Refuse a fields key, set to other than its default, that the fields block leaves unread."""
-    fields = cfg["fields"]
-    read = ("source", "fluctuation") + _SOURCE_READS[fields["source"]]
-    if not fields["fluctuation"]:
-        read = tuple(key for key in read if key not in ("A", "phi"))
-    also = "" if fields["fluctuation"] else " and fields.fluctuation is false"
-    _refuse_unread(cfg, [row.key for row in TABLE if row.key.startswith("fields.")
-                         and row.key.split(".")[1] not in read],
-                   f"when fields.source is {fields['source']!r}{also}")
-
-
 def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
-    """The gauge triple of a resolved config: fuzzy blocks per its fields block, D_F given.
-
-    A key of the block that the source does not read must keep its default.
-    """
-    _refuse_unread_fields(cfg)
+    """The gauge triple of a resolved config: fuzzy blocks per its fields block, D_F given."""
     fields = cfg["fields"]
     if fields["source"] == "random":
         fz = dirac.random_fuzzy(N, sig, scale=fields["scale"], seed=fields["seed"],
@@ -344,8 +347,6 @@ def _write_summary(out_dir: str, summary: dict):
 # --------------------------------------------------------------- subcommands
 
 def cmd_verify(cfg: dict) -> int:
-    _refuse_unread(cfg, ("geometry.N", "geometry.n", "geometry.d_f"),
-                   "by verify, whose suites run at N = n = 2 with their own D_F")
     geo = cfg["geometry"]
     sigs = _SIGNATURES if cfg["signatures"] == "all" else [(geo["p"], geo["q"])]
     seed = cfg["seed"]
@@ -394,6 +395,10 @@ def cmd_action(cfg: dict) -> int:
 
 
 def cmd_spectrum(cfg: dict) -> int:
+    # the histogram's peak (tracemalloc) is about 57 bytes per bin, whatever the dimension
+    bins = cfg["histogram_bins"]
+    _require_fits(64 * bins, f"the spectrum histogram at histogram_bins = {bins}",
+                  "its edges and counts, as arrays and as the lists written")
     gt, fl = _dense_inputs(cfg)
     D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
     ev = np.linalg.eigvalsh(D)  # ascending
@@ -403,8 +408,8 @@ def cmd_spectrum(cfg: dict) -> int:
         writer.writerow(["index", "eigenvalue"])
         for i, lam in enumerate(ev):
             writer.writerow([i, _fmt(lam)])
-    if cfg["histogram_bins"] > 0:
-        edges, counts = symmetric_histogram(ev, cfg["histogram_bins"])
+    if bins > 0:
+        edges, counts = symmetric_histogram(ev, bins)
         with open(os.path.join(cfg["out"], "spectrum_histogram.json"), "w") as fh:
             json.dump({"bin_edges": list(map(float, edges)),
                        "counts": list(map(int, counts))}, fh)
@@ -415,11 +420,6 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_sample(cfg: dict) -> int:
     seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
     if cfg["self_test"]:
-        # the self test samples one Hermitian matrix: it reads no geometry, fields or poly
-        unread = [row.key for row in TABLE if row.key.split(".")[0] in ("geometry", "fields")]
-        _refuse_unread(cfg, unread + ["poly", "sampler.thin", "sampler.step_sizes.A",
-                                      "sampler.step_sizes.phi", "sampler.autotune"],
-                       "by the self test")
         N, steps = sp["self_test_N"], sp["steps"]
         if steps < 1:
             raise ConfigError(f"sampler.steps must be >= 1 for the self test, got {steps}")
@@ -442,14 +442,11 @@ def cmd_sample(cfg: dict) -> int:
               f"(target {res['target']}, acceptance {res['acceptance']:.2f})")
         return 0
 
-    _refuse_unread(cfg, ("sampler.self_test_N",), "by a chain, only by the self test")
     steps, burn_in = sp["steps"], sp["burn_in"]
     if steps < burn_in:
         default = " (the default)" if burn_in == _default(_ROWS["sampler.burn_in"], cfg) else ""
         raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
                           f"{steps} and sampler.burn_in = {burn_in}{default}")
-    _refuse_unread(cfg, ("fields.fluctuation", "fields.A", "fields.phi"),
-                   "by sample, which starts from A = 0 and phi = 0")
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
     # the chain's peak (tracemalloc, m = 32 to 96) is about 4600 bytes per entry of an
     # m x m matrix, m = N n: most of it the stacks and buffers of two kernels
@@ -530,6 +527,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        _refuse_unread(cfg, args.command)
         return args.func(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -180,8 +180,11 @@ def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
     if gt.sig != mod.signature:
         raise DimensionMismatch("triple and Clifford module carry different signatures")
     sig, m = gt.sig, gt.m
-    if fl.A.shape[1:] != (m, m):
-        raise DimensionMismatch(f"fluctuation size {fl.A.shape[1:]} vs m = {m}")
+    for name, field, shape in (("A", fl.A, (4, m, m)), ("S", fl.S, (4, m, m)),
+                               ("phi", fl.phi, (m, m))):
+        if field.shape != shape:
+            raise DimensionMismatch(f"fluctuation {name} has shape {field.shape}, "
+                                    f"need {shape} at m = {m}")
     X = covariant_matrices(gt.fuzzy.K, fl.A)
     Y = covariant_matrices(gt.fuzzy.K_hat, fl.S)
     gammas = np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])

@@ -512,6 +512,18 @@ def test_dense_operator_beyond_memory_is_config_error(tmp_path, command):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("bins", [10 ** 12, 10 ** 20])
+def test_histogram_beyond_memory_is_one_config_error_line(tmp_path, capsys, bins):
+    # refused before D is built and spectrum.csv is written, not by numpy's histogram
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"histogram_bins": bins, "out": str(out)})
+    assert run(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: the spectrum histogram at histogram_bins = {bins} "
+                          "needs ") and err.count("\n") == 1, err
+    assert os.listdir(out) == []
+
+
 def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
     cfg = {"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
            "histogram_bins": 8, "seed": 3, "out": str(tmp_path)}
@@ -974,6 +986,44 @@ def test_value_outside_its_row_is_config_error(data):
         assert not os.path.exists(out)  # refused before anything was made
 
 
+# the blocks each mode carries unread, as another subcommand reads them from the same document
+CARRIED = {"verify": {"fields", "poly", "sampler", "self_test"},
+           "action": {"sampler", "self_test"}, "spectrum": {"poly", "sampler", "self_test"}}
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize("row", cli.TABLE, ids=lambda row: row.key)
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_a_key_is_refused_where_its_mode_neither_reads_nor_carries_it(row, mode, data):
+    argv = {"a chain": ["sample"], "the self test": ["sample", "--self-test"]}.get(mode, [mode])
+    cfg, key = {}, row.key  # every config sets out, to a fresh directory
+    if key in ("geometry.p", "geometry.q"):  # p + q = 4: the pair is set, and refused, together
+        p = data.draw(fitting(row)) % 4 + 1
+        cfg, key = {"geometry": {"p": p, "q": 4 - p}}, "geometry.p"
+    elif key != "out":
+        default = _at(cli.resolve({"self_test": mode == "the self test"}), key)
+        cfg = _nested(key, data.draw(fitting(row).filter(lambda value: value != default)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        cfg["out"] = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        # the check alone: every subcommand's body is a stub
+        for name in ("cmd_verify", "cmd_action", "cmd_spectrum", "cmd_sample"):
+            mp.setattr(cli, name, lambda resolved: 0)
+        mp.setattr(cli, "_parser", cli.build_parser)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--config", path])
+    err = err.getvalue()
+    if mode not in row.read_by and key.split(".")[0] not in CARRIED.get(mode, ()):
+        assert (code, err) == (2, f"config error: {key} is not read by {mode}\n")
+    elif code:  # a mode that reads the fields block refuses a key that fields.source does not
+        assert key.startswith("fields.") and err.startswith(
+            f"config error: {key} is not read when fields.source is "), err
+
+
 @settings(deadline=None)
 @given(hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
                   elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
@@ -988,13 +1038,24 @@ def test_matrix_roundtrip_is_bit_exact(M):
     assert back.shape == M.shape and back.tobytes() == M.tobytes()
 
 
-def test_readme_lists_every_config_key_with_its_default():
+def _readme_key_line(key):
+    """The line of README's config key table that lists the key, or ""."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         section = fh.read().split("### Config document\n", 1)[1].split("\n### ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return next((line for line in rows if f"`{key}`" in line.split("|")[1]), "")
+
+
+def test_readme_lists_every_config_key_with_its_default():
     for row in cli.TABLE:
-        line = next((line for line in rows if f"`{row.key}`" in line.split("|")[1]), "")
+        line = _readme_key_line(row.key)
         assert line, f"README's config section does not list {row.key}"
         for mode in ({}, {"self_test": True}):  # the default of sampler.steps depends on it
             if row.key not in mode:
                 assert f"`{json.dumps(_at(cli.resolve(mode), row.key))}`" in line, line
+
+
+def test_readme_read_by_column_is_the_table():
+    for row in cli.TABLE:
+        read_by = _readme_key_line(row.key).split("|")[4].strip()
+        assert read_by.replace("`", "") == ", ".join(row.read_by), (row.key, read_by)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ncg_ymh import dirac, fluct, verify
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
-from ncg_ymh.errors import NotSelfAdjoint
+from ncg_ymh.errors import DimensionMismatch, NotSelfAdjoint
 from ncg_ymh.superop import left_mult, right_mult, unvec, vec
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
@@ -256,3 +258,12 @@ def test_fluctuate_rejects_non_finite_one_form(bad, symmetrize):
     omega[1, 2] = omega[2, 1] = bad
     with pytest.raises(NotSelfAdjoint):
         fluct.fluctuate(np.eye(4), omega, np.eye(4), 1, symmetrize=symmetrize)
+
+
+@pytest.mark.parametrize("name, shape", [("A", (4, 3, 3)), ("S", (4, 3, 3)), ("phi", (3, 3))])
+def test_assembler_names_a_field_of_another_size(name, shape):
+    # m = 4: a field of the wrong size is a DimensionMismatch naming it, not a numpy broadcast
+    gt = make_triple(0, 4, seed=5)
+    fl = dataclasses.replace(fluct.zero_fluctuation(gt), **{name: np.zeros(shape, dtype=complex)})
+    with pytest.raises(DimensionMismatch, match=f"fluctuation {name} has shape "):
+        fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
