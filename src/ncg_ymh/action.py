@@ -27,9 +27,9 @@ one (6m x m) @ (m x 6m) matrix product, not 36 small ones, and one `np.take`
 on flat indices gathers the 34 blocks the kernel reads.  At the sampler's
 sizes (m = 8) the cost is the number of numpy calls more than the flops, and
 this form keeps that number small.  The m^2 x m^2
-superoperator forms (`theta`, `field_strength`, the shortcut side of
-`gauge_higgs_identity_sides`, `tetrahedral`) are kept as brute-force
-oracles.  Index raising uses the constant signature eta = diag(e_0..e_3).
+superoperator forms (`theta`, `field_strength` and the shortcut side of
+`gauge_higgs_identity_sides`) are kept as brute-force oracles.  Index
+raising uses the constant signature eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ from .dirac import GaugeTriple
 from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
 from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
                     higgs_field)
-from .superop import gen_comm
 
 
 @dataclass(frozen=True)
@@ -475,28 +474,3 @@ def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
                          if Pi[a][c] is not None and Pj[a][c] is not None)
             total += 0.5 * coeff * float(tr)
     return 0.25 * total
-
-
-def tetrahedral(K, sig=None) -> float:
-    """-(1/2) sum_{mu != nu} Tr(k_mu k_nu k^mu k^nu) with k_mu = {K_mu, .}.
-
-    Defaults to the (0, 4) signature (all commutators, trivial index
-    raising); pass a Signature for other adjointness/raising conventions.
-    """
-    if sig is None:
-        from .clifford import build_signature
-        sig = build_signature(0, 4)
-    if len(K) != 4:
-        raise DimensionMismatch("need exactly four matrices")
-    shape = K[0].shape
-    if any(Km.shape != shape for Km in K):
-        raise DimensionMismatch("matrices must share one size")
-    k = [gen_comm(Km, sig.e[mu]) for mu, Km in enumerate(K)]
-    out = 0.0 + 0j
-    for mu in range(4):
-        for nu in range(4):
-            if mu == nu:
-                continue
-            out += sig.e[mu] * sig.e[nu] * np.trace(
-                k[mu] @ k[nu] @ k[mu] @ k[nu])
-    return float((-0.5 * out).real)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every operation, gauge transformations and covariance included, runs in each
+signature (p, q) with p + q = 4, so the one signature error is
+NonFourDimensional.
+"""
 
 
 class NcgError(Exception):
@@ -26,10 +31,6 @@ class NotSelfAdjoint(NcgError):
 
 class NotFlat(NcgError):
     """Operation requires flat data (no triple-index blocks, no S fields)."""
-
-
-class NotRiemannian(NcgError):
-    """Operation requires the (0, 4) signature."""
 
 
 class UnstableAction(NcgError):

@@ -1,4 +1,11 @@
-"""Gauge transformations of potentials, Higgs and field strength."""
+"""Gauge transformations of potentials, Higgs and field strength.
+
+A unitary u on C^N (x) C^n acts on M_m through l(a) -> l(u a u*) and
+r(b) -> r(u b u*), in every signature (p, q).  Each inner-fluctuation field Z
+with background B (A_mu with K_mu (x) 1, S_mu with K_hat_mu (x) 1, phi with
+1 (x) D_F) therefore moves by one rule, Z -> u Z u* + u [B, u*], which sends
+B + Z to u (B + Z) u*.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,7 +15,6 @@ import numpy as np
 from .action import ActionPolynomial, require_flat, sectors, spectral_action_direct
 from .clifford import build_gammas
 from .dirac import GaugeTriple, lift
-from .errors import NotRiemannian
 from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
 
 
@@ -43,31 +49,30 @@ def random_unitary(N: int, n: int, product_form: bool = False,
     return GaugeElement(u=_haar(N * n, rng))
 
 
-def _lifted_L(gt: GaugeTriple) -> np.ndarray:
-    """The four L_mu (x) 1_n."""
-    return lift(gt.fuzzy.K, gt.n)
-
-
 def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
-    """A_mu -> u A_mu u* + u [L_mu, u*];  phi -> u phi u* + u [D_F, u*].
+    """Z -> u Z u* + u [B, u*] for (Z, B) = (A_mu, K_mu (x) 1), (S_mu, K_hat_mu (x) 1)
+    and (phi, 1 (x) D_F), in any signature.
 
-    Matrix-level rule, valid for flat Riemannian data where every K_mu is a
-    commutator generator L_mu.
+    Each covariant matrix B + Z goes to u (B + Z) u*, and the adjointness
+    type of every field is kept.  With D_F = 0 the fluctuated Dirac operator
+    is conjugated, so its spectrum is unchanged; with D_F != 0 that holds
+    when u commutes with 1 (x) D_F (see `covariance_report`).
     """
-    if (gt.sig.p, gt.sig.q) != (0, 4):
-        raise NotRiemannian("matrix-level gauge transformation needs signature (0, 4)")
     u = g.u
     ustar = u.conj().T
-    A_new = np.array([u @ A @ ustar + u @ (Lmu @ ustar - ustar @ Lmu)
-                      for A, Lmu in zip(fl.A, _lifted_L(gt))])
-    DFbig = gt.lifted_D_F
-    phi_new = u @ fl.phi @ ustar + u @ (DFbig @ ustar - ustar @ DFbig)
-    return Fluctuation(A=A_new, S=fl.S, phi=phi_new)
+
+    def rule(Z, B):
+        return u @ Z @ ustar + u @ (B @ ustar - ustar @ B)
+
+    A_new = np.array([rule(A, L) for A, L in zip(fl.A, lift(gt.fuzzy.K, gt.n))])
+    S_new = np.array([rule(S, L) for S, L in zip(fl.S, lift(gt.fuzzy.K_hat, gt.n))])
+    return Fluctuation(A=A_new, S=S_new, phi=rule(fl.phi, gt.lifted_D_F))
 
 
 def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
                       f: ActionPolynomial) -> dict:
-    """Covariance of the field strength and invariance of the action, for flat data.
+    """Covariance of the field strength and invariance of the action, for flat
+    data in any signature.
 
     Reports (i) max over mu < nu of ||F^u_{mu nu} - u F_{mu nu} u*||, with
     F_{mu nu} = [X_mu, X_nu] and X_mu = L_mu (x) 1 + A_mu,
@@ -75,18 +80,18 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
     (iii) the deviation of the alternative-convention identity
     T^u = Ad_u(T) + Ad_u([L, L]) - [L, L] for T = F - [L, L].
 
-    The action-invariance entries are exact for Yang-Mills triples; with
-    D_F != 0 the left-multiplication realization of D_F is not J-compatible
-    and the closed phi-rule cannot absorb the inhomogeneous J-term, so those
-    entries are informational there.  Field strength covariance and the Ts
-    identity involve only L and A and hold in either case.
+    The action entries are exact for Yang-Mills triples and for u that
+    commutes with 1 (x) D_F.  For other u with D_F != 0 they are
+    informational: Phi = l(1 (x) D_F + phi) + eps'' r(phi) sees phi, not
+    1 (x) D_F + phi, in its right slot, so eps'' r(u [D_F, u*]) survives.
+    Field strength covariance and the Ts identity involve only L and A and
+    hold in either case.  The sectors are closed forms of flat data, so
+    triple-index data is refused (NotFlat).
     """
-    if (gt.sig.p, gt.sig.q) != (0, 4):
-        raise NotRiemannian("covariance is asserted in signature (0, 4) only")
     require_flat(gt, fl)
     u = g.u
     ustar = u.conj().T
-    L = _lifted_L(gt)
+    L = lift(gt.fuzzy.K, gt.n)
     fl_u = transform(gt, fl, g)
     X0, Xu = covariant_matrices(gt.fuzzy.K, fl.A), covariant_matrices(gt.fuzzy.K, fl_u.A)
 

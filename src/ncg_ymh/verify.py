@@ -16,12 +16,14 @@ pinned seeds, the tests with their own data:
     odd_traces                  signature   acceptance 07
     weitzenbock_flat_higgs      signature   acceptance 05
     sector_split                signature   acceptance 07, test_action
-    gauge_covariance            riemannian  acceptance 08
+    gauge_covariance            riemannian  acceptance 08, test_gauge
+    action_invariance_with_DF   riemannian  test_gauge
     central_unitary             riemannian  acceptance 08
 
-`signature_suite` runs in any signature; `riemannian_suite` (gauge
-covariance, a separate claim) in (0, 4) only.  Both run at N = n = 2, with
-random D_F drawn from their seed.
+`signature_suite` runs in any signature.  `riemannian_suite` holds the five
+gauge identities; they hold in every signature (test_gauge checks all five
+(p, q)), but the suite runs in (0, 4) only while the benchmark replays it by
+name.  Both run at N = n = 2, with random D_F drawn from their seed.
 """
 from __future__ import annotations
 
@@ -180,6 +182,18 @@ def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, seed: int) -> 
                   for r in reports)
 
 
+def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial, seed: int) -> float:
+    """Action invariance under u = u1 (x) u2 with [u2, D_F] = 0: u1 Haar on
+    C^N, u2 = V diag(e^{i theta}) V* with V the eigenvectors of D_F."""
+    rng = np.random.default_rng(seed)
+    u1 = gauge._haar(gt.N, rng)
+    theta = rng.uniform(0.0, 2 * np.pi, gt.n)
+    V = np.linalg.eigh(gt.finite.D_F)[1]
+    u2 = (V * np.exp(1j * theta)) @ V.conj().T
+    g = gauge.GaugeElement(u=np.kron(u1, u2), factors=(u1, u2))
+    return gauge.covariance_report(gt, fl, g, poly)["action_invariance_rel"]
+
+
 def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:
     """Largest change of A_mu and phi under the central unitary lam 1."""
     out = gauge.transform(gt, fl, gauge.GaugeElement(u=lam * np.eye(gt.m)))
@@ -235,14 +249,14 @@ def signature_suite(p: int, q: int, seed: int = 0):
 
 
 def riemannian_suite(seed: int = 0):
-    """Gauge covariance, (0, 4) only."""
+    """Gauge covariance and invariance, run in (0, 4)."""
 
     def fields(sd, with_DF, fl_seed):
         gt = _random_triple(0, 4, seed + sd, False, with_DF)
         return gt, fluct.random_fluctuation(gt, seed=fl_seed)
 
-    # action invariance needs J-compatibility of all of D, which left-mult D_F
-    # breaks: Yang-Mills data
+    # with D_F != 0 the action is invariant only under u commuting with 1 (x) D_F,
+    # so the generic unitaries act on Yang-Mills data
     cov = _worst(gauge_covariance(*fields(sd, False, seed + 31 + sd), _QUARTIC, seed + sd)
                  for sd in range(3))
     return [IdentityResult(name, dev, tol) for name, dev, tol in (
@@ -250,7 +264,10 @@ def riemannian_suite(seed: int = 0):
         ("gauge/action_invariance", cov[1], 1e-9),
         ("gauge/ts_identity", cov[2], 1e-10),
         ("gauge/central_unitary_trivial",
-         central_unitary(*fields(0, True, seed), np.exp(0.37j)), 1e-12))]
+         central_unitary(*fields(0, True, seed), np.exp(0.37j)), 1e-12),
+        ("gauge/action_invariance_with_DF",
+         max(action_invariance_with_DF(*fields(sd, True, seed + 31 + sd), _QUARTIC, seed + sd)
+             for sd in range(3)), 1e-9))]
 
 
 def run_identity_suite(p: int, q: int, seed: int = 0):

@@ -165,27 +165,6 @@ def test_spectral_action_direct():
         action.spectral_action_direct(np.array([[0.0, 1.0], [0.0, 0.0]]), f)
 
 
-def test_tetrahedral():
-    rng = np.random.default_rng(24)
-    K0 = 1j * dirac.random_hermitian(3, rng)
-    zero = np.zeros((3, 3), dtype=complex)
-    assert action.tetrahedral([K0, zero, zero, zero]) == 0.0
-    eye = np.eye(3, dtype=complex)
-    assert action.tetrahedral([eye, eye, eye, eye]) == 0.0
-
-    K = [1j * dirac.random_hermitian(3, rng) for _ in range(4)]
-    got = action.tetrahedral(K)
-    # independent oracle: naive index contraction of the superop reps
-    k = [gen_comm(Km, -1) for Km in K]
-    acc = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            if mu == nu:
-                continue
-            acc += np.einsum("ij,jm,ml,li->", k[mu], k[nu], k[mu], k[nu]).real
-    assert abs(got - (-0.5) * acc) <= 1e-9 * max(1.0, abs(got))
-
-
 def test_gauge_higgs_identity_sides_disagree_by_theta_phi2():
     # the trace shortcut misses the exact bracket by 2 a4 Tr(theta Phi^2)
     gt = make_triple(N=2, n=2, seed=25)

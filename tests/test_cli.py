@@ -66,7 +66,8 @@ def test_verify_single_signature(tmp_path):
     assert {"identity", "max_deviation", "tolerance", "pass"} <= set(rows[0])
 
 
-@pytest.mark.parametrize("p,q,count", [(0, 4, 39), (1, 3, 35), (2, 2, 35), (3, 1, 35)])
+@pytest.mark.parametrize("p,q,count", [(0, 4, 40), (1, 3, 35), (2, 2, 35), (3, 1, 35),
+                                          (4, 0, 35)])
 def test_identity_suite_shape(p, q, count):
     # the report rows, and the benchmark's verify replay, count these entries
     names = [r.name for r in run_identity_suite(p, q)]

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ncg_ymh import dirac, fluct, gauge
+from ncg_ymh import dirac, fluct, gauge, verify
 from ncg_ymh.action import ActionPolynomial
-from ncg_ymh.clifford import build_signature
+from ncg_ymh.clifford import build_gammas, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
-from ncg_ymh.errors import NotFlat, NotRiemannian
+from ncg_ymh.errors import NotFlat
 
 POLY = ActionPolynomial((0.0, 0.5, 0.0, 1.0))
+SIGNATURES = [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
 
 
 def make_triple(N=2, n=2, seed=0, with_DF=True, p=0, q=4):
@@ -52,8 +53,9 @@ def test_central_unitary_trivial():
     assert np.abs(out.phi - fl.phi).max() <= 1e-12
 
 
-def test_pure_gauge_configuration():
-    gt = make_triple(seed=7, with_DF=False)
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_pure_gauge_configuration(p, q):
+    gt = make_triple(seed=7, with_DF=False, p=p, q=q)
     fl = fluct.zero_fluctuation(gt)
     g = gauge.random_unitary(gt.N, gt.n, seed=8)
     out = gauge.transform(gt, fl, g)
@@ -88,14 +90,32 @@ def test_transform_preserves_types():
     assert not gt.finite.is_scalar
 
 
-def test_not_riemannian():
-    gt = make_triple(p=1, q=3, seed=15)
-    fl = fluct.random_fluctuation(gt, seed=16)
-    g = gauge.random_unitary(gt.N, gt.n, seed=17)
-    with pytest.raises(NotRiemannian):
-        gauge.transform(gt, fl, g)
-    with pytest.raises(NotRiemannian):
-        gauge.covariance_report(gt, fl, g, POLY)
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_covariance_in_every_signature(p, q):
+    # with a Higgs field the action is invariant under u = u1 (x) u2 with
+    # [u2, D_F] = 0, in every signature
+    for seed in range(3):
+        gt = make_triple(N=3, seed=15 + seed, p=p, q=q)
+        fl = fluct.random_fluctuation(gt, seed=16 + seed)
+        assert np.abs(fl.phi).max() > 0
+        assert verify.action_invariance_with_DF(gt, fl, POLY, seed=17 + seed) <= 1e-9
+
+
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_triple_index_spectrum_invariant(p, q):
+    # S_mu moves with its background K_hat_mu (x) 1 like A_mu with K_mu (x) 1,
+    # so D_omega is conjugated and keeps its spectrum
+    sig = build_signature(p, q)
+    mod = build_gammas(sig)
+    for seed in range(3):
+        gt = GaugeTriple(fuzzy=dirac.random_fuzzy(3, sig, seed=seed, include_X=True),
+                         finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
+        fl = fluct.random_fluctuation(gt, seed=seed + 40)
+        assert np.abs(fl.S).max() > 0
+        g = gauge.random_unitary(gt.N, gt.n, seed=seed + 80)
+        ev0 = np.linalg.eigvalsh(fluct.assemble_fluctuated(gt, fl, mod))
+        ev_u = np.linalg.eigvalsh(fluct.assemble_fluctuated(gt, gauge.transform(gt, fl, g), mod))
+        assert np.abs(ev_u - ev0).max() <= 1e-12 * np.abs(ev0).max()
 
 
 def test_covariance_report_refuses_non_flat_data():
@@ -121,11 +141,12 @@ def test_covariance_report_identity():
                         "sector_ym_rel", "sector_h_rel", "sector_gh_rel", "sector_theta_rel"}
 
 
+@pytest.mark.parametrize("p,q", SIGNATURES)
 @pytest.mark.parametrize("product_form", [True, False])
-def test_covariance_report_yang_mills(product_form):
-    # full-action invariance needs the J-compatibility of every part of D,
-    # so it is asserted on Yang-Mills data (D_F = 0)
-    gt = make_triple(seed=20, with_DF=False)
+def test_covariance_report_yang_mills(product_form, p, q):
+    # with D_F != 0 a generic u leaves eps'' r(u [D_F, u*]) in Phi, so
+    # invariance under every u is asserted on Yang-Mills data (D_F = 0)
+    gt = make_triple(seed=20, with_DF=False, p=p, q=q)
     fl = fluct.random_fluctuation(gt, seed=21)
     g = gauge.random_unitary(gt.N, gt.n, product_form=product_form, seed=22)
     rep = gauge.covariance_report(gt, fl, g, POLY)
@@ -136,10 +157,11 @@ def test_covariance_report_yang_mills(product_form):
         assert rep[key] <= 1e-9
 
 
-def test_covariance_with_higgs_data():
+@pytest.mark.parametrize("p,q", SIGNATURES)
+def test_covariance_with_higgs_data(p, q):
     # field strength and the Ts identity only involve L and A, so they stay
     # exact with D_F != 0; the action entry is informational there
-    gt = make_triple(seed=20, with_DF=True)
+    gt = make_triple(seed=20, with_DF=True, p=p, q=q)
     fl = fluct.random_fluctuation(gt, seed=21)
     g = gauge.random_unitary(gt.N, gt.n, seed=22)
     rep = gauge.covariance_report(gt, fl, g, POLY)
