@@ -16,8 +16,7 @@ from .fluct import (Fluctuation, assemble_fluctuated, connes_one_form,
                     zero_fluctuation)
 from .gauge import GaugeElement, covariance_report, random_unitary, transform
 from .sampler import (ChainState, SampleRecord, SamplerConfig, batch_means,
-                      eigen_histogram, gaussian_self_test, run_chain,
-                      stationarity_check)
+                      gaussian_self_test, run_chain, stationarity_check)
 from .superop import gen_comm, left_mult, right_mult, unvec, vec
 
 __version__ = "0.1.0"

@@ -267,8 +267,9 @@ def _geometry(cfg: dict):
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 
-def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
-    """The gauge triple of a resolved config: fuzzy blocks per its fields block, D_F given."""
+def _triple(cfg: dict) -> GaugeTriple:
+    """The gauge triple of a resolved config, per its geometry and fields blocks."""
+    sig, N, n, DF = _geometry(cfg)
     fields = cfg["fields"]
     if fields["source"] == "random":
         fz = dirac.random_fuzzy(N, sig, scale=fields["scale"], seed=fields["seed"],
@@ -284,14 +285,14 @@ def _triple(cfg: dict, sig, N: int, n: int, DF: np.ndarray) -> GaugeTriple:
     return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
 
 
-def _fields(cfg: dict, sig, N: int, n: int, DF: np.ndarray):
+def _fields(cfg: dict):
     """`_triple` plus the fluctuation per the fields block of a resolved config."""
-    gt, fields = _triple(cfg, sig, N, n, DF), cfg["fields"]
+    gt, fields = _triple(cfg), cfg["fields"]
     if fields["source"] == "random" and fields["fluctuation"]:
         return gt, fluct.random_fluctuation(gt, scale=fields["scale"], seed=fields["seed"] + 1)
     fl = fluct.zero_fluctuation(gt)  # A and phi stay at [] and null unless the source is "files"
     for mu, path in enumerate(fields["A"]):
-        fl.A[mu] = _load_square(path, gt.m, f"A{mu}", sig.e[mu])
+        fl.A[mu] = _load_square(path, gt.m, f"A{mu}", gt.sig.e[mu])
     if fields["phi"] is not None:
         fl.phi[...] = _load_square(fields["phi"], gt.m, "phi", 1)
     return gt, fl
@@ -323,7 +324,7 @@ def _dense_inputs(cfg: dict):
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
     _require_fits(2 * 256 * (N * n) ** 4, f"the dense Dirac operator at N = {N}, n = {n}",
                   "D and one copy")
-    return _fields(cfg, *_geometry(cfg))
+    return _fields(cfg)
 
 
 def _poly(cfg: dict) -> ActionPolynomial:
@@ -349,14 +350,8 @@ def _write_summary(out_dir: str, summary: dict):
 def cmd_verify(cfg: dict) -> int:
     geo = cfg["geometry"]
     sigs = _SIGNATURES if cfg["signatures"] == "all" else [(geo["p"], geo["q"])]
-    seed = cfg["seed"]
-    workers = _worker_cap(len(sigs))
-    if workers > 1 and len(sigs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_results = list(pool.map(
-                lambda pq: run_identity_suite(pq[0], pq[1], seed=seed), sigs))
-    else:
-        all_results = [run_identity_suite(p, q, seed=seed) for (p, q) in sigs]
+    with ThreadPoolExecutor(max_workers=_worker_cap(len(sigs))) as pool:
+        all_results = list(pool.map(lambda pq: run_identity_suite(*pq, seed=cfg["seed"]), sigs))
     report = {}
     ok = True
     for (p, q), results in zip(sigs, all_results):
@@ -452,7 +447,7 @@ def cmd_sample(cfg: dict) -> int:
     # m x m matrix, m = N n: most of it the stacks and buffers of two kernels
     _require_fits(5120 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
                   "two kernels, the fields and their draws")
-    gt = _triple(cfg, *_geometry(cfg))
+    gt = _triple(cfg)
     try:
         scfg = SamplerConfig(N=N, n=n, poly=_poly(cfg), steps=steps, burn_in=burn_in,
                              thin=sp["thin"], step_sizes=dict(sp["step_sizes"]),

@@ -139,8 +139,8 @@ def random_typed(n: int, rng, e: int, scale: float) -> np.ndarray:
 
 
 def random_fuzzy(N: int, sig: Signature, scale: float | None = None,
-                 seed: int = 0, include_X: bool = True) -> FuzzyData:
-    """Gaussian K blocks of the correct adjointness type, seeded.
+                 seed: int | np.random.SeedSequence = 0, include_X: bool = True) -> FuzzyData:
+    """Gaussian K blocks of the correct adjointness type, from default_rng(seed).
 
     scale defaults to 1/sqrt(N) so spectra stay O(1) as N grows.  The four
     K_mu are drawn first, then the four K_hat_mu; with include_X false
@@ -198,14 +198,15 @@ def represent_algebra(a: np.ndarray, m: int) -> np.ndarray:
     return np.kron(np.eye(4), left_mult(a))
 
 
-def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int = 0,
+def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int | np.random.SeedSequence = 0,
                  pairs: int = 20) -> dict:
     """Numerical verification of the real even spectral triple axioms.
 
-    Returns a dict of max deviations.  The entries 'J_D_sign' and
-    'D_gamma_anticommute' are only meaningful when D_F = 0 (left
-    multiplication by D_F is not J-compatible); if D_F != 0 they are
-    reported under 'informational_*' keys instead of the asserted ones.
+    The algebra pairs come from default_rng(seed).  Returns a dict of max
+    deviations.  The entries 'J_D_sign' and 'D_gamma_anticommute' are only
+    meaningful when D_F = 0 (left multiplication by D_F is not J-compatible);
+    if D_F != 0 they are reported under 'informational_*' keys instead of the
+    asserted ones.
     """
     m = gt.m
     rng = np.random.default_rng(seed)

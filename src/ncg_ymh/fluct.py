@@ -113,8 +113,8 @@ def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
 
 
 def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
-                       seed: int = 0) -> Fluctuation:
-    """Seeded Gaussian fluctuation with the correct adjointness types.
+                       seed: int | np.random.SeedSequence = 0) -> Fluctuation:
+    """Gaussian fluctuation with the correct adjointness types, from default_rng(seed).
 
     The four A_mu are drawn first, then the four S_mu only when the fuzzy
     data has X blocks (else S is zeros), then phi: a symmetrized sum of

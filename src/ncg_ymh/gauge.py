@@ -4,7 +4,8 @@ A unitary u on C^N (x) C^n acts on M_m through l(a) -> l(u a u*) and
 r(b) -> r(u b u*), in every signature (p, q).  Each inner-fluctuation field Z
 with background B (A_mu with K_mu (x) 1, S_mu with K_hat_mu (x) 1, phi with
 1 (x) D_F) therefore moves by one rule, Z -> u Z u* + u [B, u*], which sends
-B + Z to u (B + Z) u*.
+B + Z to u (B + Z) u*.  A u that is not square, or not m x m for the
+triple it acts on, is refused (DimensionMismatch).
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 from .action import ActionPolynomial, require_flat, sectors, spectral_action_direct
 from .clifford import build_gammas
 from .dirac import GaugeTriple, lift
+from .errors import DimensionMismatch
 from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
 
 
@@ -26,6 +28,8 @@ class GaugeElement:
     factors: tuple | None = None
 
     def __post_init__(self):
+        if self.u.ndim != 2 or self.u.shape[0] != self.u.shape[1]:
+            raise DimensionMismatch(f"gauge element shape {self.u.shape}, expected a square matrix")
         m = self.u.shape[0]
         if np.abs(self.u.conj().T @ self.u - np.eye(m)).max() > 1e-12:
             raise ValueError("gauge element is not unitary")
@@ -39,8 +43,8 @@ def _haar(sz: int, rng) -> np.ndarray:
 
 
 def random_unitary(N: int, n: int, product_form: bool = False,
-                   seed: int = 0) -> GaugeElement:
-    """Haar unitary on C^{Nn}, or u1 (x) u2 with Haar factors."""
+                   seed: int | np.random.SeedSequence = 0) -> GaugeElement:
+    """Haar unitary on C^{Nn}, or u1 (x) u2 with Haar factors, from default_rng(seed)."""
     rng = np.random.default_rng(seed)
     if product_form:
         u1 = _haar(N, rng)
@@ -59,6 +63,8 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
     when u commutes with 1 (x) D_F (see `covariance_report`).
     """
     u = g.u
+    if u.shape != (gt.m, gt.m):
+        raise DimensionMismatch(f"gauge element shape {u.shape}, expected ({gt.m}, {gt.m})")
     ustar = u.conj().T
 
     def rule(Z, B):

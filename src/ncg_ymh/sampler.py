@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
-                     require_self_adjoint, sector_breakdown)
+                     sector_breakdown)
 from .dirac import GaugeTriple
 from .errors import NotFlat, UnstableAction
 from .fluct import Fluctuation, covariant_matrices
@@ -296,12 +296,6 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                                     in zip(names, accepted, after_burn_in)},
             "step_size_trajectory": trajectory}
     return records, info
-
-
-def eigen_histogram(D: np.ndarray, bins: int):
-    """Eigenvalue histogram of a self-adjoint operator over a symmetric range."""
-    require_self_adjoint(D)
-    return symmetric_histogram(np.linalg.eigvalsh(D), bins)
 
 
 def symmetric_histogram(ev: np.ndarray, bins: int):

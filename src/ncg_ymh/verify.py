@@ -1,29 +1,30 @@
 """The identity checks, each written once, and the suites behind `cli verify`.
 
 Each check takes the data of one statement (triple, fluctuation, Clifford
-module, and an rng, seed or lambda where it needs one) and returns its worst
-deviation, mostly against a brute-force oracle.  The suites call them with
-pinned seeds, the tests with their own data:
+module, and an rng, seed, unitaries or lambda where it needs them) and
+returns its worst deviation, mostly against a brute-force oracle.  The suites
+call them on keyed inputs, the tests with their own data:
 
-    check                       suite       tests
-    clifford_identities         signature   acceptance 01
-    axioms                      signature   acceptance 02
-    lichnerowicz                signature   acceptance 03, test_dirac
-    dual_path                   signature   acceptance 04, test_fluct
-    weitzenbock_full            signature   acceptance 05
-    field_strength_adjointness  signature
-    trace_lemmas                signature   acceptance 06a, test_action
-    odd_traces                  signature   acceptance 07
-    weitzenbock_flat_higgs      signature   acceptance 05
-    sector_split                signature   acceptance 07, test_action
-    gauge_covariance            riemannian  acceptance 08, test_gauge
-    action_invariance_with_DF   riemannian  test_gauge
-    central_unitary             riemannian  acceptance 08
+    check                        #   suite       tests
+    clifford_identities              signature   acceptance 01
+    axioms                       1   signature   acceptance 02
+    lichnerowicz                 2   signature   acceptance 03, test_dirac
+    dual_path                    3   signature   acceptance 04, test_fluct
+    weitzenbock_full             4   signature   acceptance 05
+    field_strength_adjointness   5   signature
+    trace_lemmas, odd_traces     6   signature   acceptance 06a, 07, test_action
+    weitzenbock_flat_higgs       7   signature   acceptance 05
+    sector_split                 8   signature   acceptance 07, test_action
+    gauge_covariance             9   riemannian  acceptance 08, test_gauge
+    action_invariance_with_DF   10   riemannian  test_gauge
+    central_unitary             11   riemannian  acceptance 08
 
-`signature_suite` runs in any signature.  `riemannian_suite` holds the five
-gauge identities; they hold in every signature (test_gauge checks all five
-(p, q)), but the suite runs in (0, 4) only while the benchmark replays it by
-name.  Both run at N = n = 2, with random D_F drawn from their seed.
+A suite draws each random input from its own stream, SeedSequence(seed,
+spawn_key=(p, q, #, sample, role)), with role 0 the fuzzy blocks, 1 D_F,
+2 the fluctuation, 3 and 4 the check's own draws (algebra pairs, one-form,
+unitaries).  Both suites run at N = n = 2.  `riemannian_suite`'s identities
+hold in every signature (test_gauge checks all five), but it runs in (0, 4)
+only while the benchmark replays it by name.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ def clifford_identities(mod) -> dict:
     return out
 
 
-def axioms(gt: GaugeTriple, mod, seed: int) -> dict:
+def axioms(gt: GaugeTriple, mod, seed: int | np.random.SeedSequence) -> dict:
     """The asserted axiom deviations (20 random algebra pairs), keyed by name."""
     rep = dirac.check_axioms(gt, mod, seed=seed, pairs=20)
     return {f"axioms/{k}": v for k, v in rep.items() if not k.startswith("informational_")}
@@ -173,16 +174,16 @@ def sector_split(gt: GaugeTriple, fl, poly: ActionPolynomial) -> tuple:
             max(0.0, -theta_min))
 
 
-def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, seed: int) -> tuple:
+def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, unitaries) -> tuple:
     """(field strength covariance, action invariance, Ts identity) from
-    `covariance_report`, worst over a product and a non-product unitary."""
-    reports = [gauge.covariance_report(gt, fl, gauge.random_unitary(
-        gt.N, gt.n, product_form=product_form, seed=seed), poly) for product_form in (True, False)]
+    `covariance_report`, worst over the gauge elements `unitaries`."""
+    reports = [gauge.covariance_report(gt, fl, g, poly) for g in unitaries]
     return _worst((r["field_strength_covariance"], r["action_invariance_rel"], r["ts_identity"])
                   for r in reports)
 
 
-def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial, seed: int) -> float:
+def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial,
+                              seed: int | np.random.SeedSequence) -> float:
     """Action invariance under u = u1 (x) u2 with [u2, D_F] = 0: u1 Haar on
     C^N, u2 = V diag(e^{i theta}) V* with V the eigenvectors of D_F."""
     rng = np.random.default_rng(seed)
@@ -200,49 +201,51 @@ def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:
     return max(np.abs(new - old).max() for new, old in zip((*out.A, out.phi), (*fl.A, fl.phi)))
 
 
-def _random_triple(p, q, seed, include_X, with_DF):
-    sig = clifford.build_signature(p, q)
-    fz = dirac.random_fuzzy(_N, sig, seed=seed, include_X=include_X)
-    rng = np.random.default_rng(seed + 1000)
-    DF = random_hermitian(_n, rng) if with_DF else np.zeros((_n, _n), dtype=complex)
-    return GaugeTriple(fuzzy=fz, finite=FiniteData(n=_n, D_F=DF))
+def _stream(sig, seed: int, key: tuple, role: int) -> np.random.SeedSequence:
+    """The stream of one suite draw, SeedSequence(seed, spawn_key=(p, q, *key, role))."""
+    return np.random.SeedSequence(seed, spawn_key=(sig.p, sig.q, *key, role))
+
+
+def _inputs(sig, seed: int, key: tuple, include_X: bool, with_DF: bool):
+    """(triple, fluctuation) at N = n = 2 of the suite input key = (#, sample)."""
+    fz = dirac.random_fuzzy(_N, sig, seed=_stream(sig, seed, key, 0), include_X=include_X)
+    DF = (random_hermitian(_n, np.random.default_rng(_stream(sig, seed, key, 1))) if with_DF
+          else np.zeros((_n, _n), dtype=complex))
+    gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=_n, D_F=DF))
+    return gt, fluct.random_fluctuation(gt, seed=_stream(sig, seed, key, 2))
 
 
 def signature_suite(p: int, q: int, seed: int = 0):
     """Identities valid in any 4d signature, for one (p, q)."""
     sig = clifford.build_signature(p, q)
     mod = clifford.build_gammas(sig)
-
-    def triple(sd, include_X, with_DF):
-        return _random_triple(p, q, seed + sd, include_X, with_DF)
-
-    def fields(sd, include_X, with_DF, fl_sd=0):
-        gt = triple(sd, include_X, with_DF)
-        return gt, fluct.random_fluctuation(gt, seed=seed + sd + fl_sd)
-
     results = [IdentityResult(k, v, 1e-12) for k, v in clifford_identities(mod).items()]
-    # the J D sign is asserted only for D_F = 0
-    results += [IdentityResult(k, v, 1e-10)
-                for k, v in axioms(triple(0, True, False), mod, seed).items()]
-    flat_higgs = fields(0, False, True)
+    # the J D sign is asserted only for D_F = 0; axioms and dual_path read only the triple
+    results += [IdentityResult(k, v, 1e-10) for k, v in axioms(
+        _inputs(sig, seed, (1, 0), True, False)[0], mod, _stream(sig, seed, (1, 0), 3)).items()]
+    flat_higgs = _inputs(sig, seed, (6, 0), False, True)
     quadratic, quartic = trace_lemmas(*flat_higgs, mod)
-    split = _worst(sector_split(*fields(sd, False, True, 17), _QUARTIC) for sd in range(5))
+    split = _worst(sector_split(*_inputs(sig, seed, (8, sd), False, True), _QUARTIC)
+                   for sd in range(5))
     return results + [IdentityResult(name, dev, tol) for name, dev, tol in (
         ("lichnerowicz/square_equals_rhs",
-         max(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=seed + sd, include_X=True), mod)
-             for NN in (2, 3) for sd in range(5)), 1e-10),
+         max(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=_stream(sig, seed, (2, sd), 0)), mod)
+             for sd, NN in enumerate((2,) * 5 + (3,) * 5)), 1e-10),
         ("fluctuation/dual_path",
-         max(dual_path(triple(sd, True, True), mod, np.random.default_rng(seed + sd))
+         max(dual_path(_inputs(sig, seed, (3, sd), True, True)[0], mod,
+                       np.random.default_rng(_stream(sig, seed, (3, sd), 3)))
              for sd in range(3)), 1e-10),
         ("weitzenbock/full",
-         max(weitzenbock_full(*fields(sd, True, False), mod) for sd in range(2)), 1e-10),
+         max(weitzenbock_full(*_inputs(sig, seed, (4, sd), True, False), mod)
+             for sd in range(2)), 1e-10),
         ("field_strength/antisymmetry_adjointness",
-         field_strength_adjointness(*fields(0, False, False)), 1e-10),
+         field_strength_adjointness(*_inputs(sig, seed, (5, 0), False, False)), 1e-10),
         ("trace/quadratic", quadratic, 1e-9),
         ("trace/quartic", quartic, 1e-9),
         ("trace/odd_powers_vanish", odd_traces(*flat_higgs, mod), 1e-9),
         ("weitzenbock/flat_higgs",
-         max(weitzenbock_flat_higgs(*fields(sd, False, True), mod) for sd in range(3)), 1e-10),
+         max(weitzenbock_flat_higgs(*_inputs(sig, seed, (7, sd), False, True), mod)
+             for sd in range(3)), 1e-10),
         ("sectors/sum_equals_direct_trace", split[0], 1e-9),
         ("sectors/positivity", split[1], 1e-10),
         ("theta/positive_semidefinite", split[2], 1e-10))]
@@ -250,23 +253,20 @@ def signature_suite(p: int, q: int, seed: int = 0):
 
 def riemannian_suite(seed: int = 0):
     """Gauge covariance and invariance, run in (0, 4)."""
-
-    def fields(sd, with_DF, fl_seed):
-        gt = _random_triple(0, 4, seed + sd, False, with_DF)
-        return gt, fluct.random_fluctuation(gt, seed=fl_seed)
-
-    # with D_F != 0 the action is invariant only under u commuting with 1 (x) D_F,
-    # so the generic unitaries act on Yang-Mills data
-    cov = _worst(gauge_covariance(*fields(sd, False, seed + 31 + sd), _QUARTIC, seed + sd)
-                 for sd in range(3))
+    sig = clifford.build_signature(0, 4)
+    # the action is invariant under a generic u only if D_F = 0: these act on Yang-Mills data
+    cov = _worst(gauge_covariance(*_inputs(sig, seed, (9, sd), False, False), _QUARTIC, [
+        gauge.random_unitary(_N, _n, product_form=product, seed=_stream(sig, seed, (9, sd), role))
+        for role, product in ((3, True), (4, False))]) for sd in range(3))
     return [IdentityResult(name, dev, tol) for name, dev, tol in (
         ("gauge/field_strength_covariance", cov[0], 1e-10),
         ("gauge/action_invariance", cov[1], 1e-9),
         ("gauge/ts_identity", cov[2], 1e-10),
         ("gauge/central_unitary_trivial",
-         central_unitary(*fields(0, True, seed), np.exp(0.37j)), 1e-12),
+         central_unitary(*_inputs(sig, seed, (11, 0), False, True), np.exp(0.37j)), 1e-12),
         ("gauge/action_invariance_with_DF",
-         max(action_invariance_with_DF(*fields(sd, True, seed + 31 + sd), _QUARTIC, seed + sd)
+         max(action_invariance_with_DF(*_inputs(sig, seed, (10, sd), False, True), _QUARTIC,
+                                       _stream(sig, seed, (10, sd), 3))
              for sd in range(3)), 1e-9))]
 
 

@@ -14,7 +14,7 @@ weakened; the sector decomposition itself (criterion 07) never uses it.
 import numpy as np
 import pytest
 
-from ncg_ymh import action, dirac, fluct, sampler, verify
+from ncg_ymh import action, dirac, fluct, gauge, sampler, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
@@ -136,7 +136,9 @@ def test_08_gauge_covariance_invariance():
     for seed in range(5):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=False)
         fl = fluct.random_fluctuation(gt, seed=seed + 110)
-        cov, inv, _ = verify.gauge_covariance(gt, fl, poly, seed=seed + 120)
+        unitaries = [gauge.random_unitary(gt.N, gt.n, product_form=product_form, seed=seed + 120)
+                     for product_form in (True, False)]
+        cov, inv, _ = verify.gauge_covariance(gt, fl, poly, unitaries)
         worst_cov = max(worst_cov, cov)
         worst_inv = max(worst_inv, inv)
     # central unitary acts trivially; lambda = i keeps IEEE arithmetic exact

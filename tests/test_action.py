@@ -413,7 +413,7 @@ def test_direct_trace_matches_dense_at_evaluate_size():
     # the benchmark's evaluate config at N = 6, through the CLI's own input path
     cfg = cli.resolve({"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"},
                        "seed": 0})
-    gt, fl = cli._fields(cfg, *cli._geometry(cfg))
+    gt, fl = cli._fields(cfg)
     D = fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
     assert _zero_tiles(D) == ANTI_DIAGONAL
     f = ActionPolynomial((0.0, 1.0, 0.0, 1.0))

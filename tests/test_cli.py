@@ -74,6 +74,24 @@ def test_identity_suite_shape(p, q, count):
     assert len(names) == len(set(names)) == count
 
 
+def test_every_verify_draw_has_its_own_stream(monkeypatch):
+    # each default_rng of the five suites is handed a SeedSequence (or a Generator
+    # made from one), never an int, and no (entropy, spawn_key) is drawn from twice
+    seen = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        seq = seed.bit_generator.seed_seq if isinstance(seed, np.random.Generator) else seed
+        assert isinstance(seq, np.random.SeedSequence), f"default_rng({seed!r})"
+        seen.append((seq.entropy, seq.spawn_key))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for p, q in [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]:
+        run_identity_suite(p, q)
+    assert len(seen) == len(set(seen)) > 0
+
+
 def test_verify_rejects_bad_signature(tmp_path):
     cfg = write_config(tmp_path, {"geometry": {"p": 1, "q": 2}, "out": str(tmp_path)})
     assert run(["verify", "--config", cfg]) == 2
@@ -534,11 +552,9 @@ def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
     assert run(["spectrum", "--config", write_config(tmp_path, cfg)]) == 0
     assert calls == [(64, 64)]
     # byte-identical to the histogram of a second diagonalisation of the same D
-    cfg = cli.resolve(cfg)
-    sig, N, n, DF = cli._geometry(cfg)
-    gt, fl = cli._fields(cfg, sig, N, n, DF)
-    edges, counts = sampler.eigen_histogram(
-        fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(sig)), 8)
+    gt, fl = cli._fields(cli.resolve(cfg))
+    D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
+    edges, counts = sampler.symmetric_histogram(np.linalg.eigvalsh(D), 8)
     want = json.dumps({"bin_edges": list(map(float, edges)), "counts": list(map(int, counts))})
     assert (tmp_path / "spectrum_histogram.json").read_text() == want
 

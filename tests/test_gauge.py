@@ -5,7 +5,7 @@ from ncg_ymh import dirac, fluct, gauge, verify
 from ncg_ymh.action import ActionPolynomial
 from ncg_ymh.clifford import build_gammas, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
-from ncg_ymh.errors import NotFlat
+from ncg_ymh.errors import DimensionMismatch, NotFlat
 
 POLY = ActionPolynomial((0.0, 0.5, 0.0, 1.0))
 SIGNATURES = [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
@@ -31,6 +31,21 @@ def test_random_unitary_properties():
     lhs = np.linalg.det(gp.u)
     rhs = np.linalg.det(u1) ** 3 * np.linalg.det(u2) ** 2
     assert abs(lhs - rhs) <= 1e-10
+
+
+def test_gauge_element_refuses_a_non_square_u():
+    with pytest.raises(DimensionMismatch, match=r"\(4, 6\)"):
+        gauge.GaugeElement(u=np.eye(4, 6, dtype=complex))
+
+
+def test_transform_refuses_a_unitary_of_another_size():
+    gt = make_triple(seed=3)  # m = 4
+    fl = fluct.random_fluctuation(gt, seed=4)
+    g = gauge.random_unitary(3, 2, seed=5)  # on C^6
+    with pytest.raises(DimensionMismatch, match=r"\(6, 6\), expected \(4, 4\)"):
+        gauge.transform(gt, fl, g)
+    with pytest.raises(DimensionMismatch, match=r"\(6, 6\), expected \(4, 4\)"):
+        gauge.covariance_report(gt, fl, g, POLY)
 
 
 def test_identity_element():
