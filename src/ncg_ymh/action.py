@@ -284,7 +284,8 @@ def sector_breakdown(tr: BiTraces, f: ActionPolynomial,
 
     S_YM = -(a4/4) sum e e Tr F^2, S_H = (1/2)(a2 Tr Phi^2 + a4 Tr Phi^4),
     S_theta = (1/2)(a2 Tr theta + a4 Tr theta^2) and S_gh the exact bracket
-    of `gauge_higgs_sector`.
+    a4 [Tr(Phi^2 theta) - 1/2 sum eta Tr([d_mu, Phi][d_nu, Phi])], which
+    with the other three sectors reproduces (1/4) Tr f(D) for degree <= 4.
     """
     a2, a4 = f.a2, f.a4
     s_ym = -a4 / 4 * tr.F2
@@ -311,15 +312,6 @@ def trace_d4_closed(gt: GaugeTriple, fl: Fluctuation) -> float:
     return -0.5 * tr.F2 + tr.theta2 + 2 * tr.Phi2_theta + tr.Phi4 - tr.dPhi2
 
 
-def gauge_higgs_sector(gt: GaugeTriple, fl: Fluctuation, a4: float) -> float:
-    """a4 [Tr(Phi^2 theta) - 1/2 sum eta Tr([d_mu, Phi][d_nu, Phi])].
-
-    This bracket is the exact coefficient grouping that, together with the
-    other three sectors, reproduces (1/4) Tr f(D) for degree <= 4.
-    """
-    return _gauge_higgs(_traces(gt, fl), a4)
-
-
 def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     """Both candidate forms of the gauge-Higgs sector, evaluated independently.
 
@@ -331,7 +323,7 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     no boundary to drop it over, so only the bracket reproduces the direct
     quartic trace.
     """
-    lhs = gauge_higgs_sector(gt, fl, a4)
+    lhs = _gauge_higgs(_traces(gt, fl), a4)
     e = gt.sig.e
     d = covariant_ops(gt, fl)
     Phi = higgs_field(fl, gt)

@@ -89,12 +89,12 @@ def load_matrix(path: str, what: str = "matrix") -> np.ndarray:
     return flat
 
 
-def _load_square(path: str, size: int, what: str, e: int | None = None) -> np.ndarray:
+def _load_square(path: str, size: int, what: str, e: int) -> np.ndarray:
     """load_matrix, refusing anything but a size x size matrix with M* = e M."""
     M = load_matrix(path, what)
     if M.shape != (size, size):
         raise ConfigError(f"{path}: {what} has shape {M.shape}, need ({size}, {size})")
-    if e is not None and not dirac.has_adjointness_type(M, e):
+    if not dirac.has_adjointness_type(M, e):
         raise ConfigError(f"{path}: {what} violates its adjointness type (M* = {e:+d} M)")
     return M
 
@@ -262,8 +262,7 @@ def _geometry(cfg: dict):
     elif d_f == "random":
         DF = dirac.random_hermitian(n, _seed_rng(cfg["seed"], 1))
     else:
-        DF = _load_square(d_f, n, "D_F")
-        DF = (DF + DF.conj().T) / 2
+        DF = _load_square(d_f, n, "D_F", 1)
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 

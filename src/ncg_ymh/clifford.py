@@ -156,16 +156,29 @@ def trace4(sig: Signature, mu: int, nu: int, alpha: int, rho: int) -> float:
                   + _eta_entry(sig, mu, rho) * _eta_entry(sig, nu, alpha))
 
 
-def _delta4(*idx) -> int:
-    return 1 if len(set(idx)) == 4 else 0
+def sign_s(sig: Signature, mu: int, nu: int, alpha: int, sigma_idx: int) -> int:
+    """s_{mu nu alpha sigma}: nonzero only when all four indices differ."""
+    if len({mu, nu, alpha, sigma_idx}) != 4:
+        return 0
+    return int(sig.e[mu] * (-1) ** mu * np.sign(nu - mu) * np.sign(sigma_idx - alpha))
+
+
+def sign_t(sig: Signature, mu: int, nu: int) -> int:
+    """t_{mu nu} = sum_{lam < rho} (-1)^{1+|mu-nu|} delta_{mu nu lam rho} e_lam e_rho."""
+    out = 0
+    for lam in range(4):
+        for rho in range(lam + 1, 4):
+            if len({mu, nu, lam, rho}) == 4:
+                out += (-1) ** (1 + abs(mu - nu)) * sig.e[lam] * sig.e[rho]
+    return out
 
 
 def verify_gamma_identities(mod: CliffordModule) -> dict:
     """Max absolute deviation of each gamma-algebra identity.
 
-    Covers the single/triple product expansions over all index pairs, the
-    trace-of-four-gammas formula over all 256 tuples, and the vanishing of
-    odd-product traces.
+    Covers the single/triple product expansions over all index pairs, with
+    the signs s and t the Weitzenbock form reads, the trace-of-four-gammas
+    formula over all 256 tuples, and the vanishing of odd-product traces.
     """
     sig = mod.signature
     g = mod.gammas
@@ -176,16 +189,9 @@ def verify_gamma_identities(mod: CliffordModule) -> dict:
     dev = 0.0
     for mu in range(4):
         for nu in range(4):
-            rhs = np.zeros((4, 4), dtype=complex)
-            if mu == nu:
-                rhs += g0123
-            acc = np.zeros((4, 4), dtype=complex)
-            for al in range(4):
-                for sgm in range(al + 1, 4):
-                    if _delta4(mu, nu, al, sgm):
-                        acc += sig.e[mu] * g[al] @ g[sgm]
-            rhs += float(np.sign(nu - mu)) * acc
-            rhs *= (-1) ** mu
+            rhs = (-1) ** mu * (mu == nu) * g0123 + sum(
+                sign_s(sig, mu, nu, al, sg) * g[al] @ g[sg]
+                for al in range(4) for sg in range(al + 1, 4))
             dev = max(dev, np.abs(g[mu] @ mod.gamma_hat(nu) - rhs).max())
     report["single_times_triple"] = dev
 
@@ -206,14 +212,7 @@ def verify_gamma_identities(mod: CliffordModule) -> dict:
     det = sig.det_eta()
     for mu in range(4):
         for nu in range(4):
-            rhs = np.zeros((4, 4), dtype=complex)
-            for lam in range(4):
-                for rho in range(4):
-                    if _delta4(mu, nu, lam, rho):
-                        rhs += 0.5 * (-1) ** (1 + abs(mu - nu)) * sig.e[lam] * sig.e[rho] \
-                            * g[mu] @ g[nu]
-            if mu == nu:
-                rhs -= sig.e[mu] * det * eye
+            rhs = sign_t(sig, mu, nu) * g[mu] @ g[nu] - (mu == nu) * sig.e[mu] * det * eye
             dev = max(dev, np.abs(mod.gamma_hat(mu) @ mod.gamma_hat(nu) - rhs).max())
     report["triple_times_triple"] = dev
 

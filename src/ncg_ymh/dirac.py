@@ -1,7 +1,8 @@
 """Fuzzy and gauge matrix spectral triples: data, Dirac operators, axioms.
 
-The product and fuzzy Dirac operators are special cases of the one
-assembler, `fluct.assemble_fluctuated`.
+Every Dirac operator is built by `fluct.assemble_fluctuated`: the product
+one at the zero fluctuation, `assemble_fluctuated(gt, zero_fluctuation(gt),
+mod)`, and the fuzzy one as that product operator at n = 1 and D_F = 0.
 
 The Hilbert space of a fuzzy geometry is V (x) M_N; a gauge triple tensors a
 finite part on M_n, giving V (x) M_N (x) M_n of dimension 4 N^2 n^2.  The
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordModule, Signature
+from .clifford import CliffordModule, Signature, sign_s, sign_t
 from .errors import DimensionMismatch
 from .superop import gen_comm, left_mult, transpose_permutation
 
@@ -73,10 +74,6 @@ class FiniteData:
             raise ValueError("D_F must be Hermitian")
 
     @property
-    def is_zero(self) -> bool:
-        return not np.abs(self.D_F).max() > 0
-
-    @property
     def is_scalar(self) -> bool:
         """D_F = c 1; exactly then Omega^1_{D_F} = span{a [D_F, b]} is 0, else all of M_n."""
         return not np.any(self.D_F - self.D_F[0, 0] * np.eye(self.n))
@@ -91,7 +88,8 @@ class GaugeTriple:
 
     @property
     def yang_mills(self) -> bool:
-        return self.finite.is_zero
+        """D_F = 0."""
+        return not np.abs(self.finite.D_F).max() > 0
 
     @property
     def N(self) -> int:
@@ -160,22 +158,6 @@ def zero_fuzzy(N: int, sig: Signature) -> FuzzyData:
     return FuzzyData(sig=sig, K=zero, K_hat=zero)
 
 
-def yang_mills_triple(fz: FuzzyData, n: int) -> GaugeTriple:
-    return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=np.zeros((n, n), dtype=complex)))
-
-
-def assemble_fuzzy_dirac(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
-    """D_f = sum_I gamma^I (x) {K_I, .}_{e_I} on V (x) M_N: the case n = 1, D_F = 0."""
-    return assemble_product_dirac(yang_mills_triple(fz, 1), mod)
-
-
-def assemble_product_dirac(gt: GaugeTriple, mod: CliffordModule) -> np.ndarray:
-    """D = D_f (x) 1_F + gamma_f (x) D_F on V (x) M_N (x) M_n, D_F acting by left
-    multiplication: `fluct.assemble_fluctuated` at zero fluctuation."""
-    from .fluct import assemble_fluctuated, zero_fluctuation
-    return assemble_fluctuated(gt, zero_fluctuation(gt), mod)
-
-
 def real_structure(mod: CliffordModule, m: int) -> np.ndarray:
     """Linear part S of J = S o conj on V (x) M_m.
 
@@ -208,9 +190,10 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int | np.random.See
     if D_F != 0 they are reported under 'informational_*' keys instead of the
     asserted ones.
     """
+    from .fluct import assemble_fluctuated, zero_fluctuation
     m = gt.m
     rng = np.random.default_rng(seed)
-    D = assemble_product_dirac(gt, mod)
+    D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     S = real_structure(mod, m)
     sig = gt.sig
     eye = np.eye(gt.hilbert_dim)
@@ -251,23 +234,6 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int | np.random.See
         dev = max(dev, np.abs(op.conj().T - e * op).max())
     report["block_e_selfadjointness"] = dev
     return report
-
-
-def sign_s(sig: Signature, mu: int, nu: int, alpha: int, sigma_idx: int) -> int:
-    """s_{mu nu alpha sigma}: nonzero only when all four indices differ."""
-    if len({mu, nu, alpha, sigma_idx}) != 4:
-        return 0
-    return int(sig.e[mu] * (-1) ** mu * np.sign(nu - mu) * np.sign(sigma_idx - alpha))
-
-
-def sign_t(sig: Signature, mu: int, nu: int) -> int:
-    """t_{mu nu} = sum_{lam < rho} (-1)^{1+|mu-nu|} delta_{mu nu lam rho} e_lam e_rho."""
-    out = 0
-    for lam in range(4):
-        for rho in range(lam + 1, 4):
-            if len({mu, nu, lam, rho}) == 4:
-                out += (-1) ** (1 + abs(mu - nu)) * sig.e[lam] * sig.e[rho]
-    return out
 
 
 def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:

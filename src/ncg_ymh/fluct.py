@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule
-from .dirac import (GaugeTriple, assemble_product_dirac, conjugate_by_J, lift,
-                    random_hermitian, random_typed, represent_algebra)
+from .dirac import (GaugeTriple, conjugate_by_J, lift, random_hermitian, random_typed,
+                    represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
 from .superop import gen_comm, left_mult, right_mult, unvec, vec
 
@@ -48,7 +48,7 @@ def connes_one_form(gt: GaugeTriple, mod: CliffordModule, pairs) -> np.ndarray:
     Each pair is (a, c) with a, c in M_N (x) M_n given as m x m matrices.
     """
     m = gt.m
-    D = assemble_product_dirac(gt, mod)
+    D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     omega = np.zeros_like(D)
     for a, c in pairs:
         if a.shape != (m, m) or c.shape != (m, m):

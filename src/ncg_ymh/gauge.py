@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionPolynomial, require_flat, sectors, spectral_action_direct
-from .clifford import build_gammas
+from .action import ActionPolynomial, require_flat, sectors
 from .dirac import GaugeTriple, lift
 from .errors import DimensionMismatch
-from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
+from .fluct import Fluctuation, covariant_matrices
 
 
 @dataclass(frozen=True)
@@ -113,17 +112,14 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
             Tu = Fu - LL
             ts_dev = max(ts_dev, np.abs(Tu - (u @ T0 @ ustar + u @ LL @ ustar - LL)).max())
 
-    b0 = sectors(gt, fl, f)
-    bu = sectors(gt, fl_u, f)
-    mod = build_gammas(gt.sig)
-    direct0 = spectral_action_direct(assemble_fluctuated(gt, fl, mod), f)
-    direct_u = spectral_action_direct(assemble_fluctuated(gt, fl_u, mod), f)
-    scale = max(1.0, abs(direct0))
+    b0 = sectors(gt, fl, f, include_direct=True)
+    bu = sectors(gt, fl_u, f, include_direct=True)
+    scale = max(1.0, abs(b0.total_direct))
 
     report = {
         "field_strength_covariance": cov,
         "ts_identity": ts_dev,
-        "action_invariance_rel": abs(direct_u - direct0) / scale,
+        "action_invariance_rel": abs(bu.total_direct - b0.total_direct) / scale,
         "sector_ym_rel": abs(bu.s_ym - b0.s_ym) / max(1.0, abs(b0.s_ym)),
         "sector_h_rel": abs(bu.s_h - b0.s_h) / max(1.0, abs(b0.s_h)),
         "sector_gh_rel": abs(bu.s_gh - b0.s_gh) / max(1.0, abs(b0.s_gh)),

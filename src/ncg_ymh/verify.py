@@ -84,8 +84,13 @@ def axioms(gt: GaugeTriple, mod, seed: int | np.random.SeedSequence) -> dict:
 
 
 def lichnerowicz(fz, mod) -> float:
-    """Relative deviation of the fuzzy D^2 from its six-term closed form."""
-    return _square_dev(dirac.assemble_fuzzy_dirac(fz, mod), dirac.lichnerowicz_rhs(fz, mod))
+    """Relative deviation of the fuzzy D^2 from its six-term closed form.
+
+    The fuzzy D is the product Dirac operator of the Yang-Mills triple at n = 1.
+    """
+    gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex)))
+    D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
+    return _square_dev(D, dirac.lichnerowicz_rhs(fz, mod))
 
 
 def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
@@ -101,7 +106,7 @@ def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
     pairs = [(np.kron(rnd(N), rnd(n)), np.kron(rnd(N), rnd(n))) for _ in range(3)]
     omega = fluct.connes_one_form(gt, mod, pairs)
     S = dirac.real_structure(mod, gt.m)
-    D = dirac.assemble_product_dirac(gt, mod)
+    D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
     D_fl = fluct.fluctuate(D, omega, S, gt.sig.eps_prime, symmetrize=True)
     fl = fluct.extract_fluctuation(gt, mod, (omega + omega.conj().T) / 2)
     closed = fluct.assemble_fluctuated(gt, fl, mod)

@@ -442,8 +442,21 @@ def test_sample_refuses_potential_and_higgs_files(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith(f"config error: fields.{key}")
 
 
-@pytest.mark.parametrize("key", ["A", "phi"])
+@pytest.mark.parametrize("key", ["A", "phi", "D_F"])
 def test_wrong_adjointness_field_file_is_config_error(tmp_path, capsys, key):
+    if key == "D_F":
+        # D_F must be Hermitian; a file that is not is refused, never symmetrized
+        path = str(tmp_path / "d_f.json")
+        cli.save_matrix(path, np.array([[1.0, 5.0], [0.0, 2.0]]))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": path},
+                                      "sampler": {"steps": 5, "burn_in": 0}, "out": str(out)})
+        for mode in ("action", "spectrum", "sample"):
+            assert run([mode, "--config", cfg]) == 2
+            assert capsys.readouterr().err == \
+                f"config error: {path}: D_F violates its adjointness type (M* = +1 M)\n"
+            assert list(out.iterdir()) == []
+        return
     rng = np.random.default_rng(8)
     H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     H = H + H.conj().T

@@ -116,6 +116,22 @@ def test_gamma_identities(p, q):
         assert dev <= 1e-12, f"({p},{q}) {name}: {dev}"
 
 
+@pytest.mark.parametrize("p,q", ALL_SIGS + [(4, 0)])
+@pytest.mark.parametrize("sign,check", [("sign_s", "single_times_triple"),
+                                        ("sign_t", "triple_times_triple")])
+def test_gamma_identities_read_the_weitzenbock_signs(monkeypatch, p, q, sign, check):
+    # the product checks are written with sign_s and sign_t, so one flipped sign shows
+    mod = clifford.build_module(p, q)
+    true_sign = getattr(clifford, sign)
+
+    def flipped(sig, mu, nu, *rest):
+        value = true_sign(sig, mu, nu, *rest)
+        return -value if (mu, nu) == (0, 1) else value
+
+    monkeypatch.setattr(clifford, sign, flipped)
+    assert clifford.verify_gamma_identities(mod)[check] > 0
+
+
 def test_triple_squares_riemannian():
     # gamma^{hat mu} gamma^{hat mu} = -e_mu det(eta) = +1 in (0, 4)
     mod = clifford.build_module(0, 4)

@@ -5,6 +5,7 @@ from ncg_ymh import clifford, dirac, verify
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
 from ncg_ymh.errors import DimensionMismatch
+from ncg_ymh.fluct import assemble_fluctuated, zero_fluctuation
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
 
@@ -85,14 +86,16 @@ def test_nan_blocks_rejected():
 def test_assemble_zero_and_single_block():
     sig = build_signature(0, 4)
     mod = build_module(0, 4)
-    assert np.abs(dirac.assemble_fuzzy_dirac(dirac.zero_fuzzy(2, sig), mod)).max() == 0
+    zero_D_F = FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex))
+    gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(2, sig), finite=zero_D_F)
+    assert np.abs(assemble_fluctuated(gt, zero_fluctuation(gt), mod)).max() == 0
 
     rng = np.random.default_rng(3)
     L0 = 1j * dirac.random_hermitian(2, rng)
     K, K_hat = zero_stacks()
     K[0] = L0
-    fz = FuzzyData(sig=sig, K=K, K_hat=K_hat)
-    D = dirac.assemble_fuzzy_dirac(fz, mod)
+    gt = GaugeTriple(fuzzy=FuzzyData(sig=sig, K=K, K_hat=K_hat), finite=zero_D_F)
+    D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     expected = np.kron(mod.gammas[0],
                        np.kron(np.eye(2), L0) - np.kron(L0.T, np.eye(2)))
     np.testing.assert_allclose(D, expected, atol=1e-14)
@@ -103,14 +106,14 @@ def test_assemble_zero_and_single_block():
 def test_product_dirac_selfadjoint(p, q):
     mod = build_module(p, q)
     gt = make_triple(p, q, with_DF=True, seed=7)
-    D = dirac.assemble_product_dirac(gt, mod)
+    D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     assert np.abs(D - D.conj().T).max() <= 1e-12
 
 
 def test_product_reduces_to_fuzzy_when_df_zero():
     mod = build_module(0, 4)
     gt = make_triple(0, 4, N=2, n=2, seed=5, with_DF=False)
-    D = dirac.assemble_product_dirac(gt, mod)
+    D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     # same assembly with every K replaced by K (x) 1_n
     n = gt.n
     expected = np.zeros_like(D)
@@ -162,7 +165,7 @@ def test_order_one_central_element_exact():
     mod = build_module(0, 4)
     gt = make_triple(0, 4, seed=4, with_DF=False)
     m = gt.m
-    D = dirac.assemble_product_dirac(gt, mod)
+    D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     S = dirac.real_structure(mod, m)
     rho_a = dirac.represent_algebra(2.5 * np.eye(m), m)
     rng = np.random.default_rng(0)
@@ -182,17 +185,17 @@ def test_j_square_branch_22():
 
 def test_sign_s_t_values():
     sig = build_signature(0, 4)
-    assert dirac.sign_s(sig, 0, 0, 1, 2) == 0
-    assert dirac.sign_t(sig, 1, 1) == 0
+    assert clifford.sign_s(sig, 0, 0, 1, 2) == 0
+    assert clifford.sign_t(sig, 1, 1) == 0
     # frozen: substitute into the definitions
-    assert dirac.sign_s(sig, 0, 1, 2, 3) == -1
-    assert dirac.sign_t(sig, 0, 1) == 1
+    assert clifford.sign_s(sig, 0, 1, 2, 3) == -1
+    assert clifford.sign_t(sig, 0, 1) == 1
     for mu in range(4):
         for nu in range(4):
-            assert dirac.sign_t(sig, mu, nu) in (-1, 0, 1)
+            assert clifford.sign_t(sig, mu, nu) in (-1, 0, 1)
             for al in range(4):
                 for sg in range(4):
-                    assert dirac.sign_s(sig, mu, nu, al, sg) in (-1, 0, 1)
+                    assert clifford.sign_s(sig, mu, nu, al, sg) in (-1, 0, 1)
 
 
 def test_lichnerowicz_zero_and_flat_reduction():

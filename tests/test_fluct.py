@@ -72,7 +72,7 @@ def test_one_form_higgs_only():
 def test_fluctuate_zero_and_rejection():
     gt = make_triple(0, 4, seed=7)
     mod = build_module(0, 4)
-    D = dirac.assemble_product_dirac(gt, mod)
+    D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
     S = dirac.real_structure(mod, gt.m)
     np.testing.assert_allclose(fluct.fluctuate(D, np.zeros_like(D), S, 1), D, atol=0)
     skew = np.zeros_like(D)
@@ -234,16 +234,13 @@ def test_blockwise_assembler_matches_kron_sum(p, q, case, with_DF):
     mod = build_module(p, q)
     n = 1 if case == "fuzzy" else 2
     gt = make_triple(p, q, N=3, n=n, seed=70, include_X=True, with_DF=with_DF)
+    # the product and fuzzy Dirac operators are the zero fluctuation, fuzzy at n = 1, D_F = 0
     if case == "fluctuated":
         fl = fluct.random_fluctuation(gt, seed=71)
         assert np.abs(fl.S).max() > 0 and gt.fuzzy.has_triples
-        got = fluct.assemble_fluctuated(gt, fl, mod)
-    elif case == "product":
-        fl = fluct.zero_fluctuation(gt)
-        got = dirac.assemble_product_dirac(gt, mod)
     else:
         fl = fluct.zero_fluctuation(gt)
-        got = dirac.assemble_fuzzy_dirac(gt.fuzzy, mod)
+    got = fluct.assemble_fluctuated(gt, fl, mod)
     want = _kron_sum(gt, fl, mod)
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -221,7 +221,7 @@ def test_chiral_pairing_symmetric_spectrum():
     mod = build_module(0, 4)
     fz = dirac.random_fuzzy(2, sig, seed=13, include_X=True)
     gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=2, D_F=np.zeros((2, 2), dtype=complex)))
-    D = dirac.assemble_product_dirac(gt, mod)
+    D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
     ev = np.sort(np.linalg.eigvalsh(D))
     np.testing.assert_allclose(ev, -ev[::-1], atol=1e-10)
 
