@@ -26,7 +26,9 @@ explicit commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from
 one (6m x m) @ (m x 6m) matrix product, not 36 small ones, and one `np.take`
 on flat indices gathers the 34 blocks the kernel reads.  At the sampler's
 sizes (m = 8) the cost is the number of numpy calls more than the flops, and
-this form keeps that number small.  The m^2 x m^2
+this form keeps that number small.  The sectors are checked against the
+direct trace of a dense D, `spectral_action_direct`, which holds two powers
+of D at a time: Tr D^(2j+1) = <D^j, D^(j+1)>.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength` and the shortcut side of
 `gauge_higgs_identity_sides`) are kept as brute-force oracles.  Index
 raising uses the constant signature eta = diag(e_0..e_3).
@@ -400,17 +402,22 @@ def require_self_adjoint(D: np.ndarray):
 
 
 def _upper_product(P: list, T: list) -> list:
-    """Tiles a <= c of the self-adjoint product P D from full tile grids of P and D.
+    """Tiles a <= c of the self-adjoint product P D from tile grids of P and D.
 
-    None is a zero tile; a product with a zero factor is skipped.
+    None is a zero tile, and a product with a zero factor is skipped.  A tile
+    that P lacks is read, one at a time, as the conjugate transpose of its
+    mirror, so a power may hold its tiles a <= b only; D's grid T is full.
     """
     g = len(T)
     out = [[None] * g for _ in range(g)]
     for a in range(g):
-        for c in range(a, g):
-            for b in range(g):
-                if P[a][b] is not None and T[b][c] is not None:
-                    term = P[a][b] @ T[b][c]
+        for b in range(g):
+            Pab = P[a][b] if P[a][b] is not None or P[b][a] is None else P[b][a].conj().T
+            if Pab is None:
+                continue
+            for c in range(a, g):
+                if T[b][c] is not None:
+                    term = Pab @ T[b][c]
                     if out[a][c] is None:
                         out[a][c] = term
                     else:
@@ -418,51 +425,43 @@ def _upper_product(P: list, T: list) -> list:
     return out
 
 
-def _mirror(P: list):
-    """Fill the tiles a > c of a self-adjoint tile grid from those a < c."""
-    for a in range(len(P)):
-        for c in range(a + 1, len(P)):
-            P[c][a] = None if P[a][c] is None else P[a][c].conj().T
+def _inner(P: list, Q: list) -> float:
+    """<P, Q> = Tr(P Q) of two self-adjoint tile grids, from their tiles a <= c."""
+    g = len(P)
+    return float(sum((1 if a == c else 2) * np.vdot(P[a][c], Q[a][c]).real
+                     for a in range(g) for c in range(a, g)
+                     if P[a][c] is not None and Q[a][c] is not None))
 
 
 def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
     """(1/4) Tr f(D) for a self-adjoint D, from traces of powers of D.
 
-    Tr f(D) = (1/2) sum_k a_k Tr D^k.  Only D^1 .. D^h, h = ceil(deg f / 2),
-    are formed, on the grid of D's 4 x 4 spinor blocks (one block when 4
-    does not divide dim): a product with a zero block of D is skipped, and
-    of each power only the blocks a <= c are formed, the powers being
-    self-adjoint.  Tr D^k is the trace of the diagonal blocks of D^k for
-    k <= h, and otherwise the Hilbert-Schmidt product <D^i, D^j> =
-    Tr(D^i D^j), i + j = k, read as real parts of block products with
-    weight 2 off the diagonal.  No diagonalisation: the default quartic
-    costs one block-wise matrix product, and the four anti-diagonal blocks
-    of every D that `assemble_fluctuated` writes are zero (odd products of
-    gammas never reach them).  The self-adjointness check is the pass that
-    finds the zero blocks.
+    Tr f(D) = (1/2) sum_k a_k Tr D^k by one rule: Tr D is the trace of D's
+    diagonal blocks, Tr D^(2j) = <D^j, D^j> and Tr D^(2j+1) = <D^j, D^(j+1)>,
+    each a real part of block products, weight 2 off the diagonal.  The
+    powers live on the grid of D's 4 x 4 spinor blocks (one block when 4
+    does not divide dim), each as its blocks a <= c, two at a time: D^j and
+    the D^(j+1) = D^j D it forms.  A product with a zero block of D is
+    skipped.  No diagonalisation: the default quartic costs one block-wise
+    matrix product, and the four anti-diagonal blocks of every D that
+    `assemble_fluctuated` writes are zero (odd products of gammas never
+    reach them).  The self-adjointness check is the pass that finds the
+    zero blocks.
     """
     if D.shape[0] != D.shape[1]:
         raise DimensionMismatch(f"operator not square: {D.shape}")
     tiles = _checked_tiles(D)
-    g, h = len(tiles), (f.degree + 1) // 2
-    total = 0.0
+    a, total = f.coefficient, 0.0
     # an overflow shows as a non-finite total, which the callers report
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [None, tiles]
-        for k in range(2, h + 1):
-            if k > 2:
-                _mirror(powers[-1])
-            powers.append(_upper_product(powers[-1], tiles))
-        for k, coeff in enumerate(f.coeffs, start=1):
-            if not coeff:
-                continue
-            if k <= h:
-                P = powers[k]
-                tr = sum(np.trace(P[a][a]).real for a in range(g) if P[a][a] is not None)
-            else:
-                Pi, Pj = powers[k // 2], powers[k - k // 2]
-                tr = sum((1 if a == c else 2) * np.vdot(Pi[a][c], Pj[a][c]).real
-                         for a in range(g) for c in range(a, g)
-                         if Pi[a][c] is not None and Pj[a][c] is not None)
-            total += 0.5 * coeff * float(tr)
+        if a(1):
+            total += 0.5 * a(1) * float(sum(np.trace(row[b]).real for b, row in enumerate(tiles)
+                                            if row[b] is not None))
+        P, j = tiles, 1
+        while 2 * j <= f.degree:
+            Q = _upper_product(P, tiles) if 2 * j < f.degree else None
+            for k, R in ((2 * j, P), (2 * j + 1, Q)):
+                if a(k):
+                    total += 0.5 * a(k) * _inner(P, R)
+            P, j = Q, j + 1
     return 0.25 * total

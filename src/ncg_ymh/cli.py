@@ -35,7 +35,7 @@ import numpy as np
 from . import clifford, dirac, fluct
 from .action import ActionPolynomial, sectors
 from .dirac import FiniteData, FuzzyData, GaugeTriple
-from .errors import NcgError
+from .errors import NcgError, NotSelfAdjoint
 from .sampler import (_DRAW_ENTRIES, _STEP_SIZES, SamplerConfig, batch_means,
                       effective_sample_size, gaussian_self_test, run_chain,
                       stationarity_check, symmetric_histogram, tau_int)
@@ -266,13 +266,21 @@ def _geometry(cfg: dict):
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF
 
 
+def _drawn(fields: dict, draw, *args, **kwargs):
+    """draw(*args, **kwargs) at fields.scale; a scale at which the draw overflows is refused."""
+    try:
+        return draw(*args, scale=fields["scale"], **kwargs)
+    except OverflowError as exc:
+        raise ConfigError(f"fields.scale = {fields['scale']!r} is too large: {exc}") from None
+
+
 def _triple(cfg: dict) -> GaugeTriple:
     """The gauge triple of a resolved config, per its geometry and fields blocks."""
     sig, N, n, DF = _geometry(cfg)
     fields = cfg["fields"]
     if fields["source"] == "random":
-        fz = dirac.random_fuzzy(N, sig, scale=fields["scale"], seed=fields["seed"],
-                                include_X=fields["include_x"])
+        fz = _drawn(fields, dirac.random_fuzzy, N, sig, seed=fields["seed"],
+                    include_X=fields["include_x"])
     else:  # "zero" leaves every K path null
         K = {kind: np.zeros((4, N, N), dtype=complex) for kind in ("mu", "hat")}
         signs = {"mu": sig.e, "hat": sig.e_hat}
@@ -288,7 +296,7 @@ def _fields(cfg: dict):
     """`_triple` plus the fluctuation per the fields block of a resolved config."""
     gt, fields = _triple(cfg), cfg["fields"]
     if fields["source"] == "random" and fields["fluctuation"]:
-        return gt, fluct.random_fluctuation(gt, scale=fields["scale"], seed=fields["seed"] + 1)
+        return gt, _drawn(fields, fluct.random_fluctuation, gt, seed=fields["seed"] + 1)
     fl = fluct.zero_fluctuation(gt)  # A and phi stay at [] and null unless the source is "files"
     for mu, path in enumerate(fields["A"]):
         fl.A[mu] = _load_square(path, gt.m, f"A{mu}", gt.sig.e[mu])
@@ -314,15 +322,23 @@ def _require_fits(need: int, what: str, parts: str):
                           f"the {limit / 2**30:.1f} GiB of memory available")
 
 
-def _dense_inputs(cfg: dict):
+def _dense_inputs(cfg: dict, degree: int | None = None):
     """(gauge triple, fluctuation) of a config whose dense Dirac operator fits in memory.
 
-    D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n, and
-    eigvalsh (or the powers of the direct trace) needs about as much again.
+    D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n.  spectrum
+    (degree None) holds D and eigvalsh's copy; action, for a poly of the given
+    degree, D and the blocks a <= c of D^2 (about 0.75 D) up to degree 4, and
+    of two powers of D (about 1.4 D) beyond.
     """
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
-    _require_fits(2 * 256 * (N * n) ** 4, f"the dense Dirac operator at N = {N}, n = {n}",
-                  "D and one copy")
+    size = 256 * (N * n) ** 4
+    if degree is None:
+        need, parts = 2 * size, "D and eigvalsh's copy"
+    elif degree <= 4:
+        need, parts = 2 * size, f"D and D^2 for a poly of degree {degree}"
+    else:
+        need, parts = 5 * size // 2, f"D and two of its powers for a poly of degree {degree}"
+    _require_fits(need, f"the dense Dirac operator at N = {N}, n = {n}", parts)
     return _fields(cfg)
 
 
@@ -368,9 +384,12 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_action(cfg: dict) -> int:
-    gt, fl = _dense_inputs(cfg)
     poly = _poly(cfg)
-    br = sectors(gt, fl, poly, include_direct=True)
+    gt, fl = _dense_inputs(cfg, poly.degree)
+    # an overflow shows as a non-finite D, which the direct trace refuses, or as a
+    # non-finite action, refused below; neither warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        br = sectors(gt, fl, poly, include_direct=True)
     out = {
         "s_ym": br.s_ym, "s_h": br.s_h, "s_gh": br.s_gh, "s_theta": br.s_theta,
         "total_closed": br.total_closed, "total_direct": br.total_direct,
@@ -394,7 +413,10 @@ def cmd_spectrum(cfg: dict) -> int:
     _require_fits(64 * bins, f"the spectrum histogram at histogram_bins = {bins}",
                   "its edges and counts, as arrays and as the lists written")
     gt, fl = _dense_inputs(cfg)
-    D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
+    if not np.isfinite(D).all():  # as action's direct trace refuses it, before eigvalsh
+        raise NotSelfAdjoint("operator has non-finite entries")
     ev = np.linalg.eigvalsh(D)  # ascending
     path = os.path.join(cfg["out"], "spectrum.csv")
     with open(path, "w", newline="") as fh:

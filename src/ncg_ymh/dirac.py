@@ -125,8 +125,18 @@ def lift(K, n: int) -> np.ndarray:
     return np.einsum("...ij,ab->...iajb", K, np.eye(n)).reshape(K.shape[:-2] + (N * n, N * n))
 
 
+def complex_gaussian(rng, n: int, k: int | None = None) -> np.ndarray:
+    """An n x n complex Gaussian matrix, or a stack of k: real parts, then imaginary parts.
+
+    Each matrix draws its n^2 real parts and then its n^2 imaginary parts,
+    so a stack of k draws the stream of k single draws.
+    """
+    M = rng.normal(size=(2, n, n) if k is None else (k, 2, n, n))
+    return M[..., 0, :, :] + 1j * M[..., 1, :, :]
+
+
 def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    M = complex_gaussian(rng, n)
     return scale * (M + M.conj().T) / 2
 
 
@@ -142,14 +152,18 @@ def random_fuzzy(N: int, sig: Signature, scale: float | None = None,
 
     scale defaults to 1/sqrt(N) so spectra stay O(1) as N grows.  The four
     K_mu are drawn first, then the four K_hat_mu; with include_X false
-    K_hat is zeros and nothing more is drawn ('flat' data).
+    K_hat is zeros and nothing more is drawn ('flat' data).  A scale at which
+    the blocks overflow raises OverflowError, without numpy's warnings.
     """
     if scale is None:
         scale = 1.0 / np.sqrt(N)
     rng = np.random.default_rng(seed)
-    K = np.array([random_typed(N, rng, e, scale) for e in sig.e])
-    K_hat = np.array([random_typed(N, rng, e, scale) for e in sig.e_hat]) if include_X \
-        else np.zeros_like(K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.array([random_typed(N, rng, e, scale) for e in sig.e])
+        K_hat = np.array([random_typed(N, rng, e, scale) for e in sig.e_hat]) if include_X \
+            else np.zeros_like(K)
+    if not (np.isfinite(K).all() and np.isfinite(K_hat).all()):
+        raise OverflowError("the K blocks overflow")
     return FuzzyData(sig=sig, K=K, K_hat=K_hat)
 
 
@@ -216,8 +230,7 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int | np.random.See
     worst_order_one = 0.0
     worst_commutant = 0.0
     for _ in range(pairs):
-        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a, b = complex_gaussian(rng, m), complex_gaussian(rng, m)
         rho_a = represent_algebra(a, m)
         b_op = conjugate_by_J(represent_algebra(b.conj().T, m), S)
         inner = D @ rho_a - rho_a @ D

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule
-from .dirac import (GaugeTriple, conjugate_by_J, lift, random_hermitian, random_typed,
-                    represent_algebra)
+from .dirac import (GaugeTriple, complex_gaussian, conjugate_by_J, lift, random_hermitian,
+                    random_typed, represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
 from .superop import gen_comm, left_mult, right_mult, unvec, vec
 
@@ -118,25 +118,28 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
 
     The four A_mu are drawn first, then the four S_mu only when the fuzzy
     data has X blocks (else S is zeros), then phi: a symmetrized sum of
-    three X (x) a [D_F, c] terms, zero for Yang-Mills triples.
+    three X (x) a [D_F, c] terms, zero for Yang-Mills triples.  A scale at
+    which the fields overflow raises OverflowError, without numpy's warnings.
     """
     sig = gt.sig
     m = gt.m
     if scale is None:
         scale = 1.0 / np.sqrt(m)
     rng = np.random.default_rng(seed)
-    A = np.array([random_typed(m, rng, e, scale) for e in sig.e])
-    S = np.array([random_typed(m, rng, e, scale) for e in sig.e_hat]) if gt.fuzzy.has_triples \
-        else np.zeros_like(A)
-    phi = np.zeros((m, m), dtype=complex)
-    if not gt.yang_mills:
-        n = gt.n
-        for _ in range(3):
-            X = random_hermitian(gt.N, rng, scale)
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            w = np.kron(X, a @ (gt.finite.D_F @ c - c @ gt.finite.D_F))
-            phi += (w + w.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.array([random_typed(m, rng, e, scale) for e in sig.e])
+        S = np.array([random_typed(m, rng, e, scale) for e in sig.e_hat]) \
+            if gt.fuzzy.has_triples else np.zeros_like(A)
+        phi = np.zeros((m, m), dtype=complex)
+        if not gt.yang_mills:
+            n = gt.n
+            for _ in range(3):
+                X = random_hermitian(gt.N, rng, scale)
+                a, c = complex_gaussian(rng, n), complex_gaussian(rng, n)
+                w = np.kron(X, a @ (gt.finite.D_F @ c - c @ gt.finite.D_F))
+                phi += (w + w.conj().T) / 2
+    if not all(np.isfinite(x).all() for x in (A, S, phi)):
+        raise OverflowError("the fluctuation overflows")
     return Fluctuation(A=A, S=S, phi=phi)
 
 

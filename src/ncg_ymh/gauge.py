@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionPolynomial, require_flat, sectors
-from .dirac import GaugeTriple, lift
+from .dirac import GaugeTriple, complex_gaussian, lift
 from .errors import DimensionMismatch
 from .fluct import Fluctuation, covariant_matrices
 
@@ -35,8 +35,7 @@ class GaugeElement:
 
 
 def _haar(sz: int, rng) -> np.ndarray:
-    z = rng.normal(size=(sz, sz)) + 1j * rng.normal(size=(sz, sz))
-    Q, R = np.linalg.qr(z)
+    Q, R = np.linalg.qr(complex_gaussian(rng, sz))
     d = np.diag(R)
     return Q * (d / np.abs(d))
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
                      sector_breakdown)
-from .dirac import GaugeTriple
+from .dirac import GaugeTriple, complex_gaussian
 from .errors import NotFlat, UnstableAction
 from .fluct import Fluctuation, covariant_matrices
 
@@ -181,11 +181,11 @@ _DRAW_ENTRIES = 1 << 12
 def _generators(rng, k: int, m: int, e: int, s: int) -> np.ndarray:
     """The next k increments of a field that enters as l(Y) + s r(Y) and has M* = e M.
 
-    The Hermitian generators are drawn as k `random_hermitian` calls draw
-    them, made traceless where s = -1 and multiplied by i where e = -1.
+    The Hermitian generators are k `complex_gaussian` draws, made Hermitian
+    as `random_hermitian` makes them, traceless where s = -1 and multiplied
+    by i where e = -1.
     """
-    M = rng.normal(size=(k, 2, m, m))
-    M = M[:, 0] + 1j * M[:, 1]
+    M = complex_gaussian(rng, m, k)
     H = (M + M.conj().transpose(0, 2, 1)) / 2
     if s == -1:
         H = H - np.trace(H, axis1=1, axis2=2)[:, None, None] * (np.eye(m) / m)

@@ -99,11 +99,9 @@ def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
     omega is the Connes one-form of three random pairs (a, c), each factor a
     Kronecker product of complex Gaussian N x N and n x n matrices.
     """
-    def rnd(size):
-        return rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-
     N, n = gt.N, gt.n
-    pairs = [(np.kron(rnd(N), rnd(n)), np.kron(rnd(N), rnd(n))) for _ in range(3)]
+    pairs = [tuple(np.kron(dirac.complex_gaussian(rng, N), dirac.complex_gaussian(rng, n))
+                   for _ in range(2)) for _ in range(3)]
     omega = fluct.connes_one_form(gt, mod, pairs)
     S = dirac.real_structure(mod, gt.m)
     D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
@@ -153,11 +151,11 @@ def field_strength_adjointness(gt: GaugeTriple, fl) -> float:
 
 
 def trace_lemmas(gt: GaugeTriple, fl, mod) -> tuple:
-    """Relative deviations of the closed (1/4) Tr D^2 and (1/4) Tr D^4 from brute force."""
+    """Relative deviations of the closed (1/4) Tr D^2 and (1/4) Tr D^4 from the direct trace."""
     D = fluct.assemble_fluctuated(gt, fl, mod)
-    D2 = D @ D
-    lhs2 = 0.25 * np.trace(D2).real
-    lhs4 = 0.25 * np.trace(D2 @ D2).real
+    # (1/4) Tr f(D) for f = x^2 and x^4 (a_k = 2)
+    lhs2, lhs4 = (action_mod.spectral_action_direct(D, ActionPolynomial((0.0,) * (k - 1) + (2.0,)))
+                  for k in (2, 4))
     return (_rel(abs(lhs2 - action_mod.trace_d2_closed(gt, fl)), abs(lhs2)),
             _rel(abs(lhs4 - action_mod.trace_d4_closed(gt, fl)), abs(lhs4)))
 

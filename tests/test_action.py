@@ -11,6 +11,7 @@ from ncg_ymh.errors import NotFlat, NotSelfAdjoint
 from ncg_ymh.superop import gen_comm
 
 POLY = ActionPolynomial((0.0, 0.7, 0.0, 1.3))
+DEGREE_8 = (0.3, -0.7, 0.5, 1.1, -0.2, 0.9, 0.1, 0.4)  # truncated to test each degree
 
 
 def make_triple(p=0, q=4, N=2, n=2, seed=0, include_X=False, with_DF=True):
@@ -210,14 +211,14 @@ def test_bitracial_kernel_matches_superoperators(p, q, N, with_DF):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", range(1, 9))
 @pytest.mark.parametrize("with_DF", [True, False])
 @pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
 def test_spectral_action_direct_matches_eigenvalues(p, q, with_DF, degree):
     gt = make_triple(p=p, q=q, N=2, seed=50 + degree, include_X=True, with_DF=with_DF)
     fl = fluct.random_fluctuation(gt, seed=60 + degree)
     D = fluct.assemble_fluctuated(gt, fl, build_module(p, q))
-    f = ActionPolynomial((0.3, -0.7, 0.5, 1.1, -0.2, 0.9)[:degree])
+    f = ActionPolynomial(DEGREE_8[:degree])
     ev = np.linalg.eigvalsh(D)
     want = 0.25 * f.evaluate_sum(ev)
     # relative to the size of the summed terms: Tr D vanishes identically
@@ -421,7 +422,7 @@ def test_direct_trace_matches_dense_at_evaluate_size():
     assert abs(action.spectral_action_direct(D, f) - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("degree", range(1, 7))
+@pytest.mark.parametrize("degree", range(1, 9))
 @pytest.mark.parametrize("data", ["triple_blocks", "dense_tiles", "dim_7"])
 def test_direct_trace_matches_dense(data, degree):
     if data == "triple_blocks":
@@ -436,11 +437,29 @@ def test_direct_trace_matches_dense(data, degree):
                                    np.random.default_rng(degree))
         zero = _zero_tiles(D)  # a 4 x 4 grid of dense tiles, or one tile for dim 7
         assert len(zero) == (4 if data == "dense_tiles" else 1) and not any(map(any, zero))
-    f = ActionPolynomial((0.3, -0.7, 0.5, 1.1, -0.2, 0.9)[:degree])
+    f = ActionPolynomial(DEGREE_8[:degree])
     ev = np.linalg.eigvalsh(D)
     # relative to the size of the summed terms: Tr D^k may cancel for odd k
     scale = 0.25 * ActionPolynomial(tuple(map(abs, f.coeffs))).evaluate_sum(np.abs(ev))
     assert abs(action.spectral_action_direct(D, f) - _dense_direct(D, f)) <= 1e-12 * scale
+
+
+def test_direct_trace_holds_two_powers_at_a_time():
+    # beyond D, degree 6 holds D^2 and D^3, and degree 16 no more: two powers at a time.
+    # The slack of 1% of D is the interpreter's own bookkeeping (tens of bytes); one more
+    # power would add about 60% of D
+    import tracemalloc
+    gt = make_triple(N=3, n=2, seed=7)
+    D = fluct.assemble_fluctuated(gt, fluct.random_fluctuation(gt, seed=8), build_module(0, 4))
+    peaks = {}
+    for degree in (6, 16):
+        tracemalloc.start()
+        try:
+            action.spectral_action_direct(D, ActionPolynomial((0.1,) * (degree - 1) + (1.0,)))
+            peaks[degree] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= peaks[6] + D.nbytes // 100, (peaks, D.nbytes)
 
 
 def test_direct_trace_of_zero_operator():

@@ -544,6 +544,54 @@ def test_dense_operator_beyond_memory_is_config_error(tmp_path, command):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize("poly,code", [([0, 1, 0, 1], 0), ([0, 1, 0, 0, 0, 1], 2)])
+def test_dense_guard_counts_the_poly_degree(tmp_path, monkeypatch, capsys, poly, code):
+    # N = n = 2: D takes 256 m^4 bytes, m = 4.  Under a limit of 2.2 D the quartic (D and
+    # D^2, 2 D) fits, and a sextic (D and two of its powers, 2.5 D) is refused unbuilt
+    soft = int(2.2 * 256 * 4 ** 4)
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda _: (soft, resource.RLIM_INFINITY))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 2}, "poly": poly, "out": str(out)})
+    assert run(["action", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and os.listdir(out) == ["action_breakdown.json"]
+    else:
+        assert err.startswith("config error: the dense Dirac operator at N = 2, n = 2 needs ")
+        assert "degree 6" in err and err.count("\n") == 1, err
+        assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["action", "spectrum"])
+def test_operator_that_overflows_is_one_error_line(tmp_path, command):
+    # K_0 = i diag(1e308, -1e308) is finite, but D's diagonal sums overflow
+    path = str(tmp_path / "k0.json")
+    cli.save_matrix(path, 1j * np.diag([1e308, -1e308]))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 1},
+                                  "fields": {"source": "files", "K": {"mu0": path}},
+                                  "out": str(out)})
+    res = run_process([command, "--config", cfg])
+    assert res.returncode == 1
+    assert res.stderr == "error: operator has non-finite entries\n", res.stderr
+    assert os.listdir(out) == []
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+@pytest.mark.parametrize("scale,command", [(1e308, "action"), (1e308, "spectrum"),
+                                           (1e308, "sample"), (1e307, "action"),
+                                           (1e307, "spectrum")])
+def test_fields_that_overflow_are_config_error(tmp_path, capsys, scale, command):
+    # at 1e308 the K blocks overflow, at 1e307 the fluctuation (a chain draws none)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**HUGE_FIELDS, "fields": {"scale": scale}, "out": str(out)})
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: fields.scale = {scale!r} is too large: ")
+    assert err.count("\n") == 1, err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("bins", [10 ** 12, 10 ** 20])
 def test_histogram_beyond_memory_is_one_config_error_line(tmp_path, capsys, bins):
     # refused before D is built and spectrum.csv is written, not by numpy's histogram

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ncg_ymh import clifford, dirac, verify
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
 from ncg_ymh.errors import DimensionMismatch
-from ncg_ymh.fluct import assemble_fluctuated, zero_fluctuation
+from ncg_ymh.fluct import assemble_fluctuated, random_fluctuation, zero_fluctuation
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
 
@@ -18,6 +20,31 @@ def make_triple(p, q, N=2, n=2, seed=0, include_X=True, with_DF=False):
     else:
         DF = np.zeros((n, n), dtype=complex)
     return GaugeTriple(fuzzy=fz, finite=FiniteData(n=n, D_F=DF))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_complex_gaussian_draws_real_then_imaginary_parts(n):
+    # one stream for single and stacked draws: the stream of rng.normal, n^2 real parts
+    # and then n^2 imaginary parts per matrix
+    rngs = [np.random.default_rng(3) for _ in range(3)]
+    want = [rngs[0].normal(size=(n, n)) + 1j * rngs[0].normal(size=(n, n)) for _ in range(3)]
+    single = [dirac.complex_gaussian(rngs[1], n) for _ in range(3)]
+    stacked = dirac.complex_gaussian(rngs[2], n, 3)
+    assert np.array(want).tobytes() == np.array(single).tobytes() == stacked.tobytes()
+    assert len({rng.normal() for rng in rngs}) == 1
+
+
+def test_random_fields_that_overflow_are_refused():
+    # at 1e308 the K blocks overflow; at 1e307 they are finite, but phi is not
+    sig = build_signature(0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without numpy's warnings
+        with pytest.raises(OverflowError, match="K blocks"):
+            dirac.random_fuzzy(2, sig, scale=1e308)
+        gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, sig, scale=1e307),
+                         finite=FiniteData(n=2, D_F=np.diag([1.0, -1.0]).astype(complex)))
+        with pytest.raises(OverflowError, match="fluctuation"):
+            random_fluctuation(gt, scale=1e307)
 
 
 def test_random_fuzzy_adjointness_types():
