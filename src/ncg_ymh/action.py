@@ -108,7 +108,7 @@ def require_flat(gt: GaugeTriple, fl: Fluctuation):
     """Refuse nonzero triple-index blocks K_hat and nonzero S matrices (NotFlat)."""
     if gt.fuzzy.has_triples:
         raise NotFlat("fuzzy data carries nonzero triple-index blocks")
-    if np.abs(fl.S).max() > 0:
+    if np.any(fl.S):  # a NaN is nonzero
         raise NotFlat("fluctuation carries nonzero S matrices")
 
 
@@ -374,7 +374,8 @@ def _checked_tiles(D: np.ndarray) -> list:
                 rows, mirror = up[r:r + step], lo[:, r:r + step]
                 t_up = np.abs(rows).max()
                 # the rows of a diagonal tile cover its mirror; off the diagonal
-                # each maximum is tested, since max(x, nan) drops a NaN
+                # each maximum is tested, since max(x, nan) drops a NaN (the
+                # reason every identity check folds with clifford.worst)
                 t_lo = t_up if a == c else np.abs(mirror).max()
                 if not (np.isfinite(t_up) and np.isfinite(t_lo)):
                     raise NotSelfAdjoint("operator has non-finite entries")
@@ -441,10 +442,11 @@ def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
     each a real part of block products, weight 2 off the diagonal.  The
     powers live on the grid of D's 4 x 4 spinor blocks (one block when 4
     does not divide dim), each as its blocks a <= c, two at a time: D^j and
-    the D^(j+1) = D^j D it forms.  A product with a zero block of D is
-    skipped.  No diagonalisation: the default quartic costs one block-wise
-    matrix product, and the four anti-diagonal blocks of every D that
-    `assemble_fluctuated` writes are zero (odd products of gammas never
+    the D^(j+1) = D^j D it forms; Tr D^2 = <D, D> is one pass over D itself,
+    which copies nothing when D is contiguous.  A product with a zero block
+    of D is skipped.  No diagonalisation: the default quartic costs one
+    block-wise matrix product, and the four anti-diagonal blocks of every D
+    that `assemble_fluctuated` writes are zero (odd products of gammas never
     reach them).  The self-adjointness check is the pass that finds the
     zero blocks.
     """
@@ -462,6 +464,6 @@ def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
             Q = _upper_product(P, tiles) if 2 * j < f.degree else None
             for k, R in ((2 * j, P), (2 * j + 1, Q)):
                 if a(k):
-                    total += 0.5 * a(k) * _inner(P, R)
+                    total += 0.5 * a(k) * (float(np.vdot(D, D).real) if k == 2 else _inner(P, R))
             P, j = Q, j + 1
     return 0.25 * total

@@ -374,9 +374,9 @@ def cmd_verify(cfg: dict) -> int:
         ok = ok and all(r.passed for r in results)
     report_path = os.path.join(cfg["out"], "verify_report.json")
     with open(report_path, "w") as fh:
-        json.dump({"pass": ok, "signatures": report}, fh, indent=1)
+        json.dump({"pass": ok, "signatures": report}, fh, indent=1, allow_nan=False)
     for (p, q), results in zip(sigs, all_results):
-        worst = max(r.max_deviation for r in results)
+        worst = clifford.worst(r.max_deviation for r in results)
         status = "ok" if all(r.passed for r in results) else "FAIL"
         print(f"({p},{q}): {len(results)} identities, worst deviation {worst:.2e} [{status}]")
     print(f"report: {report_path}")

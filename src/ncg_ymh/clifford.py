@@ -18,6 +18,9 @@ Conventions (fixed once, used everywhere):
   sigma_eta = (-i)^{s(s+1)/2 mod 4}, s = (q - p) mod 8.
 * charge conjugation C = U_C o (entrywise conjugation), U_C found by a
   deterministic search over the 16 Pauli tensor monomials.
+* every identity check of the package (here, in `dirac`, `gauge` and
+  `verify`) folds its deviations with `worst`: the largest, or NaN if any
+  deviation is NaN, so a NaN fails its identity instead of vanishing.
 """
 from __future__ import annotations
 
@@ -173,6 +176,16 @@ def sign_t(sig: Signature, mu: int, nu: int) -> int:
     return out
 
 
+def worst(values) -> float:
+    """The largest of the deviations `values`, or NaN if any of them is NaN.
+
+    Every identity check folds its deviations by this one rule: the builtin
+    max drops a NaN (max(0.0, nan) is 0.0), np.max keeps it.  A zero reads
+    0.0, never -0.0.
+    """
+    return float(np.max(tuple(values))) + 0.0
+
+
 def verify_gamma_identities(mod: CliffordModule) -> dict:
     """Max absolute deviation of each gamma-algebra identity.
 
@@ -182,58 +195,34 @@ def verify_gamma_identities(mod: CliffordModule) -> dict:
     """
     sig = mod.signature
     g = mod.gammas
+    hat = [mod.gamma_hat(mu) for mu in range(4)]
     eye = np.eye(4)
     g0123 = g[0] @ g[1] @ g[2] @ g[3]
+    det = sig.det_eta()
+    pairs = [(mu, nu) for mu in range(4) for nu in range(4)]
     report = {}
 
-    dev = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            rhs = (-1) ** mu * (mu == nu) * g0123 + sum(
-                sign_s(sig, mu, nu, al, sg) * g[al] @ g[sg]
-                for al in range(4) for sg in range(al + 1, 4))
-            dev = max(dev, np.abs(g[mu] @ mod.gamma_hat(nu) - rhs).max())
-    report["single_times_triple"] = dev
+    def single_triple(mu, nu):
+        return (-1) ** mu * (mu == nu) * g0123 + sum(
+            sign_s(sig, mu, nu, al, sg) * g[al] @ g[sg]
+            for al in range(4) for sg in range(al + 1, 4))
 
-    dev = 0.0
-    for mu in range(4):
-        dev = max(dev, np.abs(mod.gamma_hat(mu) @ g[mu] + g[mu] @ mod.gamma_hat(mu)).max())
-    report["triple_single_anticommute"] = dev
-
-    dev = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            if nu == mu:
-                continue
-            dev = max(dev, np.abs(mod.gamma_hat(nu) @ g[mu] - g[mu] @ mod.gamma_hat(nu)).max())
-    report["triple_single_commute"] = dev
-
-    dev = 0.0
-    det = sig.det_eta()
-    for mu in range(4):
-        for nu in range(4):
-            rhs = sign_t(sig, mu, nu) * g[mu] @ g[nu] - (mu == nu) * sig.e[mu] * det * eye
-            dev = max(dev, np.abs(mod.gamma_hat(mu) @ mod.gamma_hat(nu) - rhs).max())
-    report["triple_times_triple"] = dev
-
-    dev = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            for al in range(4):
-                for rho in range(4):
-                    direct = np.trace(g[mu] @ g[nu] @ g[al] @ g[rho])
-                    dev = max(dev, abs(direct - trace4(sig, mu, nu, al, rho)))
-    report["trace_four_gammas"] = dev
-
-    dev = 0.0
-    for mu in range(4):
-        dev = max(dev, abs(np.trace(g[mu])))
-        for nu in range(4):
-            for rho in range(4):
-                dev = max(dev, abs(np.trace(g[mu] @ g[nu] @ g[rho])))
-                dev = max(dev, abs(np.trace(g[mu] @ g[nu] @ g[rho] @ mod.chirality)))
-    report["odd_traces"] = dev
-
+    report["single_times_triple"] = worst(
+        np.abs(g[mu] @ hat[nu] - single_triple(mu, nu)).max() for mu, nu in pairs)
+    report["triple_single_anticommute"] = worst(
+        np.abs(hat[mu] @ g[mu] + g[mu] @ hat[mu]).max() for mu in range(4))
+    report["triple_single_commute"] = worst(
+        np.abs(hat[nu] @ g[mu] - g[mu] @ hat[nu]).max() for mu, nu in pairs if nu != mu)
+    report["triple_times_triple"] = worst(
+        np.abs(hat[mu] @ hat[nu]
+               - (sign_t(sig, mu, nu) * g[mu] @ g[nu] - (mu == nu) * sig.e[mu] * det * eye)).max()
+        for mu, nu in pairs)
+    report["trace_four_gammas"] = worst(
+        abs(np.trace(g[mu] @ g[nu] @ g[al] @ g[rho]) - trace4(sig, mu, nu, al, rho))
+        for mu, nu in pairs for al, rho in pairs)
+    triples = [g[mu] @ g[nu] @ g[rho] for mu, nu in pairs for rho in range(4)]
+    report["odd_traces"] = worst(
+        abs(np.trace(x)) for x in (*g, *triples, *(t @ mod.chirality for t in triples)))
     return report
 
 
@@ -244,31 +233,26 @@ def verify_module_invariants(mod: CliffordModule) -> dict:
     eye = np.eye(4)
     report = {}
 
-    dev = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            target = 2.0 * _eta_entry(sig, mu, nu) * eye
-            dev = max(dev, np.abs(g[mu] @ g[nu] + g[nu] @ g[mu] - target).max())
-    report["anticommutation"] = dev
-
-    report["unitarity"] = max(np.abs(gm @ gm.conj().T - eye).max() for gm in g)
-    report["adjointness"] = max(
+    report["anticommutation"] = worst(
+        np.abs(g[mu] @ g[nu] + g[nu] @ g[mu] - 2.0 * _eta_entry(sig, mu, nu) * eye).max()
+        for mu in range(4) for nu in range(4))
+    report["unitarity"] = worst(np.abs(gm @ gm.conj().T - eye).max() for gm in g)
+    report["adjointness"] = worst(
         np.abs(g[mu].conj().T - sig.e[mu] * g[mu]).max() for mu in range(4))
 
     c = mod.chirality
     report["chirality_square"] = np.abs(c @ c - eye).max()
     report["chirality_selfadjoint"] = np.abs(c - c.conj().T).max()
-    report["chirality_anticommutes"] = max(
-        np.abs(c @ gm + gm @ c).max() for gm in g)
+    report["chirality_anticommutes"] = worst(np.abs(c @ gm + gm @ c).max() for gm in g)
 
     U = mod.conj_unitary
     report["conj_square"] = np.abs(U @ U.conj() - sig.eps * eye).max()
-    report["conj_gamma"] = max(
+    report["conj_gamma"] = worst(
         np.abs(U @ gm.conj() - sig.eps_prime * gm @ U).max() for gm in g)
     report["conj_chirality"] = np.abs(U @ c.conj() - sig.eps_dblprime * c @ U).max()
 
     # the eight gamma^I of the Dirac operator: (gamma^I)* = e_I gamma^I
-    report["multiindex_adjointness"] = max(
+    report["multiindex_adjointness"] = worst(
         np.abs(gI.conj().T - e * gI).max()
         for gI, e in zip((*g, *map(mod.gamma_hat, range(4))), (*sig.e, *sig.e_hat)))
 

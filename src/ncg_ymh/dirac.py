@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordModule, Signature, sign_s, sign_t
+from .clifford import CliffordModule, Signature, sign_s, sign_t, worst
 from .errors import DimensionMismatch
 from .superop import gen_comm, left_mult, transpose_permutation
 
@@ -227,25 +227,26 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int | np.random.See
         report["informational_J_D_sign"] = jd
         report["informational_D_gamma_anticommute"] = dg
 
-    worst_order_one = 0.0
-    worst_commutant = 0.0
-    for _ in range(pairs):
-        a, b = complex_gaussian(rng, m), complex_gaussian(rng, m)
+    def order_one_commutant(a, b):
         rho_a = represent_algebra(a, m)
         b_op = conjugate_by_J(represent_algebra(b.conj().T, m), S)
         inner = D @ rho_a - rho_a @ D
-        worst_order_one = max(worst_order_one, np.abs(inner @ b_op - b_op @ inner).max())
-        worst_commutant = max(worst_commutant, np.abs(rho_a @ b_op - b_op @ rho_a).max())
-    report["order_one"] = worst_order_one
-    report["commutant"] = worst_commutant
+        return (np.abs(inner @ b_op - b_op @ inner).max(),
+                np.abs(rho_a @ b_op - b_op @ rho_a).max())
 
-    dev = 0.0
-    for blk, e in zip((*gt.fuzzy.K, *gt.fuzzy.K_hat), (*sig.e, *sig.e_hat)):
+    rows = [order_one_commutant(complex_gaussian(rng, m), complex_gaussian(rng, m))
+            for _ in range(pairs)]
+    report["order_one"] = worst(row[0] for row in rows)
+    report["commutant"] = worst(row[1] for row in rows)
+
+    def block_dev(blk, e):
         op = gen_comm(lift(blk, gt.n), e)
         # adjoint = e * op whenever K* = e K; the gamma factor restores
         # self-adjointness of the full Dirac term
-        dev = max(dev, np.abs(op.conj().T - e * op).max())
-    report["block_e_selfadjointness"] = dev
+        return np.abs(op.conj().T - e * op).max()
+
+    report["block_e_selfadjointness"] = worst(
+        map(block_dev, (*gt.fuzzy.K, *gt.fuzzy.K_hat), (*sig.e, *sig.e_hat)))
     return report
 
 

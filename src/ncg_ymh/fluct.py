@@ -107,7 +107,7 @@ def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
 
     A = np.array([coefficient(g) for g in mod.gammas])
     S = np.array([coefficient(mod.gamma_hat(mu)) for mu in range(4)])
-    if not np.abs(S).max() > 1e-12:
+    if np.abs(S).max() <= 1e-12:  # a NaN is kept
         S = np.zeros_like(S)
     return Fluctuation(A=A, S=S, phi=coefficient(mod.chirality))
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionPolynomial, require_flat, sectors
+from .clifford import worst
 from .dirac import GaugeTriple, complex_gaussian, lift
 from .errors import DimensionMismatch
 from .fluct import Fluctuation, covariant_matrices
@@ -30,7 +31,7 @@ class GaugeElement:
         if self.u.ndim != 2 or self.u.shape[0] != self.u.shape[1]:
             raise DimensionMismatch(f"gauge element shape {self.u.shape}, expected a square matrix")
         m = self.u.shape[0]
-        if np.abs(self.u.conj().T @ self.u - np.eye(m)).max() > 1e-12:
+        if not np.abs(self.u.conj().T @ self.u - np.eye(m)).max() <= 1e-12:
             raise ValueError("gauge element is not unitary")
 
 
@@ -99,25 +100,24 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
     fl_u = transform(gt, fl, g)
     X0, Xu = covariant_matrices(gt.fuzzy.K, fl.A), covariant_matrices(gt.fuzzy.K, fl_u.A)
 
-    cov = 0.0
-    ts_dev = 0.0
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            F0 = X0[mu] @ X0[nu] - X0[nu] @ X0[mu]
-            Fu = Xu[mu] @ Xu[nu] - Xu[nu] @ Xu[mu]
-            cov = max(cov, np.abs(Fu - u @ F0 @ ustar).max())
-            LL = L[mu] @ L[nu] - L[nu] @ L[mu]
-            T0 = F0 - LL
-            Tu = Fu - LL
-            ts_dev = max(ts_dev, np.abs(Tu - (u @ T0 @ ustar + u @ LL @ ustar - LL)).max())
+    def deviations(mu, nu):
+        F0 = X0[mu] @ X0[nu] - X0[nu] @ X0[mu]
+        Fu = Xu[mu] @ Xu[nu] - Xu[nu] @ Xu[mu]
+        LL = L[mu] @ L[nu] - L[nu] @ L[mu]
+        T0 = F0 - LL
+        Tu = Fu - LL
+        return (np.abs(Fu - u @ F0 @ ustar).max(),
+                np.abs(Tu - (u @ T0 @ ustar + u @ LL @ ustar - LL)).max())
+
+    rows = [deviations(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]
 
     b0 = sectors(gt, fl, f, include_direct=True)
     bu = sectors(gt, fl_u, f, include_direct=True)
     scale = max(1.0, abs(b0.total_direct))
 
     report = {
-        "field_strength_covariance": cov,
-        "ts_identity": ts_dev,
+        "field_strength_covariance": worst(row[0] for row in rows),
+        "ts_identity": worst(row[1] for row in rows),
         "action_invariance_rel": abs(bu.total_direct - b0.total_direct) / scale,
         "sector_ym_rel": abs(bu.s_ym - b0.s_ym) / max(1.0, abs(b0.s_ym)),
         "sector_h_rel": abs(bu.s_h - b0.s_h) / max(1.0, abs(b0.s_h)),

@@ -2,8 +2,11 @@
 
 Each check takes the data of one statement (triple, fluctuation, Clifford
 module, and an rng, seed, unitaries or lambda where it needs them) and
-returns its worst deviation, mostly against a brute-force oracle.  The suites
-call them on keyed inputs, the tests with their own data:
+returns its worst deviation, mostly against a brute-force oracle.  Every
+fold of deviations, within a check and over a suite's samples, is
+`clifford.worst`, which keeps a NaN: a NaN deviation fails its entry, and
+`IdentityResult.as_dict` writes it as null.  The suites call the checks on
+keyed inputs, the tests with their own data:
 
     check                        #   suite       tests
     clifford_identities              signature   acceptance 01
@@ -35,6 +38,7 @@ import numpy as np
 from . import action as action_mod
 from . import clifford, dirac, fluct, gauge
 from .action import ActionPolynomial
+from .clifford import worst
 from .dirac import FiniteData, GaugeTriple, random_hermitian
 
 _QUARTIC = ActionPolynomial((0.0, 1.0, 0.0, 1.0))  # the suites' f
@@ -52,7 +56,9 @@ class IdentityResult:
         return bool(self.max_deviation <= self.tolerance)
 
     def as_dict(self) -> dict:
-        return {"identity": self.name, "max_deviation": float(self.max_deviation),
+        """The entry as strict JSON: a non-finite deviation is null (and fails)."""
+        dev = float(self.max_deviation)
+        return {"identity": self.name, "max_deviation": dev if np.isfinite(dev) else None,
                 "tolerance": float(self.tolerance), "pass": self.passed}
 
 
@@ -66,8 +72,8 @@ def _square_dev(D: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def _worst(rows):
-    """Entry-wise max over the per-sample deviation tuples."""
-    return tuple(map(max, zip(*rows)))
+    """Entry-wise worst over the per-sample deviation tuples."""
+    return tuple(map(worst, zip(*rows)))
 
 
 def clifford_identities(mod) -> dict:
@@ -141,13 +147,9 @@ def field_strength_adjointness(gt: GaugeTriple, fl) -> float:
     """F_{mu nu} = -F_{nu mu} and F_{mu nu}* = -e_mu e_nu F_{mu nu} (flat data)."""
     e = gt.sig.e
     F = action_mod.field_strength(gt, fl)
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            worst = max(worst, np.abs(F[mu][nu] + F[nu][mu]).max())
-            expect = -e[mu] * e[nu] * F[mu][nu]
-            worst = max(worst, np.abs(F[mu][nu].conj().T - expect).max())
-    return worst
+    return worst(dev for mu in range(4) for nu in range(4) for dev in (
+        np.abs(F[mu][nu] + F[nu][mu]).max(),
+        np.abs(F[mu][nu].conj().T + e[mu] * e[nu] * F[mu][nu]).max()))
 
 
 def trace_lemmas(gt: GaugeTriple, fl, mod) -> tuple:
@@ -165,7 +167,7 @@ def odd_traces(gt: GaugeTriple, fl, mod) -> float:
     ev = np.linalg.eigvalsh(fluct.assemble_fluctuated(gt, fl, mod))
     odd1 = abs(np.sum(ev)) / max(np.sum(np.abs(ev)), 1e-300)
     odd3 = abs(np.sum(ev ** 3)) / max(np.sum(np.abs(ev) ** 3), 1e-300)
-    return max(odd1, odd3)
+    return worst((odd1, odd3))
 
 
 def sector_split(gt: GaugeTriple, fl, poly: ActionPolynomial) -> tuple:
@@ -173,8 +175,8 @@ def sector_split(gt: GaugeTriple, fl, poly: ActionPolynomial) -> tuple:
     br = action_mod.sectors(gt, fl, poly, include_direct=True)
     theta_min = float(np.linalg.eigvalsh(action_mod.theta(gt, fl)).min())
     return (_rel(abs(br.total_closed - br.total_direct), abs(br.total_direct)),
-            max(0.0, -min(br.s_ym, br.s_h, br.s_theta)),
-            max(0.0, -theta_min))
+            worst((0.0, -br.s_ym, -br.s_h, -br.s_theta)),
+            worst((0.0, -theta_min)))
 
 
 def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, unitaries) -> tuple:
@@ -201,7 +203,7 @@ def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial,
 def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:
     """Largest change of A_mu and phi under the central unitary lam 1."""
     out = gauge.transform(gt, fl, gauge.GaugeElement(u=lam * np.eye(gt.m)))
-    return max(np.abs(new - old).max() for new, old in zip((*out.A, out.phi), (*fl.A, fl.phi)))
+    return worst(np.abs(new - old).max() for new, old in zip((*out.A, out.phi), (*fl.A, fl.phi)))
 
 
 def _stream(sig, seed: int, key: tuple, role: int) -> np.random.SeedSequence:
@@ -232,14 +234,14 @@ def signature_suite(p: int, q: int, seed: int = 0):
                    for sd in range(5))
     return results + [IdentityResult(name, dev, tol) for name, dev, tol in (
         ("lichnerowicz/square_equals_rhs",
-         max(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=_stream(sig, seed, (2, sd), 0)), mod)
+         worst(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=_stream(sig, seed, (2, sd), 0)), mod)
              for sd, NN in enumerate((2,) * 5 + (3,) * 5)), 1e-10),
         ("fluctuation/dual_path",
-         max(dual_path(_inputs(sig, seed, (3, sd), True, True)[0], mod,
+         worst(dual_path(_inputs(sig, seed, (3, sd), True, True)[0], mod,
                        np.random.default_rng(_stream(sig, seed, (3, sd), 3)))
              for sd in range(3)), 1e-10),
         ("weitzenbock/full",
-         max(weitzenbock_full(*_inputs(sig, seed, (4, sd), True, False), mod)
+         worst(weitzenbock_full(*_inputs(sig, seed, (4, sd), True, False), mod)
              for sd in range(2)), 1e-10),
         ("field_strength/antisymmetry_adjointness",
          field_strength_adjointness(*_inputs(sig, seed, (5, 0), False, False)), 1e-10),
@@ -247,7 +249,7 @@ def signature_suite(p: int, q: int, seed: int = 0):
         ("trace/quartic", quartic, 1e-9),
         ("trace/odd_powers_vanish", odd_traces(*flat_higgs, mod), 1e-9),
         ("weitzenbock/flat_higgs",
-         max(weitzenbock_flat_higgs(*_inputs(sig, seed, (7, sd), False, True), mod)
+         worst(weitzenbock_flat_higgs(*_inputs(sig, seed, (7, sd), False, True), mod)
              for sd in range(3)), 1e-10),
         ("sectors/sum_equals_direct_trace", split[0], 1e-9),
         ("sectors/positivity", split[1], 1e-10),
@@ -268,7 +270,7 @@ def riemannian_suite(seed: int = 0):
         ("gauge/central_unitary_trivial",
          central_unitary(*_inputs(sig, seed, (11, 0), False, True), np.exp(0.37j)), 1e-12),
         ("gauge/action_invariance_with_DF",
-         max(action_invariance_with_DF(*_inputs(sig, seed, (10, sd), False, True), _QUARTIC,
+         worst(action_invariance_with_DF(*_inputs(sig, seed, (10, sd), False, True), _QUARTIC,
                                        _stream(sig, seed, (10, sd), 3))
              for sd in range(3)), 1e-9))]
 

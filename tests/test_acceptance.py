@@ -3,7 +3,8 @@
 Each test prints one `ACCEPTANCE <id> ...: PASS|FAIL` line (visible with
 pytest -s).  Desk scale throughout: N <= 4, n = 2, Hilbert dimension <= 256.
 The identity checks live in `ncg_ymh.verify`, one function per statement;
-criteria 01-08 call them with their own seeds, sizes and tolerances.
+criteria 01-08 call them with their own seeds, sizes and tolerances, and
+fold the deviations with `clifford.worst`, so a NaN from any sample fails.
 
 Criterion 6b (the integration-by-parts style shortcut for the gauge-Higgs
 trace) is expected to fail: for operator traces the two sides differ by
@@ -16,7 +17,7 @@ import pytest
 
 from ncg_ymh import action, dirac, fluct, gauge, sampler, verify
 from ncg_ymh.action import ActionPolynomial
-from ncg_ymh.clifford import build_module, build_signature
+from ncg_ymh.clifford import build_module, build_signature, worst
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
@@ -41,61 +42,60 @@ def rel(diff, scale):
 
 
 def test_01_clifford_suite():
-    worst = max(max(verify.clifford_identities(build_module(p, q)).values())
+    dev = worst(worst(verify.clifford_identities(build_module(p, q)).values())
                 for (p, q) in ALL_SIGS)
-    report("01 clifford suite (tol 1e-12)", worst <= 1e-12)
+    report("01 clifford suite (tol 1e-12)", dev <= 1e-12)
 
 
 def test_02_axioms():
-    worst = max(max(verify.axioms(make_triple(p, q, seed=5, include_X=True),
-                                  build_module(p, q), seed=7).values())
+    dev = worst(worst(verify.axioms(make_triple(p, q, seed=5, include_X=True),
+                                    build_module(p, q), seed=7).values())
                 for (p, q) in ALL_SIGS)
     report("02 axioms: order-one, commutant, J/gamma/D signs (tol 1e-10)",
-           worst <= 1e-10)
+           dev <= 1e-10)
 
 
 def test_03_lichnerowicz():
-    worst = max(verify.lichnerowicz(dirac.random_fuzzy(N, build_signature(p, q), seed=seed,
+    dev = worst(verify.lichnerowicz(dirac.random_fuzzy(N, build_signature(p, q), seed=seed,
                                                        include_X=True), build_module(p, q))
                 for (p, q) in ALL_SIGS for N in (2, 3) for seed in range(5))
-    report("03 fuzzy Lichnerowicz D^2 = RHS (rel 1e-10)", worst <= 1e-10)
+    report("03 fuzzy Lichnerowicz D^2 = RHS (rel 1e-10)", dev <= 1e-10)
 
 
 def test_04_fluctuation_dual_path():
-    worst = 0.0
+    devs = []
     for seed in range(10):
         p, q = ALL_SIGS[seed % 4]
         gt = make_triple(p, q, seed=seed, include_X=True, with_DF=True)
-        worst = max(worst, verify.dual_path(gt, build_module(p, q),
-                                            np.random.default_rng(100 + seed)))
-    report("04 fluctuation dual path, 10 seeds (rel 1e-10)", worst <= 1e-10)
+        devs.append(verify.dual_path(gt, build_module(p, q), np.random.default_rng(100 + seed)))
+    report("04 fluctuation dual path, 10 seeds (rel 1e-10)", worst(devs) <= 1e-10)
 
 
 def test_05_weitzenbock():
     # flat (0, 4) with Higgs on
-    worst = 0.0
+    devs = []
     mod = build_module(0, 4)
     for seed in range(3):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 50)
-        worst = max(worst, verify.weitzenbock_flat_higgs(gt, fl, mod))
+        devs.append(verify.weitzenbock_flat_higgs(gt, fl, mod))
     # full Weitzenboeck: X, S on, Higgs off, all signatures
     for (p, q) in ALL_SIGS:
         for seed in range(2):
             gt = make_triple(p, q, seed=seed, include_X=True, with_DF=False)
             fl = fluct.random_fluctuation(gt, seed=seed + 60)
-            worst = max(worst, verify.weitzenbock_full(gt, fl, build_module(p, q)))
-    report("05 Weitzenbock flat+Higgs and full (rel 1e-10)", worst <= 1e-10)
+            devs.append(verify.weitzenbock_full(gt, fl, build_module(p, q)))
+    report("05 Weitzenbock flat+Higgs and full (rel 1e-10)", worst(devs) <= 1e-10)
 
 
 def test_06a_trace_lemmas():
-    worst = 0.0
+    devs = []
     mod = build_module(0, 4)
     for N, seed in ((2, 0), (3, 1), (4, 2)):     # Hilbert dims 64, 144, 256
         gt = make_triple(0, 4, N=N, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 70)
-        worst = max(worst, *verify.trace_lemmas(gt, fl, mod))
-    report("06a trace lemmas TrD^2, TrD^4 vs brute force (rel 1e-9)", worst <= 1e-9)
+        devs.extend(verify.trace_lemmas(gt, fl, mod))
+    report("06a trace lemmas TrD^2, TrD^4 vs brute force (rel 1e-9)", worst(devs) <= 1e-9)
 
 
 def test_06b_gauge_higgs_trace_shortcut():
@@ -104,43 +104,38 @@ def test_06b_gauge_higgs_trace_shortcut():
     # smooth-manifold analogue of that term is a total derivative, but matrix
     # traces have no boundary to lose it over).  Kept failing on purpose;
     # criterion 07 uses the exact bracket and passes.
-    worst = 0.0
+    devs = []
     for seed in range(3):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 80)
         lhs, rhs = action.gauge_higgs_identity_sides(gt, fl, a4=1.0)
-        worst = max(worst, rel(abs(lhs - rhs), abs(lhs)))
-    report("06b gauge-Higgs trace shortcut (rel 1e-10)", worst <= 1e-10)
+        devs.append(rel(abs(lhs - rhs), abs(lhs)))
+    report("06b gauge-Higgs trace shortcut (rel 1e-10)", worst(devs) <= 1e-10)
 
 
 def test_07_sector_decomposition():
-    worst_sum = 0.0
-    worst_odd = 0.0
-    worst_pos = 0.0
+    rows = []
     mod = build_module(0, 4)
     for seed in range(20):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=(seed % 2 == 0))
         fl = fluct.random_fluctuation(gt, seed=seed + 90)
         sum_dev, pos_dev, _ = verify.sector_split(gt, fl, QUARTIC)
-        worst_sum = max(worst_sum, sum_dev)
-        worst_pos = max(worst_pos, pos_dev)
-        worst_odd = max(worst_odd, verify.odd_traces(gt, fl, mod))
+        rows.append((sum_dev, verify.odd_traces(gt, fl, mod), pos_dev))
+    worst_sum, worst_odd, worst_pos = map(worst, zip(*rows))
     ok = worst_sum <= 1e-9 and worst_odd <= 1e-9 and worst_pos <= 1e-10
     report("07 sector sum = (1/4)Tr f(D), odd traces, positivity", ok)
 
 
 def test_08_gauge_covariance_invariance():
     poly = ActionPolynomial((0.0, 0.5, 0.0, 1.0))
-    worst_cov = 0.0
-    worst_inv = 0.0
+    rows = []
     for seed in range(5):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=False)
         fl = fluct.random_fluctuation(gt, seed=seed + 110)
         unitaries = [gauge.random_unitary(gt.N, gt.n, product_form=product_form, seed=seed + 120)
                      for product_form in (True, False)]
-        cov, inv, _ = verify.gauge_covariance(gt, fl, poly, unitaries)
-        worst_cov = max(worst_cov, cov)
-        worst_inv = max(worst_inv, inv)
+        rows.append(verify.gauge_covariance(gt, fl, poly, unitaries)[:2])
+    worst_cov, worst_inv = map(worst, zip(*rows))
     # central unitary acts trivially; lambda = i keeps IEEE arithmetic exact
     gt = make_triple(0, 4, seed=3, include_X=False, with_DF=True)
     central_dev = verify.central_unitary(gt, fluct.random_fluctuation(gt, seed=133), 1j)

@@ -483,3 +483,27 @@ def test_nan_only_in_a_lower_mirror_tile(where):
                   lambda D: action.spectral_action_direct(D, POLY)):
         with pytest.raises(NotSelfAdjoint, match="non-finite"):
             check(D)
+
+
+def test_nan_S_is_not_flat():
+    # (0, 4), N = n = 2, D_F = diag(1, -1): one NaN in S must refuse the closed sectors
+    sig = build_signature(0, 4)
+    gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, sig, seed=1, include_X=False),
+                     finite=FiniteData(n=2, D_F=np.diag([1.0, -1.0]).astype(complex)))
+    fl = fluct.random_fluctuation(gt, seed=2)
+    S = fl.S.copy()
+    S[0, 0, 0] = np.nan
+    with pytest.raises(NotFlat, match="nonzero S"):
+        action.sectors(gt, fluct.Fluctuation(A=fl.A, S=S, phi=fl.phi), POLY)
+
+
+def test_sector_split_keeps_a_nan_sector(monkeypatch):
+    gt = make_triple(seed=20)
+    fl = fluct.random_fluctuation(gt, seed=21)
+    sectors = action.sectors
+
+    monkeypatch.setattr(action, "sectors",
+                        lambda *a, **k: sectors(*a, **k)._replace(s_h=float("nan")))
+    _, positivity, theta = verify.sector_split(gt, fl, POLY)
+    assert np.isnan(positivity)
+    assert theta <= 1e-10

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncg_ymh import cli, clifford, dirac, fluct, sampler
+from ncg_ymh import cli, clifford, dirac, fluct, sampler, verify
 from ncg_ymh.verify import run_identity_suite
 
 
@@ -1137,3 +1137,25 @@ def test_readme_read_by_column_is_the_table():
     for row in cli.TABLE:
         read_by = _readme_key_line(row.key).split("|")[4].strip()
         assert read_by.replace("`", "") == ", ".join(row.read_by), (row.key, read_by)
+
+
+def test_verify_fails_a_nan_sample_with_strict_json(tmp_path, monkeypatch, capsys):
+    # the second of lichnerowicz's ten samples is NaN: the entry fails, written as null
+    lichnerowicz = verify.lichnerowicz
+    calls = []
+
+    def nan_on_second(*args):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else lichnerowicz(*args)
+
+    monkeypatch.setattr(verify, "lichnerowicz", nan_on_second)
+    assert run(["verify", "--out", str(tmp_path)]) == 1
+    assert len(calls) == 10
+    report = _strict_json((tmp_path / "verify_report.json").read_text())
+    assert report["pass"] is False
+    rows = {r["identity"]: r for r in report["signatures"]["(0,4)"]}
+    assert len(rows) == 40
+    assert rows["lichnerowicz/square_equals_rhs"]["max_deviation"] is None
+    assert rows["lichnerowicz/square_equals_rhs"]["pass"] is False
+    assert all(r["pass"] for name, r in rows.items() if name != "lichnerowicz/square_equals_rhs")
+    assert "worst deviation nan [FAIL]" in capsys.readouterr().out

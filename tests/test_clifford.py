@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,26 @@ def test_conjugation_unitary_pinned_bit_exact(p, q):
     want = np.empty((4, 4), dtype=complex)
     want.real, want.imag = re, im
     assert clifford.build_module(p, q).conj_unitary.tobytes() == want.tobytes()
+
+
+def test_worst_keeps_a_nan_and_reads_zero_as_positive():
+    nan = float("nan")
+    assert max(0.0, nan) == 0.0  # the builtin drops it
+    assert np.isnan(clifford.worst([0.0, nan, 1.0]))
+    assert np.isnan(clifford.worst(x for x in (1.0, 2.0, nan)))
+    assert clifford.worst([np.float64(1e-16), 3e-16, 2e-16]) == 3e-16
+    assert math.copysign(1.0, clifford.worst([0.0, -0.0])) == 1.0
+
+
+@pytest.mark.parametrize("p,q", ALL_SIGS + [(4, 0)])
+def test_a_nan_gamma_fails_every_check_that_reads_it(p, q):
+    mod = clifford.build_module(p, q)
+    g1 = mod.gammas[1].copy()
+    g1[0, 1] = np.nan
+    bad = dataclasses.replace(mod, gammas=(mod.gammas[0], g1, *mod.gammas[2:]))
+    report = {**clifford.verify_module_invariants(bad), **clifford.verify_gamma_identities(bad)}
+    # chirality and C are the module's own, so only these four do not read gamma^1
+    clean = {"chirality_square", "chirality_selfadjoint", "conj_square", "conj_chirality"}
+    assert len(report) == 16
+    assert all(report[name] == 0.0 for name in clean)
+    assert all(np.isnan(dev) for name, dev in report.items() if name not in clean)

@@ -247,3 +247,20 @@ def test_lichnerowicz_zero_and_flat_reduction():
 def test_lichnerowicz_equals_square():
     fz = dirac.random_fuzzy(3, build_signature(0, 4), seed=21, include_X=True)
     assert verify.lichnerowicz(fz, build_module(0, 4)) <= 1e-10
+
+
+def test_axioms_keep_a_nan_from_one_algebra_pair(monkeypatch):
+    # the fifth of 20 pairs meets a NaN J b* J^-1: order-one and commutant must read NaN
+    conjugate_by_J = dirac.conjugate_by_J
+    calls = []
+
+    def nan_on_fifth(M, S):
+        calls.append(None)
+        out = conjugate_by_J(M, S)
+        return np.full_like(out, np.nan) if len(calls) == 5 else out
+
+    monkeypatch.setattr(dirac, "conjugate_by_J", nan_on_fifth)
+    report = dirac.check_axioms(make_triple(0, 4, seed=11), build_module(0, 4), seed=3, pairs=20)
+    assert len(calls) == 20
+    assert np.isnan(report["order_one"]) and np.isnan(report["commutant"])
+    assert report["block_e_selfadjointness"] <= 1e-10

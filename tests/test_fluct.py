@@ -264,3 +264,11 @@ def test_assembler_names_a_field_of_another_size(name, shape):
     fl = dataclasses.replace(fluct.zero_fluctuation(gt), **{name: np.zeros(shape, dtype=complex)})
     with pytest.raises(DimensionMismatch, match=f"fluctuation {name} has shape "):
         fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
+
+
+def test_extraction_keeps_a_nan_S():
+    # a NaN one-form gives NaN coefficients; S must not be read as zero
+    gt = make_triple(0, 4, include_X=False, seed=3)
+    omega = np.full((gt.hilbert_dim, gt.hilbert_dim), np.nan, dtype=complex)
+    fl = fluct.extract_fluctuation(gt, build_module(0, 4), omega)
+    assert np.isnan(fl.S).all()

@@ -183,3 +183,8 @@ def test_covariance_with_higgs_data(p, q):
     assert rep["field_strength_covariance"] <= 1e-10
     assert rep["ts_identity"] <= 1e-10
     assert rep["sector_ym_rel"] <= 1e-9
+
+
+def test_gauge_element_refuses_a_nan_u():
+    with pytest.raises(ValueError, match="not unitary"):
+        gauge.GaugeElement(u=np.full((2, 2), np.nan))
