@@ -13,25 +13,25 @@ closed forms hold for flat data, whose stacks `FuzzyData.K_hat` and
 `Fluctuation.S` are zero (`require_flat`); X_mu = K_mu (x) 1 + A_mu is one
 call of `fluct.covariant_matrices` on the stacks `FuzzyData.K` and
 `Fluctuation.A`.  One kernel, `Kernel`, evaluates the seven traces that the
-sectors and the quadratic and quartic trace lemmas are built from.  A kernel of size m owns
-its stack S = (1, X_0..X_3, P, phi) of m x m matrices, followed by three
-scratch rows (the layout is named here: STACK_X, STACK_P, STACK_PHI) into
+sectors and the quadratic and quartic trace lemmas are built from.  A kernel
+of size m owns its stack S = (1, X_0..X_3, P, phi) of m x m matrices and
+three scratch rows (their layout named by STACK_X, STACK_P, STACK_PHI) into
 which it writes P^2, phi^2 and Q, and every buffer it computes into.  So a
 caller holds one kernel per state across calls (the sampler updates one or
 two rows of a candidate) and a call allocates no array, while several
 threads run kernels of their own; `bitracial_traces(X, P, phi, ...)` fills
 a fresh kernel and calls it.  Every term is a product of entries of one Gram
-matrix Tr(S_i S_j), except the commutator squares, which are traced from 14
-explicit commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from
-one (6m x m) @ (m x 6m) matrix product, not 36 small ones, and one `np.take`
-on flat indices gathers the 34 blocks the kernel reads.  At the sampler's
-sizes (m = 8) the cost is the number of numpy calls more than the flops, and
-this form keeps that number small.  The sectors are checked against the
-direct trace of a dense D, `spectral_action_direct`, which holds two powers
-of D at a time: Tr D^(2j+1) = <D^j, D^(j+1)>.  The m^2 x m^2
-superoperator forms (`theta`, `field_strength` and the shortcut side of
-`gauge_higgs_identity_sides`) are kept as brute-force oracles.  Index
-raising uses the constant signature eta = diag(e_0..e_3).
+matrix Tr(S_i S_j), except the commutator squares: minus the squared norms
+of 14 commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from one
+(6m x m) @ (m x 6m) matrix product, not 36 small ones, its right factor,
+like the Gram product's, a view of one transpose buffer; one `np.take` on
+flat indices gathers the 34 blocks the kernel reads.  At the sampler's sizes
+(m = 8) the cost is the number of numpy calls more than the flops, and this
+form keeps that number small.  The sectors are checked against the direct
+trace of a dense D, `spectral_action_direct`, which holds two powers of D at
+a time: Tr D^(2j+1) = <D^j, D^(j+1)>.  The m^2 x m^2 superoperator forms
+(`theta`, `field_strength`, the shortcut side of `gauge_higgs_identity_sides`)
+are kept as brute-force oracles.  Index raising uses eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
@@ -151,9 +151,9 @@ _COMMUTATORS = [(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)] + \
 # the 34 products Y_a Y_b the kernel reads: Y_a Y_b and Y_b Y_a for each pair of
 # _COMMUTATORS, then the squares Y_0^2 .. Y_5^2
 _PRODUCTS = np.array(_COMMUTATORS + [(b, a) for a, b in _COMMUTATORS] + [(k, k) for k in range(6)])
-# flat indices, into the stacked Gram matrices (G, W), of the 23 entries the traces read:
-# Tr S_k = G_0k for five k, nine more entries of G, then nine of W
-_ENTRIES = np.ravel_multi_index(np.array(
+# flat indices, into the float view of the stacked Gram matrices (G, W), of the real parts
+# of the 23 entries the traces read: Tr S_k = G_0k for five k, nine more of G, nine of W
+_ENTRIES = 2 * np.ravel_multi_index(np.array(
     [(0, 0, k) for k in (_P, _PHI, _P2, _PHI2, _Q)]
     + [(0, i, j) for i, j in ((_Q, _Q), (_P2, _P2), (_PHI2, _PHI2), (_P2, _P), (_PHI2, _PHI),
                               (_P2, _Q), (_Q, _PHI2), (_P, _Q), (_Q, _PHI))]
@@ -168,9 +168,11 @@ class Kernel:
     rows 1..6 hold (X_mu, P, phi), which its caller writes through the views
     X (4, m, m), P and phi, with X_mu = K_mu (x) 1 + A_mu and
     P = 1 (x) D_F + phi; `traces` writes P^2, phi^2 and Q into the scratch
-    rows 7..9 and reads rows 0..6 only.  e are the signs e_mu and eps =
-    eps''.  It also owns every buffer `traces` writes into, so a call
-    allocates no array; one kernel serves one thread at a time.
+    rows 7..9 and reads rows 0..6 only, of the types X_mu* = e_mu X_mu and
+    P* = P, phi* = phi, which make commutator squares minus squared norms.
+    e are the signs e_mu and eps = eps''.  It also owns every buffer `traces`
+    writes into, one transpose buffer for both matrix products among them,
+    so a call allocates no array; one kernel serves one thread at a time.
     """
 
     def __init__(self, m: int, e, eps):
@@ -182,22 +184,22 @@ class Kernel:
         # of Y_a Y_b is entry (a m + i, b m + j) of Y Y
         a, b, i = _PRODUCTS[:, 0], _PRODUCTS[:, 1], np.arange(m)
         self.idx = np.add.outer((6 * m * a + b) * m, 6 * m * i[:, None] + i)
-        self.YT = np.empty((m, 6, m), dtype=complex)  # YT[i, a] = row i of Y_a
+        self.ST = self.S.transpose(0, 2, 1).copy()  # ST[i] = S_i^T; row 0 stays the identity
         self.YY = np.empty((6 * m, 6 * m), dtype=complex)
         self.B = np.empty((len(_PRODUCTS), m, m), dtype=complex)
         self.C = np.empty((len(_COMMUTATORS), m, m), dtype=complex)
-        self.ST = np.empty((STACK_ROWS, m, m), dtype=complex)  # ST[i] = S_i^T
         self.GW = np.empty((2, STACK_ROWS, STACK_ROWS), dtype=complex)
-        self.G, self.W = self.GW
-        self.entries = np.empty(len(_ENTRIES), dtype=complex)
-        self.e_row = np.array([self.e], dtype=complex)
-        n, Y = len(_COMMUTATORS), self.S[STACK_X:STACK_PHI + 1]
-        self.Y_flat, self.Y_T = Y.reshape(6 * m, m), Y.transpose(1, 0, 2)
-        self.S_flat, self.S_T = self.S.reshape(STACK_ROWS, -1), self.S.transpose(0, 2, 1)
+        (self.G, self.W), self.GW_float = self.GW, self.GW.view(float)
+        self.entries, self.e_row = np.empty(len(_ENTRIES)), np.array([self.e], dtype=complex)
+        n, Y, T = len(_COMMUTATORS), slice(STACK_X, STACK_PHI + 1), self.S.transpose(0, 2, 1)
+        # ST is refilled rows Y first, scratch rows after; the products read transposed views of it
+        self.ST_Y, self.S_T_Y, self.ST_sq, self.S_T_sq = self.ST[Y], T[Y], self.ST[_P2:], T[_P2:]
+        self.Y_flat, self.Y_flat_T = self.S[Y].reshape(6 * m, m), self.ST[Y].reshape(6 * m, m).T
+        self.S_flat, self.ST_flat_T = self.S.reshape(-1, m * m), self.ST.reshape(-1, m * m).T
         self.sq, self.Q = self.S[_P2:_PHI2 + 1], self.S[_Q].reshape(1, -1)
-        self.YT_flat, self.ST_flat_T = self.YT.reshape(m, 6 * m), self.ST.reshape(STACK_ROWS, -1).T
         self.B_ab, self.B_ba = self.B[:n], self.B[n:2 * n]
         self.B_XX, self.B_sq = self.B[2 * n:2 * n + 4].reshape(4, -1), self.B[2 * n + 4:]
+        self.C_XX, self.C_XP = self.C[:6].reshape(-1), self.C[6:].reshape(-1)
         self.G_col, self.G_row = self.G[:, _X], self.G[_X]
 
     def traces(self) -> BiTraces:
@@ -209,14 +211,17 @@ class Kernel:
         G_ij = Tr(S_i S_j) over the stack completed by P^2, phi^2 and
         Q = sum e_mu X_mu^2.  One matrix product forms G, Tr S_i is G_0i, and
         the sums over mu are read off W = G_{., X} G_{X, .}; one `np.take`
-        gathers the 23 entries of G and W that the formulas read.  The products
-        Y_a Y_b of Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m)
-        product, and one `np.take` on flat indices gathers the 34 blocks the
-        kernel reads; Q is one (1 x 4) @ (4 x m^2) product.  F^2 and
-        [d, Phi]^2 are traced from the 14 commutators themselves, not from a
-        difference of Gram entries, so that commuting data gives exactly
-        zero.  Entries stay complex until the end: Tr X_mu is imaginary in
-        signature (0, 4).
+        gathers the real parts of the 23 entries of G and W the formulas read,
+        all real: Tr(S_i S_j) is real where e_i e_j = 1, as in G's entries
+        read, and imaginary where -1, which W pairs.  The products Y_a Y_b of
+        Y = (X_mu, P, phi) come from one (6m x m) @ (m x 6m) product, and one
+        `np.take` on flat indices gathers the 34 blocks the kernel reads; Q is
+        one (1 x 4) @ (4 x m^2) product.  Both large products read their right
+        factor off one transpose buffer ST.  As Y_a* = e_a Y_a, with e = 1 for
+        P and phi, C = [Y_a, Y_b] has e_a e_b Tr C^2 = -||C||^2: F^2 and
+        [d, Phi]^2 are -4m and -m times the squared norms of [X_mu, X_nu],
+        mu < nu, and of [X_mu, P], [X_mu, phi], so never positive, and zero
+        exactly for commuting data.
 
         Every array is written with out= into the kernel's buffers, so a
         call allocates only the few Python numbers the traces are read as.
@@ -228,36 +233,31 @@ class Kernel:
         the kernel, silence numpy's overflow warnings, since entering
         `np.errstate` costs about 2 % of a kernel call at m = 8.
         """
-        m = self.m
-        np.copyto(self.YT, self.Y_T)
-        np.matmul(self.Y_flat, self.YT_flat, out=self.YY)
+        m, eps = self.m, self.eps
+        np.copyto(self.ST_Y, self.S_T_Y)
+        np.matmul(self.Y_flat, self.Y_flat_T, out=self.YY)
         self.YY.take(self.idx, out=self.B, mode="clip")
         np.subtract(self.B_ab, self.B_ba, out=self.C)
-        t = np.einsum("kij,kji->k", self.C, self.C).tolist()  # Tr [Y_a, Y_b]^2 over _COMMUTATORS
         np.copyto(self.sq, self.B_sq)
         np.matmul(self.e_row, self.B_XX, out=self.Q)
-        np.copyto(self.ST, self.S_T)
+        np.copyto(self.ST_sq, self.S_T_sq)
         np.matmul(self.S_flat, self.ST_flat_T, out=self.G)
         np.matmul(self.G_col, self.G_row, out=self.W)
-        self.GW.take(_ENTRIES, out=self.entries, mode="clip")
+        self.GW_float.take(_ENTRIES, out=self.entries, mode="clip")
         (trP, trphi, trP2, trphi2, trQ,
          gQQ, gP2P2, gphi2phi2, gP2P, gphi2phi, gP2Q, gQphi2, gPQ, gQphi,
          w00, wQ0, w11, w22, w33, w44, wP20, wphi20, wPphi) = self.entries.tolist()
-        (e0, e1, e2, e3), eps = self.e, self.eps
         return BiTraces(
-            theta=(2 * m * trQ + 2 * w00).real,
-            theta2=(2 * m * gQQ + 2 * trQ * trQ + 8 * wQ0
-                    + 4 * (w11 + w22 + w33 + w44)).real,
-            F2=(4 * m * (e0 * (e1 * t[0] + e2 * t[1] + e3 * t[2]) + e1 * (e2 * t[3] + e3 * t[4])
-                         + e2 * e3 * t[5])).real,
-            Phi2=(m * (trP2 + trphi2) + 2 * eps * trP * trphi).real,
+            theta=2 * m * trQ + 2 * w00,
+            theta2=2 * m * gQQ + 2 * trQ * trQ + 8 * wQ0 + 4 * (w11 + w22 + w33 + w44),
+            F2=-4 * m * float(np.vdot(self.C_XX, self.C_XX).real),
+            Phi2=m * (trP2 + trphi2) + 2 * eps * trP * trphi,
             Phi4=(m * (gP2P2 + gphi2phi2) + 6 * trP2 * trphi2
-                  + 4 * eps * (gP2P * trphi + trP * gphi2phi)).real,
+                  + 4 * eps * (gP2P * trphi + trP * gphi2phi)),
             Phi2_theta=(m * (gP2Q + gQphi2) + (trP2 + trphi2) * trQ
                         + 2 * eps * (gPQ * trphi + trP * gQphi)
-                        + 2 * (wP20 + wphi20) + 4 * eps * wPphi).real,
-            dPhi2=(m * (e0 * (t[6] + t[10]) + e1 * (t[7] + t[11]) + e2 * (t[8] + t[12])
-                        + e3 * (t[9] + t[13]))).real,
+                        + 2 * (wP20 + wphi20) + 4 * eps * wPphi),
+            dPhi2=-m * float(np.vdot(self.C_XP, self.C_XP).real),
         )
 
 

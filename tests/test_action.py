@@ -200,7 +200,7 @@ def _oracle_traces(gt, fl):
 
 @pytest.mark.parametrize("with_DF", [True, False])
 @pytest.mark.parametrize("N", [1, 2, 3])
-@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
 def test_bitracial_kernel_matches_superoperators(p, q, N, with_DF):
     gt = make_triple(p=p, q=q, N=N, seed=30 + N, with_DF=with_DF)
     fl = fluct.random_fluctuation(gt, seed=40 + N)
@@ -248,7 +248,7 @@ def test_self_adjoint_check_over_row_blocks(monkeypatch):
         action.require_self_adjoint(H)
 
 
-@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
 def test_bitracial_kernel_at_benchmark_size(p, q):
     # N = 4, n = 2: m = 8, the sampler benchmark's matrix size, with D_F on
     gt = make_triple(p=p, q=q, N=4, seed=70, with_DF=True)
@@ -259,18 +259,23 @@ def test_bitracial_kernel_at_benchmark_size(p, q):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
 
 
-def test_bitracial_kernel_commuting_data_exact_zero():
-    # diagonal X_mu (anti-Hermitian), P and phi commute: no round-off survives
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
+def test_bitracial_kernel_commuting_data_exact_zero(p, q):
+    # diagonal X_mu of type e_mu (X_mu* = e_mu X_mu), P and phi commute: no round-off
+    # survives; F^2 and [d, Phi]^2 are minus squared norms, so never positive
     rng = np.random.default_rng(12)
     m = 6
-    X = np.array([1j * np.diag(rng.normal(size=m)) for _ in range(4)])
+    sig = build_signature(p, q)
+    X = np.array([(1 if e == 1 else 1j) * np.diag(rng.normal(size=m)) for e in sig.e])
     phi = np.diag(rng.normal(size=m)).astype(complex)
     P = np.diag(rng.normal(size=m)) + phi
-    sig = build_signature(0, 4)
     tr = action.bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime)
     assert tr.F2 == 0.0
     assert tr.dPhi2 == 0.0
     assert tr.theta > 0 and tr.Phi4 > 0
+    for k in range(3):
+        tr = action.bitracial_traces(*_kernel_input(m, k, sig.e), sig.e, sig.eps_dblprime)
+        assert tr.F2 <= 0 and tr.dPhi2 <= 0, (k, tr)
 
 
 def _filled(kernel, X, P, phi):
@@ -308,22 +313,24 @@ def test_candidate_stack_by_row_update(m, field):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
 
 
-def _kernel_input(m, k):
-    """(X, P, phi) at size m, the k-th of a fixed sequence."""
+def _kernel_input(m, k, e):
+    """(X, P, phi) at size m, the k-th of a fixed sequence, with X_mu* = e_mu X_mu."""
     rng = np.random.default_rng([m, k])
-    X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
+    X = np.array([dirac.random_typed(m, rng, e_mu, 1.0) for e_mu in e])
     DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
     return X, DF + phi, phi
 
 
-# sha256 (first 16 hex digits) of the traces of `_kernel_input(m, k)`, m in (2, 4, 8, 16,
-# 32), k in (0, 1, 2), as the kernel gave them before it computed into preallocated buffers
-# (numpy 2.4.6, OpenBLAS 0.3.31)
-KERNEL_DIGESTS = {(0, 4): "6ba741c3e6557697", (1, 3): "a4cefb37a7a4203b",
-                  (2, 2): "61aa4bc688afd581", (3, 1): "002760863d8f3427"}
+# sha256 (first 16 hex digits) of the traces of `_kernel_input(m, k, e)`, m in (2, 4, 8,
+# 16, 32), k in (0, 1, 2), as the kernel gave them once it read F^2 and [d, Phi]^2 as minus
+# squared norms, which moved each trace by rounding only; X_mu has its signature's
+# adjointness type, which that reading rests on (numpy 2.4.6, OpenBLAS 0.3.31)
+KERNEL_DIGESTS = {(0, 4): "5cce5bf4962de523", (1, 3): "0a1ab8316988d54b",
+                  (2, 2): "dea9b5016f92a374", (3, 1): "6e4728b2132eef7f",
+                  (4, 0): "5f4542f3bbac3fed"}
 
 
-@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
 def test_stack_kernel_on_a_held_workspace(p, q):
     # one kernel per m, refilled with three inputs in turn, gives the traces of a fresh
     # kernel bit for bit
@@ -332,7 +339,7 @@ def test_stack_kernel_on_a_held_workspace(p, q):
     for m in (2, 4, 8, 16, 32):
         kernel = action.Kernel(m, sig.e, sig.eps_dblprime)
         for k in range(3):
-            X, P, phi = _kernel_input(m, k)
+            X, P, phi = _kernel_input(m, k, sig.e)
             got = _filled(kernel, X, P, phi).traces()
             want = action.bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (m, k)
@@ -346,7 +353,7 @@ def test_stack_kernel_allocates_no_array():
     sig = build_signature(0, 4)
     peaks = {}
     for m in (16, 32, 64):
-        kernel = _filled(action.Kernel(m, sig.e, sig.eps_dblprime), *_kernel_input(m, 0))
+        kernel = _filled(action.Kernel(m, sig.e, sig.eps_dblprime), *_kernel_input(m, 0, sig.e))
         kernel.traces()
         tracemalloc.start()
         try:

@@ -63,9 +63,10 @@ def test_determinism_bit_identical():
 
 
 # sha256 (first 16 hex digits) of a chain's records, final A and phi, tuned step sizes and
-# step-size trajectory, as the sampler gave them when the chain held two kernel stacks
-# and their workspaces (numpy 2.4.6, OpenBLAS 0.3.31)
-CHAIN_DIGESTS = {"yang_mills": "73715d44ddd7f7a5", "higgs": "77435b0df1846622"}
+# step-size trajectory, as the sampler gave them once the kernel read F^2 and [d, Phi]^2
+# as minus squared norms: the records moved by rounding only, every accept decision and
+# so the final state, step sizes and trajectory stayed (numpy 2.4.6, OpenBLAS 0.3.31)
+CHAIN_DIGESTS = {"yang_mills": "6c30ba8cffeb4da5", "higgs": "8ea81b469a675b4c"}
 
 
 @pytest.mark.parametrize("kind", ["yang_mills", "higgs"])
@@ -431,8 +432,9 @@ def reference_chain(cfg, gt):
 
 
 def test_chain_matches_reference_metropolis_loop(monkeypatch):
-    # (1, 3) has a Hermitian A_0 with its trace and a traceless phi
-    for p, q in ((0, 4), (1, 3)):
+    # (1, 3) has a Hermitian A_0 with its trace and a traceless phi; in (4, 0) every
+    # A_mu is Hermitian
+    for p, q in ((0, 4), (1, 3), (4, 0)):
         match_reference_loop(monkeypatch, higgs_template(seed=8, p=p, q=q))
 
 
