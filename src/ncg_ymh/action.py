@@ -17,9 +17,9 @@ sectors and the quadratic and quartic trace lemmas are built from.  A kernel
 of size m owns its stack S = (1, X_0..X_3, P, phi) of m x m matrices and
 three scratch rows (their layout named by STACK_X, STACK_P, STACK_PHI) into
 which it writes P^2, phi^2 and Q, and every buffer it computes into.  So a
-caller holds one kernel per state across calls (the sampler updates one or
-two rows of a candidate) and a call allocates no array, while several
-threads run kernels of their own; `bitracial_traces(X, P, phi, ...)` fills
+caller holds one kernel across calls and writes the rows that change in
+place (the sampler restores a rejected proposal's), and a call allocates no
+array; `bitracial_traces(X, P, phi, ...)` checks the fields' types, fills
 a fresh kernel and calls it.  Every term is a product of entries of one Gram
 matrix Tr(S_i S_j), except the commutator squares: minus the squared norms
 of 14 commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from one
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import build_gammas
-from .dirac import GaugeTriple
+from .dirac import GaugeTriple, has_adjointness_type
 from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
 from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
                     higgs_field)
@@ -262,7 +262,10 @@ class Kernel:
 
 
 def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> BiTraces:
-    """The traces of a fresh `Kernel` filled with X (the (4, m, m) stack X_mu), P and phi."""
+    """The traces of a fresh `Kernel` filled with X (the stack X_mu), P and phi, type-checked."""
+    for name, M, sign in zip(("X0", "X1", "X2", "X3", "P", "phi"), (*X, P, phi), (*e, 1, 1)):
+        if not has_adjointness_type(M, sign):
+            raise NotSelfAdjoint(f"{name} violates its adjointness type (e = {sign})")
     k = Kernel(X.shape[-1], e, eps)
     k.X[...], k.P[...], k.phi[...] = X, P, phi
     return k.traces()

@@ -464,10 +464,9 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
                           f"{steps} and sampler.burn_in = {burn_in}{default}")
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
-    # the chain's peak (tracemalloc, m = 32 to 96) is about 4600 bytes per entry of an
-    # m x m matrix, m = N n: most of it the stacks and buffers of two kernels
-    _require_fits(5120 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
-                  "two kernels, the fields and their draws")
+    # the chain's peak (tracemalloc, m = N n = 32 to 96) is at most 3375 bytes per m x m entry
+    _require_fits(3840 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
+                  "one kernel, the fields and their draws")
     gt = _triple(cfg)
     try:
         scfg = SamplerConfig(N=N, n=n, poly=_poly(cfg), steps=steps, burn_in=burn_in,

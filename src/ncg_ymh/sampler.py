@@ -15,13 +15,10 @@ L_mu is made traceless where e_mu = -1.  In (0, 4): A_mu in su(m), phi in Herm(m
 
 At the sampler's sizes (m = 8) numpy's per-call overhead is most of a
 proposal's cost, so the loop makes few calls and allocates no stack.  The
-chain holds two `action.Kernel`s, the current state's and the candidate's,
-each owning its stack S = (1, X_0..X_3, P, phi, three scratch rows) with
-the rows named in `action`.  A candidate is the current stack copied into
-the candidate's (`np.copyto`) with row X_mu updated for A_mu, or rows phi
-and P = 1 (x) D_F + phi rewritten for phi; the kernel reads the candidate's
-stack and writes only its scratch rows and buffers, so acceptance swaps the
-two kernels and the accepted candidate is the next state as it stands.
+state is the stack S = (1, X_0..X_3, P, phi, three scratch rows) of one
+`action.Kernel`.  A proposal saves the rows it writes (X_mu; or P and phi)
+and updates them in place; the kernel writes only its scratch rows and
+buffers, and a rejection copies the saved rows back (x + d - d need not be x).
 Each field's generators are drawn in chunks of about _DRAW_ENTRIES matrix
 entries, in the order one draw per proposal would take them, and scaled by
 the field's step size once per chunk and per tuning window.  A non-finite
@@ -44,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .action import (STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
+from .action import (STACK_P, STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
                      sector_breakdown)
 from .dirac import GaugeTriple, complex_gaussian
 from .errors import NotFlat, UnstableAction
@@ -215,9 +212,6 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                   for K, e in zip(gt_template.fuzzy.K.astype(complex), sig.e)])
     LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
 
-    def breakdown(kernel):
-        return sector_breakdown(kernel.traces(), cfg.poly)
-
     fields = [0, 1, 2, 3]  # mu of each A_mu; None stands for phi
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
         fields.append(None)
@@ -230,9 +224,11 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     accept_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(9,)))
     sizes = {**_STEP_SIZES, **cfg.step_sizes}
     steps = [float(sizes["phi" if mu is None else "A"]) for mu in fields]
-    cur, cand = Kernel(m, sig.e, sig.eps_dblprime), Kernel(m, sig.e, sig.eps_dblprime)
-    cur.X[...], cur.P[...] = LX, DF_big  # A = 0, phi = 0
-    current = breakdown(cur)
+    kernel = Kernel(m, sig.e, sig.eps_dblprime)
+    kernel.X[...], kernel.P[...] = LX, DF_big  # A = 0, phi = 0
+    written = [kernel.S[STACK_P if row == STACK_PHI else row:row + 1] for row in rows]
+    saved = [np.empty_like(w) for w in written]
+    current = sector_breakdown(kernel.traces(), cfg.poly)
     if not abs(current.total_closed) <= _DIVERGENCE:  # also catches NaN
         raise UnstableAction(f"initial action {current.total_closed:.3e}")
 
@@ -249,15 +245,17 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             draws = [_generators(rng, k, m, *t) for rng, t in zip(rngs, types)]
             increments = [step * d for step, d in zip(steps, draws)]
         for i, row in enumerate(rows):
-            np.copyto(cand.S, cur.S)
-            cand.S[row] += increments[i][j]
+            np.copyto(saved[i], written[i])
+            kernel.S[row] += increments[i][j]
             if row == STACK_PHI:
-                np.add(DF_big, cand.phi, out=cand.P)
-            proposed = breakdown(cand)
+                np.add(DF_big, kernel.phi, out=kernel.P)
+            proposed = sector_breakdown(kernel.traces(), cfg.poly)
             delta = proposed.total_closed - current.total_closed
             if delta <= 0 or accept_rng.random() < math.exp(-delta):
-                cur, cand, current = cand, cur, proposed
+                current = proposed
                 accepted[i] += 1
+            else:
+                np.copyto(written[i], saved[i])
 
         if not abs(current.total_closed) <= _DIVERGENCE:
             raise UnstableAction(f"action {current.total_closed:.3e} at sweep {sweep}")
@@ -285,7 +283,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                                         s_ym=current.s_ym, s_h=current.s_h, s_gh=current.s_gh,
                                         s_theta=current.s_theta, acceptance=rate))
     proposals = (cfg.steps - cfg.burn_in) * len(fields)
-    state = ChainState(L=L, A=cur.X - LX, phi=cur.phi.copy(),
+    state = ChainState(L=L, A=kernel.X - LX, phi=kernel.phi.copy(),
                        breakdown=current, accept_count=sum(accepted) - sum(after_burn_in),
                        proposal_count=proposals)
     sampled = max(1, cfg.steps - cfg.burn_in)

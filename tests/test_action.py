@@ -278,6 +278,25 @@ def test_bitracial_kernel_commuting_data_exact_zero(p, q):
         assert tr.F2 <= 0 and tr.dPhi2 <= 0, (k, tr)
 
 
+def test_bitracial_traces_refuses_untyped_fields():
+    # in (1, 3) at m = 8, X_mu anti-Hermitian in every row used to give an F^2 with no error;
+    # each field off its type (X_mu* = e_mu X_mu, P* = P, phi* = phi) is refused by name
+    sig, m = build_signature(1, 3), 8
+    rng = np.random.default_rng(8)
+    X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
+    DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
+    with pytest.raises(NotSelfAdjoint, match="X0 violates"):
+        action.bitracial_traces(X, DF + phi, phi, sig.e, sig.eps_dblprime)
+    typed = _kernel_input(m, 0, sig.e)
+    action.bitracial_traces(*typed, sig.e, sig.eps_dblprime)
+    for k, name in enumerate(("X0", "X1", "X2", "X3", "P", "phi")):
+        for bad in (1e-6 * rng.normal(size=(m, m)), np.nan):
+            X, P, phi = (M.copy() for M in typed)
+            (*X, P, phi)[k][...] += bad
+            with pytest.raises(NotSelfAdjoint, match=f"^{name} violates"):
+                action.bitracial_traces(X, P, phi, sig.e, sig.eps_dblprime)
+
+
 def _filled(kernel, X, P, phi):
     kernel.X[...], kernel.P[...], kernel.phi[...] = X, P, phi
     return kernel
@@ -286,31 +305,35 @@ def _filled(kernel, X, P, phi):
 @pytest.mark.parametrize("m", [4, 8])
 @pytest.mark.parametrize("field", ["A2", "phi"])
 def test_candidate_stack_by_row_update(m, field):
-    # the sampler's candidates: the state's stack copied into a second kernel's, with row
-    # X_mu, or rows phi and P, updated; the kernel writes only the scratch rows of its stack
+    # the sampler's proposals: row X_mu, or rows P and phi, saved and updated in the state's
+    # own stack; the kernel writes only its scratch rows, and copying the saved rows back
+    # restores the state's traces bit for bit
     rng = np.random.default_rng(m)
     sig = build_signature(0, 4)
     X = np.array([1j * dirac.random_hermitian(m, rng) for _ in range(4)])
     DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
-    state = _filled(action.Kernel(m, sig.e, sig.eps_dblprime), X, DF + phi, phi)
-    state.traces()  # fills the scratch rows of the state
+    kernel = _filled(action.Kernel(m, sig.e, sig.eps_dblprime), X, DF + phi, phi)
+    before, state = kernel.traces(), kernel.S[:7].tobytes()
     inc = dirac.random_hermitian(m, rng)
-    cand = action.Kernel(m, sig.e, sig.eps_dblprime)
-    np.copyto(cand.S, state.S)
+    written = kernel.S[action.STACK_P:action.STACK_PHI + 1] if field == "phi" else kernel.X[2:3]
+    saved = written.copy()
     if field == "phi":
-        cand.phi[...] += inc
-        np.add(DF, cand.phi, out=cand.P)
+        kernel.phi[...] += inc
+        np.add(DF, kernel.phi, out=kernel.P)
         X_c, phi_c = X, phi + inc
     else:
-        cand.X[2] += 1j * inc
+        kernel.X[2] += 1j * inc
         X_c, phi_c = X.copy(), phi
         X_c[2] = X[2] + 1j * inc
-    rows = cand.S[:7].tobytes()
-    got = cand.traces()
-    assert cand.S[:7].tobytes() == rows
+    rows = kernel.S[:7].tobytes()
+    got = kernel.traces()
+    assert kernel.S[:7].tobytes() == rows
     want = action.bitracial_traces(X_c, DF + phi_c, phi_c, sig.e, sig.eps_dblprime)
     for name, g, w in zip(action.BiTraces._fields, got, want):
         assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300), (name, g, w)
+    np.copyto(written, saved)
+    assert kernel.S[:7].tobytes() == state
+    assert kernel.traces() == before
 
 
 def _kernel_input(m, k, e):

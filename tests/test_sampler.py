@@ -227,10 +227,13 @@ def test_chiral_pairing_symmetric_spectrum():
     np.testing.assert_allclose(ev, -ev[::-1], atol=1e-10)
 
 
-def test_records_describe_the_state_at_their_sweep():
-    # a chain cut after sweep k ends in the state that sweep k recorded
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (4, 0)])
+def test_records_describe_the_state_at_their_sweep(p, q):
+    # a chain cut after sweep k ends in the state that sweep k recorded, so a rejected
+    # proposal left its rows as they were: in (1, 3) phi is traceless and A_0 Hermitian, in
+    # (4, 0) every A_mu is Hermitian
     from ncg_ymh.action import sectors
-    gt = higgs_template(seed=6)
+    gt = higgs_template(seed=6, p=p, q=q)
     steps, burn_in = 12, 4
     opts = dict(N=2, n=2, poly=QUARTIC, burn_in=burn_in, seed=21, autotune=False,
                 step_sizes={"L": 0.1, "A": 0.1, "phi": 0.1})
