@@ -27,11 +27,15 @@ of 14 commutators.  All products Y_a Y_b of Y = (X_mu, P, phi) come from one
 like the Gram product's, a view of one transpose buffer; one `np.take` on
 flat indices gathers the 34 blocks the kernel reads.  At the sampler's sizes
 (m = 8) the cost is the number of numpy calls more than the flops, and this
-form keeps that number small.  The sectors are checked against the direct
-trace of a dense D, `spectral_action_direct`, which holds two powers of D at
-a time: Tr D^(2j+1) = <D^j, D^(j+1)>.  The m^2 x m^2 superoperator forms
-(`theta`, `field_strength`, the shortcut side of `gauge_higgs_identity_sides`)
-are kept as brute-force oracles.  Index raising uses eta = diag(e_0..e_3).
+form keeps that number small.  `sector_breakdown` is the one combination of
+the seven traces: `sectors` returns the closed sectors only, and the trace
+lemmas and the gauge-Higgs bracket are values of it.  The dense trace
+`spectral_action_direct`, which holds two powers of D at a time
+(Tr D^(2j+1) = <D^j, D^(j+1)>), is the oracle, called by name on
+`fluct.assemble_fluctuated` where it is wanted.  The m^2 x m^2
+superoperator forms (`theta`, `field_strength`, the shortcut side of
+`gauge_higgs_identity_sides`) are kept as brute-force oracles.  Index
+raising uses eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
@@ -40,11 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import build_gammas
 from .dirac import GaugeTriple, has_adjointness_type
 from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
-from .fluct import (Fluctuation, assemble_fluctuated, covariant_matrices, covariant_ops,
-                    higgs_field)
+from .fluct import Fluctuation, covariant_matrices, covariant_ops, higgs_field
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,6 @@ class ActionBreakdown(NamedTuple):
     s_gh: float
     s_theta: float
     total_closed: float
-    total_direct: float | None = None
-
-    @property
-    def rest(self) -> float | None:
-        """Degree >= 5 contribution: direct total minus the four sectors."""
-        if self.total_direct is None:
-            return None
-        return self.total_direct - self.total_closed
 
 
 def require_flat(gt: GaugeTriple, fl: Fluctuation):
@@ -273,54 +267,61 @@ def bitracial_traces(X: np.ndarray, P: np.ndarray, phi: np.ndarray, e, eps) -> B
 
 def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:
     require_flat(gt, fl)
-    X = covariant_matrices(gt.fuzzy.K, fl.A)
-    P = gt.lifted_D_F + fl.phi
+    # an overflow shows as non-finite traces, which the callers report
     with np.errstate(over="ignore", invalid="ignore"):
+        X = covariant_matrices(gt.fuzzy.K, fl.A)
+        P = gt.lifted_D_F + fl.phi
         return bitracial_traces(X, P, fl.phi, gt.sig.e, gt.sig.eps_dblprime)
 
 
-def _gauge_higgs(tr: BiTraces, a4: float) -> float:
-    return a4 * (tr.Phi2_theta - 0.5 * tr.dPhi2)
-
-
-def sector_breakdown(tr: BiTraces, f: ActionPolynomial,
-                     total_direct: float | None = None) -> ActionBreakdown:
+def sector_breakdown(tr: BiTraces, f: ActionPolynomial) -> ActionBreakdown:
     """The four sectors of (1/4) Tr f(D_omega) from the kernel traces.
 
     S_YM = -(a4/4) sum e e Tr F^2, S_H = (1/2)(a2 Tr Phi^2 + a4 Tr Phi^4),
     S_theta = (1/2)(a2 Tr theta + a4 Tr theta^2) and S_gh the exact bracket
     a4 [Tr(Phi^2 theta) - 1/2 sum eta Tr([d_mu, Phi][d_nu, Phi])], which
     with the other three sectors reproduces (1/4) Tr f(D) for degree <= 4.
+    The only code that combines the kernel traces: the trace lemmas and the
+    bracket side of `gauge_higgs_identity_sides` read it through `sectors`.
     """
     a2, a4 = f.a2, f.a4
     s_ym = -a4 / 4 * tr.F2
     s_h = 0.5 * (a2 * tr.Phi2 + a4 * tr.Phi4)
-    s_gh = _gauge_higgs(tr, a4)
+    s_gh = a4 * (tr.Phi2_theta - 0.5 * tr.dPhi2)
     s_th = 0.5 * (a2 * tr.theta + a4 * tr.theta2)
     return ActionBreakdown(s_ym=s_ym, s_h=s_h, s_gh=s_gh, s_theta=s_th,
-                           total_closed=s_ym + s_h + s_gh + s_th, total_direct=total_direct)
+                           total_closed=s_ym + s_h + s_gh + s_th)
+
+
+def sectors(gt: GaugeTriple, fl: Fluctuation, f: ActionPolynomial) -> ActionBreakdown:
+    """The closed-form sectors of (1/4) Tr f(D_omega), flat data in any signature.
+
+    See `sector_breakdown`.  Closed forms only: the dense oracle, to which
+    the four sectors sum for f of degree <= 4, is called by name,
+    spectral_action_direct(assemble_fluctuated(gt, fl, build_gammas(gt.sig)), f).
+    """
+    return sector_breakdown(_traces(gt, fl), f)
 
 
 def trace_d2_closed(gt: GaugeTriple, fl: Fluctuation) -> float:
-    """(1/4) Tr D_omega^2 = Tr(theta + Phi^2) in flat data."""
-    tr = _traces(gt, fl)
-    return tr.theta + tr.Phi2
+    """(1/4) Tr D_omega^2 = Tr(theta + Phi^2) in flat data: `sectors` at f = x^2 (a2 = 2)."""
+    return sectors(gt, fl, ActionPolynomial((0.0, 2.0))).total_closed
 
 
 def trace_d4_closed(gt: GaugeTriple, fl: Fluctuation) -> float:
-    """(1/4) Tr D_omega^4 in flat data.
+    """(1/4) Tr D_omega^4 in flat data: `sectors` at f = x^4 (a4 = 2).
 
     -1/2 sum Tr(F_{mu nu} F^{mu nu}) + Tr((theta + Phi^2)^2)
     - sum eta^{mu nu} Tr([d_mu, Phi][d_nu, Phi]).
     """
-    tr = _traces(gt, fl)
-    return -0.5 * tr.F2 + tr.theta2 + 2 * tr.Phi2_theta + tr.Phi4 - tr.dPhi2
+    return sectors(gt, fl, ActionPolynomial((0.0, 0.0, 0.0, 2.0))).total_closed
 
 
 def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     """Both candidate forms of the gauge-Higgs sector, evaluated independently.
 
-    Left: the exact bracket a4 [Tr(Phi^2 theta) - 1/2 eta Tr([d, Phi][d, Phi])].
+    Left: the exact bracket a4 [Tr(Phi^2 theta) - 1/2 eta Tr([d, Phi][d, Phi])],
+    the S_gh of `sectors` at a4.
     Right: the integration-by-parts style shortcut
     -a4 sum eta^{mu nu} Tr(d_mu Phi d_nu Phi), operator composition
     throughout.  For matrix traces the two differ by 2 a4 Tr(theta Phi^2):
@@ -328,7 +329,7 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     no boundary to drop it over, so only the bracket reproduces the direct
     quartic trace.
     """
-    lhs = _gauge_higgs(_traces(gt, fl), a4)
+    lhs = sectors(gt, fl, ActionPolynomial((0.0, 0.0, 0.0, a4))).s_gh
     e = gt.sig.e
     d = covariant_ops(gt, fl)
     Phi = higgs_field(fl, gt)
@@ -336,21 +337,6 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     for mu in range(4):
         rhs -= e[mu] * np.trace(d[mu] @ Phi @ d[mu] @ Phi)
     return lhs, float(a4 * rhs.real)
-
-
-def sectors(gt: GaugeTriple, fl: Fluctuation, f: ActionPolynomial,
-            include_direct: bool = False) -> ActionBreakdown:
-    """Sector decomposition of (1/4) Tr f(D_omega), flat data in any signature.
-
-    See `sector_breakdown`.  For f of degree <= 4 the four sectors sum to
-    the direct trace.
-    """
-    tr = _traces(gt, fl)
-    direct = None
-    if include_direct:
-        mod = build_gammas(gt.sig)
-        direct = spectral_action_direct(assemble_fluctuated(gt, fl, mod), f)
-    return sector_breakdown(tr, f, direct)
 
 
 _CHECK_ENTRIES = 1 << 16

@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import clifford, dirac, fluct
-from .action import ActionPolynomial, sectors
+from .action import ActionPolynomial, sectors, spectral_action_direct
 from .dirac import FiniteData, FuzzyData, GaugeTriple
 from .errors import NcgError, NotSelfAdjoint
 from .sampler import (_DRAW_ENTRIES, _STEP_SIZES, SamplerConfig, batch_means,
@@ -323,7 +323,7 @@ def _require_fits(need: int, what: str, parts: str):
 
 
 def _dense_inputs(cfg: dict, degree: int | None = None):
-    """(gauge triple, fluctuation) of a config whose dense Dirac operator fits in memory.
+    """(gauge triple, fluctuation, D) of a config whose dense Dirac operator D fits in memory.
 
     D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n.  spectrum
     (degree None) holds D and eigvalsh's copy; action, for a poly of the given
@@ -339,7 +339,11 @@ def _dense_inputs(cfg: dict, degree: int | None = None):
     else:
         need, parts = 5 * size // 2, f"D and two of its powers for a poly of degree {degree}"
     _require_fits(need, f"the dense Dirac operator at N = {N}, n = {n}", parts)
-    return _fields(cfg)
+    gt, fl = _fields(cfg)
+    # an overflow shows as a non-finite D, which the direct trace and spectrum refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
+    return gt, fl, D
 
 
 def _poly(cfg: dict) -> ActionPolynomial:
@@ -385,15 +389,13 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_action(cfg: dict) -> int:
     poly = _poly(cfg)
-    gt, fl = _dense_inputs(cfg, poly.degree)
-    # an overflow shows as a non-finite D, which the direct trace refuses, or as a
-    # non-finite action, refused below; neither warns
-    with np.errstate(over="ignore", invalid="ignore"):
-        br = sectors(gt, fl, poly, include_direct=True)
+    gt, fl, D = _dense_inputs(cfg, poly.degree)
+    br = sectors(gt, fl, poly)  # a non-finite action is refused below
+    total_direct = spectral_action_direct(D, poly)
     out = {
         "s_ym": br.s_ym, "s_h": br.s_h, "s_gh": br.s_gh, "s_theta": br.s_theta,
-        "total_closed": br.total_closed, "total_direct": br.total_direct,
-        "rest": br.rest,
+        "total_closed": br.total_closed, "total_direct": total_direct,
+        "rest": total_direct - br.total_closed,
         "positivity_applicable": poly.a4 >= 0,
     }
     bad = [key for key, value in out.items() if not np.isfinite(value)]
@@ -402,7 +404,7 @@ def cmd_action(cfg: dict) -> int:
     path = os.path.join(cfg["out"], "action_breakdown.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
-    print(f"total_closed = {br.total_closed!r}, total_direct = {br.total_direct!r}")
+    print(f"total_closed = {br.total_closed!r}, total_direct = {total_direct!r}")
     print(f"breakdown: {path}")
     return 0
 
@@ -412,9 +414,7 @@ def cmd_spectrum(cfg: dict) -> int:
     bins = cfg["histogram_bins"]
     _require_fits(64 * bins, f"the spectrum histogram at histogram_bins = {bins}",
                   "its edges and counts, as arrays and as the lists written")
-    gt, fl = _dense_inputs(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
+    _, _, D = _dense_inputs(cfg)
     if not np.isfinite(D).all():  # as action's direct trace refuses it, before eigvalsh
         raise NotSelfAdjoint("operator has non-finite entries")
     ev = np.linalg.eigvalsh(D)  # ascending
@@ -464,8 +464,8 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError(f"need sampler.steps >= sampler.burn_in >= 0, got sampler.steps = "
                           f"{steps} and sampler.burn_in = {burn_in}{default}")
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
-    # the chain's peak (tracemalloc, m = N n = 32 to 96) is at most 3375 bytes per m x m entry
-    _require_fits(3840 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
+    # the chain's peak (tracemalloc, m = N n = 32 to 96) is at most 2869 bytes per m x m entry
+    _require_fits(3200 * (N * n) ** 2, f"the chain at geometry.N = {N}, geometry.n = {n}",
                   "one kernel, the fields and their draws")
     gt = _triple(cfg)
     try:

@@ -242,6 +242,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         j = sweep % chunk
         if j == 0:
             k = min(chunk, cfg.steps - sweep)
+            draws = increments = None  # release the last chunk's before the next is drawn
             draws = [_generators(rng, k, m, *t) for rng, t in zip(rngs, types)]
             increments = [step * d for step, d in zip(steps, draws)]
         for i, row in enumerate(rows):
@@ -269,6 +270,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
                     steps[i] *= 1.25
                 elif rate < lo:
                     steps[i] /= 1.25
+            increments = None  # release the old ones before the rescaled are made
             increments = [step * d for step, d in zip(steps, draws)]
             trajectory.append({"sweep": sweep, "acceptance": dict(zip(names, rates)),
                                "step_sizes": dict(zip(names, steps))})

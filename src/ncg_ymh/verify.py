@@ -172,9 +172,11 @@ def odd_traces(gt: GaugeTriple, fl, mod) -> float:
 
 def sector_split(gt: GaugeTriple, fl, poly: ActionPolynomial) -> tuple:
     """(sector sum vs direct (1/4) Tr f(D), negativity of a sector, of theta)."""
-    br = action_mod.sectors(gt, fl, poly, include_direct=True)
+    br = action_mod.sectors(gt, fl, poly)
+    direct = action_mod.spectral_action_direct(
+        fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig)), poly)
     theta_min = float(np.linalg.eigvalsh(action_mod.theta(gt, fl)).min())
-    return (_rel(abs(br.total_closed - br.total_direct), abs(br.total_direct)),
+    return (_rel(abs(br.total_closed - direct), abs(direct)),
             worst((0.0, -br.s_ym, -br.s_h, -br.s_theta)),
             worst((0.0, -theta_min)))
 

@@ -5,7 +5,7 @@ import pytest
 
 from ncg_ymh import action, cli, dirac, fluct, verify
 from ncg_ymh.action import ActionPolynomial
-from ncg_ymh.clifford import build_module, build_signature
+from ncg_ymh.clifford import build_gammas, build_module, build_signature
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
 from ncg_ymh.errors import NotFlat, NotSelfAdjoint
 from ncg_ymh.superop import gen_comm
@@ -140,10 +140,11 @@ def test_sector_sum_equals_direct():
     for p in range(5):
         gt = make_triple(p=p, q=4 - p, N=2, n=2, seed=20)
         fl = fluct.random_fluctuation(gt, seed=21)
-        br = action.sectors(gt, fl, POLY, include_direct=True)
-        assert br.total_direct is not None
-        assert abs(br.total_closed - br.total_direct) <= 1e-9 * abs(br.total_direct), p
-        assert abs(br.rest) <= 1e-9 * abs(br.total_direct), p
+        br = action.sectors(gt, fl, POLY)
+        direct = action.spectral_action_direct(
+            fluct.assemble_fluctuated(gt, fl, build_gammas(gt.sig)), POLY)
+        assert abs(br.total_closed - direct) <= 1e-9 * abs(direct), p
+        assert abs(direct - br.total_closed) <= 1e-9 * abs(direct), p  # the rest
         assert br.s_ym >= -1e-10 and br.s_h >= -1e-10 and br.s_theta >= -1e-10, p
 
 
@@ -151,9 +152,26 @@ def test_rest_for_degree_six():
     gt = make_triple(N=2, n=2, seed=22, with_DF=False)
     fl = fluct.random_fluctuation(gt, seed=23)
     f6 = ActionPolynomial((0.0, 0.7, 0.0, 1.3, 0.0, 0.1))
-    br = action.sectors(gt, fl, f6, include_direct=True)
+    br = action.sectors(gt, fl, f6)
+    direct = action.spectral_action_direct(
+        fluct.assemble_fluctuated(gt, fl, build_gammas(gt.sig)), f6)
     # degree-6 piece lands in rest, not in the four sectors
-    assert abs(br.rest) > 1e-6
+    assert abs(direct - br.total_closed) > 1e-6
+
+
+@pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
+def test_trace_lemmas_and_bracket_are_values_of_sectors(p, q):
+    # sector_breakdown is the one combination of the kernel traces: (1/4) Tr D^2 and
+    # (1/4) Tr D^4 are the sectors' total at f = x^2 and x^4, the bracket their S_gh
+    x2, x4 = ActionPolynomial((0.0, 2.0)), ActionPolynomial((0.0, 0.0, 0.0, 2.0))
+    for seed in (0, 1, 2):
+        gt = make_triple(p=p, q=q, N=3, n=2, seed=seed)
+        fl = fluct.random_fluctuation(gt, seed=seed + 10)
+        assert action.trace_d2_closed(gt, fl) == action.sectors(gt, fl, x2).total_closed
+        assert action.trace_d4_closed(gt, fl) == action.sectors(gt, fl, x4).total_closed
+        for a4 in (2.0, -0.7):
+            bracket = action.sectors(gt, fl, ActionPolynomial((0.0, 0.0, 0.0, a4))).s_gh
+            assert action.gauge_higgs_identity_sides(gt, fl, a4)[0] == bracket
 
 
 def test_spectral_action_direct():

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncg_ymh import cli, clifford, dirac, fluct, sampler, verify
+from ncg_ymh import action, cli, clifford, dirac, fluct, sampler, verify
 from ncg_ymh.verify import run_identity_suite
 
 
@@ -138,15 +138,22 @@ def test_action_negative_a4_flagged(tmp_path):
 
 
 def test_action_lorentzian_matches_direct_trace(tmp_path):
-    cfg = write_config(tmp_path, {
+    cfg = {
         "geometry": {"p": 1, "q": 3, "N": 2, "n": 2},
         "fields": {"source": "random", "seed": 1},
         "out": str(tmp_path),
-    })
-    assert run(["action", "--config", cfg]) == 0
+    }
+    assert run(["action", "--config", write_config(tmp_path, cfg)]) == 0
     out = json.loads((tmp_path / "action_breakdown.json").read_text())
     assert abs(out["total_closed"] - out["total_direct"]) \
         <= 1e-9 * max(1.0, abs(out["total_direct"]))
+    # bit for bit: rest is the difference of the two totals, total_direct the dense
+    # trace of the same inputs
+    assert out["rest"] == out["total_direct"] - out["total_closed"]
+    resolved = cli.resolve(cfg)
+    gt, fl = cli._fields(resolved)
+    D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
+    assert out["total_direct"] == action.spectral_action_direct(D, cli._poly(resolved))
 
 
 def test_action_from_matrix_files(tmp_path):
@@ -890,6 +897,16 @@ def test_readme_example_config_runs(tmp_path):
     path = write_config(tmp_path, cfg)
     for command in ("action", "spectrum"):
         assert run([command, "--config", path]) == 0, command
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch runs against the package's API, and its closed and direct totals agree
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("## Library sketch\n", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    closed_line, direct_line = capsys.readouterr().out.splitlines()
+    closed, direct = float(closed_line.split()[-1]), float(direct_line)
+    assert abs(closed - direct) <= 1e-9 * abs(direct), (closed, direct)
 
 
 def test_main_parser_is_reused_without_carrying_flags(tmp_path):
