@@ -339,56 +339,28 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     return lhs, float(a4 * rhs.real)
 
 
-_CHECK_ENTRIES = 1 << 16
-
-
 def _checked_tiles(D: np.ndarray) -> list:
-    """The check of `require_self_adjoint`; returns D's spinor tiles, None where zero.
+    """D's spinor tiles, None where zero, once D passes the self-adjointness check.
 
     The tiles are the views D_ac of D's 4 x 4 spinor blocks, or D itself when
-    4 does not divide dim.  Each mirror pair D_ac, D_ca, a <= c, is read
-    once, in blocks of about _CHECK_ENTRIES entries, so no temporary of the
-    size of D is formed.
+    4 does not divide dim.  Each tile is read whole: one max|D_ac| per tile,
+    one finiteness test of those maxima (a NaN or inf anywhere fails), and
+    one max|D_ac - D_ca*| per mirror pair a <= c with a nonzero member, which
+    must be at most 1e-9 max(1, max|D|).  No temporary is larger than a tile.
     """
     g = 4 if D.shape[0] % 4 == 0 else 1
     s = D.shape[0] // g
     tiles = [[D[a * s:(a + 1) * s, c * s:(c + 1) * s] for c in range(g)] for a in range(g)]
-    step = max(1, _CHECK_ENTRIES // max(1, s))
-    dev = scale = 0.0
-    for a in range(g):
-        for c in range(a, g):
-            up, lo = tiles[a][c], tiles[c][a]
-            top_up = top_lo = 0.0
-            for r in range(0, s, step):
-                rows, mirror = up[r:r + step], lo[:, r:r + step]
-                t_up = np.abs(rows).max()
-                # the rows of a diagonal tile cover its mirror; off the diagonal
-                # each maximum is tested, since max(x, nan) drops a NaN (the
-                # reason every identity check folds with clifford.worst)
-                t_lo = t_up if a == c else np.abs(mirror).max()
-                if not (np.isfinite(t_up) and np.isfinite(t_lo)):
-                    raise NotSelfAdjoint("operator has non-finite entries")
-                top_up, top_lo = max(top_up, t_up), max(top_lo, t_lo)
-                if t_up or t_lo:
-                    dev = max(dev, np.abs(rows - mirror.conj().T).max())
-            scale = max(scale, top_up, top_lo)
-            if not top_up:
-                tiles[a][c] = None
-            if not top_lo:
-                tiles[c][a] = None
-    if not dev <= 1e-9 * max(1.0, scale):
+    top = np.array([[np.abs(t).max(initial=0.0) for t in row] for row in tiles])
+    # every maximum is tested, since the builtin max(x, nan) drops a NaN (the
+    # reason every identity check folds with clifford.worst)
+    if not np.isfinite(top).all():
+        raise NotSelfAdjoint("operator has non-finite entries")
+    dev = max((np.abs(tiles[a][c] - tiles[c][a].conj().T).max()
+               for a in range(g) for c in range(a, g) if top[a, c] or top[c, a]), default=0.0)
+    if not dev <= 1e-9 * max(1.0, top.max()):
         raise NotSelfAdjoint(f"operator deviates from self-adjointness by {dev:.3e}")
-    return tiles
-
-
-def require_self_adjoint(D: np.ndarray):
-    """Raise NotSelfAdjoint unless D is finite and max|D - D*| <= 1e-9 max(1, max|D|).
-
-    Both maxima are taken tile by tile over D's 4 x 4 spinor blocks, in
-    blocks of rows, so no temporary of the size of D is formed.  A
-    non-finite entry fails the check, wherever it sits.
-    """
-    _checked_tiles(D)
+    return [[t if top[a, c] else None for c, t in enumerate(row)] for a, row in enumerate(tiles)]
 
 
 def _upper_product(P: list, T: list) -> list:
@@ -436,8 +408,8 @@ def spectral_action_direct(D: np.ndarray, f: ActionPolynomial) -> float:
     of D is skipped.  No diagonalisation: the default quartic costs one
     block-wise matrix product, and the four anti-diagonal blocks of every D
     that `assemble_fluctuated` writes are zero (odd products of gammas never
-    reach them).  The self-adjointness check is the pass that finds the
-    zero blocks.
+    reach them).  The self-adjointness check (`_checked_tiles`), which reads
+    each block whole, is the pass that finds the zero blocks.
     """
     if D.shape[0] != D.shape[1]:
         raise DimensionMismatch(f"operator not square: {D.shape}")

@@ -323,12 +323,12 @@ def _require_fits(need: int, what: str, parts: str):
 
 
 def _dense_inputs(cfg: dict, degree: int | None = None):
-    """(gauge triple, fluctuation, D) of a config whose dense Dirac operator D fits in memory.
+    """(gauge triple, fluctuation) of a config whose dense Dirac operator D fits in memory.
 
-    D has 4 m^2 x 4 m^2 complex entries, 256 m^4 bytes with m = N n.  spectrum
-    (degree None) holds D and eigvalsh's copy; action, for a poly of the given
-    degree, D and the blocks a <= c of D^2 (about 0.75 D) up to degree 4, and
-    of two powers of D (about 1.4 D) beyond.
+    D, which `_assembled` builds and this does not, has 4 m^2 x 4 m^2 complex
+    entries, 256 m^4 bytes with m = N n.  spectrum (degree None) holds D and
+    eigvalsh's copy; action, for a poly of the given degree, D and the blocks
+    a <= c of D^2 (about 0.75 D) up to degree 4, and of two powers (1.4 D) beyond.
     """
     N, n = cfg["geometry"]["N"], cfg["geometry"]["n"]
     size = 256 * (N * n) ** 4
@@ -339,11 +339,13 @@ def _dense_inputs(cfg: dict, degree: int | None = None):
     else:
         need, parts = 5 * size // 2, f"D and two of its powers for a poly of degree {degree}"
     _require_fits(need, f"the dense Dirac operator at N = {N}, n = {n}", parts)
-    gt, fl = _fields(cfg)
-    # an overflow shows as a non-finite D, which the direct trace and spectrum refuse
+    return _fields(cfg)
+
+
+def _assembled(gt: GaugeTriple, fl: fluct.Fluctuation) -> np.ndarray:
+    """D of `_dense_inputs`' fields; an overflow is a non-finite D, which its readers refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
-        D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
-    return gt, fl, D
+        return fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
 
 
 def _poly(cfg: dict) -> ActionPolynomial:
@@ -389,9 +391,9 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_action(cfg: dict) -> int:
     poly = _poly(cfg)
-    gt, fl, D = _dense_inputs(cfg, poly.degree)
-    br = sectors(gt, fl, poly)  # a non-finite action is refused below
-    total_direct = spectral_action_direct(D, poly)
+    gt, fl = _dense_inputs(cfg, poly.degree)
+    br = sectors(gt, fl, poly)  # refuses data that is not flat; a non-finite action below
+    total_direct = spectral_action_direct(_assembled(gt, fl), poly)
     out = {
         "s_ym": br.s_ym, "s_h": br.s_h, "s_gh": br.s_gh, "s_theta": br.s_theta,
         "total_closed": br.total_closed, "total_direct": total_direct,
@@ -414,7 +416,7 @@ def cmd_spectrum(cfg: dict) -> int:
     bins = cfg["histogram_bins"]
     _require_fits(64 * bins, f"the spectrum histogram at histogram_bins = {bins}",
                   "its edges and counts, as arrays and as the lists written")
-    _, _, D = _dense_inputs(cfg)
+    D = _assembled(*_dense_inputs(cfg))
     if not np.isfinite(D).all():  # as action's direct trace refuses it, before eigvalsh
         raise NotSelfAdjoint("operator has non-finite entries")
     ev = np.linalg.eigvalsh(D)  # ascending

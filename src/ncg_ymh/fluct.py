@@ -59,20 +59,12 @@ def connes_one_form(gt: GaugeTriple, mod: CliffordModule, pairs) -> np.ndarray:
     return omega
 
 
-def fluctuate(D: np.ndarray, omega: np.ndarray, S: np.ndarray, eps_prime: int,
-              symmetrize: bool = False) -> np.ndarray:
-    """D + omega + eps' J omega J^{-1}, enforcing omega* = omega.
-
-    With symmetrize the one-form is replaced by (omega + omega*)/2;
-    otherwise a non-self-adjoint omega is rejected.  A one-form with a
-    non-finite entry is always rejected.
-    """
+def fluctuate(D: np.ndarray, omega: np.ndarray, S: np.ndarray, eps_prime: int) -> np.ndarray:
+    """D + omega + eps' J omega J^{-1}; a one-form not finite and self-adjoint is refused."""
     if not np.isfinite(omega).all():
         raise NotSelfAdjoint("one-form has non-finite entries")
     dev = np.linalg.norm(omega - omega.conj().T)
-    if symmetrize:
-        omega = (omega + omega.conj().T) / 2
-    elif not dev <= 1e-9 * max(1.0, np.linalg.norm(omega)):
+    if not dev <= 1e-9 * max(1.0, np.linalg.norm(omega)):
         raise NotSelfAdjoint(f"one-form deviates from self-adjointness by {dev:.3e}")
     return D + omega + eps_prime * conjugate_by_J(omega, S)
 

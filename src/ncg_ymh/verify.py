@@ -102,17 +102,19 @@ def lichnerowicz(fz, mod) -> float:
 def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
     """D + omega + eps' J omega J* against the closed-form D_omega.
 
-    omega is the Connes one-form of three random pairs (a, c), each factor a
-    Kronecker product of complex Gaussian N x N and n x n matrices.
+    omega is the self-adjoint part (omega + omega*)/2 of the Connes one-form
+    of three random pairs (a, c), each factor a Kronecker product of complex
+    Gaussian N x N and n x n matrices; both paths read that one omega.
     """
     N, n = gt.N, gt.n
     pairs = [tuple(np.kron(dirac.complex_gaussian(rng, N), dirac.complex_gaussian(rng, n))
                    for _ in range(2)) for _ in range(3)]
     omega = fluct.connes_one_form(gt, mod, pairs)
+    omega = (omega + omega.conj().T) / 2
     S = dirac.real_structure(mod, gt.m)
     D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
-    D_fl = fluct.fluctuate(D, omega, S, gt.sig.eps_prime, symmetrize=True)
-    fl = fluct.extract_fluctuation(gt, mod, (omega + omega.conj().T) / 2)
+    D_fl = fluct.fluctuate(D, omega, S, gt.sig.eps_prime)
+    fl = fluct.extract_fluctuation(gt, mod, omega)
     closed = fluct.assemble_fluctuated(gt, fl, mod)
     return _rel(np.linalg.norm(D_fl - closed), np.linalg.norm(D_fl))
 

@@ -252,18 +252,18 @@ def test_spectral_action_direct_rejects_non_finite(bad):
             action.spectral_action_direct(D, f)
 
 
-def test_self_adjoint_check_over_row_blocks(monkeypatch):
-    monkeypatch.setattr(action, "_CHECK_ENTRIES", 8)  # one row per block
+def test_self_adjoint_check_of_one_whole_tile():
+    # 4 does not divide 7: D is one tile, read whole
     rng = np.random.default_rng(3)
     H = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     H = H + H.conj().T
-    action.require_self_adjoint(H)
+    assert np.isfinite(action.spectral_action_direct(H, POLY))
     H[6, 0] += 1e-3
-    with pytest.raises(NotSelfAdjoint):
-        action.require_self_adjoint(H)
+    with pytest.raises(NotSelfAdjoint, match="deviates"):
+        action.spectral_action_direct(H, POLY)
     H[6, 0] = np.nan
-    with pytest.raises(NotSelfAdjoint):
-        action.require_self_adjoint(H)
+    with pytest.raises(NotSelfAdjoint, match="non-finite"):
+        action.spectral_action_direct(H, POLY)
 
 
 @pytest.mark.parametrize("p,q", [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)])
@@ -512,7 +512,7 @@ def test_direct_trace_holds_two_powers_at_a_time():
 
 def test_direct_trace_of_zero_operator():
     f = ActionPolynomial((0.3, -0.7, 0.5, 1.1, -0.2, 0.9))
-    for dim in (16, 7):
+    for dim in (16, 7, 0):
         D = np.zeros((dim, dim), dtype=complex)
         assert all(all(row) for row in _zero_tiles(D))
         assert action.spectral_action_direct(D, f) == 0.0 == _dense_direct(D, f)
@@ -527,10 +527,18 @@ def test_nan_only_in_a_lower_mirror_tile(where):
     D = fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
     assert _zero_tiles(D) == ANTI_DIAGONAL
     D[where] = np.nan
-    for check in (action.require_self_adjoint,
-                  lambda D: action.spectral_action_direct(D, POLY)):
-        with pytest.raises(NotSelfAdjoint, match="non-finite"):
-            check(D)
+    with pytest.raises(NotSelfAdjoint, match="non-finite"):
+        action.spectral_action_direct(D, POLY)
+
+
+@pytest.mark.parametrize("where", [(9, 0), (13, 0)])
+def test_deviation_only_in_a_lower_mirror_tile(where):
+    # as above: the mirror of tile (2, 0) is nonzero, that of tile (3, 0) zero
+    gt = make_triple(N=2, n=1, seed=5)
+    D = fluct.assemble_fluctuated(gt, fluct.random_fluctuation(gt, seed=6), build_module(0, 4))
+    D[where] += 1e-3
+    with pytest.raises(NotSelfAdjoint, match="deviates from self-adjointness by 1.000e-03"):
+        action.spectral_action_direct(D, POLY)
 
 
 def test_nan_S_is_not_flat():

@@ -881,6 +881,20 @@ def test_files_source_with_a_triple_index_block(tmp_path, capsys):
     assert os.listdir(tmp_path / "action") == []
 
 
+def test_action_refuses_triple_blocks_before_building_d(tmp_path, monkeypatch, capsys):
+    # the closed sectors refuse data that is not flat; no dense D is assembled first
+    calls = []
+    assemble = fluct.assemble_fluctuated
+    monkeypatch.setattr(fluct, "assemble_fluctuated",
+                        lambda *a: calls.append(None) or assemble(*a))
+    cfg = write_config(tmp_path, {"geometry": {"N": 2, "n": 2}, "fields": {"include_x": True}})
+    assert run(["action", "--config", cfg, "--out", str(tmp_path / "action")]) == 1
+    assert capsys.readouterr().err == "error: fuzzy data carries nonzero triple-index blocks\n"
+    assert calls == []
+    assert run(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum")]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["action", "spectrum", "verify"])
 @pytest.mark.parametrize("cfg", [{"sampler": {"steps": 7}},
                                  {"self_test": True, "sampler": {"steps": 0}}])
