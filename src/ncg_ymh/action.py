@@ -61,7 +61,8 @@ class ActionPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs)
+        """The largest i with a_i != 0; 0 for the zero polynomial."""
+        return max((i for i, a in enumerate(self.coeffs, start=1) if a), default=0)
 
     def coefficient(self, i: int) -> float:
         """a_i, zero outside the stored range (i >= 1)."""
@@ -85,7 +86,7 @@ class ActionPolynomial:
 
     def confining(self) -> bool:
         """Even top degree with positive coefficient (normalizable weight)."""
-        return self.degree % 2 == 0 and self.coeffs[-1] > 0
+        return self.degree % 2 == 0 and self.coefficient(self.degree) > 0
 
 
 class ActionBreakdown(NamedTuple):

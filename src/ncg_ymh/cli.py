@@ -484,9 +484,9 @@ def cmd_sample(cfg: dict) -> int:
         for r in records:
             writer.writerow([r.step, _fmt(r.s_total), _fmt(r.s_ym), _fmt(r.s_h),
                              _fmt(r.s_gh), _fmt(r.s_theta), _fmt(r.acceptance)])
-    summary = {"seed": seed, "n_records": len(records),
-               "step_sizes": info["step_sizes"], "acceptance": info["acceptance"],
-               "acceptance_by_field": info["acceptance_by_field"],
+    by_field = {k: _statistic(v) for k, v in info["acceptance_by_field"].items()}
+    summary = {"seed": seed, "n_records": len(records), "step_sizes": info["step_sizes"],
+               "acceptance": _statistic(info["acceptance"]), "acceptance_by_field": by_field,
                "step_size_trajectory": info["step_size_trajectory"]}
     for name in ("s_total", "s_ym", "s_h", "s_gh", "s_theta"):
         series = [getattr(r, name) for r in records]

@@ -69,39 +69,28 @@ def fluctuate(D: np.ndarray, omega: np.ndarray, S: np.ndarray, eps_prime: int) -
     return D + omega + eps_prime * conjugate_by_J(omega, S)
 
 
-def _basis_coefficient(op: np.ndarray, gA: np.ndarray, m2: int) -> np.ndarray:
-    """(1/4) partial trace of op against a gamma-basis element."""
-    out = np.zeros((m2, m2), dtype=complex)
-    gAd = gA.conj().T
-    for a in range(4):
-        for b in range(4):
-            w = gAd[b, a]
-            if w != 0:
-                out += w * op[a * m2:(a + 1) * m2, b * m2:(b + 1) * m2]
-    return out / 4
+def _gamma_basis(mod: CliffordModule) -> np.ndarray:
+    """The (9, 4, 4) stack gamma^0..3, gamma^{hat 0}..{hat 3}, gamma, in A, S, phi order."""
+    return np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
 
 
 def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
                         omega: np.ndarray) -> Fluctuation:
     """Read (A_mu, S_mu, phi) off a self-adjoint one-form.
 
-    Uses trace-orthogonality of the 16 gamma monomials; every coefficient of
-    a one-form is a pure left multiplication, so the matrix is recovered by
-    applying the coefficient's m^2 x m^2 block to the identity.  An S whose
-    entries all lie below 1e-12 is read as zeros.
+    Uses trace-orthogonality of the 16 gamma monomials: the coefficient of
+    gamma^I is (1/4) sum_ab conj(gamma^I_ab) Omega_ab, inverting the assembler's
+    contraction over `_gamma_basis`.  Spinor block (a, b) of a one-form is a pure
+    left multiplication by Omega_ab, so applying it to vec(1) gives Omega_ab.
+    An S whose entries all lie below 1e-12 is read as zeros.
     """
     m = gt.m
-    m2 = m * m
-    eye = np.eye(m)
-
-    def coefficient(gA):
-        return unvec(_basis_coefficient(omega, gA, m2) @ vec(eye), m)
-
-    A = np.array([coefficient(g) for g in mod.gammas])
-    S = np.array([coefficient(mod.gamma_hat(mu)) for mu in range(4)])
+    blocks = omega.reshape(4, m * m, 4, m * m) @ vec(np.eye(m))   # (a, p, b)
+    coeffs = np.einsum("Iab,apb->Ip", _gamma_basis(mod).conj(), blocks) / 4
+    A, S = (np.array([unvec(c, m) for c in coeffs[k:k + 4]]) for k in (0, 4))
     if np.abs(S).max() <= 1e-12:  # a NaN is kept
         S = np.zeros_like(S)
-    return Fluctuation(A=A, S=S, phi=coefficient(mod.chirality))
+    return Fluctuation(A=A, S=S, phi=unvec(coeffs[8], m))
 
 
 def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
@@ -110,8 +99,9 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
 
     The four A_mu are drawn first, then the four S_mu only when the fuzzy
     data has X blocks (else S is zeros), then phi: a symmetrized sum of
-    three X (x) a [D_F, c] terms, zero for Yang-Mills triples.  A scale at
-    which the fields overflow raises OverflowError, without numpy's warnings.
+    three X (x) a [D_F, c] terms, zero and not drawn where D_F is scalar
+    (`FiniteData.is_scalar`, as in the sampler).  A scale at which the
+    fields overflow raises OverflowError, without numpy's warnings.
     """
     sig = gt.sig
     m = gt.m
@@ -123,7 +113,7 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
         S = np.array([random_typed(m, rng, e, scale) for e in sig.e_hat]) \
             if gt.fuzzy.has_triples else np.zeros_like(A)
         phi = np.zeros((m, m), dtype=complex)
-        if not gt.yang_mills:
+        if not gt.finite.is_scalar:
             n = gt.n
             for _ in range(3):
                 X = random_hermitian(gt.N, rng, scale)
@@ -182,7 +172,7 @@ def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
                                     f"need {shape} at m = {m}")
     X = covariant_matrices(gt.fuzzy.K, fl.A)
     Y = covariant_matrices(gt.fuzzy.K_hat, fl.S)
-    gammas = np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
+    gammas = _gamma_basis(mod)
     lefts = np.array([*X, *Y, gt.lifted_D_F + fl.phi])
     rights = np.array([*(e * x for e, x in zip(sig.e, X)),
                        *(e * y for e, y in zip(sig.e_hat, Y)), sig.eps_dblprime * fl.phi])

@@ -196,9 +196,9 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     The template supplies n, D_F and the signature; its L blocks, made
     traceless where e_mu = -1, stay fixed (zero blocks are fine).  Fully
     deterministic under cfg.seed.  Besides the final state, info holds the
-    tuned step sizes, the post-burn-in acceptance overall and per field, and
-    the autotune trajectory: per tuning window its last sweep, each field's
-    acceptance and the step sizes it led to.
+    tuned step sizes, the post-burn-in acceptance overall and per field (NaN
+    with no sweep after burn-in), and the autotune trajectory: per tuning
+    window its last sweep, each field's acceptance and the step sizes it led to.
     """
     sig = gt_template.sig
     N = cfg.N
@@ -288,10 +288,10 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     state = ChainState(L=L, A=kernel.X - LX, phi=kernel.phi.copy(),
                        breakdown=current, accept_count=sum(accepted) - sum(after_burn_in),
                        proposal_count=proposals)
-    sampled = max(1, cfg.steps - cfg.burn_in)
+    sampled = cfg.steps - cfg.burn_in or math.nan  # no sweep after burn-in: NaN rates
     info = {"step_sizes": dict(zip(names, steps)),
             "final_state": state,
-            "acceptance": state.accept_count / max(1, proposals),
+            "acceptance": state.accept_count / (proposals or math.nan),
             "acceptance_by_field": {name: (a - a0) / sampled for name, a, a0
                                     in zip(names, accepted, after_burn_in)},
             "step_size_trajectory": trajectory}

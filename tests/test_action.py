@@ -29,6 +29,11 @@ def test_polynomial_accessors():
     assert f.confining()
     assert not ActionPolynomial((1.0,)).confining()
     assert not ActionPolynomial((0.0, 1.0, 0.0, -1.0)).confining()
+    # the degree is that of the highest nonzero coefficient: trailing zeros do not count
+    for coeffs, degree, confining in (((0, 1, 0, 0), 2, True), ((0, 1, 0, 1, 0, 0), 4, True),
+                                      ((0,), 0, False)):
+        g = ActionPolynomial(coeffs)
+        assert g.degree == degree and g.confining() is confining
     ev = np.array([1.0, -1.0, 2.0])
     assert abs(f.evaluate_sum(ev) - sum(
         0.5 * (0.5 * x + 1.0 * x ** 2 + 0.25 * x ** 3 + 2.0 * x ** 4) for x in ev)) < 1e-12

@@ -217,6 +217,22 @@ def test_sample_header_only_when_no_records(tmp_path):
     lines = (tmp_path / "records.csv").read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("step,S_total")
+    # a rate over no proposals is undefined: null, not 0.0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["acceptance"] is None
+    assert summary["acceptance_by_field"] == {"A0": None, "A1": None, "A2": None, "A3": None}
+
+
+def test_sample_trailing_zero_coefficients(tmp_path):
+    # [0, 1, 0, 1, 0, 0] is the quartic [0, 1, 0, 1]: accepted, and the same chain
+    outs = []
+    for i, poly in enumerate(([0.0, 1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0])):
+        outs.append(tmp_path / f"run{i}")
+        cfg = write_config(tmp_path, {
+            "geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"}, "poly": poly,
+            "sampler": {"steps": 30, "burn_in": 10}, "out": str(outs[-1])}, f"c{i}.json")
+        assert run(["sample", "--config", cfg]) == 0
+    assert (outs[0] / "records.csv").read_bytes() == (outs[1] / "records.csv").read_bytes()
 
 
 def test_sample_deterministic_csv(tmp_path):

@@ -107,12 +107,14 @@ def test_extracted_adjointness_types(p, q):
 
 
 def test_random_fluctuation_types():
-    gt = make_triple(0, 4, include_X=False, with_DF=False, seed=2)
-    fl = fluct.random_fluctuation(gt, seed=3)
-    assert np.abs(fl.phi).max() == 0  # yang_mills -> no Higgs
-    assert np.abs(fl.S).max() == 0
-    for mu in range(4):
-        assert np.allclose(fl.A[mu].conj().T, -fl.A[mu])
+    ym = make_triple(0, 4, include_X=False, with_DF=False, seed=2)
+    scalar = dataclasses.replace(ym, finite=FiniteData(n=2, D_F=2 * np.eye(2)))
+    for gt in (ym, scalar):  # D_F = 0 and D_F = 2 1: no Higgs
+        fl = fluct.random_fluctuation(gt, seed=3)
+        assert np.abs(fl.phi).max() == 0
+        assert np.abs(fl.S).max() == 0
+        for mu in range(4):
+            assert np.allclose(fl.A[mu].conj().T, -fl.A[mu])
 
     gt13 = make_triple(1, 3, include_X=True, with_DF=True, seed=2)
     fl13 = fluct.random_fluctuation(gt13, seed=3)
