@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
 # CI step "CLI end to end", runnable by hand: bash ci/cli_end_to_end.sh
-# verify in all signatures at 1 and 2 threads and at seed 7, and (4, 0), with every
-# entry present; action and spectrum against the direct trace; K blocks from files
-# and triple-index blocks; Higgs and Yang-Mills samples and their summaries; the exit
-# codes and one-line errors of overflow, divergence, bad configs and malformed input;
-# strict JSON throughout.
-# Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory.
+# verify in all signatures at one BLAS thread and at the default, at seed 7, and
+# (4, 0), with every entry present; action and spectrum against the direct trace;
+# K blocks from files and triple-index blocks; Higgs and Yang-Mills samples and their
+# summaries; the exit codes and one-line errors of overflow, divergence, bad configs
+# and malformed input; strict JSON throughout.
+# Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory that is
+# removed on exit.
 cd "$(dirname "$0")/.."
 set -e
-work=${RUNNER_TEMP:-$(mktemp -d)}
+if [ -n "$RUNNER_TEMP" ]; then
+  work=$RUNNER_TEMP
+else
+  work=$(mktemp -d)
+  trap 'rm -rf "$work"' EXIT
+fi
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out="$work/cli"
 echo '{"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"}}' \
@@ -18,9 +24,9 @@ echo '{"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
 echo '{"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": null},
        "sampler": {"steps": 30, "burn_in": 10}}' > "$work/ym.json"
 echo '{"sampler": {"steps": 5000}}' > "$work/self_test.json"
-# the per-signature fan-out must not change a byte of the report
-NCG_YMH_THREADS=1 python -m ncg_ymh.cli verify --signatures all --out "$out/verify1"
-NCG_YMH_THREADS=2 python -m ncg_ymh.cli verify --signatures all --out "$out/verify2"
+# the BLAS thread count must not change a byte of the report
+OPENBLAS_NUM_THREADS=1 python -m ncg_ymh.cli verify --signatures all --out "$out/verify1"
+python -m ncg_ymh.cli verify --signatures all --out "$out/verify2"
 cmp "$out/verify1/verify_report.json" "$out/verify2/verify_report.json"
 # gauge invariance of the action with a Higgs field, for a u that fixes D_F
 python - "$out/verify1/verify_report.json" <<'PY'
@@ -183,7 +189,8 @@ print("acceptance_by_field:", fields)
 if fields != ["A0", "A1", "A2", "A3"]:
     sys.exit(f"a Yang-Mills chain proposed fields {fields}")
 PY
-# a chain with no records (steps == burn_in) still writes strict JSON: null, not NaN
+# a chain with no records (steps == burn_in) still writes strict JSON: null, not NaN,
+# and a null tau_int and ess
 echo '{"sampler": {"steps": 5, "burn_in": 5}}' > "$work/no_records.json"
 python -m ncg_ymh.cli sample --config "$work/no_records.json" \
   --out "$out/no_records"
@@ -195,9 +202,11 @@ def refuse(token):
     sys.exit(f"summary.json holds {token}, which is not JSON")
 
 summary = json.loads(open(sys.argv[1]).read(), parse_constant=refuse)
-print({k: summary[k] for k in ("n_records", "s_total")})
+print({k: summary[k] for k in ("n_records", "s_total", "s_ym")})
 if summary["n_records"] != 0 or summary["s_total"]["mean"] is not None:
     sys.exit("expected no records and a null mean")
+if summary["s_ym"]["tau_int"] is not None or summary["s_ym"]["ess"] is not None:
+    sys.exit("expected a null tau_int and ess of S_ym")
 PY
 python -m ncg_ymh.cli sample --self-test --config "$work/self_test.json" \
   --out "$out/self_test"

@@ -5,10 +5,16 @@
 # chain reports every field, tau_int and ess, with S_ym >= 0 on every record; a Higgs
 # chain run twice in (0, 4) and in (1, 3) writes byte-identical records.csv and
 # summary.json.
-# Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory.
+# Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory that is
+# removed on exit.
 cd "$(dirname "$0")/.."
 set -e
-work=${RUNNER_TEMP:-$(mktemp -d)}
+if [ -n "$RUNNER_TEMP" ]; then
+  work=$RUNNER_TEMP
+else
+  work=$(mktemp -d)
+  trap 'rm -rf "$work"' EXIT
+fi
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out="$work/signatures"
 for pq in "1 3" "2 2" "3 1" "4 0"; do

@@ -28,7 +28,6 @@ import os
 import resource
 import sys
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -371,20 +370,17 @@ def _write_summary(out_dir: str, summary: dict):
 def cmd_verify(cfg: dict) -> int:
     geo = cfg["geometry"]
     sigs = _SIGNATURES if cfg["signatures"] == "all" else [(geo["p"], geo["q"])]
-    with ThreadPoolExecutor(max_workers=_worker_cap(len(sigs))) as pool:
-        all_results = list(pool.map(lambda pq: run_identity_suite(*pq, seed=cfg["seed"]), sigs))
     report = {}
-    ok = True
-    for (p, q), results in zip(sigs, all_results):
+    for p, q in sigs:
+        results = run_identity_suite(p, q, seed=cfg["seed"])
         report[f"({p},{q})"] = [r.as_dict() for r in results]
-        ok = ok and all(r.passed for r in results)
-    report_path = os.path.join(cfg["out"], "verify_report.json")
-    with open(report_path, "w") as fh:
-        json.dump({"pass": ok, "signatures": report}, fh, indent=1, allow_nan=False)
-    for (p, q), results in zip(sigs, all_results):
         worst = clifford.worst(r.max_deviation for r in results)
         status = "ok" if all(r.passed for r in results) else "FAIL"
         print(f"({p},{q}): {len(results)} identities, worst deviation {worst:.2e} [{status}]")
+    ok = all(entry["pass"] for entries in report.values() for entry in entries)
+    report_path = os.path.join(cfg["out"], "verify_report.json")
+    with open(report_path, "w") as fh:
+        json.dump({"pass": ok, "signatures": report}, fh, indent=1, allow_nan=False)
     print(f"report: {report_path}")
     return 0 if ok else 1
 
@@ -492,24 +488,14 @@ def cmd_sample(cfg: dict) -> int:
         series = [getattr(r, name) for r in records]
         mean, se = batch_means(series)
         summary[name] = {"mean": _statistic(mean), "stderr": _statistic(se)}
-        if name == "s_ym":
-            summary[name].update(tau_int=tau_int(series), ess=effective_sample_size(series))
+        if name == "s_ym":  # with no records both are undefined: null
+            summary[name].update(tau_int=tau_int(series) if series else None,
+                                 ess=effective_sample_size(series) if series else None)
             if len(series) >= 4:
                 summary["stationarity_s_ym"] = stationarity_check(series)
     _write_summary(out_dir, summary)
     print(f"{len(records)} records -> {csv_path}")
     return 0
-
-
-def _worker_cap(requested: int) -> int:
-    env = os.environ.get("NCG_YMH_THREADS")
-    if env is None:
-        return min(requested, os.cpu_count() or 1)
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ConfigError(f"NCG_YMH_THREADS must be an integer, got {env!r}")
-    return max(1, min(requested, cap))
 
 
 # --------------------------------------------------------------------- main

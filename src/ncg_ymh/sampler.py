@@ -125,7 +125,7 @@ def batch_means(values):
 
 
 def stationarity_check(values) -> dict:
-    """Compare the two halves of a series at 3 combined standard errors."""
+    """Compare the two halves of a series at 3 combined standard errors; equal means pass."""
     x = np.asarray(values, dtype=float)
     half = x.size // 2
     m1, se1 = batch_means(x[:half])
@@ -135,7 +135,7 @@ def stationarity_check(values) -> dict:
         "mean_first_half": m1, "mean_second_half": m2,
         "se_first_half": se1, "se_second_half": se2,
         "combined_se": combined,
-        "stationary": bool(abs(m1 - m2) < 3 * combined),
+        "stationary": bool(abs(m1 - m2) <= 3 * combined),
     }
 
 

@@ -92,6 +92,36 @@ def test_every_verify_draw_has_its_own_stream(monkeypatch):
     assert len(seen) == len(set(seen)) > 0
 
 
+def test_verify_runs_suites_in_signature_order(tmp_path, monkeypatch, capsys):
+    # one suite after another, in signature order; the summary lines, the report's keys
+    # and a suite's exception all follow that order, whatever NCG_YMH_THREADS holds
+    monkeypatch.setenv("NCG_YMH_THREADS", "zzz")
+    calls = []
+
+    def suite(p, q, seed):
+        calls.append((p, q))
+        if (p, q) == (2, 2) and seed == 1:
+            raise RuntimeError("suite (2,2) broke")
+        return [verify.IdentityResult(f"id{p}{q}", 0.0, 1e-12)]
+
+    monkeypatch.setattr(cli, "run_identity_suite", suite)
+    assert run(["verify", "--signatures", "all", "--out", str(tmp_path)]) == 0
+    assert calls == cli._SIGNATURES
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        [f"({p},{q})" for p, q in cli._SIGNATURES] + ["report"]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert list(report) == ["pass", "signatures"]
+    assert list(report["signatures"]) == [f"({p},{q})" for p, q in cli._SIGNATURES]
+
+    calls.clear()
+    (tmp_path / "verify_report.json").unlink()
+    with pytest.raises(RuntimeError, match="suite"):
+        run(["verify", "--signatures", "all", "--seed", "1", "--out", str(tmp_path)])
+    assert calls == [(0, 4), (1, 3), (2, 2)]
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_verify_rejects_bad_signature(tmp_path):
     cfg = write_config(tmp_path, {"geometry": {"p": 1, "q": 2}, "out": str(tmp_path)})
     assert run(["verify", "--config", cfg]) == 2
@@ -221,6 +251,9 @@ def test_sample_header_only_when_no_records(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["acceptance"] is None
     assert summary["acceptance_by_field"] == {"A0": None, "A1": None, "A2": None, "A3": None}
+    # and so are the autocorrelation time and effective size of no records
+    assert summary["s_ym"]["tau_int"] is None
+    assert summary["s_ym"]["ess"] is None
 
 
 def test_sample_trailing_zero_coefficients(tmp_path):
@@ -305,14 +338,6 @@ def test_sample_self_test_mode(tmp_path):
 
 def test_missing_config_file():
     assert run(["verify", "--config", "/nonexistent/conf.json"]) == 2
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("NCG_YMH_THREADS", "1")
-    cfg = write_config(tmp_path, {"geometry": {"p": 3, "q": 1}, "out": str(tmp_path)})
-    assert run(["verify", "--config", cfg]) == 0
-    monkeypatch.setenv("NCG_YMH_THREADS", "zzz")
-    assert run(["verify", "--config", cfg]) == 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -204,6 +204,10 @@ def test_batch_means_and_stationarity():
     assert rep["stationary"]
     drift = x + np.linspace(0, 30, x.size)
     assert not sampler.stationarity_check(drift)["stationary"]
+    # halves that agree exactly are stationary, though their standard errors are 0
+    constant = sampler.stationarity_check(np.zeros(50))
+    assert constant["combined_se"] == 0.0
+    assert constant["stationary"]
 
 
 def test_eigen_histogram():
