@@ -6,15 +6,24 @@
 # summaries; the exit codes and one-line errors of overflow, divergence, bad configs
 # and malformed input; strict JSON throughout.
 # Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory that is
-# removed on exit.
+# removed on exit.  Each check prints its name as it starts, and a failure names the
+# check it happened in.
 cd "$(dirname "$0")/.."
 set -e
-if [ -n "$RUNNER_TEMP" ]; then
-  work=$RUNNER_TEMP
-else
-  work=$(mktemp -d)
-  trap 'rm -rf "$work"' EXIT
-fi
+section=setup
+check() {
+  section=$1
+  echo "== $section"
+}
+work=${RUNNER_TEMP:-$(mktemp -d)}
+finish() {
+  code=$?
+  [ -n "$RUNNER_TEMP" ] || rm -rf "$work"
+  if [ "$code" -ne 0 ]; then
+    echo "FAILED (exit $code) in: $section" >&2
+  fi
+}
+trap finish EXIT
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out="$work/cli"
 echo '{"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"}}' \
@@ -24,10 +33,12 @@ echo '{"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
 echo '{"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": null},
        "sampler": {"steps": 30, "burn_in": 10}}' > "$work/ym.json"
 echo '{"sampler": {"steps": 5000}}' > "$work/self_test.json"
+check "verify at one BLAS thread and at the default: byte-identical reports"
 # the BLAS thread count must not change a byte of the report
 OPENBLAS_NUM_THREADS=1 python -m ncg_ymh.cli verify --signatures all --out "$out/verify1"
 python -m ncg_ymh.cli verify --signatures all --out "$out/verify2"
 cmp "$out/verify1/verify_report.json" "$out/verify2/verify_report.json"
+check "gauge invariance with a Higgs field in (0, 4)"
 # gauge invariance of the action with a Higgs field, for a u that fixes D_F
 python - "$out/verify1/verify_report.json" <<'PY'
 import json
@@ -39,6 +50,7 @@ print(found)
 if len(found) != 1 or found[0]["pass"] is not True:
     sys.exit("the (0,4) block lacks a passing gauge/action_invariance_with_DF")
 PY
+check "verify at seed 7 and in (4, 0): every entry present and passing"
 # every suite input has its own stream: another seed, and (4, 0), pass with every entry
 python -m ncg_ymh.cli verify --signatures all --seed 7 --out "$out/verify7"
 echo '{"geometry": {"p": 4, "q": 0}}' > "$work/verify_40.json"
@@ -63,6 +75,7 @@ for out, want in zip(sys.argv[1:], (every, every, {"(4,0)": 35})):
     if report["pass"] is not True or counts != want:
         sys.exit(f"{out}: expected pass true and entry counts {want}")
 PY
+check "a NaN deviation fails verify as a null entry, exit 1"
 # a NaN deviation fails its entry: written as null in strict JSON, pass false, exit 1
 python - "$out/verify_nan" <<'PY'
 import json
@@ -102,6 +115,7 @@ echo '{"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
        "fields": {"source": "files", "K": {"mu0": "'"$work"'/l0.json"},
                   "fluctuation": false}}' > "$work/files_product.json"
 for name in n6 files_product; do
+  check "$name: action and spectrum reproduce the direct trace"
   python -m ncg_ymh.cli action --config "$work/$name.json" --out "$out/action_$name"
   python -m ncg_ymh.cli spectrum --config "$work/$name.json" --out "$out/spectrum_$name"
   # the sectors and the spectrum must both reproduce the direct trace
@@ -128,6 +142,7 @@ for name, value in (("total_closed", br["total_closed"]),
         sys.exit(f"{name} misses total_direct by {rel:.2e} > 1e-9")
 PY
 done
+check "a triple-index K block from a file: spectrum assembles it, action exits 1"
 # a triple-index block K_hat1 (Hermitian in (0, 4)) from a file: spectrum assembles it,
 # action's closed-form sectors refuse it with exit 1
 echo '{"rows": 2, "cols": 2, "data": [[0.4, 0.0], [0.2, -0.1], [0.2, 0.1], [-0.3, 0.0]]}' \
@@ -144,6 +159,7 @@ if [ "$code" -ne 1 ]; then
   echo "expected exit 1 for action on a triple-index block, got $code"
   exit 1
 fi
+check "random triple-index blocks: spectrum exits 0, action gives one error line"
 # random triple-index blocks: spectrum exits 0, action refuses them with one error line
 echo '{"geometry": {"p": 0, "q": 4, "N": 2, "n": 2, "d_f": "random"},
        "fields": {"include_x": true}}' > "$work/include_x.json"
@@ -158,9 +174,11 @@ if [ "$code" -ne 1 ] || [ "$(wc -l < "$out/include_x.err")" -ne 1 ] \
   echo "expected exit 1 and one error line from action on include_x, got exit $code"
   exit 1
 fi
+check "the sampler block binds only sample"
 # the sampler block binds only sample: action runs with steps below the default burn-in
 echo '{"sampler": {"steps": 7}}' > "$work/steps7.json"
 python -m ncg_ymh.cli action --config "$work/steps7.json" --out "$out/steps7"
+check "a Higgs chain: tau_int, ess and the acceptance of each field"
 python -m ncg_ymh.cli sample --config "$work/higgs.json" --out "$out/sample"
 # the summary carries tau_int and the effective sample size of S_ym and the
 # acceptance of each field
@@ -178,6 +196,7 @@ if set(summary["acceptance_by_field"]) != {"A0", "A1", "A2", "A3", "phi"}:
 if not all(math.isfinite(v) for v in values.values()):
     sys.exit("non-finite tau_int, ess or acceptance in summary.json")
 PY
+check "a Yang-Mills chain proposes only the A_mu"
 # with a scalar D_F (here 0) the Higgs space is 0: only the A_mu are proposed
 python -m ncg_ymh.cli sample --config "$work/ym.json" --out "$out/sample_ym"
 python - "$out/sample_ym/summary.json" <<'PY'
@@ -189,6 +208,7 @@ print("acceptance_by_field:", fields)
 if fields != ["A0", "A1", "A2", "A3"]:
     sys.exit(f"a Yang-Mills chain proposed fields {fields}")
 PY
+check "a chain with no records writes strict JSON"
 # a chain with no records (steps == burn_in) still writes strict JSON: null, not NaN,
 # and a null tau_int and ess
 echo '{"sampler": {"steps": 5, "burn_in": 5}}' > "$work/no_records.json"
@@ -208,6 +228,7 @@ if summary["n_records"] != 0 or summary["s_total"]["mean"] is not None:
 if summary["s_ym"]["tau_int"] is not None or summary["s_ym"]["ess"] is not None:
     sys.exit("expected a null tau_int and ess of S_ym")
 PY
+check "the Gaussian self test"
 python -m ncg_ymh.cli sample --self-test --config "$work/self_test.json" \
   --out "$out/self_test"
 echo '{"geometri": {"N": 2}}' > "$work/misspelled.json"
@@ -221,6 +242,7 @@ expect_config_error() {
     exit 1
   fi
 }
+check "fields that overflow: exit 1, one error line, no warning"
 # fields that overflow: one error line, exit 1, no numpy warning
 echo '{"fields": {"scale": 1e100}}' > "$work/overflow.json"
 code=0
@@ -231,6 +253,7 @@ if [ "$code" -ne 1 ] || grep -q RuntimeWarning "$out/overflow.err"; then
   echo "expected exit 1 and no RuntimeWarning, got exit $code"
   exit 1
 fi
+check "a degree-8 direct trace matches the spectrum"
 # a degree-8 poly: the direct trace, two powers of D at a time, matches the spectrum
 echo '{"geometry": {"p": 0, "q": 4, "N": 3, "n": 2, "d_f": "random"},
        "poly": [0.3, -0.7, 0.5, 1.1, -0.2, 0.9, 0.1, 0.4]}' > "$work/octic.json"
@@ -253,6 +276,7 @@ print(f"total_direct = {direct!r}, (1/4) sum f(lambda) = {want!r}")
 if not abs(direct - want) <= 1e-9 * scale:
     sys.exit(f"total_direct misses (1/4) sum f(lambda) by {abs(direct - want):.3e}")
 PY
+check "fields that overflow at their scale: a config error in every triple mode"
 # fields that overflow at their scale are a config error for every triple mode
 echo '{"geometry": {"N": 2, "n": 2, "d_f": "random"}, "fields": {"scale": 1e308}}' \
   > "$work/scale_1e308.json"
@@ -260,6 +284,7 @@ for mode in action spectrum sample; do
   expect_config_error "$mode" --config "$work/scale_1e308.json" \
     --out "$out/scale_$mode"
 done
+check "finite K blocks whose D overflows: exit 1, one error line"
 # finite K blocks whose D overflows: exit 1 and one error line, no warning or traceback
 echo '{"rows": 2, "cols": 2, "data": [[0.0, 1e308], [0.0, 0.0], [0.0, 0.0], [0.0, -1e308]]}' \
   > "$work/k0_huge.json"
@@ -276,6 +301,7 @@ for mode in action spectrum; do
     exit 1
   fi
 done
+check "a chain that diverges after burn-in: exit 1"
 # a chain that diverges after burn-in (here: no burn-in) exits 1
 echo '{"geometry": {"N": 2, "n": 2}, "fields": {"source": "zero"},
        "poly": [0, -1e13, 0, 1], "sampler": {"steps": 40, "burn_in": 0},
@@ -287,9 +313,11 @@ if [ "$code" -ne 1 ]; then
   echo "expected exit 1 for a diverging chain, got $code"
   exit 1
 fi
+check "a misspelled key, a sextic poly for sample and a string N: exit 2"
 expect_config_error action --config "$work/misspelled.json" --out "$out/misspelled"
 expect_config_error sample --config "$work/sextic.json" --out "$out/sextic"
 expect_config_error action --config "$work/n_two.json" --out "$out/n_two"
+check "a D_F file that is not Hermitian: exit 2, nothing written"
 # a D_F file that is not Hermitian is refused, not symmetrized, and nothing is written
 echo '{"rows": 2, "cols": 2, "data": [[1.0, 0.0], [5.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}' \
   > "$work/df_not_hermitian.json"
@@ -303,6 +331,7 @@ for mode in action spectrum sample; do
     exit 1
   fi
 done
+check "--out a file, sizes beyond memory, a fields key the source does not read: exit 2"
 # --out naming a file, a dense D, a chain or a self test beyond a float's range of GiB,
 # and a fields key the source does not read
 echo "not a directory" > "$work/out_file"
@@ -319,6 +348,7 @@ echo '{"sampler": {"steps": 1000000000000000000000000000000000000000000000000000
 expect_config_error sample --self-test --config "$work/steps_huge.json" \
   --out "$out/steps_huge"
 expect_config_error action --config "$work/unread_phi.json" --out "$out/unread_phi"
+check "a potential file with fluctuation false, and fields.fluctuation for sample: exit 2"
 # a potential file with fluctuation false, and fluctuation false for sample, are not read
 python -c 'import json, sys; json.dump({"rows": 4, "cols": 4, "data": [[0.0, 0.0]] * 16},
            open(sys.argv[1], "w"))' "$work/a0.json"
@@ -330,6 +360,7 @@ expect_config_error action --config "$work/unread_a.json" --out "$out/unread_a"
 expect_config_error spectrum --config "$work/unread_a.json" --out "$out/unread_a"
 expect_config_error sample --config "$work/sample_no_fluct.json" \
   --out "$out/sample_no_fluct"
+check "keys a mode does not read: exit 2"
 # keys a mode does not read: verify's geometry size (its suites run at N = n = 2),
 # a chain's self_test_N and the self test's thin; the self test reads burn_in
 echo '{"geometry": {"N": 3}}' > "$work/verify_n3.json"
@@ -341,6 +372,7 @@ expect_config_error sample --config "$work/chain_self_test_n.json" \
   --out "$out/chain_self_test_n"
 expect_config_error sample --self-test --config "$work/self_test_thin.json" \
   --out "$out/self_test_thin"
+check "the self test refuses geometry, fields and poly, and reads burn_in"
 # the self test reads no geometry, fields or poly: a missing D_F file, a missing phi
 # file and a sextic poly are refused, not ignored
 echo '{"geometry": {"N": 6, "d_f": "/nonexistent_df.json"},
@@ -351,12 +383,14 @@ expect_config_error sample --self-test --config "$work/self_test_unread.json" \
   --out "$out/self_test_unread"
 python -m ncg_ymh.cli sample --self-test --config "$work/self_test_burn_in.json" \
   --out "$out/self_test_burn_in"
+check "histogram_bins binds spectrum, signatures binds verify"
 # histogram_bins is read by spectrum alone, and signatures by verify alone
 echo '{"histogram_bins": 5}' > "$work/bins5.json"
 echo '{"signatures": "all"}' > "$work/signatures_all.json"
 expect_config_error action --config "$work/bins5.json" --out "$out/bins5"
 expect_config_error sample --config "$work/signatures_all.json" \
   --out "$out/signatures_all"
+check "malformed input: exit 2 and one config error line"
 # malformed input: exit 2 and exactly one line on stderr, never a traceback
 expect_one_config_error_line() {
   code=0
@@ -374,6 +408,12 @@ expect_one_config_error_line action --config "$work/not_json.json" \
   --out "$out/not_json"
 expect_one_config_error_line action --config "$work/missing_phi.json" \
   --out "$out/missing_phi"
+# a repeated key would drop its first value without a word
+echo '{"sampler": {"steps": 100, "burn_in": 10}, "sampler": {"thin": 2}, "seed": 1, "seed": 3}' \
+  > "$work/repeated_key.json"
+expect_one_config_error_line sample --config "$work/repeated_key.json" \
+  --out "$out/repeated_key"
+check "a histogram beyond memory is refused before D is built"
 # a histogram beyond memory is refused before D is built: nothing is written
 echo '{"histogram_bins": 1000000000000}' > "$work/bins_huge.json"
 expect_one_config_error_line spectrum --config "$work/bins_huge.json" \

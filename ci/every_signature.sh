@@ -6,19 +6,29 @@
 # chain run twice in (0, 4) and in (1, 3) writes byte-identical records.csv and
 # summary.json.
 # Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory that is
-# removed on exit.
+# removed on exit.  Each check prints its name as it starts, and a failure names the
+# check it happened in.
 cd "$(dirname "$0")/.."
 set -e
-if [ -n "$RUNNER_TEMP" ]; then
-  work=$RUNNER_TEMP
-else
-  work=$(mktemp -d)
-  trap 'rm -rf "$work"' EXIT
-fi
+section=setup
+check() {
+  section=$1
+  echo "== $section"
+}
+work=${RUNNER_TEMP:-$(mktemp -d)}
+finish() {
+  code=$?
+  [ -n "$RUNNER_TEMP" ] || rm -rf "$work"
+  if [ "$code" -ne 0 ]; then
+    echo "FAILED (exit $code) in: $section" >&2
+  fi
+}
+trap finish EXIT
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out="$work/signatures"
 for pq in "1 3" "2 2" "3 1" "4 0"; do
   set -- $pq
+  check "action in ($1, $2): total_closed matches total_direct, rest exact, s_ym >= 0"
   echo '{"geometry": {"p": '"$1"', "q": '"$2"', "N": 3, "n": 2, "d_f": "random"}}' \
     > "$work/action_$1$2.json"
   python -m ncg_ymh.cli action --config "$work/action_$1$2.json" --out "$out/action_$1$2"
@@ -40,6 +50,7 @@ if not br["s_ym"] >= 0:
     sys.exit(f"s_ym = {br['s_ym']!r} < 0")
 PY
 done
+check "a (1, 3) chain: every field, tau_int and ess, S_ym >= 0 on every record"
 echo '{"geometry": {"p": 1, "q": 3, "N": 2, "n": 2, "d_f": "random"},
        "sampler": {"steps": 30, "burn_in": 10}}' > "$work/sample_13.json"
 python -m ncg_ymh.cli sample --config "$work/sample_13.json" --out "$out/sample_13"
@@ -65,6 +76,7 @@ PY
 # the same sample config run twice gives the same bytes: a Higgs chain at N = 2
 for pq in "0 4" "1 3"; do
   set -- $pq
+  check "a Higgs chain run twice in ($1, $2): byte-identical records.csv and summary.json"
   echo '{"geometry": {"p": '"$1"', "q": '"$2"', "N": 2, "n": 2, "d_f": "random"},
          "sampler": {"steps": 60, "burn_in": 30}}' > "$work/twice_$1$2.json"
   for run in 1 2; do

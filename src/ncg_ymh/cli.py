@@ -60,13 +60,24 @@ def save_matrix(path: str, M: np.ndarray):
         json.dump(payload, fh)
 
 
+def _unique_keys(path: str, pairs: list) -> dict:
+    """The JSON object of a file's key-value pairs; a key given twice is a config error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{path}: key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str, what: str) -> dict:
-    """The JSON object a file holds; a missing file or anything else is a config error."""
+    """The JSON object a file holds; a missing file, a repeated key or anything else is a
+    config error."""
     if not os.path.isfile(path):
         raise ConfigError(f"{what} file not found: {path}")
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=functools.partial(_unique_keys, path))
     except (OSError, ValueError) as exc:  # unreadable, not text or not JSON
         raise ConfigError(f"{path} is not a readable JSON file: {exc}") from None
     if not isinstance(payload, dict):
@@ -232,12 +243,6 @@ def resolve(cfg: dict) -> dict:
     return out
 
 
-def _seed_rng(root_seed: int, counter: int) -> np.random.Generator:
-    """Per-purpose spawn stream of the root seed; D_F uses counter 1."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=root_seed,
-                                                        spawn_key=(counter,)))
-
-
 def load_config(args) -> dict:
     """The config file with the flags over its keys, resolved; makes the output directory."""
     cfg = _read_json(args.config, "config") if "config" in args else {}
@@ -259,7 +264,7 @@ def _geometry(cfg: dict):
     if d_f is None:
         DF = np.zeros((n, n), dtype=complex)
     elif d_f == "random":
-        DF = dirac.random_hermitian(n, _seed_rng(cfg["seed"], 1))
+        DF = dirac.random_hermitian(n, dirac.stream(cfg["seed"], 1))
     else:
         DF = _load_square(d_f, n, "D_F", 1)
     return clifford.build_signature(geo["p"], geo["q"]), geo["N"], n, DF

@@ -135,15 +135,25 @@ def complex_gaussian(rng, n: int, k: int | None = None) -> np.ndarray:
     return M[..., 0, :, :] + 1j * M[..., 1, :, :]
 
 
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of spawn stream `key` of a root seed: default_rng(SeedSequence(seed, key))."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def random_typed(n: int, rng, e, scale: float = 1.0) -> np.ndarray:
+    """The (len(e), n, n) stack of M_k = scale (G_k + G_k*) / 2, times i where e_k = -1, so
+    M_k* = e_k M_k: k `complex_gaussian` draws G_k, the stream of k single draws."""
+    G = complex_gaussian(rng, n, len(e))
+    H = scale * (G + G.conj().transpose(0, 2, 1)) / 2
+    if 1 not in e:  # e_k = -1 throughout, as in many of the sampler's stacks: no mask
+        H *= 1j
+    elif -1 in e:
+        H[np.equal(e, -1)] *= 1j
+    return H
+
+
 def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    M = complex_gaussian(rng, n)
-    return scale * (M + M.conj().T) / 2
-
-
-def random_typed(n: int, rng, e: int, scale: float) -> np.ndarray:
-    """A Gaussian matrix with M* = e M: `random_hermitian`, times i where e = -1."""
-    H = random_hermitian(n, rng, scale)
-    return H if e == 1 else 1j * H
+    return random_typed(n, rng, (1,), scale)[0]
 
 
 def random_fuzzy(N: int, sig: Signature, scale: float | None = None,
@@ -159,9 +169,8 @@ def random_fuzzy(N: int, sig: Signature, scale: float | None = None,
         scale = 1.0 / np.sqrt(N)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        K = np.array([random_typed(N, rng, e, scale) for e in sig.e])
-        K_hat = np.array([random_typed(N, rng, e, scale) for e in sig.e_hat]) if include_X \
-            else np.zeros_like(K)
+        K = random_typed(N, rng, sig.e, scale)
+        K_hat = random_typed(N, rng, sig.e_hat, scale) if include_X else np.zeros_like(K)
     if not (np.isfinite(K).all() and np.isfinite(K_hat).all()):
         raise OverflowError("the K blocks overflow")
     return FuzzyData(sig=sig, K=K, K_hat=K_hat)

@@ -109,9 +109,8 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
         scale = 1.0 / np.sqrt(m)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        A = np.array([random_typed(m, rng, e, scale) for e in sig.e])
-        S = np.array([random_typed(m, rng, e, scale) for e in sig.e_hat]) \
-            if gt.fuzzy.has_triples else np.zeros_like(A)
+        A = random_typed(m, rng, sig.e, scale)
+        S = random_typed(m, rng, sig.e_hat, scale) if gt.fuzzy.has_triples else np.zeros_like(A)
         phi = np.zeros((m, m), dtype=complex)
         if not gt.finite.is_scalar:
             n = gt.n

@@ -362,7 +362,7 @@ def test_candidate_stack_by_row_update(m, field):
 def _kernel_input(m, k, e):
     """(X, P, phi) at size m, the k-th of a fixed sequence, with X_mu* = e_mu X_mu."""
     rng = np.random.default_rng([m, k])
-    X = np.array([dirac.random_typed(m, rng, e_mu, 1.0) for e_mu in e])
+    X = dirac.random_typed(m, rng, e)
     DF, phi = dirac.random_hermitian(m, rng), dirac.random_hermitian(m, rng)
     return X, DF + phi, phi
 

@@ -465,7 +465,9 @@ def test_sample_summary_is_strict_json(tmp_path, steps, burn_in, self_test):
     assert run(["sample", "--config", cfg] + ["--self-test"] * self_test) == 0
     summary = _strict_json((tmp_path / "summary.json").read_text())
     if self_test:
-        assert summary["stderr"] is None and summary["mean_tr_m2"] >= 0
+        # one sample has no error, so whether the target lies within 3 of them is undefined
+        assert summary["stderr"] is None and summary["within_3se"] is None
+        assert summary["mean_tr_m2"] >= 0
         return
     records = steps - burn_in
     assert summary["n_records"] == records
@@ -703,7 +705,7 @@ def _write_file(tmp_path, name, payload):
 @pytest.mark.parametrize("case", [
     "config-not-json", "missing-K-file", "missing-A-file", "missing-phi-file",
     "matrix-without-rows", "matrix-without-cols", "matrix-without-data", "K-key-hatX",
-    "K-key-mu9", "K-not-an-object", "A-a-string", "poly-int-beyond-float",
+    "K-key-mu9", "K-not-an-object", "A-a-string", "poly-int-beyond-float", "config-a-list",
 ])
 def test_malformed_input_is_one_config_error_line(tmp_path, capsys, case):
     good = {"rows": 2, "cols": 2, "data": [[0.0, 0.0]] * 4}
@@ -725,11 +727,32 @@ def test_malformed_input_is_one_config_error_line(tmp_path, capsys, case):
         cfg["poly"] = [0, 1, 0, 10 ** 400]
     if case == "config-not-json":
         path = _write_file(tmp_path, "config.json", '{"geometry": {"N": 2,}}')
+    elif case == "config-a-list":
+        path = _write_file(tmp_path, "config.json", [cfg])
     else:
         path = write_config(tmp_path, cfg)
     assert run(["action", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    # the first sampler block and seed 1 used to be dropped without a word
+    ("sample", '{"sampler": {"steps": 100, "burn_in": 10}, "sampler": {"thin": 2}, '
+               '"seed": 1, "seed": 3}', "sampler"),
+    ("action", '{"geometry": {"N": 2, "N": 3}}', "N"),
+    ("action", '{"rows": 2, "rows": 3, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], '
+               '[0.0, 0.0], [1.0, 0.0]]}', "rows"),  # a D_F file
+], ids=["block", "nested", "matrix-file"])
+def test_a_repeated_key_is_one_config_error_line(tmp_path, capsys, command, text, key):
+    path = _write_file(tmp_path, "given.json", text)
+    if key == "rows":
+        path = write_config(tmp_path, {"geometry": {"d_f": path}})
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {tmp_path / 'given.json'}: key {key!r} is repeated\n"
+    assert not list(out.glob("*"))  # nothing written
 
 
 @pytest.mark.parametrize("command, cfg, key", [

@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ncg_ymh import clifford, dirac, verify
+from ncg_ymh import action, clifford, dirac, sampler, superop, verify
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
-from ncg_ymh.errors import DimensionMismatch
-from ncg_ymh.fluct import assemble_fluctuated, random_fluctuation, zero_fluctuation
+from ncg_ymh.errors import DimensionMismatch, NotFlat
+from ncg_ymh.fluct import (assemble_fluctuated, connes_one_form, random_fluctuation,
+                           zero_fluctuation)
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
 
@@ -32,6 +33,48 @@ def test_complex_gaussian_draws_real_then_imaginary_parts(n):
     stacked = dirac.complex_gaussian(rngs[2], n, 3)
     assert np.array(want).tobytes() == np.array(single).tobytes() == stacked.tobytes()
     assert len({rng.normal() for rng in rngs}) == 1
+
+
+def _chain(N, template):
+    cfg = sampler.SamplerConfig(N=N, n=2, poly=action.ActionPolynomial((0.0, 1.0, 0.0, 1.0)),
+                                steps=1)
+    return sampler.run_chain(cfg, template)
+
+
+# each guard of malformed input, with its error type and message
+GUARDS = {
+    "run_chain/K_hat": (NotFlat, "flat template",
+                        lambda: _chain(2, make_triple(0, 4, include_X=True))),
+    "run_chain/(N, n)": (ValueError, "disagree on",
+                         lambda: _chain(3, make_triple(0, 4, include_X=False))),
+    "spectral_action_direct/non-square": (
+        DimensionMismatch, "not square",
+        lambda: action.spectral_action_direct(np.zeros((4, 6)), action.ActionPolynomial((1.0,)))),
+    "ActionPolynomial/no coefficient": (ValueError, "at least one coefficient",
+                                        lambda: action.ActionPolynomial(())),
+    "gen_comm/sign": (ValueError, "sign must be", lambda: superop.gen_comm(np.eye(2), 0)),
+    "FiniteData/D_F shape": (DimensionMismatch, "D_F shape",
+                             lambda: FiniteData(n=2, D_F=np.eye(3, dtype=complex))),
+    "represent_algebra/shape": (DimensionMismatch, "algebra element shape",
+                                lambda: dirac.represent_algebra(np.eye(3), 4)),
+    "connes_one_form/shape": (DimensionMismatch, "m x m",
+                              lambda: connes_one_form(make_triple(0, 4), build_module(0, 4),
+                                                      [(np.eye(3), np.eye(3))])),
+    "assemble_fluctuated/signature": (
+        DimensionMismatch, "different signatures",
+        lambda: assemble_fluctuated(make_triple(0, 4), zero_fluctuation(make_triple(0, 4)),
+                                    build_module(1, 3))),
+    "lichnerowicz_rhs/signature": (
+        DimensionMismatch, "different signatures",
+        lambda: dirac.lichnerowicz_rhs(make_triple(0, 4).fuzzy, build_module(1, 3))),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_malformed_input_is_refused(name):
+    error, message, call = GUARDS[name]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_random_fields_that_overflow_are_refused():
