@@ -13,8 +13,9 @@ Matrix files use the shared JSON format
 whose floats are written with Python's shortest round-trip repr, so a write
 / read cycle reproduces every entry bit-exactly.
 
-Exit codes: 0 success, 1 computational or identity failure, 2 configuration
-error.
+A subcommand makes `out` once every input has passed, and writes each file through
+`_write_json` (strict, indent 1) or `_write_csv`.  Exit codes: 0 success, 1
+computational or identity failure, 2 configuration error (an unwritable `out` too).
 """
 from __future__ import annotations
 
@@ -22,12 +23,14 @@ import argparse
 import copy
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import resource
 import sys
 from collections import namedtuple
+from dataclasses import astuple
 
 import numpy as np
 
@@ -244,17 +247,11 @@ def resolve(cfg: dict) -> dict:
 
 
 def load_config(args) -> dict:
-    """The config file with the flags over its keys, resolved; makes the output directory."""
+    """The config file with the flags over its keys, resolved; reads, and makes nothing."""
     cfg = _read_json(args.config, "config") if "config" in args else {}
     # a flag given is the top-level key of its name; one not given is absent from args
     cfg.update((key, value) for key, value in vars(args).items() if key in _ROWS)
-    cfg = resolve(cfg)
-    try:
-        os.makedirs(cfg["out"], exist_ok=True)
-    except OSError as exc:  # a file of that name, or no permission
-        raise ConfigError(f"out: cannot make the output directory {cfg['out']}: "
-                          f"{exc.strerror}") from None
-    return cfg
+    return resolve(cfg)
 
 
 def _geometry(cfg: dict):
@@ -356,25 +353,47 @@ def _poly(cfg: dict) -> ActionPolynomial:
     return ActionPolynomial(tuple(float(c) for c in cfg["poly"]))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _statistic(x: float) -> float | None:
     """A statistic for summary.json: null where it is undefined (NaN), as JSON has no NaN."""
     return x if math.isfinite(x) else None
 
 
-def _write_summary(out_dir: str, summary: dict):
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, allow_nan=False)
-
-
 # --------------------------------------------------------------- subcommands
+
+def _make_out(cfg: dict):
+    """Make the output directory; a subcommand calls this once its inputs have passed."""
+    try:
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:  # a file of that name, or no permission
+        raise ConfigError(f"out: cannot make the output directory {cfg['out']}: "
+                          f"{exc.strerror}") from None
+
+
+def _write(cfg: dict, name: str, dump) -> str:
+    """The path of out/name, written by dump(fh); an OSError is a config error."""
+    path = os.path.join(cfg["out"], name)
+    try:
+        with open(path, "w", newline="") as fh:
+            dump(fh)
+    except OSError as exc:  # a directory of that name, no permission, a full disk
+        raise ConfigError(f"out: cannot write {path}: {exc.strerror}") from None
+    return path
+
+
+def _write_json(cfg: dict, name: str, obj) -> str:
+    """Write obj to out/name as strict JSON (no NaN or infinity) with indent 1."""
+    return _write(cfg, name, lambda fh: json.dump(obj, fh, indent=1, allow_nan=False))
+
+
+def _write_csv(cfg: dict, name: str, header: list, rows) -> str:
+    """Write the header, then each row of the iterable as it comes (a float as repr(float))."""
+    return _write(cfg, name, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
+
 
 def cmd_verify(cfg: dict) -> int:
     geo = cfg["geometry"]
     sigs = _SIGNATURES if cfg["signatures"] == "all" else [(geo["p"], geo["q"])]
+    _make_out(cfg)
     report = {}
     for p, q in sigs:
         results = run_identity_suite(p, q, seed=cfg["seed"])
@@ -383,16 +402,15 @@ def cmd_verify(cfg: dict) -> int:
         status = "ok" if all(r.passed for r in results) else "FAIL"
         print(f"({p},{q}): {len(results)} identities, worst deviation {worst:.2e} [{status}]")
     ok = all(entry["pass"] for entries in report.values() for entry in entries)
-    report_path = os.path.join(cfg["out"], "verify_report.json")
-    with open(report_path, "w") as fh:
-        json.dump({"pass": ok, "signatures": report}, fh, indent=1, allow_nan=False)
-    print(f"report: {report_path}")
+    path = _write_json(cfg, "verify_report.json", {"pass": ok, "signatures": report})
+    print(f"report: {path}")
     return 0 if ok else 1
 
 
 def cmd_action(cfg: dict) -> int:
     poly = _poly(cfg)
     gt, fl = _dense_inputs(cfg, poly.degree)
+    _make_out(cfg)
     br = sectors(gt, fl, poly)  # refuses data that is not flat; a non-finite action below
     total_direct = spectral_action_direct(_assembled(gt, fl), poly)
     out = {
@@ -404,9 +422,7 @@ def cmd_action(cfg: dict) -> int:
     bad = [key for key, value in out.items() if not np.isfinite(value)]
     if bad:
         raise NcgError(f"non-finite action ({', '.join(bad)}); no breakdown written")
-    path = os.path.join(cfg["out"], "action_breakdown.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=1)
+    path = _write_json(cfg, "action_breakdown.json", out)
     print(f"total_closed = {br.total_closed!r}, total_direct = {total_direct!r}")
     print(f"breakdown: {path}")
     return 0
@@ -417,27 +433,23 @@ def cmd_spectrum(cfg: dict) -> int:
     bins = cfg["histogram_bins"]
     _require_fits(64 * bins, f"the spectrum histogram at histogram_bins = {bins}",
                   "its edges and counts, as arrays and as the lists written")
-    D = _assembled(*_dense_inputs(cfg))
+    inputs = _dense_inputs(cfg)
+    _make_out(cfg)
+    D = _assembled(*inputs)
     if not np.isfinite(D).all():  # as action's direct trace refuses it, before eigvalsh
         raise NotSelfAdjoint("operator has non-finite entries")
     ev = np.linalg.eigvalsh(D)  # ascending
-    path = os.path.join(cfg["out"], "spectrum.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(ev):
-            writer.writerow([i, _fmt(lam)])
+    path = _write_csv(cfg, "spectrum.csv", ["index", "eigenvalue"], enumerate(ev))
     if bins > 0:
         edges, counts = symmetric_histogram(ev, bins)
-        with open(os.path.join(cfg["out"], "spectrum_histogram.json"), "w") as fh:
-            json.dump({"bin_edges": list(map(float, edges)),
-                       "counts": list(map(int, counts))}, fh)
+        _write_json(cfg, "spectrum_histogram.json", {"bin_edges": list(map(float, edges)),
+                                                     "counts": list(map(int, counts))})
     print(f"{len(ev)} eigenvalues -> {path}")
     return 0
 
 
 def cmd_sample(cfg: dict) -> int:
-    seed, out_dir, sp = cfg["seed"], cfg["out"], cfg["sampler"]
+    seed, sp = cfg["seed"], cfg["sampler"]
     if cfg["self_test"]:
         N, steps = sp["self_test_N"], sp["steps"]
         if steps < 1:
@@ -446,17 +458,13 @@ def cmd_sample(cfg: dict) -> int:
         _require_fits(16 * steps + 128 * max(N ** 2, _DRAW_ENTRIES),
                       f"the Gaussian self test at sampler.self_test_N = {N}, sampler.steps = "
                       f"{steps}", "its samples, N x N matrices and draws")
+        _make_out(cfg)
         res = gaussian_self_test(N=N, samples=steps, seed=seed, burn_in=sp["burn_in"])
-        csv_path = os.path.join(out_dir, "samples.csv")
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "tr_m2"])
-            for i, v in enumerate(res["samples"]):
-                writer.writerow([i, _fmt(v)])
+        _write_csv(cfg, "samples.csv", ["step", "tr_m2"], enumerate(res["samples"]))
         summary = {k: v for k, v in res.items() if k != "samples"}
         summary.update(mean_tr_m2=_statistic(res["mean_tr_m2"]),
                        stderr=_statistic(res["stderr"]), seed=seed, mode="gaussian-self-test")
-        _write_summary(out_dir, summary)
+        _write_json(cfg, "summary.json", summary)
         print(f"<Tr M^2> = {res['mean_tr_m2']:.4f} +- {res['stderr']:.4f} "
               f"(target {res['target']}, acceptance {res['acceptance']:.2f})")
         return 0
@@ -477,14 +485,10 @@ def cmd_sample(cfg: dict) -> int:
                              autotune=sp["autotune"], seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _make_out(cfg)
     records, info = run_chain(scfg, gt)
-    csv_path = os.path.join(out_dir, "records.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "S_total", "S_ym", "S_h", "S_gh", "S_theta", "acceptance"])
-        for r in records:
-            writer.writerow([r.step, _fmt(r.s_total), _fmt(r.s_ym), _fmt(r.s_h),
-                             _fmt(r.s_gh), _fmt(r.s_theta), _fmt(r.acceptance)])
+    csv_path = _write_csv(cfg, "records.csv", ["step", "S_total", "S_ym", "S_h", "S_gh",
+                                               "S_theta", "acceptance"], map(astuple, records))
     by_field = {k: _statistic(v) for k, v in info["acceptance_by_field"].items()}
     summary = {"seed": seed, "n_records": len(records), "step_sizes": info["step_sizes"],
                "acceptance": _statistic(info["acceptance"]), "acceptance_by_field": by_field,
@@ -498,7 +502,7 @@ def cmd_sample(cfg: dict) -> int:
                                  ess=effective_sample_size(series) if series else None)
             if len(series) >= 4:
                 summary["stationarity_s_ym"] = stationarity_check(series)
-    _write_summary(out_dir, summary)
+    _write_json(cfg, "summary.json", summary)
     print(f"{len(records)} records -> {csv_path}")
     return 0
 

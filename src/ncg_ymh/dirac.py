@@ -156,13 +156,13 @@ def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
     return random_typed(n, rng, (1,), scale)[0]
 
 
-def random_fuzzy(N: int, sig: Signature, scale: float | None = None,
-                 seed: int | np.random.SeedSequence = 0, include_X: bool = True) -> FuzzyData:
+def random_fuzzy(N: int, sig: Signature, scale: float | None = None, seed=0,
+                 include_X: bool = True) -> FuzzyData:
     """Gaussian K blocks of the correct adjointness type, from default_rng(seed).
 
-    scale defaults to 1/sqrt(N) so spectra stay O(1) as N grows.  The four
-    K_mu are drawn first, then the four K_hat_mu; with include_X false
-    K_hat is zeros and nothing more is drawn ('flat' data).  A scale at which
+    seed may be a Generator, such as one of `stream`.  scale defaults to 1/sqrt(N) so spectra
+    stay O(1) as N grows.  The four K_mu are drawn first, then the four K_hat_mu; with
+    include_X false K_hat is zeros and nothing more is drawn ('flat' data).  A scale at which
     the blocks overflow raises OverflowError, without numpy's warnings.
     """
     if scale is None:
@@ -203,15 +203,14 @@ def represent_algebra(a: np.ndarray, m: int) -> np.ndarray:
     return np.kron(np.eye(4), left_mult(a))
 
 
-def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed: int | np.random.SeedSequence = 0,
-                 pairs: int = 20) -> dict:
+def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed=0, pairs: int = 20) -> dict:
     """Numerical verification of the real even spectral triple axioms.
 
-    The algebra pairs come from default_rng(seed).  Returns a dict of max
-    deviations.  The entries 'J_D_sign' and 'D_gamma_anticommute' are only
-    meaningful when D_F = 0 (left multiplication by D_F is not J-compatible);
-    if D_F != 0 they are reported under 'informational_*' keys instead of the
-    asserted ones.
+    The algebra pairs come from default_rng(seed); seed may be a Generator, such as one
+    of `stream`.  Returns a dict of max deviations.  The entries 'J_D_sign' and
+    'D_gamma_anticommute' are only meaningful when D_F = 0 (left multiplication by D_F is
+    not J-compatible); if D_F != 0 they are reported under 'informational_*' keys instead
+    of the asserted ones.
     """
     from .fluct import assemble_fluctuated, zero_fluctuation
     m = gt.m

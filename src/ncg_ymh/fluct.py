@@ -93,9 +93,9 @@ def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
     return Fluctuation(A=A, S=S, phi=unvec(coeffs[8], m))
 
 
-def random_fluctuation(gt: GaugeTriple, scale: float | None = None,
-                       seed: int | np.random.SeedSequence = 0) -> Fluctuation:
-    """Gaussian fluctuation with the correct adjointness types, from default_rng(seed).
+def random_fluctuation(gt: GaugeTriple, scale: float | None = None, seed=0) -> Fluctuation:
+    """Gaussian fluctuation with the correct adjointness types, from default_rng(seed); seed
+    may be a Generator, such as one of `dirac.stream`.
 
     The four A_mu are drawn first, then the four S_mu only when the fuzzy
     data has X blocks (else S is zeros), then phi: a symmetrized sum of

@@ -41,9 +41,9 @@ def _haar(sz: int, rng) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def random_unitary(N: int, n: int, product_form: bool = False,
-                   seed: int | np.random.SeedSequence = 0) -> GaugeElement:
-    """Haar unitary on C^{Nn}, or u1 (x) u2 with Haar factors, from default_rng(seed)."""
+def random_unitary(N: int, n: int, product_form: bool = False, seed=0) -> GaugeElement:
+    """Haar unitary on C^{Nn}, or u1 (x) u2 with Haar factors, from default_rng(seed); seed
+    may be a Generator, such as one of `dirac.stream`."""
     rng = np.random.default_rng(seed)
     if product_form:
         u1 = _haar(N, rng)

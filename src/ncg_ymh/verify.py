@@ -22,12 +22,12 @@ keyed inputs, the tests with their own data:
     action_invariance_with_DF   10   riemannian  test_gauge
     central_unitary             11   riemannian  acceptance 08
 
-A suite draws each random input from its own stream, SeedSequence(seed,
-spawn_key=(p, q, #, sample, role)), with role 0 the fuzzy blocks, 1 D_F,
-2 the fluctuation, 3 and 4 the check's own draws (algebra pairs, one-form,
-unitaries).  Both suites run at N = n = 2.  `riemannian_suite`'s identities
-hold in every signature (test_gauge checks all five), but it runs in (0, 4)
-only while the benchmark replays it by name.
+A suite draws each random input from its own stream, dirac.stream(seed, p,
+q, #, sample, role), with role 0 the fuzzy blocks, 1 D_F, 2 the fluctuation,
+3 and 4 the check's own draws (algebra pairs, one-form, unitaries).  Both
+suites run at N = n = 2.  `riemannian_suite`'s identities hold in every
+signature (test_gauge checks all five), but it runs in (0, 4) only while the
+benchmark replays it by name.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from . import action as action_mod
 from . import clifford, dirac, fluct, gauge
 from .action import ActionPolynomial
 from .clifford import worst
-from .dirac import FiniteData, GaugeTriple, random_hermitian
+from .dirac import FiniteData, GaugeTriple, random_hermitian, stream
 
 _QUARTIC = ActionPolynomial((0.0, 1.0, 0.0, 1.0))  # the suites' f
 _N, _n = 2, 2  # the suites' fuzzy and finite sizes
@@ -83,7 +83,7 @@ def clifford_identities(mod) -> dict:
     return out
 
 
-def axioms(gt: GaugeTriple, mod, seed: int | np.random.SeedSequence) -> dict:
+def axioms(gt: GaugeTriple, mod, seed) -> dict:
     """The asserted axiom deviations (20 random algebra pairs), keyed by name."""
     rep = dirac.check_axioms(gt, mod, seed=seed, pairs=20)
     return {f"axioms/{k}": v for k, v in rep.items() if not k.startswith("informational_")}
@@ -192,10 +192,9 @@ def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, unitaries) -> 
 
 
 def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial,
-                              seed: int | np.random.SeedSequence) -> float:
+                              rng: np.random.Generator) -> float:
     """Action invariance under u = u1 (x) u2 with [u2, D_F] = 0: u1 Haar on
     C^N, u2 = V diag(e^{i theta}) V* with V the eigenvectors of D_F."""
-    rng = np.random.default_rng(seed)
     u1 = gauge._haar(gt.N, rng)
     theta = rng.uniform(0.0, 2 * np.pi, gt.n)
     V = np.linalg.eigh(gt.finite.D_F)[1]
@@ -210,18 +209,13 @@ def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:
     return worst(np.abs(new - old).max() for new, old in zip((*out.A, out.phi), (*fl.A, fl.phi)))
 
 
-def _stream(sig, seed: int, key: tuple, role: int) -> np.random.SeedSequence:
-    """The stream of one suite draw, SeedSequence(seed, spawn_key=(p, q, *key, role))."""
-    return np.random.SeedSequence(seed, spawn_key=(sig.p, sig.q, *key, role))
-
-
 def _inputs(sig, seed: int, key: tuple, include_X: bool, with_DF: bool):
     """(triple, fluctuation) at N = n = 2 of the suite input key = (#, sample)."""
-    fz = dirac.random_fuzzy(_N, sig, seed=_stream(sig, seed, key, 0), include_X=include_X)
-    DF = (random_hermitian(_n, np.random.default_rng(_stream(sig, seed, key, 1))) if with_DF
-          else np.zeros((_n, _n), dtype=complex))
+    key = (seed, sig.p, sig.q, *key)
+    fz = dirac.random_fuzzy(_N, sig, seed=stream(*key, 0), include_X=include_X)
+    DF = random_hermitian(_n, stream(*key, 1)) if with_DF else np.zeros((_n, _n), dtype=complex)
     gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=_n, D_F=DF))
-    return gt, fluct.random_fluctuation(gt, seed=_stream(sig, seed, key, 2))
+    return gt, fluct.random_fluctuation(gt, seed=stream(*key, 2))
 
 
 def signature_suite(p: int, q: int, seed: int = 0):
@@ -231,18 +225,18 @@ def signature_suite(p: int, q: int, seed: int = 0):
     results = [IdentityResult(k, v, 1e-12) for k, v in clifford_identities(mod).items()]
     # the J D sign is asserted only for D_F = 0; axioms and dual_path read only the triple
     results += [IdentityResult(k, v, 1e-10) for k, v in axioms(
-        _inputs(sig, seed, (1, 0), True, False)[0], mod, _stream(sig, seed, (1, 0), 3)).items()]
+        _inputs(sig, seed, (1, 0), True, False)[0], mod, stream(seed, p, q, 1, 0, 3)).items()]
     flat_higgs = _inputs(sig, seed, (6, 0), False, True)
     quadratic, quartic = trace_lemmas(*flat_higgs, mod)
     split = _worst(sector_split(*_inputs(sig, seed, (8, sd), False, True), _QUARTIC)
                    for sd in range(5))
     return results + [IdentityResult(name, dev, tol) for name, dev, tol in (
         ("lichnerowicz/square_equals_rhs",
-         worst(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=_stream(sig, seed, (2, sd), 0)), mod)
+         worst(lichnerowicz(dirac.random_fuzzy(NN, sig, seed=stream(seed, p, q, 2, sd, 0)), mod)
              for sd, NN in enumerate((2,) * 5 + (3,) * 5)), 1e-10),
         ("fluctuation/dual_path",
          worst(dual_path(_inputs(sig, seed, (3, sd), True, True)[0], mod,
-                       np.random.default_rng(_stream(sig, seed, (3, sd), 3)))
+                       stream(seed, p, q, 3, sd, 3))
              for sd in range(3)), 1e-10),
         ("weitzenbock/full",
          worst(weitzenbock_full(*_inputs(sig, seed, (4, sd), True, False), mod)
@@ -265,7 +259,7 @@ def riemannian_suite(seed: int = 0):
     sig = clifford.build_signature(0, 4)
     # the action is invariant under a generic u only if D_F = 0: these act on Yang-Mills data
     cov = _worst(gauge_covariance(*_inputs(sig, seed, (9, sd), False, False), _QUARTIC, [
-        gauge.random_unitary(_N, _n, product_form=product, seed=_stream(sig, seed, (9, sd), role))
+        gauge.random_unitary(_N, _n, product_form=product, seed=stream(seed, 0, 4, 9, sd, role))
         for role, product in ((3, True), (4, False))]) for sd in range(3))
     return [IdentityResult(name, dev, tol) for name, dev, tol in (
         ("gauge/field_strength_covariance", cov[0], 1e-10),
@@ -275,7 +269,7 @@ def riemannian_suite(seed: int = 0):
          central_unitary(*_inputs(sig, seed, (11, 0), False, True), np.exp(0.37j)), 1e-12),
         ("gauge/action_invariance_with_DF",
          worst(action_invariance_with_DF(*_inputs(sig, seed, (10, sd), False, True), _QUARTIC,
-                                       _stream(sig, seed, (10, sd), 3))
+                                       stream(seed, 0, 4, 10, sd, 3))
              for sd in range(3)), 1e-9))]
 
 

@@ -75,16 +75,20 @@ def test_identity_suite_shape(p, q, count):
 
 
 def test_every_verify_draw_has_its_own_stream(monkeypatch):
-    # each default_rng of the five suites is handed a SeedSequence (or a Generator
-    # made from one), never an int, and no (entropy, spawn_key) is drawn from twice
-    seen = []
+    # each generator of the five suites is made by default_rng from a SeedSequence, never
+    # an int, and no (entropy, spawn_key) is made twice; a Generator handed to default_rng
+    # again, as `dirac.stream`'s are handed to the draws, is one made so
+    seen, made = [], []
     default_rng = np.random.default_rng
 
     def spy(seed=None):
-        seq = seed.bit_generator.seed_seq if isinstance(seed, np.random.Generator) else seed
-        assert isinstance(seq, np.random.SeedSequence), f"default_rng({seed!r})"
-        seen.append((seq.entropy, seq.spawn_key))
-        return default_rng(seed)
+        if isinstance(seed, np.random.Generator):
+            assert any(seed is rng for rng in made), f"default_rng({seed!r})"
+            return seed
+        assert isinstance(seed, np.random.SeedSequence), f"default_rng({seed!r})"
+        seen.append((seed.entropy, seed.spawn_key))
+        made.append(default_rng(seed))
+        return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", spy)
     for p, q in [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]:
@@ -505,7 +509,7 @@ def test_wrong_adjointness_field_file_is_config_error(tmp_path, capsys, key):
             assert run([mode, "--config", cfg]) == 2
             assert capsys.readouterr().err == \
                 f"config error: {path}: D_F violates its adjointness type (M* = +1 M)\n"
-            assert list(out.iterdir()) == []
+            assert not out.exists()  # refused before anything was made
         return
     rng = np.random.default_rng(8)
     H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -609,7 +613,7 @@ def test_dense_guard_counts_the_poly_degree(tmp_path, monkeypatch, capsys, poly,
     else:
         assert err.startswith("config error: the dense Dirac operator at N = 2, n = 2 needs ")
         assert "degree 6" in err and err.count("\n") == 1, err
-        assert os.listdir(out) == []
+        assert not out.exists()  # refused before anything was made
 
 
 @pytest.mark.parametrize("command", ["action", "spectrum"])
@@ -639,7 +643,7 @@ def test_fields_that_overflow_are_config_error(tmp_path, capsys, scale, command)
     err = capsys.readouterr().err
     assert err.startswith(f"config error: fields.scale = {scale!r} is too large: ")
     assert err.count("\n") == 1, err
-    assert os.listdir(out) == []
+    assert not out.exists()  # refused before anything was made
 
 
 @pytest.mark.parametrize("bins", [10 ** 12, 10 ** 20])
@@ -651,7 +655,7 @@ def test_histogram_beyond_memory_is_one_config_error_line(tmp_path, capsys, bins
     err = capsys.readouterr().err
     assert err.startswith(f"config error: the spectrum histogram at histogram_bins = {bins} "
                           "needs ") and err.count("\n") == 1, err
-    assert os.listdir(out) == []
+    assert not out.exists()  # refused before anything was made
 
 
 def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
@@ -666,8 +670,20 @@ def test_spectrum_histogram_bins_the_written_eigenvalues(tmp_path, monkeypatch):
     gt, fl = cli._fields(cli.resolve(cfg))
     D = fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig))
     edges, counts = sampler.symmetric_histogram(np.linalg.eigvalsh(D), 8)
-    want = json.dumps({"bin_edges": list(map(float, edges)), "counts": list(map(int, counts))})
+    want = json.dumps({"bin_edges": list(map(float, edges)), "counts": list(map(int, counts))},
+                      indent=1)
     assert (tmp_path / "spectrum_histogram.json").read_text() == want
+
+
+def test_spectrum_csv_writes_each_eigenvalue_as_its_float_repr(tmp_path):
+    # numpy's floats go to csv as repr(float(x)), which reads back bit-exactly
+    cfg = {"geometry": {"N": 2, "n": 2, "d_f": "random"}, "seed": 3, "out": str(tmp_path)}
+    assert run(["spectrum", "--config", write_config(tmp_path, cfg)]) == 0
+    gt, fl = cli._fields(cli.resolve(cfg))
+    ev = np.linalg.eigvalsh(fluct.assemble_fluctuated(gt, fl, clifford.build_gammas(gt.sig)))
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["index", "eigenvalue"], *([str(i), repr(float(x))] for i, x in enumerate(ev))]
 
 
 def test_sample_summary_reports_autocorrelation_and_acceptance(tmp_path):
@@ -752,7 +768,7 @@ def test_a_repeated_key_is_one_config_error_line(tmp_path, capsys, command, text
     assert run([command, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {tmp_path / 'given.json'}: key {key!r} is repeated\n"
-    assert not list(out.glob("*"))  # nothing written
+    assert not out.exists()  # refused before anything was made
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -776,6 +792,59 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, command):
     assert err.startswith(f"config error: out: cannot make the output directory {path}") \
         and err.count("\n") == 1, err
     assert path.read_text() == "a file"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify"], "verify_report.json"),
+    (["action"], "action_breakdown.json"),
+    (["spectrum"], "spectrum.csv"),
+    (["spectrum", "--config", "bins.json"], "spectrum_histogram.json"),
+    (["sample", "--config", "short.json"], "records.csv"),
+    (["sample", "--config", "short.json"], "summary.json"),
+    (["sample", "--self-test", "--config", "short.json"], "samples.csv"),
+    (["sample", "--self-test", "--config", "short.json"], "summary.json"),
+], ids=["verify", "action", "spectrum", "histogram", "chain-records", "chain-summary",
+        "self-test-samples", "self-test-summary"])
+def test_a_file_that_cannot_be_written_is_one_config_error_line(tmp_path, monkeypatch, capsys,
+                                                                  argv, name):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, {"histogram_bins": 4}, name="bins.json")
+    write_config(tmp_path, {"sampler": {"steps": 12, "burn_in": 2}}, name="short.json")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out: cannot write {out / name}: ") \
+        and err.count("\n") == 1, err
+
+
+# per case: the command and a config that it refuses with exit 2, each after the config
+# resolves; d_f.json holds a repeated key
+REFUSED = {
+    "unread key": (["action"], {"histogram_bins": 5}),
+    "verify unread key": (["verify"], {"geometry": {"N": 3}}),
+    "action D beyond memory": (["action"], {"geometry": {"N": 10 ** 80}}),
+    "spectrum D beyond memory": (["spectrum"], {"geometry": {"N": 10 ** 80}}),
+    "histogram beyond memory": (["spectrum"], {"histogram_bins": 10 ** 20}),
+    "chain beyond memory": (["sample"], {"geometry": {"N": 10 ** 80}}),
+    "self test beyond memory": (["sample", "--self-test"], {"sampler": {"steps": 10 ** 80}}),
+    "repeated key in a D_F file": (["action"], {"geometry": {"d_f": "d_f.json"}}),
+    "steps < burn_in": (["sample"], {"sampler": {"steps": 5, "burn_in": 10}}),
+    "self test steps 0": (["sample", "--self-test"], {"sampler": {"steps": 0}}),
+    "sextic poly for a chain": (["sample"], {"poly": [0, 1, 0, 0, 0, 1]}),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_no_refusal_leaves_out_behind(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    _write_file(tmp_path, "d_f.json", '{"rows": 1, "rows": 1, "cols": 1, "data": [[1.0, 0.0]]}')
+    argv, cfg = REFUSED[case]
+    out = tmp_path / "out"
+    assert run([*argv, "--config", write_config(tmp_path, {**cfg, "out": str(out)})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()  # refused before anything was made
 
 
 # per case: the command, its config and how its config error begins
@@ -868,7 +937,7 @@ def test_key_the_command_does_not_read_is_config_error(tmp_path, capsys, key):
     assert run([*argv, "--config", write_config(tmp_path, {**cfg, "out": str(out)})]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} is not read by ") and err.count("\n") == 1, err
-    assert os.listdir(out) == []
+    assert not out.exists()  # refused before anything was made
 
 
 def test_self_test_reads_burn_in(tmp_path):

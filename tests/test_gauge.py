@@ -113,7 +113,8 @@ def test_covariance_in_every_signature(p, q):
         gt = make_triple(N=3, seed=15 + seed, p=p, q=q)
         fl = fluct.random_fluctuation(gt, seed=16 + seed)
         assert np.abs(fl.phi).max() > 0
-        assert verify.action_invariance_with_DF(gt, fl, POLY, seed=17 + seed) <= 1e-9
+        rng = np.random.default_rng(17 + seed)
+        assert verify.action_invariance_with_DF(gt, fl, POLY, rng) <= 1e-9
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
