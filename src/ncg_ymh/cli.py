@@ -13,9 +13,11 @@ Matrix files use the shared JSON format
 whose floats are written with Python's shortest round-trip repr, so a write
 / read cycle reproduces every entry bit-exactly.
 
-A subcommand makes `out` once every input has passed, and writes each file through
-`_write_json` (strict, indent 1) or `_write_csv`.  Exit codes: 0 success, 1
-computational or identity failure, 2 configuration error (an unwritable `out` too).
+A subcommand makes `out` once every input has passed, so no configuration error
+in the inputs leaves one behind, and writes each file through `_write_json`
+(strict, indent 1) or `_write_csv`.  Exit codes: 0 success, 1 computational or
+identity failure (found after `out` is made), 2 configuration error (an
+unwritable `out` or output file too).
 """
 from __future__ import annotations
 

@@ -77,13 +77,15 @@ def test_identity_suite_shape(p, q, count):
 def test_every_verify_draw_has_its_own_stream(monkeypatch):
     # each generator of the five suites is made by default_rng from a SeedSequence, never
     # an int, and no (entropy, spawn_key) is made twice; a Generator handed to default_rng
-    # again, as `dirac.stream`'s are handed to the draws, is one made so
-    seen, made = [], []
+    # again, as `dirac.stream`'s are handed to the draws, is one made so, and no one of
+    # them is handed on twice, so no stream feeds two draws
+    seen, made, handed = [], [], []
     default_rng = np.random.default_rng
 
     def spy(seed=None):
         if isinstance(seed, np.random.Generator):
             assert any(seed is rng for rng in made), f"default_rng({seed!r})"
+            handed.append(id(seed))
             return seed
         assert isinstance(seed, np.random.SeedSequence), f"default_rng({seed!r})"
         seen.append((seed.entropy, seed.spawn_key))
@@ -94,6 +96,7 @@ def test_every_verify_draw_has_its_own_stream(monkeypatch):
     for p, q in [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]:
         run_identity_suite(p, q)
     assert len(seen) == len(set(seen)) > 0
+    assert len(handed) == len(set(handed))
 
 
 def test_verify_runs_suites_in_signature_order(tmp_path, monkeypatch, capsys):
