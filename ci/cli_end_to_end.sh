@@ -328,7 +328,7 @@ check "a misspelled key, a sextic poly for sample and a string N: exit 2"
 expect_config_error action --config "$work/misspelled.json" --out "$out/misspelled"
 expect_config_error sample --config "$work/sextic.json" --out "$out/sextic"
 expect_config_error action --config "$work/n_two.json" --out "$out/n_two"
-check "a D_F file that is not Hermitian: exit 2, nothing written"
+check "a D_F file that is not Hermitian, a nonzero phi for a scalar D_F: exit 2, nothing written"
 # a D_F file that is not Hermitian is refused, not symmetrized, and nothing is written
 echo '{"rows": 2, "cols": 2, "data": [[1.0, 0.0], [5.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}' \
   > "$work/df_not_hermitian.json"
@@ -338,6 +338,12 @@ for mode in action spectrum sample; do
   expect_config_error "$mode" --config "$work/df_not_hermitian_cfg.json" \
     --out "$out/df_$mode"
 done
+# a nonzero phi file with D_F null (scalar) is refused: phi = 0 there
+python -c 'import json, sys; json.dump({"rows": 4, "cols": 4, "data": [[1.0, 0.0]] * 16},
+                                       open(sys.argv[1], "w"))' "$work/phi_ones.json"
+echo '{"geometry": {"N": 2, "n": 2}, "fields": {"source": "files", "phi": "'"$work"'/phi_ones.json"}}' \
+  > "$work/phi_scalar_df.json"
+expect_config_error action --config "$work/phi_scalar_df.json" --out "$out/phi_scalar_df"
 check "--out a file, sizes beyond memory, a fields key the source does not read: exit 2"
 # --out naming a file, a dense D, a chain or a self test beyond a float's range of GiB,
 # and a fields key the source does not read

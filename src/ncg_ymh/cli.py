@@ -305,6 +305,9 @@ def _fields(cfg: dict):
         fl.A[mu] = _load_square(path, gt.m, f"A{mu}", gt.sig.e[mu])
     if fields["phi"] is not None:
         fl.phi[...] = _load_square(fields["phi"], gt.m, "phi", 1)
+        if gt.finite.is_scalar and fl.phi.any():  # the Higgs space is 0 (`fluct.Fluctuation`)
+            raise ConfigError(f"fields.phi: {fields['phi']} is nonzero, but phi = 0 "
+                              f"when D_F is scalar (geometry.d_f null or c 1)")
     return gt, fl
 
 

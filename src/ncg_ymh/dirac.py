@@ -275,10 +275,12 @@ def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
 
 
 def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.ndarray:
-    """Shared assembly of the Lichnerowicz/Weitzenbock right-hand side.
+    """The Higgs-free core of the Weitzenbock right-hand side: (sum_I gamma^I (x) d_I)^2.
 
     k and x are lists of four m2 x m2 arrays (single-index and triple-index
     covariant pieces); m2 is the dimension of the matrix factor's vec space.
+    `lichnerowicz_rhs` is this core for the fuzzy blocks; `verify.weitzenbock`
+    adds the Higgs terms 1 (x) Phi^2 + sum_I gamma^I gamma (x) [d_I, Phi].
     """
     g = mod.gammas
     eye4 = np.eye(4)

@@ -27,8 +27,9 @@ start and after any sweep, not only during burn-in.
 
 Streams: `dirac.stream(seed, k)`, k = 4 + mu for A_mu, 8 for phi and 9 for
 the accept/reject uniforms; the Gaussian self test draws its generators from
-0 and its uniforms from 9; 1..3 are retired.  `dirac.random_typed` draws
-every generator.  Identical seeds give bit-identical chains on one platform.
+0 and its uniforms from 9; 1..3 are retired.  `_generators` draws every
+generator, the chain's and the self test's, through `dirac.random_typed`.
+Identical seeds give bit-identical chains on one platform.
 
 Diagnostics: `run_chain`'s info reports the post-burn-in acceptance per
 field and the autotune step-size trajectory; `tau_int` and
@@ -227,8 +228,8 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
         raise UnstableAction(f"initial action {current.total_closed:.3e}")
 
     chunk = max(1, _DRAW_ENTRIES // (m * m))
-    accepted = [0] * len(fields)  # per field, over the whole chain
-    window_start = after_burn_in = accepted[:]
+    accepted = [0] * len(fields)  # per field, restarted when burn-in ends
+    window_start = accepted[:]
     trajectory = []
     records = []
 
@@ -269,25 +270,23 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
             trajectory.append({"sweep": sweep, "acceptance": dict(zip(names, rates)),
                                "step_sizes": dict(zip(names, steps))})
             window_start = accepted[:]
-        if sweep + 1 == cfg.burn_in:
-            # acceptance statistics restart after burn-in
-            after_burn_in = accepted[:]
+        if sweep + 1 == cfg.burn_in:  # the counts restart; no tuning window reads them after
+            accepted = [0] * len(fields)
 
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            rate = (sum(accepted) - sum(after_burn_in)) / ((sweep + 1 - cfg.burn_in) * len(fields))
+            rate = sum(accepted) / ((sweep + 1 - cfg.burn_in) * len(fields))
             records.append(SampleRecord(step=sweep, s_total=current.total_closed,
                                         s_ym=current.s_ym, s_h=current.s_h, s_gh=current.s_gh,
                                         s_theta=current.s_theta, acceptance=rate))
     proposals = (cfg.steps - cfg.burn_in) * len(fields)
     state = ChainState(L=L, A=kernel.X - LX, phi=kernel.phi.copy(),
-                       breakdown=current, accept_count=sum(accepted) - sum(after_burn_in),
+                       breakdown=current, accept_count=sum(accepted),
                        proposal_count=proposals)
     sampled = cfg.steps - cfg.burn_in or math.nan  # no sweep after burn-in: NaN rates
     info = {"step_sizes": dict(zip(names, steps)),
             "final_state": state,
             "acceptance": state.accept_count / (proposals or math.nan),
-            "acceptance_by_field": {name: (a - a0) / sampled for name, a, a0
-                                    in zip(names, accepted, after_burn_in)},
+            "acceptance_by_field": {name: a / sampled for name, a in zip(names, accepted)},
             "step_size_trajectory": trajectory}
     return records, info
 
@@ -305,7 +304,7 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
                        burn_in: int = 1000) -> dict:
     """Metropolis on one Hermitian matrix with weight exp(-Tr M^2).
 
-    The generators are drawn as the chain draws them (`random_typed`, in
+    The generators are drawn as the chain draws them (`_generators`, in
     chunks) and accepted by the chain's rule.  The analytic mean of Tr M^2
     is N^2 / 2; the summary reports the chain mean, its batch-means standard
     error and whether the target lies within three of them (None if undefined).
@@ -322,7 +321,7 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
     for i in range(total):
         j = i % chunk
         if j == 0:
-            increments = _SELF_TEST_STEP * random_typed(N, rng, [1] * min(chunk, total - i))
+            increments = _SELF_TEST_STEP * _generators(rng, min(chunk, total - i), N, 1, 1)
         cand = M + increments[j]
         new_action = float(np.trace(cand @ cand).real)
         delta = new_action - action

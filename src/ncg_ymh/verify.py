@@ -8,19 +8,20 @@ fold of deviations, within a check and over a suite's samples, is
 `IdentityResult.as_dict` writes it as null.  The suites call the checks on
 keyed inputs, the tests with their own data:
 
-    check                        #   suite       tests
-    clifford_identities              signature   acceptance 01
-    axioms                       1   signature   acceptance 02
-    lichnerowicz                 2   signature   acceptance 03, test_dirac
-    dual_path                    3   signature   acceptance 04, test_fluct
-    weitzenbock_full             4   signature   acceptance 05
-    field_strength_adjointness   5   signature
-    trace_lemmas, odd_traces     6   signature   acceptance 06a, 07, test_action
-    weitzenbock_flat_higgs       7   signature   acceptance 05
-    sector_split                 8   signature   acceptance 07, test_action
-    gauge_covariance             9   riemannian  acceptance 08, test_gauge
-    action_invariance_with_DF   10   riemannian  test_gauge
-    central_unitary             11   riemannian  acceptance 08
+    check                        #        suite       tests
+    clifford_identities                   signature   acceptance 01
+    axioms                       1        signature   acceptance 02
+    weitzenbock                  2, 4, 7  signature   acceptance 03, 05, test_dirac
+    dual_path                    3        signature   acceptance 04, test_fluct
+    field_strength_adjointness   5        signature
+    trace_lemmas, odd_traces     6        signature   acceptance 06a, 07, test_action
+    sector_split                 8        signature   acceptance 07, test_action
+    gauge_covariance             9        riemannian  acceptance 08, test_gauge
+    action_invariance_with_DF   10        riemannian  test_gauge
+    central_unitary             11        riemannian  acceptance 08
+
+#2, test 03 and test_dirac reach `weitzenbock` through `lichnerowicz`, its
+case n = 1, D_F = 0 at the zero fluctuation.
 
 A suite draws each random input from its own stream, dirac.stream(seed, p,
 q, #, sample, role), with role 0 the fuzzy blocks, 1 D_F, 2 the fluctuation,
@@ -89,14 +90,30 @@ def axioms(gt: GaugeTriple, mod, seed) -> dict:
     return {f"axioms/{k}": v for k, v in rep.items() if not k.startswith("informational_")}
 
 
-def lichnerowicz(fz, mod) -> float:
-    """Relative deviation of the fuzzy D^2 from its six-term closed form.
+def weitzenbock(gt: GaugeTriple, fl, mod) -> float:
+    """Relative deviation of D_omega^2 from its Weitzenboeck form.
 
-    The fuzzy D is the product Dirac operator of the Yang-Mills triple at n = 1.
+    D_omega = sum_I gamma^I (x) d_I + gamma (x) Phi, with I over the single
+    indices (d_mu, `fluct.covariant_ops`) and the triple ones (x_mu,
+    `fluct.triple_ops`, with gamma^{hat mu}).  gamma anticommutes with every
+    gamma^I, so D_omega^2 is the Higgs-free `dirac._weitzenbock_core` plus
+    1 (x) Phi^2 plus sum_I gamma^I gamma (x) [d_I, Phi].
     """
+    D = fluct.assemble_fluctuated(gt, fl, mod)
+    d = [*fluct.covariant_ops(gt, fl), *fluct.triple_ops(gt, fl)]
+    Phi = fluct.higgs_field(fl, gt)
+    rhs = dirac._weitzenbock_core(gt.sig, mod, d[:4], d[4:], gt.m * gt.m)
+    rhs += np.kron(np.eye(4), Phi @ Phi)
+    for g, dI in zip(fluct._gamma_basis(mod)[:8], d):
+        rhs += np.kron(g @ mod.chirality, dI @ Phi - Phi @ dI)
+    return _square_dev(D, rhs)
+
+
+def lichnerowicz(fz, mod) -> float:
+    """Relative deviation of the fuzzy D^2 from its closed form: `weitzenbock` of
+    the n = 1 triple with D_F = 0 at the zero fluctuation (A = S = 0, Phi = 0)."""
     gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex)))
-    D = fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod)
-    return _square_dev(D, dirac.lichnerowicz_rhs(fz, mod))
+    return weitzenbock(gt, fluct.zero_fluctuation(gt), mod)
 
 
 def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
@@ -117,32 +134,6 @@ def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
     fl = fluct.extract_fluctuation(gt, mod, omega)
     closed = fluct.assemble_fluctuated(gt, fl, mod)
     return _rel(np.linalg.norm(D_fl - closed), np.linalg.norm(D_fl))
-
-
-def weitzenbock_full(gt: GaugeTriple, fl, mod) -> float:
-    """Relative deviation of D_omega^2 from the Weitzenboeck form (Higgs off)."""
-    D = fluct.assemble_fluctuated(gt, fl, mod)
-    k = fluct.covariant_ops(gt, fl)
-    x = fluct.triple_ops(gt, fl)
-    return _square_dev(D, dirac._weitzenbock_core(gt.sig, mod, k, x, gt.m * gt.m))
-
-
-def weitzenbock_flat_higgs(gt: GaugeTriple, fl, mod) -> float:
-    """Flat D_omega^2 = (1/2) g g F + theta + Phi^2 + g gamma [d, Phi]."""
-    D = fluct.assemble_fluctuated(gt, fl, mod)
-    F = action_mod.field_strength(gt, fl)
-    th = action_mod.theta(gt, fl)
-    Phi = fluct.higgs_field(fl, gt)
-    d = fluct.covariant_ops(gt, fl)
-    rhs = np.zeros_like(D)
-    for mu in range(4):
-        for nu in range(4):
-            rhs += 0.5 * np.kron(mod.gammas[mu] @ mod.gammas[nu], F[mu][nu])
-    rhs += np.kron(np.eye(4), th + Phi @ Phi)
-    for mu in range(4):
-        dphi = d[mu] @ Phi - Phi @ d[mu]
-        rhs += np.kron(mod.gammas[mu] @ mod.chirality, dphi)
-    return _square_dev(D, rhs)
 
 
 def field_strength_adjointness(gt: GaugeTriple, fl) -> float:
@@ -239,7 +230,7 @@ def signature_suite(p: int, q: int, seed: int = 0):
                        stream(seed, p, q, 3, sd, 3))
              for sd in range(3)), 1e-10),
         ("weitzenbock/full",
-         worst(weitzenbock_full(*_inputs(sig, seed, (4, sd), True, False), mod)
+         worst(weitzenbock(*_inputs(sig, seed, (4, sd), True, False), mod)
              for sd in range(2)), 1e-10),
         ("field_strength/antisymmetry_adjointness",
          field_strength_adjointness(*_inputs(sig, seed, (5, 0), False, False)), 1e-10),
@@ -247,7 +238,7 @@ def signature_suite(p: int, q: int, seed: int = 0):
         ("trace/quartic", quartic, 1e-9),
         ("trace/odd_powers_vanish", odd_traces(*flat_higgs, mod), 1e-9),
         ("weitzenbock/flat_higgs",
-         worst(weitzenbock_flat_higgs(*_inputs(sig, seed, (7, sd), False, True), mod)
+         worst(weitzenbock(*_inputs(sig, seed, (7, sd), False, True), mod)
              for sd in range(3)), 1e-10),
         ("sectors/sum_equals_direct_trace", split[0], 1e-9),
         ("sectors/positivity", split[1], 1e-10),

@@ -78,14 +78,21 @@ def test_05_weitzenbock():
     for seed in range(3):
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 50)
-        devs.append(verify.weitzenbock_flat_higgs(gt, fl, mod))
+        devs.append(verify.weitzenbock(gt, fl, mod))
     # full Weitzenboeck: X, S on, Higgs off, all signatures
     for (p, q) in ALL_SIGS:
         for seed in range(2):
             gt = make_triple(p, q, seed=seed, include_X=True, with_DF=False)
             fl = fluct.random_fluctuation(gt, seed=seed + 60)
-            devs.append(verify.weitzenbock_full(gt, fl, build_module(p, q)))
-    report("05 Weitzenbock flat+Higgs and full (rel 1e-10)", worst(devs) <= 1e-10)
+            devs.append(verify.weitzenbock(gt, fl, build_module(p, q)))
+    # X, S, D_F and phi all on, all five signatures: the only data that sees
+    # the gamma^{hat mu} gamma (x) [x_mu, Phi] terms
+    for (p, q) in ALL_SIGS + [(4, 0)]:
+        for N, seed in ((2, 30), (3, 31)):
+            gt = make_triple(p, q, N=N, seed=seed, include_X=True, with_DF=True)
+            fl = fluct.random_fluctuation(gt, seed=seed + 110)
+            devs.append(verify.weitzenbock(gt, fl, build_module(p, q)))
+    report("05 Weitzenbock flat+Higgs, full, full+Higgs (rel 1e-10)", worst(devs) <= 1e-10)
 
 
 def test_06a_trace_lemmas():

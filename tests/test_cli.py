@@ -400,6 +400,27 @@ def test_wrong_shape_matrix_file_is_config_error(tmp_path, capsys, command, whic
     assert err.startswith("config error:") and "(3, 3)" in err
 
 
+@pytest.mark.parametrize("command", ["action", "spectrum"])
+@pytest.mark.parametrize("d_f", [None, "c1"])
+def test_nonzero_phi_for_a_scalar_d_f_is_config_error(tmp_path, capsys, command, d_f):
+    # phi = 0 when D_F = c 1 (the Higgs space is 0): a nonzero phi file is refused
+    # before out is made, a zero one is read
+    geometry = {"p": 0, "q": 4, "N": 2, "n": 2}
+    if d_f == "c1":
+        geometry["d_f"] = str(tmp_path / "d_f.json")
+        cli.save_matrix(geometry["d_f"], 0.7 * np.eye(2))
+    phi, out = str(tmp_path / "phi.json"), tmp_path / "out"
+    cfg = write_config(tmp_path, {"geometry": geometry, "fields": {"source": "files", "phi": phi},
+                                  "out": str(out)})
+    cli.save_matrix(phi, np.ones((4, 4)))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fields.phi") and err.count("\n") == 1
+    assert not out.exists()
+    cli.save_matrix(phi, np.zeros((4, 4)))
+    assert run([command, "--config", cfg]) == 0
+
+
 def test_more_than_four_potential_files_is_config_error(tmp_path, capsys):
     path = str(tmp_path / "A.json")
     cli.save_matrix(path, np.zeros((4, 4)))
