@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule
-from .dirac import (GaugeTriple, complex_gaussian, conjugate_by_J, lift, random_hermitian,
-                    random_typed, represent_algebra)
+from .dirac import GaugeTriple, conjugate_by_J, lift, random_typed, represent_algebra
 from .errors import DimensionMismatch, NotSelfAdjoint
 from .superop import gen_comm, left_mult, right_mult, unvec, vec
 
@@ -97,11 +96,12 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None, seed=0) -> F
     """Gaussian fluctuation with the correct adjointness types, from default_rng(seed); seed
     may be a Generator, such as one of `dirac.stream`.
 
-    The four A_mu are drawn first, then the four S_mu only when the fuzzy
-    data has X blocks (else S is zeros), then phi: a symmetrized sum of
-    three X (x) a [D_F, c] terms, zero and not drawn where D_F is scalar
-    (`FiniteData.is_scalar`, as in the sampler).  A scale at which the
-    fields overflow raises OverflowError, without numpy's warnings.
+    Every field is one `random_typed` draw from its whole space: the four A_mu
+    first, then the four S_mu only when the fuzzy data has X blocks (else S is
+    zeros), then phi from all of Herm(m), zero and not drawn where D_F is
+    scalar (`FiniteData.is_scalar`; the Higgs space is 0 then, as in the
+    sampler).  A scale at which the fields overflow raises OverflowError,
+    without numpy's warnings.
     """
     sig = gt.sig
     m = gt.m
@@ -111,14 +111,8 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None, seed=0) -> F
     with np.errstate(over="ignore", invalid="ignore"):
         A = random_typed(m, rng, sig.e, scale)
         S = random_typed(m, rng, sig.e_hat, scale) if gt.fuzzy.has_triples else np.zeros_like(A)
-        phi = np.zeros((m, m), dtype=complex)
-        if not gt.finite.is_scalar:
-            n = gt.n
-            for _ in range(3):
-                X = random_hermitian(gt.N, rng, scale)
-                a, c = complex_gaussian(rng, n), complex_gaussian(rng, n)
-                w = np.kron(X, a @ (gt.finite.D_F @ c - c @ gt.finite.D_F))
-                phi += (w + w.conj().T) / 2
+        phi = (np.zeros((m, m), dtype=complex) if gt.finite.is_scalar
+               else random_typed(m, rng, (1,), scale)[0])
     if not all(np.isfinite(x).all() for x in (A, S, phi)):
         raise OverflowError("the fluctuation overflows")
     return Fluctuation(A=A, S=S, phi=phi)

@@ -38,6 +38,7 @@ field and the autotune step-size trajectory; `tau_int` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -78,6 +79,10 @@ class SamplerConfig:
             raise ValueError("polynomial must have positive coefficient at even top degree")
         if self.poly.degree > 4:
             raise ValueError(f"poly has degree {self.poly.degree}; the kernel is exact up to 4")
+        for key, step in self.step_sizes.items():
+            if isinstance(step, bool) or not (isinstance(step, numbers.Real)
+                                              and 0 < step < math.inf):
+                raise ValueError(f"step_sizes[{key!r}] = {step!r}: need a positive, finite number")
 
 
 @dataclass

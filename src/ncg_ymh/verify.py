@@ -25,10 +25,12 @@ case n = 1, D_F = 0 at the zero fluctuation.
 
 A suite draws each random input from its own stream, dirac.stream(seed, p,
 q, #, sample, role), with role 0 the fuzzy blocks, 1 D_F, 2 the fluctuation,
-3 and 4 the check's own draws (algebra pairs, one-form, unitaries).  Both
-suites run at N = n = 2.  `riemannian_suite`'s identities hold in every
-signature (test_gauge checks all five), but it runs in (0, 4) only while the
-benchmark replays it by name.
+3 and 4 the check's own draws (algebra pairs, one-form pairs, unitaries).
+Each is one draw from its whole space: fields by `dirac.random_typed`,
+algebra elements from M_N (x) M_n, unitaries Haar on U(N) x U(n), on U(Nn)
+or on those commuting with 1 (x) D_F.  Both suites run at N = n = 2.
+`riemannian_suite`'s identities hold in every signature (test_gauge checks all
+five), but it runs in (0, 4) only while the benchmark replays it by name.
 """
 from __future__ import annotations
 
@@ -120,12 +122,11 @@ def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
     """D + omega + eps' J omega J* against the closed-form D_omega.
 
     omega is the self-adjoint part (omega + omega*)/2 of the Connes one-form
-    of three random pairs (a, c), each factor a Kronecker product of complex
-    Gaussian N x N and n x n matrices; both paths read that one omega.
+    of three random pairs (a, c), each a complex Gaussian m x m matrix drawn
+    from all of M_N (x) M_n; both paths read that one omega.
     """
-    N, n = gt.N, gt.n
-    pairs = [tuple(np.kron(dirac.complex_gaussian(rng, N), dirac.complex_gaussian(rng, n))
-                   for _ in range(2)) for _ in range(3)]
+    pairs = [(dirac.complex_gaussian(rng, gt.m), dirac.complex_gaussian(rng, gt.m))
+             for _ in range(3)]
     omega = fluct.connes_one_form(gt, mod, pairs)
     omega = (omega + omega.conj().T) / 2
     S = dirac.real_structure(mod, gt.m)
@@ -184,14 +185,13 @@ def gauge_covariance(gt: GaugeTriple, fl, poly: ActionPolynomial, unitaries) -> 
 
 def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial,
                               rng: np.random.Generator) -> float:
-    """Action invariance under u = u1 (x) u2 with [u2, D_F] = 0: u1 Haar on
-    C^N, u2 = V diag(e^{i theta}) V* with V the eigenvectors of D_F."""
-    u1 = gauge._haar(gt.N, rng)
-    theta = rng.uniform(0.0, 2 * np.pi, gt.n)
+    """Action invariance under u = sum_k u_k (x) v_k v_k*, u_k Haar on C^N and v_k
+    the eigenvectors of D_F: for non-degenerate D_F a draw from the whole group
+    of unitaries commuting with 1 (x) D_F."""
+    U = np.array([gauge._haar(gt.N, rng) for _ in range(gt.n)])
     V = np.linalg.eigh(gt.finite.D_F)[1]
-    u2 = (V * np.exp(1j * theta)) @ V.conj().T
-    g = gauge.GaugeElement(u=np.kron(u1, u2), factors=(u1, u2))
-    return gauge.covariance_report(gt, fl, g, poly)["action_invariance_rel"]
+    u = np.einsum("kij,ak,bk->iajb", U, V, V.conj()).reshape(gt.m, gt.m)
+    return gauge.covariance_report(gt, fl, gauge.GaugeElement(u=u), poly)["action_invariance_rel"]
 
 
 def central_unitary(gt: GaugeTriple, fl, lam: complex) -> float:

@@ -78,16 +78,16 @@ def test_malformed_input_is_refused(name):
 
 
 def test_random_fields_that_overflow_are_refused():
-    # at 1e308 the K blocks overflow; at 1e307 they are finite, but phi is not
+    # at 1e308 the K blocks overflow, and so does the fluctuation of a finite triple
     sig = build_signature(0, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused without numpy's warnings
         with pytest.raises(OverflowError, match="K blocks"):
             dirac.random_fuzzy(2, sig, scale=1e308)
-        gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, sig, scale=1e307),
+        gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, sig),
                          finite=FiniteData(n=2, D_F=np.diag([1.0, -1.0]).astype(complex)))
         with pytest.raises(OverflowError, match="fluctuation"):
-            random_fluctuation(gt, scale=1e307)
+            random_fluctuation(gt, scale=1e308)
 
 
 def test_random_fuzzy_adjointness_types():

@@ -126,6 +126,38 @@ def test_random_fluctuation_types():
     assert np.abs(fl13.phi).max() > 0
 
 
+@pytest.mark.parametrize("d_f", ["null", "scalar", "random"])
+@pytest.mark.parametrize("include_X", [True, False])
+@pytest.mark.parametrize("p,q", ALL_SIGS + [(4, 0)])
+def test_random_fluctuation_is_one_typed_draw_per_field(p, q, include_X, d_f):
+    # A, then S where there are K_hat blocks, then phi where D_F is not scalar, in turn
+    n = 2
+    DF = {"null": np.zeros((n, n)), "scalar": 2 * np.eye(n),
+          "random": dirac.random_hermitian(n, np.random.default_rng(9))}[d_f]
+    gt = GaugeTriple(fuzzy=dirac.random_fuzzy(2, build_signature(p, q), include_X=include_X),
+                     finite=FiniteData(n=n, D_F=DF.astype(complex)))
+    m = gt.m
+    for seed in (0, 5):
+        fl = fluct.random_fluctuation(gt, seed=seed)
+        rng, scale = np.random.default_rng(seed), 1 / np.sqrt(m)
+        A = dirac.random_typed(m, rng, gt.sig.e, scale)
+        S = dirac.random_typed(m, rng, gt.sig.e_hat, scale) if include_X else np.zeros_like(A)
+        phi = dirac.random_typed(m, rng, (1,), scale)[0] if d_f == "random" \
+            else np.zeros_like(A[0])
+        for got, want in ((fl.A, A), (fl.S, S), (fl.phi, phi)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_random_phi_has_full_operator_schmidt_rank(N):
+    # phi ranges over all of M_N (x) M_n, not over sums of a few X (x) Y
+    n = 2
+    gt = make_triple(0, 4, N=N, n=n, with_DF=True, seed=N)
+    phi = fluct.random_fluctuation(gt, seed=1).phi
+    realigned = phi.reshape(N, n, N, n).transpose(0, 2, 1, 3).reshape(N * N, n * n)
+    assert np.linalg.matrix_rank(realigned) == min(N * N, n * n)
+
+
 def test_higgs_field_forms():
     gt = make_triple(0, 4, with_DF=True, seed=31)
     fl = fluct.zero_fluctuation(gt)

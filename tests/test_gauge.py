@@ -107,8 +107,8 @@ def test_transform_preserves_types():
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
 def test_covariance_in_every_signature(p, q):
-    # with a Higgs field the action is invariant under u = u1 (x) u2 with
-    # [u2, D_F] = 0, in every signature
+    # with a Higgs field the action is invariant under every u that commutes
+    # with 1 (x) D_F, in every signature
     for seed in range(3):
         gt = make_triple(N=3, seed=15 + seed, p=p, q=q)
         fl = fluct.random_fluctuation(gt, seed=16 + seed)

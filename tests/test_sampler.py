@@ -47,6 +47,15 @@ def test_config_refuses_degree_above_four():
         sampler.SamplerConfig(N=2, n=2, poly=ActionPolynomial((0, 1, 0, 0, 0, 1)), steps=5)
 
 
+@pytest.mark.parametrize("sizes", [{"A": math.nan}, {"A": 0.0}, {"phi": math.inf},
+                                   {"phi": -0.1}, {"A": "0.1"}, {"A": True}])
+def test_config_refuses_a_step_size_that_is_not_positive_and_finite(sizes):
+    # nan and inf rejected every proposal of their field, and 0 accepted every one
+    (key, value), = sizes.items()
+    with pytest.raises(ValueError, match=rf"step_sizes\['{key}'\] = {value!r}"):
+        sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=5, step_sizes=sizes)
+
+
 def test_zero_steps_empty_records():
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=0, burn_in=0)
     records, _ = sampler.run_chain(cfg, ym_template())
