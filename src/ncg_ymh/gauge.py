@@ -22,10 +22,9 @@ from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
 
 @dataclass(frozen=True)
 class GaugeElement:
-    """A unitary u on C^N (x) C^n, optionally with a product factorization."""
+    """A unitary u on C^N (x) C^n."""
 
     u: np.ndarray
-    factors: tuple | None = None
 
     def __post_init__(self):
         if self.u.ndim != 2 or self.u.shape[0] != self.u.shape[1]:
@@ -46,9 +45,7 @@ def random_unitary(N: int, n: int, product_form: bool = False, seed=0) -> GaugeE
     may be a Generator, such as one of `dirac.stream`."""
     rng = np.random.default_rng(seed)
     if product_form:
-        u1 = _haar(N, rng)
-        u2 = _haar(n, rng)
-        return GaugeElement(u=np.kron(u1, u2), factors=(u1, u2))
+        return GaugeElement(u=np.kron(_haar(N, rng), _haar(n, rng)))
     return GaugeElement(u=_haar(N * n, rng))
 
 

@@ -101,7 +101,7 @@ def test_06a_trace_lemmas():
     for N, seed in ((2, 0), (3, 1), (4, 2)):     # Hilbert dims 64, 144, 256
         gt = make_triple(0, 4, N=N, seed=seed, include_X=False, with_DF=True)
         fl = fluct.random_fluctuation(gt, seed=seed + 70)
-        devs.extend(verify.trace_lemmas(gt, fl, mod))
+        devs.extend(verify.trace_lemmas(gt, fl, mod)[:2])
     report("06a trace lemmas TrD^2, TrD^4 vs brute force (rel 1e-9)", worst(devs) <= 1e-9)
 
 
@@ -127,7 +127,7 @@ def test_07_sector_decomposition():
         gt = make_triple(0, 4, seed=seed, include_X=False, with_DF=(seed % 2 == 0))
         fl = fluct.random_fluctuation(gt, seed=seed + 90)
         sum_dev, pos_dev, _ = verify.sector_split(gt, fl, QUARTIC)
-        rows.append((sum_dev, verify.odd_traces(gt, fl, mod), pos_dev))
+        rows.append((sum_dev, verify.trace_lemmas(gt, fl, mod)[2], pos_dev))
     worst_sum, worst_odd, worst_pos = map(worst, zip(*rows))
     ok = worst_sum <= 1e-9 and worst_odd <= 1e-9 and worst_pos <= 1e-10
     report("07 sector sum = (1/4)Tr f(D), odd traces, positivity", ok)

@@ -217,18 +217,19 @@ def test_axioms_flat_yang_mills(p, q):
     report = dirac.check_axioms(gt, mod, seed=3, pairs=20)
     for name, dev in report.items():
         assert dev <= 1e-10, f"({p},{q}) {name}: {dev}"
-    assert "J_D_sign" in report  # asserted, not informational, when D_F = 0
+    assert "J_D_sign" in report  # an axiom, so computed, when D_F = 0
 
 
-def test_axioms_with_finite_dirac_informational():
-    mod = build_module(0, 4)
-    gt = make_triple(0, 4, seed=11, with_DF=True)
-    report = dirac.check_axioms(gt, mod, seed=3, pairs=10)
-    assert "informational_J_D_sign" in report
-    # the rest still holds with D_F != 0
+@pytest.mark.parametrize("p,q", [*ALL_SIGS, (4, 0)])
+def test_axioms_with_finite_dirac_informational(p, q):
+    # with D_F != 0 the J D sign and D gamma = -gamma D are no axioms: not computed,
+    # and every entry returned holds
+    mod = build_module(p, q)
+    gt = make_triple(p, q, seed=11, with_DF=True)
+    report = dirac.check_axioms(gt, mod, seed=12, pairs=10)
+    assert not {"J_D_sign", "D_gamma_anticommute"} & report.keys()
     for name, dev in report.items():
-        if not name.startswith("informational_"):
-            assert dev <= 1e-10, f"{name}: {dev}"
+        assert dev <= 1e-10, f"({p},{q}) {name}: {dev}"
 
 
 def test_order_one_central_element_exact():

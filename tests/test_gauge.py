@@ -25,7 +25,8 @@ def test_random_unitary_properties():
     assert np.abs(g.u.conj().T @ g.u - np.eye(m)).max() <= 1e-12
 
     gp = gauge.random_unitary(2, 3, product_form=True, seed=2)
-    u1, u2 = gp.factors
+    rng = np.random.default_rng(2)
+    u1, u2 = gauge._haar(2, rng), gauge._haar(3, rng)
     np.testing.assert_allclose(gp.u, np.kron(u1, u2), atol=1e-14)
     # tensor determinant rule: det(u1 (x) u2) = det(u1)^n det(u2)^N
     lhs = np.linalg.det(gp.u)
