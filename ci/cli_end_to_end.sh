@@ -7,7 +7,8 @@
 # and malformed input; strict JSON throughout.
 # Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory that is
 # removed on exit.  Each check prints its name as it starts, and a failure names the
-# check it happened in.
+# check it happened in.  A numpy RuntimeWarning that escapes any python process
+# (PYTHONWARNINGS, the filter the tests run under) fails its check.
 cd "$(dirname "$0")/.."
 set -e
 section=setup
@@ -25,6 +26,7 @@ finish() {
 }
 trap finish EXIT
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+export PYTHONWARNINGS=error::RuntimeWarning
 out="$work/cli"
 echo '{"geometry": {"p": 0, "q": 4, "N": 6, "n": 2, "d_f": "random"}}' \
   > "$work/n6.json"

@@ -7,7 +7,8 @@
 # summary.json.
 # Configs and outputs go to $RUNNER_TEMP, or to a fresh temporary directory that is
 # removed on exit.  Each check prints its name as it starts, and a failure names the
-# check it happened in.
+# check it happened in.  A numpy RuntimeWarning that escapes any python process
+# (PYTHONWARNINGS, the filter the tests run under) fails its check.
 cd "$(dirname "$0")/.."
 set -e
 section=setup
@@ -25,6 +26,7 @@ finish() {
 }
 trap finish EXIT
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+export PYTHONWARNINGS=error::RuntimeWarning
 out="$work/signatures"
 for pq in "1 3" "2 2" "3 1" "4 0"; do
   set -- $pq

@@ -11,7 +11,7 @@ from .dirac import (FiniteData, FuzzyData, GaugeTriple, check_axioms, lichnerowi
 from .errors import (ConjugationNotFound, DimensionMismatch, NcgError,
                      NonFourDimensional, NotFlat, NotSelfAdjoint, UnstableAction)
 from .fluct import (Fluctuation, assemble_fluctuated, connes_one_form,
-                    extract_fluctuation, fluctuate, higgs_field, random_fluctuation,
+                    extract_fluctuation, fluctuate, random_fluctuation, term_ops, terms,
                     zero_fluctuation)
 from .gauge import GaugeElement, covariance_report, random_unitary, transform
 from .sampler import (ChainState, SampleRecord, SamplerConfig, batch_means,

@@ -10,11 +10,11 @@ r(b), and the rules
 
 turn each such trace into a bi-tracial polynomial in m x m matrices.  The
 closed forms hold for flat data, whose stacks `FuzzyData.K_hat` and
-`Fluctuation.S` are zero (`require_flat`); X_mu = K_mu (x) 1 + A_mu is one
-call of `fluct.covariant_matrices` on the stacks `FuzzyData.K` and
-`Fluctuation.A`.  One kernel, `Kernel`, evaluates the seven traces that the
-sectors and the quadratic and quartic trace lemmas are built from.  A kernel
-of size m owns its stack S = (1, X_0..X_3, P, phi) of m x m matrices and
+`Fluctuation.S` are zero (`require_flat`); the fields X_mu = K_mu (x) 1 + A_mu
+and P = 1 (x) D_F + phi are the left slots 0..3 and 8 of `fluct.terms`.  One
+kernel, `Kernel`, evaluates the seven traces that the sectors and the
+quadratic and quartic trace lemmas are built from.  A kernel of size m owns
+its stack S = (1, X_0..X_3, P, phi) of m x m matrices and
 three scratch rows (their layout named by STACK_X, STACK_P, STACK_PHI) into
 which it writes P^2, phi^2 and Q, and every buffer it computes into.  So a
 caller holds one kernel across calls and writes the rows that change in
@@ -34,8 +34,9 @@ lemmas and the gauge-Higgs bracket are values of it.  The dense trace
 (Tr D^(2j+1) = <D^j, D^(j+1)>), is the oracle, called by name on
 `fluct.assemble_fluctuated` where it is wanted.  The m^2 x m^2
 superoperator forms (`theta`, `field_strength`, the shortcut side of
-`gauge_higgs_identity_sides`) are kept as brute-force oracles.  Index
-raising uses eta = diag(e_0..e_3).
+`gauge_higgs_identity_sides`) are kept as brute-force oracles; they compose
+the operators d_mu and Phi of `fluct.term_ops`.  Index raising uses
+eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .dirac import GaugeTriple, has_adjointness_type
 from .errors import DimensionMismatch, NotFlat, NotSelfAdjoint
-from .fluct import Fluctuation, covariant_matrices, covariant_ops, higgs_field
+from .fluct import Fluctuation, term_ops, terms
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,14 @@ def require_flat(gt: GaugeTriple, fl: Fluctuation):
 
 def field_strength(gt: GaugeTriple, fl: Fluctuation) -> tuple:
     """F[mu][nu] = [d_mu, d_nu] as m^2 x m^2 arrays."""
-    d = covariant_ops(gt, fl)
+    d = term_ops(gt, fl)
     return tuple(tuple(d[mu] @ d[nu] - d[nu] @ d[mu] for nu in range(4)) for mu in range(4))
 
 
 def theta(gt: GaugeTriple, fl: Fluctuation) -> np.ndarray:
     """theta = sum eta^{mu nu} d_mu o d_nu as an m^2 x m^2 array, positive semidefinite."""
     require_flat(gt, fl)
-    d = covariant_ops(gt, fl)
+    d = term_ops(gt, fl)
     out = gt.sig.e[0] * (d[0] @ d[0])
     for mu in range(1, 4):
         out = out + gt.sig.e[mu] * (d[mu] @ d[mu])
@@ -270,9 +271,8 @@ def _traces(gt: GaugeTriple, fl: Fluctuation) -> BiTraces:
     require_flat(gt, fl)
     # an overflow shows as non-finite traces, which the callers report
     with np.errstate(over="ignore", invalid="ignore"):
-        X = covariant_matrices(gt.fuzzy.K, fl.A)
-        P = gt.lifted_D_F + fl.phi
-        return bitracial_traces(X, P, fl.phi, gt.sig.e, gt.sig.eps_dblprime)
+        L, _ = terms(gt, fl)
+        return bitracial_traces(L[:4], L[8], fl.phi, gt.sig.e, gt.sig.eps_dblprime)
 
 
 def sector_breakdown(tr: BiTraces, f: ActionPolynomial) -> ActionBreakdown:
@@ -332,8 +332,7 @@ def gauge_higgs_identity_sides(gt: GaugeTriple, fl: Fluctuation, a4: float):
     """
     lhs = sectors(gt, fl, ActionPolynomial((0.0, 0.0, 0.0, a4))).s_gh
     e = gt.sig.e
-    d = covariant_ops(gt, fl)
-    Phi = higgs_field(fl, gt)
+    *d, Phi = term_ops(gt, fl)
     rhs = 0.0 + 0j
     for mu in range(4):
         rhs -= e[mu] * np.trace(d[mu] @ Phi @ d[mu] @ Phi)

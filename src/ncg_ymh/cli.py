@@ -83,7 +83,8 @@ def _read_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh, object_pairs_hook=functools.partial(_unique_keys, path))
-    except (OSError, ValueError) as exc:  # unreadable, not text or not JSON
+    # unreadable, not text, not JSON, or nested deeper than the decoder's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path} is not a readable JSON file: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} holds no JSON object")

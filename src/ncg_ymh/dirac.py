@@ -18,7 +18,7 @@ import numpy as np
 
 from .clifford import CliffordModule, Signature, sign_s, sign_t, worst
 from .errors import DimensionMismatch
-from .superop import gen_comm, left_mult, transpose_permutation
+from .superop import left_mult, transpose_permutation
 
 
 def has_adjointness_type(M: np.ndarray, e: int) -> bool:
@@ -211,7 +211,7 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed=0, pairs: int = 20) 
     'J_D_sign' and 'D_gamma_anticommute' are axioms only when D_F = 0 (left
     multiplication by D_F is not J-compatible), so only then are they computed.
     """
-    from .fluct import assemble_fluctuated, zero_fluctuation
+    from .fluct import assemble_fluctuated, term_ops, zero_fluctuation
     m = gt.m
     rng = np.random.default_rng(seed)
     D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
@@ -241,31 +241,29 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed=0, pairs: int = 20) 
     report["order_one"] = worst(row[0] for row in rows)
     report["commutant"] = worst(row[1] for row in rows)
 
-    def block_dev(blk, e):
-        op = gen_comm(lift(blk, gt.n), e)
-        # adjoint = e * op whenever K* = e K; the gamma factor restores
-        # self-adjointness of the full Dirac term
-        return np.abs(op.conj().T - e * op).max()
-
+    # the eight K terms at the zero fluctuation: adjoint = e * op whenever K* = e K;
+    # the gamma factor restores self-adjointness of the full Dirac term
     report["block_e_selfadjointness"] = worst(
-        map(block_dev, (*gt.fuzzy.K, *gt.fuzzy.K_hat), (*sig.e, *sig.e_hat)))
+        np.abs(op.conj().T - e * op).max()
+        for op, e in zip(term_ops(gt, zero_fluctuation(gt))[:8], (*sig.e, *sig.e_hat)))
     return report
 
 
 def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
     """The six-term closed form of D_f^2 on V (x) M_N.
 
+    k_mu, x_mu are `fluct.term_ops` of the n = 1, D_F = 0 triple at A = S = 0.
     The chirality term is (1/sigma_eta) (-1)^mu gamma (x) [k_mu, x_mu]; this
     is the sign the identity D^2 = RHS actually requires (and the one the
     commutator bookkeeping produces), for every signature.
     """
+    from .fluct import term_ops, zero_fluctuation
     sig = fz.sig
     if sig != mod.signature:
         raise DimensionMismatch("fuzzy data and Clifford module carry different signatures")
-    N = fz.N
-    k = [gen_comm(K, e) for K, e in zip(fz.K, sig.e)]
-    x = [gen_comm(K, e) for K, e in zip(fz.K_hat, sig.e_hat)]
-    return _weitzenbock_core(sig, mod, k, x, N * N)
+    gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex)))
+    ops = term_ops(gt, zero_fluctuation(gt))
+    return _weitzenbock_core(sig, mod, ops[:4], ops[4:8], fz.N * fz.N)
 
 
 def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.ndarray:

@@ -5,6 +5,9 @@ basis {gamma^mu, gamma^{hat mu}, gamma} of End(V) with pure left
 multiplications as coefficients; fluctuating with D + omega + eps' J omega
 J^{-1} (eps' = +1 in every 4d signature) turns those coefficients into
 generalized commutators, which is the closed form the assembler uses.
+`terms` states that closed form once, as the nine (left, right) slot pairs,
+which the assembler, the action's kernel and (through `term_ops`) every
+superoperator oracle read.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 from .clifford import CliffordModule
 from .dirac import GaugeTriple, conjugate_by_J, lift, random_typed, represent_algebra
 from .errors import DimensionMismatch, NotSelfAdjoint
-from .superop import gen_comm, left_mult, right_mult, unvec, vec
+from .superop import left_mult, right_mult, unvec, vec
 
 
 @dataclass(frozen=True)
@@ -118,36 +121,30 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None, seed=0) -> F
     return Fluctuation(A=A, S=S, phi=phi)
 
 
-def higgs_field(fl: Fluctuation, gt: GaugeTriple) -> np.ndarray:
-    """Phi = Left(1 (x) D_F + phi) + eps'' Right(phi) on M_N (x) M_n."""
-    return left_mult(gt.lifted_D_F + fl.phi) + gt.sig.eps_dblprime * right_mult(fl.phi)
+def terms(gt: GaugeTriple, fl: Fluctuation):
+    """The (9, m, m) stacks (L, R) of D_omega's slots, in `_gamma_basis` order:
+    (X_mu, e_mu X_mu), (Y_mu, e_hat_mu Y_mu) and (P, eps'' phi), with
+    X_mu = K_mu (x) 1 + A_mu, Y_mu = K_hat_mu (x) 1 + S_mu and P = 1 (x) D_F + phi."""
+    sig, n = gt.sig, gt.n
+    X = lift(gt.fuzzy.K, n) + fl.A
+    Y = lift(gt.fuzzy.K_hat, n) + fl.S
+    L = np.array([*X, *Y, gt.lifted_D_F + fl.phi])
+    R = np.array([*(e * x for e, x in zip(sig.e, X)),
+                  *(e * y for e, y in zip(sig.e_hat, Y)), sig.eps_dblprime * fl.phi])
+    return L, R
 
 
-def covariant_matrices(K, A) -> np.ndarray:
-    """The (4, m, m) stack X_mu = K_mu (x) 1_n + A_mu from N x N blocks K_mu."""
-    K, A = np.asarray(K), np.asarray(A)
-    return lift(K, A.shape[-1] // K.shape[-1]) + A
-
-
-def covariant_ops(gt: GaugeTriple, fl: Fluctuation):
-    """The four m^2 x m^2 operators d_mu = {K_mu (x) 1 + A_mu, .}_{e_mu}."""
-    X = covariant_matrices(gt.fuzzy.K, fl.A)
-    return [gen_comm(Xmu, e) for Xmu, e in zip(X, gt.sig.e)]
-
-
-def triple_ops(gt: GaugeTriple, fl: Fluctuation):
-    """The four m^2 x m^2 operators x_mu + s_mu for the triple-index sector."""
-    Y = covariant_matrices(gt.fuzzy.K_hat, fl.S)
-    return [gen_comm(Ymu, e) for Ymu, e in zip(Y, gt.sig.e_hat)]
+def term_ops(gt: GaugeTriple, fl: Fluctuation) -> list:
+    """The nine m^2 x m^2 operators l(L_I) + r(R_I) of `terms`: d_mu = {X_mu, .}_{e_mu},
+    the triple-index {Y_mu, .}_{e_hat mu} and Phi = l(P) + eps'' r(phi)."""
+    return [left_mult(L) + right_mult(R) for L, R in zip(*terms(gt, fl))]
 
 
 def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
                         mod: CliffordModule) -> np.ndarray:
     """D_omega = sum_I gamma^I (x) (l(L_I) + r(R_I)), written block by block.
 
-    The nine terms are the single-index {K_mu (x) 1 + A_mu, .}_{e_mu}, the
-    triple-index {K_hat mu (x) 1 + S_mu, .}_{e_hat mu} and the Higgs term
-    gamma (x) (l(1 (x) D_F + phi) + eps'' r(phi)).  Block (a, b) of the
+    The nine slot pairs (L_I, R_I) are `terms`.  Block (a, b) of the
     4 x 4 block structure is l(L_ab) + r(R_ab) with L_ab = sum_I gamma^I_ab
     L_I (R_ab likewise), so the m^2 x m^2 blocks are filled from m x m
     matrices: l(L) = 1 (x) L on the diagonal of the outer index pair,
@@ -157,20 +154,14 @@ def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
     """
     if gt.sig != mod.signature:
         raise DimensionMismatch("triple and Clifford module carry different signatures")
-    sig, m = gt.sig, gt.m
+    m = gt.m
     for name, field, shape in (("A", fl.A, (4, m, m)), ("S", fl.S, (4, m, m)),
                                ("phi", fl.phi, (m, m))):
         if field.shape != shape:
             raise DimensionMismatch(f"fluctuation {name} has shape {field.shape}, "
                                     f"need {shape} at m = {m}")
-    X = covariant_matrices(gt.fuzzy.K, fl.A)
-    Y = covariant_matrices(gt.fuzzy.K_hat, fl.S)
     gammas = _gamma_basis(mod)
-    lefts = np.array([*X, *Y, gt.lifted_D_F + fl.phi])
-    rights = np.array([*(e * x for e, x in zip(sig.e, X)),
-                       *(e * y for e, y in zip(sig.e_hat, Y)), sig.eps_dblprime * fl.phi])
-    L = np.tensordot(gammas, lefts, axes=(0, 0))    # (a, b, i, j)
-    R = np.tensordot(gammas, rights, axes=(0, 0))
+    L, R = (np.tensordot(gammas, t, axes=(0, 0)) for t in terms(gt, fl))  # (a, b, i, j)
     # D[a, p, i, b, q, j] is the entry at row a m^2 + p m + i, column b m^2 + q m + j
     D = np.zeros((4, m, m, 4, m, m), dtype=complex)
     k = np.arange(m)

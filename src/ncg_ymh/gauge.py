@@ -17,7 +17,7 @@ from .action import ActionPolynomial, require_flat, sectors, spectral_action_dir
 from .clifford import build_gammas, worst
 from .dirac import GaugeTriple, complex_gaussian, lift
 from .errors import DimensionMismatch
-from .fluct import Fluctuation, assemble_fluctuated, covariant_matrices
+from .fluct import Fluctuation, assemble_fluctuated, terms
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def covariance_report(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement,
     ustar = u.conj().T
     L = lift(gt.fuzzy.K, gt.n)
     fl_u = transform(gt, fl, g)
-    X0, Xu = covariant_matrices(gt.fuzzy.K, fl.A), covariant_matrices(gt.fuzzy.K, fl_u.A)
+    X0, Xu = (terms(gt, x)[0][:4] for x in (fl, fl_u))
 
     def deviations(mu, nu):
         F0 = X0[mu] @ X0[nu] - X0[nu] @ X0[mu]

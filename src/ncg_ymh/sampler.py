@@ -45,9 +45,9 @@ import numpy as np
 
 from .action import (STACK_P, STACK_PHI, STACK_X, ActionBreakdown, ActionPolynomial, Kernel,
                      sector_breakdown)
-from .dirac import GaugeTriple, random_typed, stream
+from .dirac import GaugeTriple, lift, random_typed, stream
 from .errors import NotFlat, UnstableAction
-from .fluct import Fluctuation, covariant_matrices
+from .fluct import Fluctuation
 
 _DIVERGENCE = 1e12
 _STEP_SIZES = {"A": 0.08, "phi": 0.1}
@@ -211,7 +211,7 @@ def run_chain(cfg: SamplerConfig, gt_template: GaugeTriple):
     DF_big = gt_template.lifted_D_F
     L = np.array([K - np.trace(K) / N * np.eye(N) if e == -1 else K
                   for K, e in zip(gt_template.fuzzy.K.astype(complex), sig.e)])
-    LX = covariant_matrices(L, np.zeros((4, m, m), dtype=complex))  # L_mu (x) 1, fixed
+    LX = lift(L, gt_template.n)  # L_mu (x) 1, fixed
 
     fields = [0, 1, 2, 3]  # mu of each A_mu; None stands for phi
     if not gt_template.finite.is_scalar:  # the Higgs space is Herm(m), not 0
@@ -316,6 +316,8 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     rng, accept_rng = stream(seed, 0), stream(seed, 9)
     M = np.zeros((N, N), dtype=complex)
     action = 0.0

@@ -95,15 +95,14 @@ def axioms(gt: GaugeTriple, mod, seed) -> dict:
 def weitzenbock(gt: GaugeTriple, fl, mod) -> float:
     """Relative deviation of D_omega^2 from its Weitzenboeck form.
 
-    D_omega = sum_I gamma^I (x) d_I + gamma (x) Phi, with I over the single
-    indices (d_mu, `fluct.covariant_ops`) and the triple ones (x_mu,
-    `fluct.triple_ops`, with gamma^{hat mu}).  gamma anticommutes with every
+    D_omega = sum_I gamma^I (x) d_I + gamma (x) Phi, with the nine operators of
+    `fluct.term_ops`: I over the single indices (d_mu) and the triple ones
+    (x_mu, with gamma^{hat mu}), then Phi.  gamma anticommutes with every
     gamma^I, so D_omega^2 is the Higgs-free `dirac._weitzenbock_core` plus
     1 (x) Phi^2 plus sum_I gamma^I gamma (x) [d_I, Phi].
     """
     D = fluct.assemble_fluctuated(gt, fl, mod)
-    d = [*fluct.covariant_ops(gt, fl), *fluct.triple_ops(gt, fl)]
-    Phi = fluct.higgs_field(fl, gt)
+    *d, Phi = fluct.term_ops(gt, fl)
     rhs = dirac._weitzenbock_core(gt.sig, mod, d[:4], d[4:], gt.m * gt.m)
     rhs += np.kron(np.eye(4), Phi @ Phi)
     for g, dI in zip(fluct._gamma_basis(mod)[:8], d):

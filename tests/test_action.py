@@ -55,7 +55,7 @@ def test_field_strength_antisymmetry_and_matrix_form():
     gt = make_triple(seed=3, with_DF=False)
     fl = fluct.random_fluctuation(gt, seed=4)
     F = action.field_strength(gt, fl)
-    X = fluct.covariant_matrices(gt.fuzzy.K, fl.A)
+    X = fluct.terms(gt, fl)[0][:4]
     for mu in range(4):
         for nu in range(4):
             assert np.abs(F[mu][nu] + F[nu][mu]).max() == 0
@@ -114,7 +114,7 @@ def test_trace_d4_closed():
     fl_h = fluct.random_fluctuation(gt_h, seed=13)
     zero = fluct.zero_fluctuation(gt_h)
     fl_h = fluct.Fluctuation(A=zero.A, S=zero.S, phi=fl_h.phi)
-    Phi = fluct.higgs_field(fl_h, gt_h)
+    Phi = fluct.term_ops(gt_h, fl_h)[8]
     assert abs(action.trace_d4_closed(gt_h, fl_h)
                - np.trace(Phi @ Phi @ Phi @ Phi).real) <= 1e-10
 
@@ -135,7 +135,7 @@ def test_sectors_quadratic_truncation():
     br = action.sectors(gt, fl, f2)
     assert br.s_ym == 0.0 and br.s_gh == 0.0
     th = np.trace(action.theta(gt, fl)).real
-    Phi = fluct.higgs_field(fl, gt)
+    Phi = fluct.term_ops(gt, fl)[8]
     expected = 0.45 * (th + np.trace(Phi @ Phi).real)
     assert abs(br.total_closed - expected) <= 1e-10 * max(1.0, abs(expected))
 
@@ -195,7 +195,7 @@ def test_gauge_higgs_identity_sides_disagree_by_theta_phi2():
     fl = fluct.random_fluctuation(gt, seed=26)
     lhs, rhs = action.gauge_higgs_identity_sides(gt, fl, a4=1.0)
     th = action.theta(gt, fl)
-    Phi = fluct.higgs_field(fl, gt)
+    Phi = fluct.term_ops(gt, fl)[8]
     gap = 2.0 * np.trace(th @ Phi @ Phi).real
     assert abs((lhs - rhs) - gap) <= 1e-9 * max(1.0, abs(gap))
 
@@ -203,9 +203,9 @@ def test_gauge_higgs_identity_sides_disagree_by_theta_phi2():
 def _oracle_traces(gt, fl):
     """The seven kernel traces from the m^2 x m^2 superoperators."""
     e = gt.sig.e
-    d = fluct.covariant_ops(gt, fl)
+    ops = fluct.term_ops(gt, fl)
+    d, Phi = ops[:4], ops[8]
     th = action.theta(gt, fl)
-    Phi = fluct.higgs_field(fl, gt)
     F = action.field_strength(gt, fl)
     c = [dm @ Phi - Phi @ dm for dm in d]
     Phi2 = Phi @ Phi

@@ -737,6 +737,10 @@ def test_sample_divergence_after_burn_in_is_error(tmp_path, capsys):
     assert not (tmp_path / "records.csv").exists()
 
 
+# JSON arrays nested deeper than the decoder's recursion limit
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def _write_file(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -747,6 +751,7 @@ def _write_file(tmp_path, name, payload):
     "config-not-json", "missing-K-file", "missing-A-file", "missing-phi-file",
     "matrix-without-rows", "matrix-without-cols", "matrix-without-data", "K-key-hatX",
     "K-key-mu9", "K-not-an-object", "A-a-string", "poly-int-beyond-float", "config-a-list",
+    "config-nested-too-deep", "matrix-nested-too-deep",
 ])
 def test_malformed_input_is_one_config_error_line(tmp_path, capsys, case):
     good = {"rows": 2, "cols": 2, "data": [[0.0, 0.0]] * 4}
@@ -766,15 +771,20 @@ def test_malformed_input_is_one_config_error_line(tmp_path, capsys, case):
         fields["A"] = "A.js"  # short enough to pass for four one-letter paths
     elif case == "poly-int-beyond-float":
         cfg["poly"] = [0, 1, 0, 10 ** 400]
+    elif case == "matrix-nested-too-deep":
+        cfg["geometry"]["d_f"] = _write_file(tmp_path, "D_F.json", _TOO_DEEP)
     if case == "config-not-json":
         path = _write_file(tmp_path, "config.json", '{"geometry": {"N": 2,}}')
     elif case == "config-a-list":
         path = _write_file(tmp_path, "config.json", [cfg])
+    elif case == "config-nested-too-deep":
+        path = _write_file(tmp_path, "config.json", _TOO_DEEP)
     else:
         path = write_config(tmp_path, cfg)
     assert run(["action", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, text, key", [

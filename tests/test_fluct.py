@@ -158,10 +158,10 @@ def test_random_phi_has_full_operator_schmidt_rank(N):
     assert np.linalg.matrix_rank(realigned) == min(N * N, n * n)
 
 
-def test_higgs_field_forms():
+def test_higgs_term_op_forms():
     gt = make_triple(0, 4, with_DF=True, seed=31)
     fl = fluct.zero_fluctuation(gt)
-    Phi = fluct.higgs_field(fl, gt)
+    Phi = fluct.term_ops(gt, fl)[8]
     np.testing.assert_allclose(
         Phi, left_mult(np.kron(np.eye(gt.N), gt.finite.D_F)), atol=0)
 
@@ -170,12 +170,12 @@ def test_higgs_field_forms():
     phi = dirac.random_hermitian(gt_ym.m, rng)
     zero = fluct.zero_fluctuation(gt_ym)
     fl = fluct.Fluctuation(A=zero.A, S=zero.S, phi=phi)
-    Phi = fluct.higgs_field(fl, gt_ym)
+    Phi = fluct.term_ops(gt_ym, fl)[8]
     np.testing.assert_allclose(Phi, left_mult(phi) + right_mult(phi), atol=0)
 
     gt = make_triple(0, 4, with_DF=True, seed=33)
     fl = fluct.random_fluctuation(gt, seed=5)
-    Phi = fluct.higgs_field(fl, gt)
+    Phi = fluct.term_ops(gt, fl)[8]
     np.testing.assert_allclose(Phi, Phi.conj().T, atol=1e-12)
 
 
@@ -242,22 +242,20 @@ def test_one_form_span_is_zero_or_everything(n, case):
     assert FiniteData(n=n, D_F=DF.astype(complex)).is_scalar == (dim == 0)
 
 
-def _kron_sum(gt, fl, mod):
-    """The explicit sum of kron(gamma^I, S_I) over the nine Dirac terms."""
+def _kron_terms(gt, fl, mod):
+    """The nine Dirac terms (gamma^I, S_I), each S_I built from Kronecker products."""
     sig, one = gt.sig, np.eye(gt.n)
 
     def gen_comm(K, e):
         return left_mult(K) + e * right_mult(K)
 
-    D = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
-    for mu in range(4):
-        X = np.kron(gt.fuzzy.K[mu], one) + fl.A[mu]
-        D += np.kron(mod.gammas[mu], gen_comm(X, sig.e[mu]))
-        Y = np.kron(gt.fuzzy.K_hat[mu], one) + fl.S[mu]
-        D += np.kron(mod.gamma_hat(mu), gen_comm(Y, sig.e_hat[mu]))
+    X = [np.kron(K, one) + A for K, A in zip(gt.fuzzy.K, fl.A)]
+    Y = [np.kron(K, one) + S for K, S in zip(gt.fuzzy.K_hat, fl.S)]
     P = np.kron(np.eye(gt.N), gt.finite.D_F) + fl.phi
-    D += np.kron(mod.chirality, left_mult(P) + sig.eps_dblprime * right_mult(fl.phi))
-    return D
+    gammas = [*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality]
+    ops = [*map(gen_comm, X, sig.e), *map(gen_comm, Y, sig.e_hat),
+           left_mult(P) + sig.eps_dblprime * right_mult(fl.phi)]
+    return gammas, ops
 
 
 @pytest.mark.parametrize("case,with_DF", [("fluctuated", True), ("fluctuated", False),
@@ -274,8 +272,11 @@ def test_blockwise_assembler_matches_kron_sum(p, q, case, with_DF):
         assert np.abs(fl.S).max() > 0 and gt.fuzzy.has_triples
     else:
         fl = fluct.zero_fluctuation(gt)
+    gammas, ops = _kron_terms(gt, fl, mod)
+    got, want = np.array(fluct.term_ops(gt, fl)), np.array(ops)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     got = fluct.assemble_fluctuated(gt, fl, mod)
-    want = _kron_sum(gt, fl, mod)
+    want = sum(np.kron(g, op) for g, op in zip(gammas, ops))
     assert np.abs(want).max() > 0
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 

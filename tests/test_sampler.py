@@ -203,6 +203,13 @@ def test_gaussian_self_test_refuses_no_samples(samples):
         sampler.gaussian_self_test(N=2, samples=samples)
 
 
+@pytest.mark.parametrize("burn_in", [-5, -20])
+def test_gaussian_self_test_refuses_negative_burn_in(burn_in):
+    # a negative burn_in would leave samples unwritten (-5) or run no step at all (-20)
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        sampler.gaussian_self_test(N=2, samples=10, burn_in=burn_in)
+
+
 def test_batch_means_and_stationarity():
     rng = np.random.default_rng(8)
     x = rng.normal(loc=5.0, scale=1.0, size=4000)
