@@ -6,8 +6,8 @@ from .action import (ActionBreakdown, ActionPolynomial, field_strength, sectors,
                      spectral_action_direct, theta, trace_d2_closed, trace_d4_closed)
 from .clifford import (CliffordModule, Signature, build_gammas, build_module,
                        build_signature, sign_s, sign_t, trace4, verify_gamma_identities)
-from .dirac import (FiniteData, FuzzyData, GaugeTriple, check_axioms, lichnerowicz_rhs,
-                    random_fuzzy, zero_fuzzy)
+from .dirac import (FiniteData, FuzzyData, GaugeTriple, check_axioms, fuzzy_triple,
+                    lichnerowicz_rhs, random_fuzzy, weitzenbock_rhs, zero_fuzzy)
 from .errors import (ConjugationNotFound, DimensionMismatch, NcgError,
                      NonFourDimensional, NotFlat, NotSelfAdjoint, UnstableAction)
 from .fluct import (Fluctuation, assemble_fluctuated, connes_one_form,

@@ -40,6 +40,7 @@ eta = diag(e_0..e_3).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,6 +60,9 @@ class ActionPolynomial:
     def __post_init__(self):
         if len(self.coeffs) < 1:
             raise ValueError("need at least one coefficient")
+        for i, a in enumerate(self.coeffs, start=1):
+            if not math.isfinite(a):
+                raise ValueError(f"coefficient a_{i} = {a} is not finite")
 
     @property
     def degree(self) -> int:

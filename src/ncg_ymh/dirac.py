@@ -2,7 +2,9 @@
 
 Every Dirac operator is built by `fluct.assemble_fluctuated`: the product
 one at the zero fluctuation, `assemble_fluctuated(gt, zero_fluctuation(gt),
-mod)`, and the fuzzy one as that product operator at n = 1 and D_F = 0.
+mod)`, and the fuzzy one as that product operator of `fuzzy_triple(fz)`
+(n = 1, D_F = 0).  Its square is stated once, in Weitzenbock form, by
+`weitzenbock_rhs`.
 
 The Hilbert space of a fuzzy geometry is V (x) M_N; a gauge triple tensors a
 finite part on M_n, giving V (x) M_N (x) M_n of dimension 4 N^2 n^2.  The
@@ -249,35 +251,39 @@ def check_axioms(gt: GaugeTriple, mod: CliffordModule, seed=0, pairs: int = 20) 
     return report
 
 
-def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
-    """The six-term closed form of D_f^2 on V (x) M_N.
+def fuzzy_triple(fz: FuzzyData) -> GaugeTriple:
+    """The fuzzy geometry as a gauge triple: n = 1 and D_F = 0."""
+    return GaugeTriple(fuzzy=fz, finite=FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex)))
 
-    k_mu, x_mu are `fluct.term_ops` of the n = 1, D_F = 0 triple at A = S = 0.
+
+def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
+    """The six-term closed form of D_f^2 on V (x) M_N: `weitzenbock_rhs` of
+    `fuzzy_triple(fz)` at the zero fluctuation (A = S = 0, Phi = 0).
+
     The chirality term is (1/sigma_eta) (-1)^mu gamma (x) [k_mu, x_mu]; this
     is the sign the identity D^2 = RHS actually requires (and the one the
     commutator bookkeeping produces), for every signature.
     """
-    from .fluct import term_ops, zero_fluctuation
-    sig = fz.sig
+    from .fluct import zero_fluctuation
+    gt = fuzzy_triple(fz)
+    return weitzenbock_rhs(gt, zero_fluctuation(gt), mod)
+
+
+def weitzenbock_rhs(gt: GaugeTriple, fl, mod: CliffordModule) -> np.ndarray:
+    """D_omega^2 in Weitzenbock form, for D_omega = sum_I gamma^I (x) d_I + gamma (x) Phi with
+    the nine `fluct.term_ops` (k_mu = d_mu, the triple-index x_mu with gamma^{hat mu}, Phi):
+    (sum_I gamma^I (x) d_I)^2 + 1 (x) Phi^2 + sum_I gamma^I gamma (x) [d_I, Phi], as gamma
+    anticommutes with every gamma^I."""
+    from .fluct import term_ops
+    sig = gt.sig
     if sig != mod.signature:
-        raise DimensionMismatch("fuzzy data and Clifford module carry different signatures")
-    gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex)))
-    ops = term_ops(gt, zero_fluctuation(gt))
-    return _weitzenbock_core(sig, mod, ops[:4], ops[4:8], fz.N * fz.N)
-
-
-def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.ndarray:
-    """The Higgs-free core of the Weitzenbock right-hand side: (sum_I gamma^I (x) d_I)^2.
-
-    k and x are lists of four m2 x m2 arrays (single-index and triple-index
-    covariant pieces); m2 is the dimension of the matrix factor's vec space.
-    `lichnerowicz_rhs` is this core for the fuzzy blocks; `verify.weitzenbock`
-    adds the Higgs terms 1 (x) Phi^2 + sum_I gamma^I gamma (x) [d_I, Phi].
-    """
+        raise DimensionMismatch("triple and Clifford module carry different signatures")
+    *d, Phi = term_ops(gt, fl)
+    k, x = d[:4], d[4:]
     g = mod.gammas
     eye4 = np.eye(4)
     det = sig.det_eta()
-    rhs = np.zeros((4 * m2, 4 * m2), dtype=complex)
+    rhs = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
     for mu in range(4):
         rhs += sig.e[mu] * np.kron(eye4, k[mu] @ k[mu])
         for nu in range(4):
@@ -302,4 +308,7 @@ def _weitzenbock_core(sig: Signature, mod: CliffordModule, k, x, m2: int) -> np.
     for mu in range(4):
         comm = k[mu] @ x[mu] - x[mu] @ k[mu]
         rhs += ((-1) ** mu / sig.sigma_eta) * np.kron(mod.chirality, comm)
+    rhs += np.kron(eye4, Phi @ Phi)
+    for g_I, dI in zip((*g, *map(mod.gamma_hat, range(4))), d):
+        rhs += np.kron(g_I @ mod.chirality, dI @ Phi - Phi @ dI)
     return rhs

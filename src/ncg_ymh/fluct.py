@@ -129,8 +129,8 @@ def terms(gt: GaugeTriple, fl: Fluctuation):
     X = lift(gt.fuzzy.K, n) + fl.A
     Y = lift(gt.fuzzy.K_hat, n) + fl.S
     L = np.array([*X, *Y, gt.lifted_D_F + fl.phi])
-    R = np.array([*(e * x for e, x in zip(sig.e, X)),
-                  *(e * y for e, y in zip(sig.e_hat, Y)), sig.eps_dblprime * fl.phi])
+    R = np.array([*sig.e, *sig.e_hat, 0])[:, None, None] * L
+    R[8] = sig.eps_dblprime * fl.phi
     return L, R
 
 

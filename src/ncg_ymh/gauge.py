@@ -34,7 +34,8 @@ class GaugeElement:
             raise ValueError("gauge element is not unitary")
 
 
-def _haar(sz: int, rng) -> np.ndarray:
+def haar(sz: int, rng) -> np.ndarray:
+    """A Haar unitary on C^sz: Q of the QR of one `complex_gaussian` draw, phases fixed."""
     Q, R = np.linalg.qr(complex_gaussian(rng, sz))
     d = np.diag(R)
     return Q * (d / np.abs(d))
@@ -45,8 +46,8 @@ def random_unitary(N: int, n: int, product_form: bool = False, seed=0) -> GaugeE
     may be a Generator, such as one of `dirac.stream`."""
     rng = np.random.default_rng(seed)
     if product_form:
-        return GaugeElement(u=np.kron(_haar(N, rng), _haar(n, rng)))
-    return GaugeElement(u=_haar(N * n, rng))
+        return GaugeElement(u=np.kron(haar(N, rng), haar(n, rng)))
+    return GaugeElement(u=haar(N * n, rng))
 
 
 def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:

@@ -314,6 +314,8 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
     is N^2 / 2; the summary reports the chain mean, its batch-means standard
     error and whether the target lies within three of them (None if undefined).
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if burn_in < 0:

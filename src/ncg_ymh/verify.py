@@ -11,7 +11,8 @@ keyed inputs, the tests with their own data:
     check                        #        suite       tests
     clifford_identities                   signature   acceptance 01
     axioms                       1        signature   acceptance 02
-    weitzenbock                  2, 4, 7  signature   acceptance 03, 05, test_dirac
+    lichnerowicz                 2        signature   acceptance 03, test_dirac
+    weitzenbock                  4, 7     signature   acceptance 05
     dual_path                    3        signature   acceptance 04, test_fluct
     field_strength_adjointness   5        signature
     trace_lemmas                 6        signature   acceptance 06a, 07, test_action
@@ -20,8 +21,9 @@ keyed inputs, the tests with their own data:
     action_invariance_with_DF   10        riemannian  test_gauge
     central_unitary             11        riemannian  acceptance 08
 
-#2, test 03 and test_dirac reach `weitzenbock` through `lichnerowicz`, its
-case n = 1, D_F = 0 at the zero fluctuation.
+`weitzenbock` and `lichnerowicz` compare the assembled square with the closed
+forms of `dirac`: `weitzenbock_rhs`, and its fuzzy case `lichnerowicz_rhs`
+(n = 1, D_F = 0, at the zero fluctuation).
 
 A suite draws each random input from its own stream, dirac.stream(seed, p,
 q, #, sample, role), with role 0 the fuzzy blocks, 1 D_F, 2 the fluctuation,
@@ -93,28 +95,15 @@ def axioms(gt: GaugeTriple, mod, seed) -> dict:
 
 
 def weitzenbock(gt: GaugeTriple, fl, mod) -> float:
-    """Relative deviation of D_omega^2 from its Weitzenboeck form.
-
-    D_omega = sum_I gamma^I (x) d_I + gamma (x) Phi, with the nine operators of
-    `fluct.term_ops`: I over the single indices (d_mu) and the triple ones
-    (x_mu, with gamma^{hat mu}), then Phi.  gamma anticommutes with every
-    gamma^I, so D_omega^2 is the Higgs-free `dirac._weitzenbock_core` plus
-    1 (x) Phi^2 plus sum_I gamma^I gamma (x) [d_I, Phi].
-    """
-    D = fluct.assemble_fluctuated(gt, fl, mod)
-    *d, Phi = fluct.term_ops(gt, fl)
-    rhs = dirac._weitzenbock_core(gt.sig, mod, d[:4], d[4:], gt.m * gt.m)
-    rhs += np.kron(np.eye(4), Phi @ Phi)
-    for g, dI in zip(fluct._gamma_basis(mod)[:8], d):
-        rhs += np.kron(g @ mod.chirality, dI @ Phi - Phi @ dI)
-    return _square_dev(D, rhs)
+    """Relative deviation of D_omega^2 from its Weitzenboeck form `dirac.weitzenbock_rhs`."""
+    return _square_dev(fluct.assemble_fluctuated(gt, fl, mod), dirac.weitzenbock_rhs(gt, fl, mod))
 
 
 def lichnerowicz(fz, mod) -> float:
-    """Relative deviation of the fuzzy D^2 from its closed form: `weitzenbock` of
-    the n = 1 triple with D_F = 0 at the zero fluctuation (A = S = 0, Phi = 0)."""
-    gt = GaugeTriple(fuzzy=fz, finite=FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex)))
-    return weitzenbock(gt, fluct.zero_fluctuation(gt), mod)
+    """Relative deviation of the fuzzy D^2 from its closed form `dirac.lichnerowicz_rhs`."""
+    gt = dirac.fuzzy_triple(fz)
+    return _square_dev(fluct.assemble_fluctuated(gt, fluct.zero_fluctuation(gt), mod),
+                       dirac.lichnerowicz_rhs(fz, mod))
 
 
 def dual_path(gt: GaugeTriple, mod, rng: np.random.Generator) -> float:
@@ -182,7 +171,7 @@ def action_invariance_with_DF(gt: GaugeTriple, fl, poly: ActionPolynomial,
     """Action invariance under u = sum_k u_k (x) v_k v_k*, u_k Haar on C^N and v_k
     the eigenvectors of D_F: for non-degenerate D_F a draw from the whole group
     of unitaries commuting with 1 (x) D_F."""
-    U = np.array([gauge._haar(gt.N, rng) for _ in range(gt.n)])
+    U = np.array([gauge.haar(gt.N, rng) for _ in range(gt.n)])
     V = np.linalg.eigh(gt.finite.D_F)[1]
     u = np.einsum("kij,ak,bk->iajb", U, V, V.conj()).reshape(gt.m, gt.m)
     return gauge.covariance_report(gt, fl, gauge.GaugeElement(u=u), poly)["action_invariance_rel"]

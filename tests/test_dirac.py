@@ -52,6 +52,10 @@ GUARDS = {
         lambda: action.spectral_action_direct(np.zeros((4, 6)), action.ActionPolynomial((1.0,)))),
     "ActionPolynomial/no coefficient": (ValueError, "at least one coefficient",
                                         lambda: action.ActionPolynomial(())),
+    "ActionPolynomial/nan": (ValueError, "a_2 = nan is not finite",
+                             lambda: action.ActionPolynomial((0.0, np.nan))),
+    "ActionPolynomial/inf": (ValueError, "a_4 = -inf is not finite",
+                             lambda: action.ActionPolynomial((0.0, 1.0, 0.0, -np.inf))),
     "gen_comm/sign": (ValueError, "sign must be", lambda: superop.gen_comm(np.eye(2), 0)),
     "FiniteData/D_F shape": (DimensionMismatch, "D_F shape",
                              lambda: FiniteData(n=2, D_F=np.eye(3, dtype=complex))),
@@ -67,6 +71,10 @@ GUARDS = {
     "lichnerowicz_rhs/signature": (
         DimensionMismatch, "different signatures",
         lambda: dirac.lichnerowicz_rhs(make_triple(0, 4).fuzzy, build_module(1, 3))),
+    "weitzenbock_rhs/signature": (
+        DimensionMismatch, "different signatures",
+        lambda: dirac.weitzenbock_rhs(make_triple(0, 4), zero_fluctuation(make_triple(0, 4)),
+                                      build_module(1, 3))),
 }
 
 
@@ -156,15 +164,14 @@ def test_nan_blocks_rejected():
 def test_assemble_zero_and_single_block():
     sig = build_signature(0, 4)
     mod = build_module(0, 4)
-    zero_D_F = FiniteData(n=1, D_F=np.zeros((1, 1), dtype=complex))
-    gt = GaugeTriple(fuzzy=dirac.zero_fuzzy(2, sig), finite=zero_D_F)
+    gt = dirac.fuzzy_triple(dirac.zero_fuzzy(2, sig))
     assert np.abs(assemble_fluctuated(gt, zero_fluctuation(gt), mod)).max() == 0
 
     rng = np.random.default_rng(3)
     L0 = 1j * dirac.random_hermitian(2, rng)
     K, K_hat = zero_stacks()
     K[0] = L0
-    gt = GaugeTriple(fuzzy=FuzzyData(sig=sig, K=K, K_hat=K_hat), finite=zero_D_F)
+    gt = dirac.fuzzy_triple(FuzzyData(sig=sig, K=K, K_hat=K_hat))
     D = assemble_fluctuated(gt, zero_fluctuation(gt), mod)
     expected = np.kron(mod.gammas[0],
                        np.kron(np.eye(2), L0) - np.kron(L0.T, np.eye(2)))
@@ -291,6 +298,19 @@ def test_lichnerowicz_zero_and_flat_reduction():
 def test_lichnerowicz_equals_square():
     fz = dirac.random_fuzzy(3, build_signature(0, 4), seed=21, include_X=True)
     assert verify.lichnerowicz(fz, build_module(0, 4)) <= 1e-10
+
+
+def test_lichnerowicz_check_reads_the_closed_form(monkeypatch):
+    # verify.lichnerowicz compares against dirac.lichnerowicz_rhs: a shifted closed form shows
+    lichnerowicz_rhs = dirac.lichnerowicz_rhs
+
+    def shifted(fz, mod):
+        rhs = lichnerowicz_rhs(fz, mod)
+        return rhs + 1e-6 * np.eye(len(rhs))
+
+    monkeypatch.setattr(dirac, "lichnerowicz_rhs", shifted)
+    fz = dirac.random_fuzzy(3, build_signature(0, 4), seed=21, include_X=True)
+    assert verify.lichnerowicz(fz, build_module(0, 4)) > 1e-10
 
 
 def test_axioms_keep_a_nan_from_one_algebra_pair(monkeypatch):

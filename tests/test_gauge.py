@@ -26,7 +26,7 @@ def test_random_unitary_properties():
 
     gp = gauge.random_unitary(2, 3, product_form=True, seed=2)
     rng = np.random.default_rng(2)
-    u1, u2 = gauge._haar(2, rng), gauge._haar(3, rng)
+    u1, u2 = gauge.haar(2, rng), gauge.haar(3, rng)
     np.testing.assert_allclose(gp.u, np.kron(u1, u2), atol=1e-14)
     # tensor determinant rule: det(u1 (x) u2) = det(u1)^n det(u2)^N
     lhs = np.linalg.det(gp.u)

@@ -203,6 +203,13 @@ def test_gaussian_self_test_refuses_no_samples(samples):
         sampler.gaussian_self_test(N=2, samples=samples)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_gaussian_self_test_refuses_an_empty_matrix(N):
+    # N = 0 would divide by N^2 for the draw chunk, N = -1 ask numpy for a negative shape
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        sampler.gaussian_self_test(N=N, samples=10)
+
+
 @pytest.mark.parametrize("burn_in", [-5, -20])
 def test_gaussian_self_test_refuses_negative_burn_in(burn_in):
     # a negative burn_in would leave samples unwritten (-5) or run no step at all (-20)
