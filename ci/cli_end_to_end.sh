@@ -9,22 +9,7 @@
 # removed on exit.  Each check prints its name as it starts, and a failure names the
 # check it happened in.  A numpy RuntimeWarning that escapes any python process
 # (PYTHONWARNINGS, the filter the tests run under) fails its check.
-cd "$(dirname "$0")/.."
-set -e
-section=setup
-check() {
-  section=$1
-  echo "== $section"
-}
-work=${RUNNER_TEMP:-$(mktemp -d)}
-finish() {
-  code=$?
-  [ -n "$RUNNER_TEMP" ] || rm -rf "$work"
-  if [ "$code" -ne 0 ]; then
-    echo "FAILED (exit $code) in: $section" >&2
-  fi
-}
-trap finish EXIT
+. "$(dirname "$0")/common.sh"
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 export PYTHONWARNINGS=error::RuntimeWarning
 out="$work/cli"

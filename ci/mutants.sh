@@ -3,27 +3,13 @@
 # The acceptance tests (without test_06b, red by design) pass on a copy of src/, and
 # fail on each known mutant of it: eps'' flipped in the Higgs right slot, e_hat flipped
 # in the triple-index right slots, the sign of [d_I, Phi] flipped in weitzenbock_rhs,
-# and the four gamma^{hat mu} gamma (x) [x_mu, Phi] terms dropped from it.
+# the four gamma^{hat mu} gamma (x) [x_mu, Phi] terms dropped from it, and its
+# t_{mu nu} [x_mu, x_nu] terms dropped.
 # Each mutant is one sed on the copy; a pattern that no longer matches stops the
 # script, so a mutant cannot silently become the clean tree.  The copy goes to
 # $RUNNER_TEMP, or to a fresh temporary directory that is removed on exit.  Each check
 # prints its name as it starts, and a failure names the check it happened in.
-cd "$(dirname "$0")/.."
-set -e
-section=setup
-check() {
-  section=$1
-  echo "== $section"
-}
-work=${RUNNER_TEMP:-$(mktemp -d)}
-finish() {
-  code=$?
-  [ -n "$RUNNER_TEMP" ] || rm -rf "$work"
-  if [ "$code" -ne 0 ]; then
-    echo "FAILED (exit $code) in: $section" >&2
-  fi
-}
-trap finish EXIT
+. "$(dirname "$0")/common.sh"
 export PYTHONDONTWRITEBYTECODE=1
 copy="$work/mutants/src"
 # the acceptance tests on the copy, with pytest's exit status; prints pytest's last line
@@ -69,6 +55,8 @@ mutant "eps'' flipped in the Higgs right slot R[8]" fluct.py \
 mutant "e_hat flipped in the triple-index right slots" fluct.py \
   '\*sig\.e_hat, 0\]' '*(-e for e in sig.e_hat), 0]'
 mutant "the sign of [d_I, Phi] flipped in weitzenbock_rhs" dirac.py \
-  'dI @ Phi - Phi @ dI' 'Phi @ dI - dI @ Phi'
+  'comm(d_I, Phi)' 'comm(Phi, d_I)'
 mutant "the gamma^{hat mu} gamma (x) [x_mu, Phi] terms dropped from weitzenbock_rhs" dirac.py \
-  'zip((\*g, \*map(mod\.gamma_hat, range(4))), d)' 'zip(g, d)'
+  'zip(g\[:8\], d)' 'zip(g[:4], d)'
+mutant "the t_{mu nu} [x_mu, x_nu] terms dropped from weitzenbock_rhs" dirac.py \
+  ' + sign_t(sig, mu, nu) \* comm(x\[mu\], x\[nu\])' ''

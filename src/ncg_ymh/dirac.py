@@ -4,7 +4,8 @@ Every Dirac operator is built by `fluct.assemble_fluctuated`: the product
 one at the zero fluctuation, `assemble_fluctuated(gt, zero_fluctuation(gt),
 mod)`, and the fuzzy one as that product operator of `fuzzy_triple(fz)`
 (n = 1, D_F = 0).  Its square is stated once, in Weitzenbock form, by
-`weitzenbock_rhs`.
+`weitzenbock_rhs`, one coefficient per Clifford monomial.  `gamma_basis` is
+the one check that a Clifford module belongs to a triple.
 
 The Hilbert space of a fuzzy geometry is V (x) M_N; a gauge triple tensors a
 finite part on M_n, giving V (x) M_N (x) M_n of dimension 4 N^2 n^2.  The
@@ -15,6 +16,7 @@ of `superop`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -34,7 +36,7 @@ class FuzzyData:
 
     K[mu] = K_mu with K_mu* = e_mu K_mu, and K_hat[mu] = K_{hat mu} with
     K_{hat mu}* = e_hat_mu K_{hat mu}.  A zero block is stored as zeros; N is
-    read off the shape.  An error names its block as mu<k> or hat<k>.
+    read off the shape, and N = 0 is refused.  An error names its block as mu<k> or hat<k>.
     """
 
     sig: Signature
@@ -44,6 +46,8 @@ class FuzzyData:
     def __post_init__(self):
         N = self.N
         sig = self.sig
+        if N < 1:
+            raise DimensionMismatch(f"N = {N}: the K blocks are empty")
         for kind, stack, signs in (("mu", self.K, sig.e), ("hat", self.K_hat, sig.e_hat)):
             if len(stack) != 4:
                 raise DimensionMismatch(f"need 4 blocks {kind}0..{kind}3, got {len(stack)}")
@@ -64,12 +68,14 @@ class FuzzyData:
 
 @dataclass(frozen=True)
 class FiniteData:
-    """Inner-space data: dimension n and a Hermitian D_F (possibly zero)."""
+    """Inner-space data: dimension n >= 1 and a Hermitian D_F (possibly zero)."""
 
     n: int
     D_F: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DimensionMismatch(f"n = {self.n}: D_F is empty")
         if self.D_F.shape != (self.n, self.n):
             raise DimensionMismatch(f"D_F shape {self.D_F.shape}, n = {self.n}")
         if not has_adjointness_type(self.D_F, 1):
@@ -120,6 +126,13 @@ class GaugeTriple:
         return self.fuzzy.sig
 
 
+def gamma_basis(gt: GaugeTriple, mod: CliffordModule) -> np.ndarray:
+    """gamma^0..3, gamma^{hat 0}..{hat 3}, gamma of mod; one of another signature is refused."""
+    if gt.sig != mod.signature:
+        raise DimensionMismatch("triple and Clifford module carry different signatures")
+    return np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
+
+
 def lift(K, n: int) -> np.ndarray:
     """K (x) 1_n: an N x N block, or each block of a stack, acting on M_N (x) M_n = M_{Nn}."""
     K = np.asarray(K)
@@ -165,10 +178,11 @@ def random_fuzzy(N: int, sig: Signature, scale: float | None = None, seed=0,
     seed may be a Generator, such as one of `stream`.  scale defaults to 1/sqrt(N) so spectra
     stay O(1) as N grows.  The four K_mu are drawn first, then the four K_hat_mu; with
     include_X false K_hat is zeros and nothing more is drawn ('flat' data).  A scale at which
-    the blocks overflow raises OverflowError, without numpy's warnings.
+    the blocks overflow raises OverflowError, and N = 0 the DimensionMismatch of `FuzzyData`,
+    without numpy's warnings.
     """
     if scale is None:
-        scale = 1.0 / np.sqrt(N)
+        scale = 1.0 / np.sqrt(max(N, 1))
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         K = random_typed(N, rng, sig.e, scale)
@@ -257,12 +271,11 @@ def fuzzy_triple(fz: FuzzyData) -> GaugeTriple:
 
 
 def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
-    """The six-term closed form of D_f^2 on V (x) M_N: `weitzenbock_rhs` of
-    `fuzzy_triple(fz)` at the zero fluctuation (A = S = 0, Phi = 0).
+    """D_f^2 on V (x) M_N: `weitzenbock_rhs` of `fuzzy_triple(fz)` at A = S = 0, Phi = 0.
 
-    The chirality term is (1/sigma_eta) (-1)^mu gamma (x) [k_mu, x_mu]; this
-    is the sign the identity D^2 = RHS actually requires (and the one the
-    commutator bookkeeping produces), for every signature.
+    Of its 16 coefficients the eight of gamma^I gamma vanish, 1 carries sum_mu e_mu
+    (k_mu^2 - det(eta) x_mu^2), and gamma^mu gamma^nu and gamma carry theirs at
+    k_mu = {K_mu, .}_{e_mu} and x_mu = {K_{hat mu}, .}_{e_hat mu}.
     """
     from .fluct import zero_fluctuation
     gt = fuzzy_triple(fz)
@@ -271,44 +284,30 @@ def lichnerowicz_rhs(fz: FuzzyData, mod: CliffordModule) -> np.ndarray:
 
 def weitzenbock_rhs(gt: GaugeTriple, fl, mod: CliffordModule) -> np.ndarray:
     """D_omega^2 in Weitzenbock form, for D_omega = sum_I gamma^I (x) d_I + gamma (x) Phi with
-    the nine `fluct.term_ops` (k_mu = d_mu, the triple-index x_mu with gamma^{hat mu}, Phi):
-    (sum_I gamma^I (x) d_I)^2 + 1 (x) Phi^2 + sum_I gamma^I gamma (x) [d_I, Phi], as gamma
-    anticommutes with every gamma^I."""
+    the nine `fluct.term_ops` (k_mu = d_mu, the triple-index x_mu with gamma^{hat mu}, Phi),
+    as one coefficient per Clifford monomial, 16 in all (s, t: `clifford.sign_s`, `sign_t`):
+      1                  sum_mu e_mu (k_mu^2 - det(eta) x_mu^2) + Phi^2
+      gamma^mu gamma^nu  [k_mu, k_nu] + t_{mu nu} [x_mu, x_nu] + sum_{alpha, beta} s_{alpha beta
+        (mu < nu)        mu nu} {x_beta, k_alpha}, alpha and beta the two indices not mu or nu
+      gamma              (1/sigma_eta) sum_mu (-1)^mu [k_mu, x_mu]   (the sign D^2 requires)
+      gamma^I gamma      [d_I, Phi] for each of the eight I, as gamma anticommutes with gamma^I
+    """
     from .fluct import term_ops
     sig = gt.sig
-    if sig != mod.signature:
-        raise DimensionMismatch("triple and Clifford module carry different signatures")
+    g = gamma_basis(gt, mod)
     *d, Phi = term_ops(gt, fl)
     k, x = d[:4], d[4:]
-    g = mod.gammas
-    eye4 = np.eye(4)
-    det = sig.det_eta()
-    rhs = np.zeros((gt.hilbert_dim, gt.hilbert_dim), dtype=complex)
-    for mu in range(4):
-        rhs += sig.e[mu] * np.kron(eye4, k[mu] @ k[mu])
-        for nu in range(4):
-            comm = k[mu] @ k[nu] - k[nu] @ k[mu]
-            rhs += 0.5 * np.kron(g[mu] @ g[nu], comm)
-    for mu in range(4):
-        rhs -= det * sig.e[mu] * np.kron(eye4, x[mu] @ x[mu])
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            t = sign_t(sig, mu, nu)
-            if t:
-                comm = x[mu] @ x[nu] - x[nu] @ x[mu]
-                rhs += t * np.kron(g[mu] @ g[nu], comm)
-    for mu in range(4):
-        for nu in range(4):
-            for al in range(4):
-                for sg in range(4):
-                    s_ = sign_s(sig, mu, nu, al, sg)
-                    if s_:
-                        acomm = x[nu] @ k[mu] + k[mu] @ x[nu]
-                        rhs += 0.5 * s_ * np.kron(g[al] @ g[sg], acomm)
-    for mu in range(4):
-        comm = k[mu] @ x[mu] - x[mu] @ k[mu]
-        rhs += ((-1) ** mu / sig.sigma_eta) * np.kron(mod.chirality, comm)
-    rhs += np.kron(eye4, Phi @ Phi)
-    for g_I, dI in zip((*g, *map(mod.gamma_hat, range(4))), d):
-        rhs += np.kron(g_I @ mod.chirality, dI @ Phi - Phi @ dI)
-    return rhs
+
+    def comm(a, b, sign=-1):  # [a, b], or {a, b} at sign = +1
+        return a @ b + sign * (b @ a)
+
+    pairs = [(np.eye(4), sum(sig.e[mu] * (k[mu] @ k[mu] - sig.det_eta() * x[mu] @ x[mu])
+                             for mu in range(4)) + Phi @ Phi)]
+    for mu, nu in combinations(range(4), 2):
+        rest = [lam for lam in range(4) if lam not in (mu, nu)]
+        pairs.append((g[mu] @ g[nu], comm(k[mu], k[nu]) + sign_t(sig, mu, nu) * comm(x[mu], x[nu])
+                      + sum(sign_s(sig, al, be, mu, nu) * comm(x[be], k[al], +1)
+                            for al, be in permutations(rest))))
+    pairs.append((g[8], sum((-1) ** mu * comm(k[mu], x[mu]) for mu in range(4)) / sig.sigma_eta))
+    pairs += [(g_I @ g[8], comm(d_I, Phi)) for g_I, d_I in zip(g[:8], d)]
+    return sum(np.kron(G, C) for G, C in pairs)

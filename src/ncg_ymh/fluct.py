@@ -7,7 +7,9 @@ J^{-1} (eps' = +1 in every 4d signature) turns those coefficients into
 generalized commutators, which is the closed form the assembler uses.
 `terms` states that closed form once, as the nine (left, right) slot pairs,
 which the assembler, the action's kernel and (through `term_ops`) every
-superoperator oracle read.
+superoperator oracle read.  `require_shapes`, which `terms` and
+`gauge.transform` call first, is the one check that a fluctuation's fields
+are of the triple's size m.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule
-from .dirac import GaugeTriple, conjugate_by_J, lift, random_typed, represent_algebra
+from .dirac import (GaugeTriple, conjugate_by_J, gamma_basis, lift, random_typed,
+                    represent_algebra)
 from .errors import DimensionMismatch, NotSelfAdjoint
 from .superop import left_mult, right_mult, unvec, vec
 
@@ -71,24 +74,19 @@ def fluctuate(D: np.ndarray, omega: np.ndarray, S: np.ndarray, eps_prime: int) -
     return D + omega + eps_prime * conjugate_by_J(omega, S)
 
 
-def _gamma_basis(mod: CliffordModule) -> np.ndarray:
-    """The (9, 4, 4) stack gamma^0..3, gamma^{hat 0}..{hat 3}, gamma, in A, S, phi order."""
-    return np.array([*mod.gammas, *map(mod.gamma_hat, range(4)), mod.chirality])
-
-
 def extract_fluctuation(gt: GaugeTriple, mod: CliffordModule,
                         omega: np.ndarray) -> Fluctuation:
     """Read (A_mu, S_mu, phi) off a self-adjoint one-form.
 
     Uses trace-orthogonality of the 16 gamma monomials: the coefficient of
     gamma^I is (1/4) sum_ab conj(gamma^I_ab) Omega_ab, inverting the assembler's
-    contraction over `_gamma_basis`.  Spinor block (a, b) of a one-form is a pure
+    contraction over `dirac.gamma_basis`.  Spinor block (a, b) of a one-form is a pure
     left multiplication by Omega_ab, so applying it to vec(1) gives Omega_ab.
     An S whose entries all lie below 1e-12 is read as zeros.
     """
     m = gt.m
     blocks = omega.reshape(4, m * m, 4, m * m) @ vec(np.eye(m))   # (a, p, b)
-    coeffs = np.einsum("Iab,apb->Ip", _gamma_basis(mod).conj(), blocks) / 4
+    coeffs = np.einsum("Iab,apb->Ip", gamma_basis(gt, mod).conj(), blocks) / 4
     A, S = (np.array([unvec(c, m) for c in coeffs[k:k + 4]]) for k in (0, 4))
     if np.abs(S).max() <= 1e-12:  # a NaN is kept
         S = np.zeros_like(S)
@@ -121,10 +119,22 @@ def random_fluctuation(gt: GaugeTriple, scale: float | None = None, seed=0) -> F
     return Fluctuation(A=A, S=S, phi=phi)
 
 
+def require_shapes(gt: GaugeTriple, fl: Fluctuation):
+    """Refuse a fluctuation whose A, S or phi is not of the triple's size m (DimensionMismatch)."""
+    m = gt.m
+    for name, field, shape in (("A", fl.A, (4, m, m)), ("S", fl.S, (4, m, m)),
+                               ("phi", fl.phi, (m, m))):
+        if field.shape != shape:
+            raise DimensionMismatch(f"fluctuation {name} has shape {field.shape}, "
+                                    f"need {shape} at m = {m}")
+
+
 def terms(gt: GaugeTriple, fl: Fluctuation):
-    """The (9, m, m) stacks (L, R) of D_omega's slots, in `_gamma_basis` order:
+    """The (9, m, m) stacks (L, R) of D_omega's slots, in `dirac.gamma_basis` order:
     (X_mu, e_mu X_mu), (Y_mu, e_hat_mu Y_mu) and (P, eps'' phi), with
-    X_mu = K_mu (x) 1 + A_mu, Y_mu = K_hat_mu (x) 1 + S_mu and P = 1 (x) D_F + phi."""
+    X_mu = K_mu (x) 1 + A_mu, Y_mu = K_hat_mu (x) 1 + S_mu and P = 1 (x) D_F + phi.
+    A fluctuation of another size is refused (`require_shapes`)."""
+    require_shapes(gt, fl)
     sig, n = gt.sig, gt.n
     X = lift(gt.fuzzy.K, n) + fl.A
     Y = lift(gt.fuzzy.K_hat, n) + fl.S
@@ -152,15 +162,8 @@ def assemble_fluctuated(gt: GaugeTriple, fl: Fluctuation,
     Hilbert-space size is formed.  The zero fluctuation gives the product
     Dirac operator, and n = 1 with D_F = 0 the fuzzy one.
     """
-    if gt.sig != mod.signature:
-        raise DimensionMismatch("triple and Clifford module carry different signatures")
+    gammas = gamma_basis(gt, mod)
     m = gt.m
-    for name, field, shape in (("A", fl.A, (4, m, m)), ("S", fl.S, (4, m, m)),
-                               ("phi", fl.phi, (m, m))):
-        if field.shape != shape:
-            raise DimensionMismatch(f"fluctuation {name} has shape {field.shape}, "
-                                    f"need {shape} at m = {m}")
-    gammas = _gamma_basis(mod)
     L, R = (np.tensordot(gammas, t, axes=(0, 0)) for t in terms(gt, fl))  # (a, b, i, j)
     # D[a, p, i, b, q, j] is the entry at row a m^2 + p m + i, column b m^2 + q m + j
     D = np.zeros((4, m, m, 4, m, m), dtype=complex)

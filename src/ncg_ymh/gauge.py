@@ -4,8 +4,8 @@ A unitary u on C^N (x) C^n acts on M_m through l(a) -> l(u a u*) and
 r(b) -> r(u b u*), in every signature (p, q).  Each inner-fluctuation field Z
 with background B (A_mu with K_mu (x) 1, S_mu with K_hat_mu (x) 1, phi with
 1 (x) D_F) therefore moves by one rule, Z -> u Z u* + u [B, u*], which sends
-B + Z to u (B + Z) u*.  A u that is not square, or not m x m for the
-triple it acts on, is refused (DimensionMismatch).
+B + Z to u (B + Z) u*.  A u that is empty, not square, or not m x m for
+the triple it acts on, is refused (DimensionMismatch).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .action import ActionPolynomial, require_flat, sectors, spectral_action_dir
 from .clifford import build_gammas, worst
 from .dirac import GaugeTriple, complex_gaussian, lift
 from .errors import DimensionMismatch
-from .fluct import Fluctuation, assemble_fluctuated, terms
+from .fluct import Fluctuation, assemble_fluctuated, require_shapes, terms
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class GaugeElement:
     def __post_init__(self):
         if self.u.ndim != 2 or self.u.shape[0] != self.u.shape[1]:
             raise DimensionMismatch(f"gauge element shape {self.u.shape}, expected a square matrix")
+        if not self.u.size:
+            raise DimensionMismatch("gauge element u is empty")
         m = self.u.shape[0]
         if not np.abs(self.u.conj().T @ self.u - np.eye(m)).max() <= 1e-12:
             raise ValueError("gauge element is not unitary")
@@ -59,6 +61,7 @@ def transform(gt: GaugeTriple, fl: Fluctuation, g: GaugeElement) -> Fluctuation:
     is conjugated, so its spectrum is unchanged; with D_F != 0 that holds
     when u commutes with 1 (x) D_F (see `covariance_report`).
     """
+    require_shapes(gt, fl)
     u = g.u
     if u.shape != (gt.m, gt.m):
         raise DimensionMismatch(f"gauge element shape {u.shape}, expected ({gt.m}, {gt.m})")

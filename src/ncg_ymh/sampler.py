@@ -58,6 +58,14 @@ _WINDOW = 5.0  # Sokal's window constant c of tau_int
 _SELF_TEST_STEP = 0.5  # of the Gaussian self test's proposals
 
 
+def _require_count(name: str, value, least: int):
+    """Refuse a count that is not an integer (a bool is not one) or lies below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class SamplerConfig:
     N: int
@@ -71,10 +79,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.steps >= self.burn_in >= 0):
+        for name, least in (("steps", 0), ("burn_in", 0), ("thin", 1), ("seed", 0)):
+            _require_count(name, getattr(self, name), least)
+        if self.burn_in > self.steps:
             raise ValueError("need steps >= burn_in >= 0")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
         if not self.poly.confining():
             raise ValueError("polynomial must have positive coefficient at even top degree")
         if self.poly.degree > 4:
@@ -314,12 +322,9 @@ def gaussian_self_test(N: int = 2, samples: int = 100_000, seed: int = 0,
     is N^2 / 2; the summary reports the chain mean, its batch-means standard
     error and whether the target lies within three of them (None if undefined).
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    for name, value, least in (("N", N, 1), ("samples", samples, 1), ("seed", seed, 0),
+                               ("burn_in", burn_in, 0)):
+        _require_count(name, value, least)
     rng, accept_rng = stream(seed, 0), stream(seed, 9)
     M = np.zeros((N, N), dtype=complex)
     action = 0.0

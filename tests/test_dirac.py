@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ncg_ymh import action, clifford, dirac, sampler, superop, verify
+from ncg_ymh import action, clifford, dirac, gauge, sampler, superop, verify
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, FuzzyData, GaugeTriple
 from ncg_ymh.errors import DimensionMismatch, NotFlat
-from ncg_ymh.fluct import (assemble_fluctuated, connes_one_form, random_fluctuation,
-                           zero_fluctuation)
+from ncg_ymh.fluct import (assemble_fluctuated, connes_one_form, extract_fluctuation,
+                           random_fluctuation, zero_fluctuation)
 
 ALL_SIGS = [(0, 4), (1, 3), (2, 2), (3, 1)]
 
@@ -75,6 +75,17 @@ GUARDS = {
         DimensionMismatch, "different signatures",
         lambda: dirac.weitzenbock_rhs(make_triple(0, 4), zero_fluctuation(make_triple(0, 4)),
                                       build_module(1, 3))),
+    "extract_fluctuation/signature": (
+        DimensionMismatch, "different signatures",
+        lambda: extract_fluctuation(make_triple(0, 4), build_module(1, 3),
+                                    np.zeros((64, 64), dtype=complex))),
+    "FuzzyData/N = 0": (DimensionMismatch, "N = 0",
+                        lambda: dirac.zero_fuzzy(0, build_signature(0, 4))),
+    "random_fuzzy/N = 0": (DimensionMismatch, "N = 0",
+                           lambda: dirac.random_fuzzy(0, build_signature(0, 4))),
+    "FiniteData/n = 0": (DimensionMismatch, "n = 0",
+                         lambda: FiniteData(n=0, D_F=np.zeros((0, 0), dtype=complex))),
+    "GaugeElement/empty": (DimensionMismatch, "u is empty", lambda: gauge.random_unitary(0, 2)),
 }
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ncg_ymh import dirac, fluct, verify
+from ncg_ymh import action, dirac, fluct, gauge, verify
 from ncg_ymh.clifford import build_module, build_signature
 from ncg_ymh.dirac import FiniteData, GaugeTriple
 from ncg_ymh.errors import DimensionMismatch, NotSelfAdjoint
@@ -291,13 +291,31 @@ def test_fluctuate_rejects_non_finite_one_form(bad):
         fluct.fluctuate(np.eye(4), omega, np.eye(4), 1)
 
 
+QUARTIC = action.ActionPolynomial((0.0, 1.0, 0.0, 1.0))
+# every reader of a fluctuation, each called on a flat (0, 4) triple at m = 4
+READERS = {
+    "assemble_fluctuated": lambda gt, fl: fluct.assemble_fluctuated(gt, fl, build_module(0, 4)),
+    "terms": fluct.terms,
+    "term_ops": fluct.term_ops,
+    "sectors": lambda gt, fl: action.sectors(gt, fl, QUARTIC),
+    "theta": action.theta,
+    "field_strength": action.field_strength,
+    "weitzenbock_rhs": lambda gt, fl: dirac.weitzenbock_rhs(gt, fl, build_module(0, 4)),
+    "transform": lambda gt, fl: gauge.transform(gt, fl, gauge.random_unitary(2, 2)),
+    "covariance_report": lambda gt, fl: gauge.covariance_report(
+        gt, fl, gauge.random_unitary(2, 2), QUARTIC),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("name, shape", [("A", (4, 3, 3)), ("S", (4, 3, 3)), ("phi", (3, 3))])
-def test_assembler_names_a_field_of_another_size(name, shape):
-    # m = 4: a field of the wrong size is a DimensionMismatch naming it, not a numpy broadcast
-    gt = make_triple(0, 4, seed=5)
+def test_assembler_names_a_field_of_another_size(name, shape, reader):
+    # m = 4: a field of the wrong size is a DimensionMismatch naming it, not a numpy broadcast,
+    # in the assembler and in every other reader of the fields
+    gt = make_triple(0, 4, seed=5, include_X=False)
     fl = dataclasses.replace(fluct.zero_fluctuation(gt), **{name: np.zeros(shape, dtype=complex)})
     with pytest.raises(DimensionMismatch, match=f"fluctuation {name} has shape "):
-        fluct.assemble_fluctuated(gt, fl, build_module(0, 4))
+        READERS[reader](gt, fl)
 
 
 def test_extraction_keeps_a_nan_S():

@@ -56,6 +56,22 @@ def test_config_refuses_a_step_size_that_is_not_positive_and_finite(sizes):
         sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=5, step_sizes=sizes)
 
 
+@pytest.mark.parametrize("key, value", [("burn_in", 0.5), ("thin", 1.5), ("steps", 2.5),
+                                        ("seed", -1), ("burn_in", -1), ("thin", True),
+                                        ("seed", 1.0)])
+def test_config_refuses_a_count_that_is_not_a_nonnegative_integer(key, value):
+    # burn_in = 0.5 ran a chain with no records, and thin = 1.5 recorded every third sweep
+    with pytest.raises(ValueError, match=rf"{key} must be .*got {value!r}"):
+        sampler.SamplerConfig(**{"N": 2, "n": 2, "poly": QUARTIC, "steps": 5, key: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=np.int64(5), burn_in=np.int32(1),
+                                thin=np.uint8(2), seed=np.int64(3))
+    records, _ = sampler.run_chain(cfg, ym_template())
+    assert [r.step for r in records] == [1, 3]
+
+
 def test_zero_steps_empty_records():
     cfg = sampler.SamplerConfig(N=2, n=2, poly=QUARTIC, steps=0, burn_in=0)
     records, _ = sampler.run_chain(cfg, ym_template())
@@ -215,6 +231,14 @@ def test_gaussian_self_test_refuses_negative_burn_in(burn_in):
     # a negative burn_in would leave samples unwritten (-5) or run no step at all (-20)
     with pytest.raises(ValueError, match="burn_in must be >= 0"):
         sampler.gaussian_self_test(N=2, samples=10, burn_in=burn_in)
+
+
+@pytest.mark.parametrize("key, value", [("N", 2.0), ("samples", 10.0), ("burn_in", 1.5),
+                                        ("seed", -1), ("N", True)])
+def test_gaussian_self_test_refuses_a_count_that_is_not_a_nonnegative_integer(key, value):
+    # a float N, samples or burn_in raised numpy's or range's TypeError
+    with pytest.raises(ValueError, match=rf"{key} must be .*got {value!r}"):
+        sampler.gaussian_self_test(**{"samples": 10, key: value})
 
 
 def test_batch_means_and_stationarity():
